@@ -50,14 +50,12 @@ inline double stddev(const std::vector<double>& xs) {
 class BenchRealm {
  public:
   explicit BenchRealm(int nodes, bool security = true,
-                      crypto::DhGroup group = crypto::DhGroup::kModp2048,
-                      bool reactor = false) {
+                      crypto::DhGroup group = crypto::DhGroup::kModp2048) {
     realm_ = std::make_unique<nsock::Realm>();
     for (int i = 0; i < nodes; ++i) {
       nsock::NodeConfig config;
       config.controller.security = security;
       config.controller.dh_group = group;
-      config.controller.reactor.enabled = reactor;
       realm_->add_node("node" + std::to_string(i), config);
     }
     auto status = realm_->start();
@@ -202,14 +200,6 @@ inline std::string fmt(double v, int precision = 2) {
 inline bool fast_mode() {
   const char* env = std::getenv("NAPLET_BENCH_FAST");
   return env != nullptr && env[0] != '0';
-}
-
-/// True when `flag` (e.g. "--reactor") was passed on the command line.
-inline bool has_flag(int argc, char** argv, const std::string& flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == flag) return true;
-  }
-  return false;
 }
 
 /// True when `--json` was passed: benches additionally write their results

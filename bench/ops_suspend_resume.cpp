@@ -22,8 +22,8 @@ struct Costs {
   obs::Snapshot metrics;  // mover-side registry after the sweep
 };
 
-Costs measure(int iterations, bool reactor) {
-  BenchRealm realm(2, /*security=*/true, crypto::DhGroup::kModp2048, reactor);
+Costs measure(int iterations) {
+  BenchRealm realm(2, /*security=*/true, crypto::DhGroup::kModp2048);
   auto alice = realm.pseudo_agent("alice", 0);
   auto bob = realm.pseudo_agent("bob", 1);
   if (!realm.ctrl(1).listen(bob).ok()) std::abort();
@@ -100,18 +100,13 @@ std::string phase_json(const obs::HistogramSnapshot& h) {
 int main(int argc, char** argv) {
   using namespace naplet::bench;
   const int iterations = fast_mode() ? 10 : 100;
-  // --reactor moves the controllers onto the epoll/timer-wheel loop
-  // (DESIGN.md §15); the measured operations and JSON keys are identical,
-  // so the two modes diff directly.
-  const bool reactor = has_flag(argc, argv, "--reactor");
 
   std::printf("§4.2 reproduction: suspend/resume primitive costs "
-              "(%d iterations, %s mode)\n",
-              iterations, reactor ? "reactor" : "threaded");
+              "(%d iterations)\n", iterations);
   std::printf("Paper: suspend 27.8 ms, resume 16.9 ms, close+reopen ~147 ms "
               "(suspend+resume < 1/3 of close+reopen)\n");
 
-  const Costs costs = measure(iterations, reactor);
+  const Costs costs = measure(iterations);
   const double migrate_cost = costs.suspend_ms + costs.resume_ms;
 
   print_header("Suspend/resume vs close+reopen (measured)",
@@ -143,7 +138,6 @@ int main(int argc, char** argv) {
   if (json_flag(argc, argv)) {
     JsonObject obj;
     obj.field("bench", std::string("ops_suspend_resume"))
-        .field("mode", std::string(reactor ? "reactor" : "threaded"))
         .field("iterations", static_cast<std::uint64_t>(iterations))
         .field("suspend_ms", costs.suspend_ms)
         .field("resume_ms", costs.resume_ms)
@@ -154,11 +148,7 @@ int main(int argc, char** argv) {
       if (h == nullptr) continue;
       obj.raw(label, phase_json(*h));
     }
-    // Distinct file per mode so a reactor run does not clobber the
-    // threaded baseline it is compared against.
-    write_json_file(reactor ? "BENCH_ops_suspend_resume_reactor.json"
-                            : "BENCH_ops_suspend_resume.json",
-                    obj.render());
+    write_json_file("BENCH_ops_suspend_resume.json", obj.render());
   }
   return 0;
 }

@@ -17,10 +17,9 @@
 #                                       ratios shape-checked)
 #      + group-suspend bench smoke     (fast-mode JSON: makespan + per-phase
 #                                       percentiles for 1/8/64-member agents)
-#      + explicit `ctest -L reactor`   (timer wheel, reactor dispatch, the
-#                                       sharded session table, wakeup
+#      + explicit `ctest -L shards`    (the sharded session table, wakeup
 #                                       regressions)
-#      + fleet-churn bench smoke       (fast-mode JSON: reactor controller
+#      + fleet-churn bench smoke       (fast-mode JSON: the controller
 #                                       under connect/migrate/close churn)
 #   2. Sanitize build + full ctest    (ASan + UBSan)
 #      + explicit `ctest -L net`
@@ -31,7 +30,7 @@
 #      + `ctest -L net`              (the rudp transport under TSan)
 #      + `ctest -L swarm`            (swarm pipeline + smoke under TSan)
 #      + `ctest -L group`            (group barrier + sweep under TSan)
-#      + `ctest -L reactor`          (reactor core + sharded table under TSan)
+#      + `ctest -L shards`           (sharded session table under TSan)
 #   4. naplet-analyze gate            (lock-order graph, annotation
 #      coverage, invariant registries; registry_check is dependency-free
 #      and always runs, the optional libTooling cross-check only when the
@@ -96,8 +95,8 @@ done
 note "group-suspend suite (ctest -L group, Debug)"
 ctest --test-dir build-debug -L group --output-on-failure -j "$JOBS"
 
-note "reactor suite (ctest -L reactor, Debug)"
-ctest --test-dir build-debug -L reactor --output-on-failure -j "$JOBS"
+note "sharded session table suite (ctest -L shards, Debug)"
+ctest --test-dir build-debug -L shards --output-on-failure -j "$JOBS"
 
 note "loss-sweep bench smoke (fast mode, JSON parsed)"
 if command -v python3 >/dev/null 2>&1; then
@@ -178,7 +177,7 @@ else
   skip "python3 not installed (group-suspend JSON parse)"
 fi
 
-note "fleet-churn bench smoke (fast mode, reactor controller at scale)"
+note "fleet-churn bench smoke (fast mode, controller at scale)"
 # The binary shape-checks itself (ramp reaches the target concurrent
 # session count, every churn op lands, suspend histogram populated, shard
 # spread sane) and exits nonzero on any miss; the JSON parse confirms the
@@ -189,7 +188,6 @@ if command -v python3 >/dev/null 2>&1; then
 import json, sys
 with open(sys.argv[1]) as f:
     data = json.load(f)
-assert data["mode"] == "reactor", "smoke must exercise reactor mode"
 assert data["concurrent_sessions"] >= data["target_sessions"], "ramp fell short"
 assert data["ramp_sessions_per_sec"] > 0, "ramp rate missing"
 assert data["churn_ops_per_sec"] > 0, "churn rate missing"
@@ -225,7 +223,7 @@ if [ "$SKIP_TSAN" -eq 0 ]; then
   ctest --test-dir build-tsan -L obs --output-on-failure -j "$JOBS"
   ctest --test-dir build-tsan -L swarm --output-on-failure -j "$JOBS"
   ctest --test-dir build-tsan -L group --output-on-failure -j "$JOBS"
-  ctest --test-dir build-tsan -L reactor --output-on-failure -j "$JOBS"
+  ctest --test-dir build-tsan -L shards --output-on-failure -j "$JOBS"
   # The `net` test has no per-test TSAN env property (it also runs in
   # non-TSan builds), so supply the suppressions here.
   NAPLET_TSAN_LIGHT=1 \

@@ -5,7 +5,6 @@
 #include "crypto/random.hpp"
 #include "fault/fault.hpp"
 #include "net/frame.hpp"
-#include "reactor/reactor.hpp"
 #include "util/log.hpp"
 
 namespace naplet::nsock {
@@ -49,7 +48,7 @@ SocketController::SocketController(agent::AgentServer& server,
                                    ControllerConfig config)
     : server_(server),
       config_(config),
-      sessions_(config_.reactor.shards),
+      sessions_(kSessionShards),
       mac_rejections_(registry_.counter("mac_rejections")),
       access_denials_(registry_.counter("access_denials")),
       links_repaired_(registry_.counter("links_repaired")),
@@ -104,19 +103,6 @@ util::Status SocketController::start() {
     }
   }
 
-  // Event loop before any component that registers with it. Instrument
-  // registration happens here (not the ctor) so the registry only carries
-  // reactor metrics when the reactor actually runs.
-  if (config_.reactor.enabled) {
-    reactor_ = std::make_unique<reactor::Reactor>();
-    reactor_->bind_instruments(reactor::ReactorInstruments{
-        .loop_lag_us = &registry_.histogram("reactor_loop_lag_us"),
-        .dispatch_batch =
-            &registry_.histogram("reactor_dispatch_batch", "count"),
-    });
-    NAPLET_RETURN_IF_ERROR(reactor_->start());
-  }
-
   redirector_ = std::make_unique<Redirector>(
       server_.network(), config_.redirector_port,
       [this](std::shared_ptr<net::Stream> stream, HandoffMsg msg) {
@@ -124,7 +110,6 @@ util::Status SocketController::start() {
       },
       config_.redirector_leases);
   redirector_->set_host_label(server_.node_info().server_name);
-  if (reactor_) redirector_->attach_reactor(reactor_.get());
   NAPLET_RETURN_IF_ERROR(redirector_->start());
 
   server_.bus().subscribe(
@@ -141,9 +126,6 @@ util::Status SocketController::start() {
       .fast_retransmits = &registry_.counter("rudp_fast_retransmits"),
       .fec_repairs = &registry_.counter("rudp_fec_repairs"),
   });
-  // Readiness-driven control channel: the rudp retransmission scan and
-  // receive path move onto the reactor, retiring two blocking threads.
-  if (reactor_) server_.bus().channel().attach_reactor(reactor_.get());
   server_.set_redirector_endpoint(redirector_->endpoint());
   server_.set_migrator(this);
   server_.register_service(kServiceName, this);
@@ -172,13 +154,6 @@ void SocketController::stop() {
   }
   if (redirector_) redirector_->stop();
   if (repair_thread_.joinable()) repair_thread_.join();
-  if (reactor_) {
-    // Every reactor user detaches before the loop stops: the redirector's
-    // sweep timer is already cancelled (stop above), the repair loop has
-    // exited, and the channel quiesces its handlers here.
-    server_.bus().channel().detach_reactor();
-    reactor_->stop();
-  }
   std::vector<PrefreezeWatchdog> watchdogs;
   {
     util::MutexLock lock(mu_);

@@ -35,10 +35,6 @@
 #include "obs/trace.hpp"
 #include "recovery/journal.hpp"
 
-namespace naplet::reactor {
-class Reactor;
-}  // namespace naplet::reactor
-
 namespace naplet::nsock {
 
 /// Fault-tolerance extension (the paper's §7 future work): detection and
@@ -69,19 +65,6 @@ struct DurabilityConfig {
   std::string dir;
   /// Journal appends between snapshot compactions.
   std::uint64_t compact_every = 64;
-};
-
-/// Event-driven reactor core (DESIGN.md §15). The session table is ALWAYS
-/// sharded (`shards` per-shard locks, rank kControllerShard); `enabled`
-/// additionally moves the controller onto one epoll/timer-wheel event
-/// loop: the control channel's retransmission scan and receive path run
-/// from reactor timers and fd readiness instead of two blocking threads,
-/// and the redirector's lease eviction serves from the same wheel. The
-/// blocking public API (connect/suspend/resume/close) is unchanged.
-struct ReactorConfig {
-  bool enabled = false;
-  /// Session-table shard count; rounded up to a power of two.
-  int shards = 16;
 };
 
 struct ControllerConfig {
@@ -125,8 +108,6 @@ struct ControllerConfig {
   util::Duration park_timeout{std::chrono::seconds(30)};
   /// Default application send/recv blocking bound.
   util::Duration io_timeout{std::chrono::seconds(30)};
-  /// Event-driven reactor core + session-table sharding (DESIGN.md §15).
-  ReactorConfig reactor{};
 };
 
 /// Client-observed phase breakdown of one connection setup (Figure 8).
@@ -402,12 +383,6 @@ class SocketController final : public agent::ConnectionMigrator {
                                               "immutable");
   std::unique_ptr<Redirector> redirector_ NAPLET_NOT_GUARDED(
       "created in start() before worker threads; the Redirector is "
-      "internally synchronized");
-  /// Event loop (reactor.enabled): owns the epoll loop + timer wheel that
-  /// drive the control channel and the redirector lease sweep. Created in
-  /// start() before any worker; stopped AFTER every user detaches.
-  std::unique_ptr<reactor::Reactor> reactor_ NAPLET_NOT_GUARDED(
-      "created in start() before worker threads; the Reactor is "
       "internally synchronized");
 
   // Observability. The registry owns every instrument; the references

@@ -1,25 +1,16 @@
 #include "core/redirector.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "fault/fault.hpp"
 #include "net/frame.hpp"
 #include "obs/trace.hpp"
-#include "reactor/reactor.hpp"
 #include "util/log.hpp"
 
 namespace naplet::nsock {
 
 namespace {
 std::int64_t lease_now_us() { return util::RealClock::instance().now_us(); }
-
-// Reactor sweep cadence: a fraction of the lease TTL so an expired entry
-// is evicted promptly, floored so a tiny test TTL cannot spin the wheel.
-util::Duration sweep_period(const LeaseConfig& leases) {
-  const auto quarter = leases.ttl / 4;
-  return std::clamp<util::Duration>(quarter, std::chrono::milliseconds(10),
-                                    std::chrono::milliseconds(200));
-}
 }  // namespace
 
 Redirector::Redirector(net::Network& network, std::uint16_t port,
@@ -36,42 +27,14 @@ util::Status Redirector::start() {
   if (!listener.ok()) return listener.status();
   listener_ = std::move(*listener);
   acceptor_ = std::thread([this] { accept_loop(); });
-  if (reactor_ != nullptr && lease_config_.enabled) arm_sweep_timer();
   return util::OkStatus();
 }
 
 void Redirector::stop() {
   if (stopped_.exchange(true)) return;
-  if (reactor_ != nullptr) {
-    std::uint64_t timer;
-    {
-      util::MutexLock lock(handlers_mu_);
-      timer = std::exchange(sweep_timer_, 0);
-    }
-    if (timer != 0) reactor_->cancel_timer(timer);
-  }
   if (listener_) listener_->close();
   if (acceptor_.joinable()) acceptor_.join();
   reap_handlers(/*all=*/true);
-}
-
-void Redirector::arm_sweep_timer() {
-  // stopped_ is re-checked under handlers_mu_ so a concurrent stop()
-  // cannot cancel the OLD id and then miss a timer armed after it: stop
-  // sets the flag before taking the lock, and we schedule under it.
-  // The on_sweep_timer lambda fires later on the reactor loop thread,
-  // after this frame (and its lock) are long gone — not recursion.
-  // analyze-ignore(lock-rank-inversion)
-  util::MutexLock lock(handlers_mu_);
-  if (stopped_.load()) return;
-  sweep_timer_ = reactor_->schedule(sweep_period(lease_config_),
-                                    [this] { on_sweep_timer(); });
-}
-
-void Redirector::on_sweep_timer() {
-  if (stopped_.load()) return;
-  evict_expired_leases();
-  arm_sweep_timer();
 }
 
 net::Endpoint Redirector::endpoint() const {
@@ -81,9 +44,7 @@ net::Endpoint Redirector::endpoint() const {
 void Redirector::accept_loop() {
   while (!stopped_.load()) {
     auto accepted = listener_->accept(std::chrono::milliseconds(200));
-    // The reactor sweep timer owns eviction when attached; otherwise the
-    // sweep piggybacks on the accept tick as before.
-    if (reactor_ == nullptr) evict_expired_leases();
+    evict_expired_leases();  // the lease sweep rides the accept tick
     if (!accepted.ok()) {
       if (accepted.status().code() == util::StatusCode::kTimeout) continue;
       break;  // listener closed

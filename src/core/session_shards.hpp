@@ -35,11 +35,15 @@
 
 namespace naplet::nsock {
 
+/// Shard count of the controller's session table. A power of two, so
+/// shard selection is a mask, not a division.
+inline constexpr int kSessionShards = 16;
+static_assert((kSessionShards & (kSessionShards - 1)) == 0);
+
 class SessionShardMap {
  public:
-  /// `shards` is rounded up to a power of two (minimum 1) so shard
-  /// selection is a mask, not a division.
-  explicit SessionShardMap(int shards = 16) {
+  /// `shards` is rounded up to a power of two (minimum 1).
+  explicit SessionShardMap(int shards) {
     std::size_t n = 1;
     while (n < static_cast<std::size_t>(std::max(1, shards))) n <<= 1;
     shards_.reserve(n);

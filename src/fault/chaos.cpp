@@ -1,5 +1,7 @@
 #include "fault/chaos.hpp"
 
+#include <unistd.h>
+
 #include <atomic>
 #include <filesystem>
 #include <sstream>
@@ -280,6 +282,36 @@ ChaosCase make_group_case(std::uint64_t seed, Scenario scenario, bool light) {
 
 namespace {
 
+/// A crash case's journal directory, empty at the start of the case and
+/// removed when it ends. The pid is part of the name because the same
+/// pinned case runs in several processes at once under `ctest -j`
+/// (recovery_test next to crash_smoke_s3 and crash_smoke_s5); a shared
+/// directory let one run wipe or replay another's journal.
+class CaseJournalDir {
+ public:
+  explicit CaseJournalDir(const ChaosCase& chaos_case)
+      : path_((std::filesystem::temp_directory_path() /
+               ("naplet-chaos-" + std::to_string(chaos_case.seed) + "-" +
+                std::string(to_string(chaos_case.scenario)) + "-" +
+                std::to_string(::getpid())))
+                  .string()) {
+    remove();
+  }
+  ~CaseJournalDir() { remove(); }
+  CaseJournalDir(const CaseJournalDir&) = delete;
+  CaseJournalDir& operator=(const CaseJournalDir&) = delete;
+
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  void remove() const {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+
+  std::string path_;
+};
+
 /// Node config for crash cases. A non-empty `durable_dir` gives the node a
 /// journal (only the to-be-crashed server host needs one); recovery-off
 /// cases get the paper's single-shot protocol with tight timeouts so the
@@ -343,13 +375,8 @@ ChaosResult run_crash_case(const ChaosCase& chaos_case) {
   Injector& injector = Injector::instance();
   injector.disarm();
 
-  const std::string durable_dir =
-      (std::filesystem::temp_directory_path() /
-       ("naplet-chaos-" + std::to_string(chaos_case.seed) + "-" +
-        std::string(to_string(chaos_case.scenario))))
-          .string();
-  std::error_code ec;
-  std::filesystem::remove_all(durable_dir, ec);
+  const CaseJournalDir journal_dir(chaos_case);
+  const std::string& durable_dir = journal_dir.path();
 
   net::SimNet net(chaos_case.seed);
   net.set_default_link(net::LinkConfig{.latency = 1ms});
@@ -928,15 +955,8 @@ ChaosResult run_group_case(const ChaosCase& chaos_case) {
   injector.disarm();
 
   const bool crash = chaos_case.scenario == Scenario::kGroupCrashCommit;
-  std::string durable_dir;
-  if (crash) {
-    durable_dir = (std::filesystem::temp_directory_path() /
-                   ("naplet-chaos-" + std::to_string(chaos_case.seed) + "-" +
-                    std::string(to_string(chaos_case.scenario))))
-                      .string();
-    std::error_code ec;
-    std::filesystem::remove_all(durable_dir, ec);
-  }
+  const CaseJournalDir journal_dir(chaos_case);
+  const std::string durable_dir = crash ? journal_dir.path() : std::string();
 
   net::SimNet net(chaos_case.seed);
   net.set_default_link(net::LinkConfig{.latency = 1ms});

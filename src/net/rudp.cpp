@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "fault/fault.hpp"
-#include "reactor/reactor.hpp"
 #include "util/bytes.hpp"
 
 namespace naplet::net {
@@ -78,7 +77,6 @@ ReliableChannel::~ReliableChannel() {
 
 void ReliableChannel::close() {
   if (closed_.exchange(true)) return;
-  detach_reactor();
   inbox_.close();
   socket_->close();
   // Take and drop mu_ so the flag is ordered before the wakeups: a waiter
@@ -237,8 +235,6 @@ util::Status ReliableChannel::send(const Endpoint& dest,
   const auto hard_deadline = t_start + max_wait;
 
   std::uint64_t seq = 0;
-  bool arm = false;
-  TimePoint arm_at{};
   {
     util::MutexLock lock(mu_);
     TxPeer& peer = peer_for(dest);
@@ -290,15 +286,6 @@ util::Status ReliableChannel::send(const Endpoint& dest,
     packet.first_send = steady_clock::now();
     packet.sends = 1;
     packet.deadline = packet.first_send + interval_for(peer, 0);
-    if (reactor_mode_.load(std::memory_order_relaxed)) {
-      // The wheel owns this packet's retransmit deadline (and the open
-      // FEC group's flush) now; armed outside the lock below.
-      arm = true;
-      arm_at = packet.deadline;
-      if (config_.repair == LossRepair::kXorFec && peer.fec_count > 0) {
-        arm_at = std::min(arm_at, peer.fec_opened + config_.fec_flush);
-      }
-    }
     const util::Bytes& frame =
         peer.inflight.emplace(seq, std::move(packet)).first->second.wire;
     peer.unacked_packets++;
@@ -323,7 +310,6 @@ util::Status ReliableChannel::send(const Endpoint& dest,
       (void)send_with_fault("rudp.fec", dest, parity_wire);
     }
   }
-  if (arm) arm_retx_timer(arm_at);
   timer_cv_.notify_all();  // the timer owns this packet's deadline now
 
   // Wait for the ACK (or failure, close, caller budget).
@@ -537,166 +523,15 @@ std::optional<ReliableChannel::TimePoint> ReliableChannel::retx_pass() {
 }
 
 void ReliableChannel::timer_loop() {
-  while (!closed_.load() && !reactor_mode_.load()) {
+  while (!closed_.load()) {
     const auto next = retx_pass();
     util::MutexLock lock(mu_);
-    if (closed_.load() || reactor_mode_.load()) break;
+    if (closed_.load()) break;
     // New deadlines fold into `next` inside the pass; the poll-slice cap
     // bounds the cost of a (theoretical) lost timer_cv_ wakeup.
     const auto cap = steady_clock::now() + kPollSlice;
     (void)timer_cv_.wait_until(mu_, next ? std::min(*next, cap) : cap);
   }
-}
-
-// ===========================================================================
-// Reactor mode
-
-struct ReliableChannel::ReactorState final : reactor::EventHandler {
-  explicit ReactorState(ReliableChannel* ch) : channel(ch) {}
-  void on_ready(std::uint32_t /*events*/) override {
-    channel->on_socket_ready();
-  }
-
-  ReliableChannel* channel;
-  reactor::Reactor* reactor = nullptr;
-  int fd = -1;  // -1: SimNet (delivery-callback) path
-  // Armed-timer bookkeeping, guarded by channel->mu_.
-  reactor::TimerId retx_timer = reactor::kInvalidTimer;
-  std::int64_t retx_deadline_us = 0;
-  reactor::TimerId rx_timer = reactor::kInvalidTimer;
-};
-
-namespace {
-std::int64_t to_reactor_us(std::chrono::steady_clock::time_point tp) {
-  // Reactor::now_us is RealClock (steady_clock) microseconds, so the
-  // conversion is a plain duration cast.
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             tp.time_since_epoch())
-      .count();
-}
-}  // namespace
-
-void ReliableChannel::attach_reactor(reactor::Reactor* r) {
-  if (r == nullptr || closed_.load()) return;
-  if (reactor_mode_.exchange(true)) return;
-  // Retire the legacy threads (both re-check reactor_mode_ every pass;
-  // the receiver wakes from its poll slice within 200 ms).
-  { util::MutexLock lock(mu_); }
-  timer_cv_.notify_all();
-  if (timer_.joinable()) timer_.join();
-  if (receiver_.joinable()) receiver_.join();
-
-  auto st = std::make_unique<ReactorState>(this);
-  st->reactor = r;
-  st->fd = socket_->native_handle();
-  ReactorState* handler = st.get();
-  r->add_handler(handler);
-  if (st->fd >= 0) {
-    (void)r->add_fd(st->fd, handler, reactor::kReadable);
-  } else {
-    // SimNet: delivery callbacks drive the same EventHandler interface.
-    socket_->set_ready_callback([r, handler] { r->notify(handler); });
-  }
-  {
-    util::MutexLock lock(mu_);
-    reactor_detached_ = false;
-    reactor_state_ = std::move(st);
-  }
-  // Drain anything that landed while the receiver thread was retiring and
-  // arm the retransmit scan for packets already in flight.
-  r->notify(handler);
-  if (const auto next = retx_pass()) arm_retx_timer(*next);
-}
-
-void ReliableChannel::detach_reactor() {
-  ReactorState* st = nullptr;
-  reactor::Reactor* r = nullptr;
-  int fd = -1;
-  {
-    util::MutexLock lock(mu_);
-    if (reactor_state_ == nullptr || reactor_detached_) return;
-    reactor_detached_ = true;  // in-flight callbacks stop re-arming
-    st = reactor_state_.get();
-    r = st->reactor;
-    fd = st->fd;
-    if (st->retx_timer != reactor::kInvalidTimer) {
-      r->cancel_timer(st->retx_timer);
-      st->retx_timer = reactor::kInvalidTimer;
-    }
-    if (st->rx_timer != reactor::kInvalidTimer) {
-      r->cancel_timer(st->rx_timer);
-      st->rx_timer = reactor::kInvalidTimer;
-    }
-  }
-  // Uninstall the delivery callback first: SimNet invokes it under the
-  // inbox lock, so this returning means no sender can still call it.
-  socket_->set_ready_callback(nullptr);
-  if (fd >= 0) r->del_fd(fd);
-  // Quiesce: no on_ready for this channel is running or queued after this
-  // (a timer callback collected-but-not-fired before cancel also
-  // completes before the barrier inside remove_handler).
-  r->remove_handler(st);
-  util::MutexLock lock(mu_);
-  reactor_state_.reset();
-}
-
-void ReliableChannel::on_socket_ready() {
-  for (;;) {
-    if (closed_.load()) return;
-    auto packet = socket_->recv_for(util::Duration{0});
-    if (packet.ok()) {
-      handle_packet(packet->from,
-                    util::ByteSpan(packet->data.data(), packet->data.size()));
-      continue;
-    }
-    if (packet.status().code() != util::StatusCode::kTimeout) return;
-    break;  // drained everything deliverable right now
-  }
-  // SimNet models link latency: a packet can be queued but not yet
-  // deliverable. Arm a poke at the earliest such instant instead of
-  // polling.
-  const auto next = socket_->next_ready_us();
-  if (!next) return;
-  util::MutexLock lock(mu_);
-  ReactorState* st = reactor_state_.get();
-  if (st == nullptr || reactor_detached_) return;
-  if (st->rx_timer != reactor::kInvalidTimer) {
-    st->reactor->cancel_timer(st->rx_timer);
-  }
-  reactor::Reactor* r = st->reactor;
-  ReactorState* handler = st;
-  st->rx_timer = r->schedule_at_us(*next, [r, handler] { r->notify(handler); });
-}
-
-void ReliableChannel::arm_retx_timer(TimePoint next) {
-  const std::int64_t next_us = to_reactor_us(next);
-  // The on_retx_timer lambda fires later on the reactor loop thread,
-  // after this frame (and its lock) are long gone — not recursion.
-  // analyze-ignore(lock-rank-inversion)
-  util::MutexLock lock(mu_);
-  ReactorState* st = reactor_state_.get();
-  if (st == nullptr || reactor_detached_) return;
-  if (st->retx_timer != reactor::kInvalidTimer &&
-      next_us >= st->retx_deadline_us) {
-    return;  // an equal-or-earlier scan is already armed
-  }
-  if (st->retx_timer != reactor::kInvalidTimer) {
-    st->reactor->cancel_timer(st->retx_timer);
-  }
-  st->retx_deadline_us = next_us;
-  st->retx_timer =
-      st->reactor->schedule_at_us(next_us, [this] { on_retx_timer(); });
-}
-
-void ReliableChannel::on_retx_timer() {
-  {
-    util::MutexLock lock(mu_);
-    if (ReactorState* st = reactor_state_.get()) {
-      st->retx_timer = reactor::kInvalidTimer;
-      st->retx_deadline_us = 0;
-    }
-  }
-  if (const auto next = retx_pass()) arm_retx_timer(*next);
 }
 
 // ===========================================================================
@@ -708,7 +543,7 @@ std::optional<ReliableChannel::Message> ReliableChannel::recv(
 }
 
 void ReliableChannel::receive_loop() {
-  while (!closed_.load() && !reactor_mode_.load()) {
+  while (!closed_.load()) {
     auto packet = socket_->recv_for(std::chrono::milliseconds(200));
     if (!packet.ok()) {
       if (packet.status().code() == util::StatusCode::kTimeout) continue;

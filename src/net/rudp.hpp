@@ -34,10 +34,6 @@
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
 
-namespace naplet::reactor {
-class Reactor;
-}  // namespace naplet::reactor
-
 namespace naplet::net {
 
 /// Loss-repair stage applied on top of retransmission.
@@ -147,21 +143,6 @@ class ReliableChannel {
 
   void close();
 
-  /// Reactor mode (DESIGN.md §15): retire this channel's two blocking
-  /// background threads and serve their work from `r`'s event loop —
-  /// readiness-driven receive (epoll on real sockets, delivery callbacks
-  /// on SimNet) and timer-wheel retransmit/FEC-flush scans that fire only
-  /// when a deadline is actually due. The blocking send()/recv() surface
-  /// is unchanged. Joins the legacy threads, so it may block briefly
-  /// (≤ one receive poll slice). Idempotent; no-op on a closed channel.
-  void attach_reactor(reactor::Reactor* r);
-
-  /// Undo attach_reactor: cancel wheel timers, unregister from the loop,
-  /// and quiesce (no event-loop activity for this channel after return).
-  /// MUST run before the reactor stops. The legacy threads are not
-  /// restarted — detach is a teardown step; close() calls it implicitly.
-  void detach_reactor();
-
   // Observability for tests/benches.
   [[nodiscard]] std::uint64_t retransmissions() const {
     return retransmissions_.load();
@@ -193,13 +174,6 @@ class ReliableChannel {
     fast_retx_counter_.store(instruments.fast_retransmits,
                              std::memory_order_release);
     fec_counter_.store(instruments.fec_repairs, std::memory_order_release);
-  }
-
-  /// Legacy two-histogram binding (kept for callers that predate the
-  /// instrument bundle).
-  void bind_metrics(obs::Histogram* rtt_us, obs::Histogram* retransmits) {
-    rtt_us_.store(rtt_us, std::memory_order_release);
-    retransmits_per_send_.store(retransmits, std::memory_order_release);
   }
 
   /// The jitterless backoff schedule (pure; exposed for tests): the wait
@@ -282,13 +256,6 @@ class ReliableChannel {
   /// frames under mu_, transmits them unlocked, and returns the earliest
   /// next deadline — nullopt when nothing is in flight.
   std::optional<TimePoint> retx_pass();
-  /// Reactor-mode receive: drain every deliverable datagram (non-blocking)
-  /// and re-arm the SimNet future-delivery poke if one is queued.
-  void on_socket_ready();
-  /// Reactor-mode: (re)arm the wheel retransmit timer if `next` is sooner
-  /// than the currently armed deadline. No-op when detached.
-  void arm_retx_timer(TimePoint next);
-  void on_retx_timer();
   void handle_packet(const Endpoint& from, util::ByteSpan data);
   void handle_ack(const Endpoint& from, const wire::Packet& packet);
   void handle_data(const Endpoint& from, wire::Packet packet);
@@ -346,17 +313,6 @@ class ReliableChannel {
   std::atomic<obs::Counter*> sack_counter_{nullptr};
   std::atomic<obs::Counter*> fast_retx_counter_{nullptr};
   std::atomic<obs::Counter*> fec_counter_{nullptr};
-
-  // --- reactor mode ---
-  /// EventHandler glue + armed-timer bookkeeping; allocated by
-  /// attach_reactor, freed by detach_reactor after the loop quiesces.
-  struct ReactorState;
-  std::unique_ptr<ReactorState> reactor_state_ NAPLET_GUARDED_BY(mu_);
-  /// Flips once at attach; tells the legacy threads to exit.
-  std::atomic<bool> reactor_mode_{false};
-  /// Set (under mu_) at the start of detach so in-flight callbacks stop
-  /// re-arming wheel timers the detach would miss.
-  bool reactor_detached_ NAPLET_GUARDED_BY(mu_) = false;
 
   std::thread timer_;     // constructed after all state, joined in dtor
   std::thread receiver_;  // constructed last, joined in destructor

@@ -291,8 +291,6 @@ class UdpSocket final : public Datagram {
 
   [[nodiscard]] Endpoint local_endpoint() const override { return local_; }
 
-  [[nodiscard]] int native_handle() const override { return fd_.get(); }
-
   void close() override {
     // Exclusive lock: waits out any in-flight sendto/recvfrom (both are
     // short, post-poll syscalls) before ::close can recycle the fd.

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -98,31 +97,6 @@ class Datagram {
 
   [[nodiscard]] virtual Endpoint local_endpoint() const = 0;
   virtual void close() = 0;
-
-  // --- Readiness integration (reactor mode, DESIGN.md §15) -------------
-  // A datagram socket can participate in an event loop in one of two
-  // ways: expose a pollable fd (real sockets), or push a callback when a
-  // packet becomes deliverable (SimNet, whose packets live in-process).
-  // Backends override whichever applies; the defaults describe a socket
-  // with neither, which reactor code treats as "blocking recv only".
-
-  /// OS-pollable file descriptor, or -1 when there is none (SimNet).
-  [[nodiscard]] virtual int native_handle() const { return -1; }
-
-  /// Install `cb` to be invoked (on the sender's thread, with no backend
-  /// locks held) whenever a datagram is enqueued for this socket. The
-  /// callback must be cheap and non-blocking — reactor glue uses it to
-  /// inject readiness. Pass nullptr to uninstall. Default: ignored.
-  virtual void set_ready_callback(std::function<void()> cb) { (void)cb; }
-
-  /// Earliest instant (RealClock microseconds) at which a queued datagram
-  /// becomes deliverable, nullopt when nothing is queued. SimNet models
-  /// link latency, so a packet can exist but not yet be receivable; the
-  /// reactor arms a timer at this instant instead of polling. Sockets
-  /// whose packets are deliverable as soon as they exist return nullopt.
-  [[nodiscard]] virtual std::optional<std::int64_t> next_ready_us() const {
-    return std::nullopt;
-  }
 };
 
 using DatagramPtr = std::unique_ptr<Datagram>;
