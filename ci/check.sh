@@ -21,6 +21,8 @@
 #                                       regressions)
 #      + fleet-churn bench smoke       (fast-mode JSON: the controller
 #                                       under connect/migrate/close churn)
+#      + ci/flake.sh                   (tier-1 build, `ctest -j$(nproc)` 20
+#                                       times, zero failing runs allowed)
 #   2. Sanitize build + full ctest    (ASan + UBSan)
 #      + explicit `ctest -L net`
 #   3. Tsan build + `ctest -L tsan`   (pinned light concurrency sweep)
@@ -201,6 +203,9 @@ EOF
 else
   skip "python3 not installed (fleet-churn JSON parse)"
 fi
+
+note "flake gate (tier-1 suite, 20 parallel runs, zero failures)"
+ci/flake.sh
 
 if [ "$SKIP_SANITIZE" -eq 0 ]; then
   note "Sanitize build (ASan + UBSan)"

@@ -290,16 +290,19 @@ void AgentServer::agent_thread_main(AgentId id) {
 void AgentServer::terminate_agent(const AgentId& id) {
   migrator_->close_all(id);
   post_->close_mailbox(id);
-  locations_.deregister_agent(id);
-
-  util::MutexLock lock(mu_);
-  auto it = residents_.find(id);
-  if (it != residents_.end()) {
-    if (it->second.thread.joinable()) {
-      finished_.push_back(std::move(it->second.thread));
+  {
+    util::MutexLock lock(mu_);
+    auto it = residents_.find(id);
+    if (it != residents_.end()) {
+      if (it->second.thread.joinable()) {
+        finished_.push_back(std::move(it->second.thread));
+      }
+      residents_.erase(it);
     }
-    residents_.erase(it);
   }
+  // Deregister last: whoever sees the agent gone from the directory
+  // (wait_agent_gone) must also see it gone from this server.
+  locations_.deregister_agent(id);
 }
 
 void AgentServer::reap_finished_threads() {

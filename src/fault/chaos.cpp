@@ -200,93 +200,80 @@ ChaosCase generate_case(std::uint64_t seed, bool light) {
   return chaos_case;
 }
 
-ChaosCase make_crash_case(std::uint64_t seed, Scenario scenario, bool light,
-                          bool recovery) {
+ChaosCase make_case(std::uint64_t seed, Scenario scenario, bool light,
+                    bool recovery) {
+  if (static_cast<int>(scenario) < kGeneratedScenarioCount) {
+    ChaosCase chaos_case = generate_case(seed, light);
+    chaos_case.scenario = scenario;
+    return chaos_case;
+  }
+  const bool group = is_group_scenario(scenario);
   ChaosCase chaos_case;
   chaos_case.seed = seed;
   chaos_case.scenario = scenario;
-  chaos_case.recovery = recovery;
-  chaos_case.forward_msgs = light ? 6 : 12;
-  chaos_case.reverse_msgs = light ? 4 : 8;
+  if (is_crash_scenario(scenario)) chaos_case.recovery = recovery;
+  chaos_case.forward_msgs = group ? (light ? 4 : 8) : (light ? 6 : 12);
+  chaos_case.reverse_msgs = group ? (light ? 3 : 6) : (light ? 4 : 8);
   chaos_case.plan.seed = seed;
   Rule rule;
-  if (scenario == Scenario::kCrashSuspend) {
-    // Every SUS_ACK of the doomed incarnation dies (the resend cadence
-    // would otherwise get a re-ack through), so the active side's suspend
-    // handshake reliably times out before the harness pulls the plug.
-    rule.site = "ctrl.suspend_ack.pre_send";
-  } else {
-    // Every handoff worker of the doomed incarnation dies: the mover's
-    // RESUME is in flight, unanswered, when the controller is killed.
-    rule.site = "redirector.handoff.accept";
+  switch (scenario) {
+    case Scenario::kCrashSuspend:
+      // Every SUS_ACK of the doomed incarnation dies (the resend cadence
+      // would otherwise get a re-ack through), so the active side's
+      // suspend handshake reliably times out before the harness pulls the
+      // plug.
+      rule.site = "ctrl.suspend_ack.pre_send";
+      rule.count = 1000;  // all hits until disarm (which follows the kill)
+      rule.action = Action::kKill;
+      break;
+    case Scenario::kCrashResume:
+    case Scenario::kCrashDouble:
+      // Every handoff worker of the doomed incarnation dies: the mover's
+      // RESUME is in flight, unanswered, when the controller is killed.
+      rule.site = "redirector.handoff.accept";
+      rule.count = 1000;
+      rule.action = Action::kKill;
+      break;
+    case Scenario::kDrainPartition:
+      // One suspend in the second wave fails; the drain coordinator's
+      // capped-backoff retry must land it without stalling the sweep.
+      rule.site = "swarm.drain.suspend";
+      rule.hit = 2;
+      rule.action = Action::kError;
+      break;
+    case Scenario::kCascadeRebalance:
+      // The destination refuses the first batch admission outright: the
+      // scheduler must split the batch and reroute the rear half to the
+      // fallback host (the cascading rebalance).
+      rule.site = "swarm.batch.admit";
+      rule.action = Action::kError;
+      break;
+    case Scenario::kGroupCrashCommit:
+      // Kill the mover's controller in the window between the
+      // group-prepare and group-commit journal records; recovery must
+      // resolve the whole group one way (roll forward: every peer already
+      // sealed).
+      rule.site = "ctrl.group.commit";
+      rule.action = Action::kKill;
+      break;
+    default:  // kGroupPeerRefusal
+      // The first group SUS the peer host processes is refused; the
+      // coordinator must roll the ENTIRE group back under send load.
+      rule.site = "ctrl.group.prepare";
+      rule.action = Action::kError;
+      break;
   }
-  rule.hit = 1;
-  rule.count = 1000;  // all hits until disarm (which follows the kill)
-  rule.action = Action::kKill;
-  chaos_case.plan.rules.push_back(rule);
-  return chaos_case;
-}
-
-ChaosCase make_swarm_case(std::uint64_t seed, Scenario scenario, bool light) {
-  ChaosCase chaos_case;
-  chaos_case.seed = seed;
-  chaos_case.scenario = scenario;
-  chaos_case.forward_msgs = light ? 6 : 12;
-  chaos_case.reverse_msgs = light ? 4 : 8;
-  chaos_case.plan.seed = seed;
-  Rule rule;
-  if (scenario == Scenario::kDrainPartition) {
-    // One suspend in the second wave fails; the drain coordinator's
-    // capped-backoff retry must land it without stalling the sweep.
-    rule.site = "swarm.drain.suspend";
-    rule.hit = 2;
-    rule.action = Action::kError;
-  } else {
-    // The destination refuses the first batch admission outright: the
-    // scheduler must split the batch and reroute the rear half to the
-    // fallback host (the cascading rebalance).
-    rule.site = "swarm.batch.admit";
-    rule.hit = 1;
-    rule.action = Action::kError;
-  }
-  rule.count = 1;
-  chaos_case.plan.rules.push_back(rule);
-  return chaos_case;
-}
-
-ChaosCase make_group_case(std::uint64_t seed, Scenario scenario, bool light) {
-  ChaosCase chaos_case;
-  chaos_case.seed = seed;
-  chaos_case.scenario = scenario;
-  chaos_case.forward_msgs = light ? 4 : 8;
-  chaos_case.reverse_msgs = light ? 3 : 6;
-  chaos_case.plan.seed = seed;
-  Rule rule;
-  if (scenario == Scenario::kGroupCrashCommit) {
-    // Kill the mover's controller in the window between the group-prepare
-    // and group-commit journal records; recovery must resolve the whole
-    // group one way (roll forward: every peer already sealed).
-    rule.site = "ctrl.group.commit";
-    rule.action = Action::kKill;
-  } else {
-    // The first group SUS the peer host processes is refused; the
-    // coordinator must roll the ENTIRE group back under send load.
-    rule.site = "ctrl.group.prepare";
-    rule.action = Action::kError;
-  }
-  rule.hit = 1;
-  rule.count = 1;
   chaos_case.plan.rules.push_back(rule);
   return chaos_case;
 }
 
 namespace {
 
-/// A crash case's journal directory, empty at the start of the case and
-/// removed when it ends. The pid is part of the name because the same
-/// pinned case runs in several processes at once under `ctest -j`
-/// (recovery_test next to crash_smoke_s3 and crash_smoke_s5); a shared
-/// directory let one run wipe or replay another's journal.
+/// A case's journal directory, empty at the start of the case and removed
+/// when it ends. The pid is part of the name because the same pinned case
+/// runs in several processes at once under `ctest -j` (recovery_test next
+/// to crash_smoke_s3 and crash_smoke_s5); a shared directory let one run
+/// wipe or replay another's journal.
 class CaseJournalDir {
  public:
   explicit CaseJournalDir(const ChaosCase& chaos_case)
@@ -312,312 +299,75 @@ class CaseJournalDir {
   std::string path_;
 };
 
-/// Node config for crash cases. A non-empty `durable_dir` gives the node a
-/// journal (only the to-be-crashed server host needs one); recovery-off
-/// cases get the paper's single-shot protocol with tight timeouts so the
-/// expected failure is bounded, never a hang.
-nsock::NodeConfig crash_node_config(const ChaosCase& chaos_case, int i,
-                                    const std::string& durable_dir) {
+/// The node whose durable journal a crash choreography replays: the
+/// killed server host in the crash scenarios, the mover's host in the
+/// group crash; -1 when the case kills no node.
+int journal_node(const ChaosCase& chaos_case) {
+  if (is_crash_scenario(chaos_case.scenario)) return 1;
+  if (chaos_case.scenario == Scenario::kGroupCrashCommit) return 0;
+  return -1;
+}
+
+/// Node i's config: the shared rudp base, then the scenario family's
+/// overrides. Crash cases without recovery get the paper's single-shot
+/// protocol with tight timeouts, so the expected failure is bounded, never
+/// a hang. Only the journal node (journal_node) is durable.
+nsock::NodeConfig node_config(const ChaosCase& chaos_case, int i,
+                              const std::string& journal_dir) {
   nsock::NodeConfig config;
   config.controller.security = false;
   config.server.rudp_config.retransmit_interval = 15ms;
   config.server.rudp_config.max_attempts = 40;
+  // Decorrelated but reproducible retransmit jitter per node.
   config.server.rudp_config.jitter_seed = chaos_case.seed * 3 + i + 1;
-  // XOR-FEC on the control channel keeps the rudp.sack / rudp.fast_retx /
-  // rudp.fec fault sites live under the oracles.
+  // XOR-FEC on the control channel keeps the rudp.sack / rudp.fast_retx
+  // / rudp.fec fault sites live under the oracles.
   config.server.rudp_config.repair = net::LossRepair::kXorFec;
-  config.controller.ctrl_response_timeout = 1s;
-  config.controller.drain_timeout = 1s;
-  if (chaos_case.recovery) {
-    config.controller.failure_recovery.enabled = true;
-    config.controller.failure_recovery.probe_interval = 500ms;
-    config.controller.failure_recovery.probe_timeout = 200ms;
+
+  const bool crash = is_crash_scenario(chaos_case.scenario);
+  const bool group = is_group_scenario(chaos_case.scenario);
+  const bool swarm = is_swarm_scenario(chaos_case.scenario);
+  if (!crash && !group && !swarm) return config;
+
+  nsock::ControllerConfig& ctrl = config.controller;
+  if (!swarm) {
+    ctrl.ctrl_response_timeout = 1s;
+    ctrl.drain_timeout = 1s;
+  }
+  if (crash && !chaos_case.recovery) {
+    ctrl.resume_max_attempts = 1;
+    ctrl.resume_timeout = 3s;
+    return config;
+  }
+  // Recovery-grade resume patience: the swarm partition keeps RESUME
+  // retrying until the heal, and crash recovery and group rollback resume
+  // through a restarted or rolled-back redirector.
+  ctrl.resume_max_attempts = 25;
+  ctrl.resume_retry_backoff = 50ms;
+  ctrl.resume_retry_cap = 400ms;
+  ctrl.resume_timeout = 8s;
+  if (swarm) return config;
+
+  ctrl.suspend_rollback = true;
+  ctrl.redirector_leases.enabled = true;
+  ctrl.redirector_leases.ttl = 3s;
+  if (crash) {
+    ctrl.failure_recovery.enabled = true;
+    ctrl.failure_recovery.probe_interval = 500ms;
+    ctrl.failure_recovery.probe_timeout = 200ms;
     // The planned kill must not race the death detector: recovery here is
     // journal replay serving the peer's retries, not probe-driven abort.
-    config.controller.failure_recovery.miss_threshold = 1000;
-    config.controller.suspend_rollback = true;
-    config.controller.resume_max_attempts = 25;
-    config.controller.resume_retry_backoff = 50ms;
-    config.controller.resume_retry_cap = 400ms;
-    config.controller.resume_timeout = 8s;
-    config.controller.redirector_leases.enabled = true;
-    config.controller.redirector_leases.ttl = 3s;
-    if (!durable_dir.empty()) {
-      config.controller.durability.enabled = true;
-      config.controller.durability.dir = durable_dir;
-      config.controller.durability.compact_every = 8;
-    }
+    ctrl.failure_recovery.miss_threshold = 1000;
   } else {
-    config.controller.resume_max_attempts = 1;
-    config.controller.resume_timeout = 3s;
+    ctrl.group_suspend = true;
+    ctrl.group_prepare_timeout = 3s;
+  }
+  if (i == journal_node(chaos_case)) {
+    ctrl.durability.enabled = true;
+    ctrl.durability.dir = journal_dir;
+    ctrl.durability.compact_every = 8;
   }
   return config;
-}
-
-/// The crash-restart choreography behind Scenario::kCrash*. The server
-/// host (chaos1) is killed — Realm::remove_node, which sends no protocol
-/// messages — and stood up again under the same name; with recovery on,
-/// the new controller replays its durable journal and serves the peer's
-/// retries, and the DeliveryLedger must still balance exactly once. With
-/// recovery off, the same staging must fail CLEANLY: a bounded error and
-/// an abortable session, never a hang.
-ChaosResult run_crash_case(const ChaosCase& chaos_case) {
-  ChaosResult result;
-  const auto fail = [&](const std::string& why) {
-    result.pass = false;
-    result.failure = why;
-    // Snapshot every live session's ring before teardown destroys them:
-    // the dump is the execution history that led to the oracle tripping.
-    result.recorder_dump = obs::dump_all();
-    return result;
-  };
-
-  Injector& injector = Injector::instance();
-  injector.disarm();
-
-  const CaseJournalDir journal_dir(chaos_case);
-  const std::string& durable_dir = journal_dir.path();
-
-  net::SimNet net(chaos_case.seed);
-  net.set_default_link(net::LinkConfig{.latency = 1ms});
-
-  nsock::Realm realm;
-  for (int i = 0; i < 3; ++i) {
-    realm.add_node(node_name(i), net.add_node(node_name(i)),
-                   crash_node_config(chaos_case, i,
-                                     i == 1 ? durable_dir : std::string()));
-  }
-  if (auto st = realm.start(); !st.ok()) {
-    return fail("realm start: " + st.to_string());
-  }
-
-  const agent::AgentId cli("chaos-cli");
-  const agent::AgentId srv("chaos-srv");
-  realm.locations().register_agent(
-      cli, realm.node(node_name(0)).server().node_info());
-  realm.locations().register_agent(
-      srv, realm.node(node_name(1)).server().node_info());
-
-  auto& ctrl0 = realm.node(node_name(0)).controller();
-  auto& ctrl1 = realm.node(node_name(1)).controller();
-  if (auto st = ctrl1.listen(srv); !st.ok()) {
-    return fail("listen: " + st.to_string());
-  }
-  auto client = ctrl0.connect(cli, srv);
-  if (!client.ok()) return fail("connect: " + client.status().to_string());
-  auto server = ctrl1.accept(srv, 5s);
-  if (!server.ok()) return fail("accept: " + server.status().to_string());
-  const std::uint64_t conn = (*client)->conn_id();
-
-  DeliveryLedger ledger;
-  constexpr std::uint64_t kFwd = 0, kRev = 1;
-
-  // Phase A — same traffic shape as run_case: forward delivered live,
-  // reverse left riding toward the suspension buffer.
-  for (int i = 0; i < chaos_case.forward_msgs; ++i) {
-    const std::string body =
-        "f" + std::to_string(i) + "." + std::to_string(chaos_case.seed);
-    if (auto st = (*client)->send(span_of(body), 2s); !st.ok()) {
-      return fail("pre-fault send: " + st.to_string());
-    }
-    ledger.record_sent(kFwd, span_of(body));
-  }
-  for (int i = 0; i < chaos_case.forward_msgs; ++i) {
-    auto got = (*server)->recv(2s);
-    if (!got.ok()) return fail("pre-fault recv: " + got.status().to_string());
-    ledger.record_delivered(kFwd, got->seq,
-                            util::ByteSpan(got->body.data(),
-                                           got->body.size()));
-  }
-  for (int i = 0; i < chaos_case.reverse_msgs; ++i) {
-    const std::string body =
-        "r" + std::to_string(i) + "." + std::to_string(chaos_case.seed);
-    if (auto st = (*server)->send(span_of(body), 2s); !st.ok()) {
-      return fail("reverse send: " + st.to_string());
-    }
-    ledger.record_sent(kRev, span_of(body));
-  }
-  std::this_thread::sleep_for(30ms);
-
-  // The crash: remove the server-host node (no protocol goodbye), then
-  // stand it up again under the same name. Faults are disarmed at the
-  // moment of death — they belong to the doomed incarnation.
-  const auto crash = [&] {
-    realm.remove_node(node_name(1));
-    injector.disarm();
-  };
-  const auto restart = [&]() -> util::Status {
-    auto& node = realm.add_node(node_name(1), net.add_node(node_name(1)),
-                                crash_node_config(chaos_case, 1, durable_dir));
-    NAPLET_RETURN_IF_ERROR(node.start());
-    if (chaos_case.recovery) {
-      NAPLET_RETURN_IF_ERROR(node.controller().recover());
-    }
-    realm.locations().register_agent(srv, node.server().node_info());
-    return util::OkStatus();
-  };
-
-  // Phase B — scenario choreography.
-  int cli_node = 0, srv_node = 1;
-  util::Status staged = util::OkStatus();  // the step expected to fail
-                                           // when recovery is off
-  switch (chaos_case.scenario) {
-    case Scenario::kCrashSuspend: {
-      // The suspend handshake dies (every SUS_ACK killed), then the
-      // server-side controller does. The first migration attempt must
-      // fail; after the restart the retry must find the journaled
-      // passively-suspended session and complete.
-      injector.arm(chaos_case.plan);
-      util::Status first = migrate_agent(realm, cli, 0, 2);
-      if (first.ok()) {
-        injector.disarm();
-        return fail("crash-suspend: first migration succeeded despite the "
-                    "killed SUS_ACKs");
-      }
-      // The failed attempt left the location pending (begin_migration):
-      // cancel by re-registering at the source.
-      realm.locations().register_agent(
-          cli, realm.node(node_name(0)).server().node_info());
-      crash();
-      if (auto st = restart(); !st.ok()) {
-        return fail("restart: " + st.to_string());
-      }
-      staged = migrate_agent(realm, cli, 0, 2);
-      cli_node = 2;
-      break;
-    }
-
-    case Scenario::kCrashResume:
-    case Scenario::kCrashDouble: {
-      // Stage the client's migration cleanly up to the resume, then let
-      // the mover's RESUME hit a redirector whose handoff workers die —
-      // and kill the controller while the RESUME hangs unanswered.
-      realm.locations().begin_migration(cli);
-      if (auto st = ctrl0.prepare_migration(cli); !st.ok()) {
-        return fail("prepare: " + st.to_string());
-      }
-      const util::Bytes blob = ctrl0.export_sessions(cli);
-      auto& node2 = realm.node(node_name(2));
-      if (auto st = node2.controller().import_sessions(
-              cli, util::ByteSpan(blob.data(), blob.size()));
-          !st.ok()) {
-        return fail("import: " + st.to_string());
-      }
-      realm.locations().register_agent(cli, node2.server().node_info());
-      injector.arm(chaos_case.plan);
-      std::thread mover(
-          [&] { staged = node2.controller().complete_migration(cli); });
-      std::this_thread::sleep_for(150ms);
-      crash();
-      util::Status restarted = restart();
-      mover.join();
-      if (!restarted.ok()) {
-        return fail("restart: " + restarted.to_string());
-      }
-      cli_node = 2;
-      if (chaos_case.scenario == Scenario::kCrashDouble &&
-          chaos_case.recovery && staged.ok()) {
-        // A second, fault-free migration on top of the recovered state:
-        // the server hops off the restarted host.
-        if (auto st = migrate_agent(realm, srv, 1, 0); !st.ok()) {
-          return fail("post-recovery server migration: " + st.to_string());
-        }
-        srv_node = 0;
-      }
-      break;
-    }
-
-    default:
-      return fail("not a crash scenario");
-  }
-  injector.disarm();
-
-  if (!chaos_case.recovery) {
-    // The control run: the staged step must fail with a bounded error,
-    // and the surviving half-open session must be abortable — a blocked
-    // application must see ABORTED, not a hang.
-    if (staged.ok()) {
-      return fail("staging succeeded with recovery disabled");
-    }
-    nsock::SessionPtr leftover =
-        realm.node(node_name(2)).controller().session_by_id(conn);
-    if (leftover != nullptr) {
-      realm.node(node_name(2)).controller().abort(leftover);
-      if (leftover->state() != nsock::ConnState::kClosed) {
-        return fail("abort left the session in " +
-                    std::string(nsock::to_string(leftover->state())));
-      }
-    }
-    if (auto st = check_fsm_trace(injector.transitions()); !st.ok()) {
-      return fail(st.to_string());
-    }
-    result.pass = true;
-    result.failure.clear();
-    result.stats = "staged failure (expected): " + staged.to_string();
-    return result;
-  }
-
-  if (!staged.ok()) {
-    return fail("post-restart migration: " + staged.to_string());
-  }
-
-  // Phase C — judgement, identical to run_case: liveness bounds the
-  // re-establishment, then the ledger must balance exactly once ACROSS
-  // THE RESTART.
-  nsock::SessionPtr client2 =
-      realm.node(node_name(cli_node)).controller().session_by_id(conn);
-  nsock::SessionPtr server2 =
-      realm.node(node_name(srv_node)).controller().session_by_id(conn);
-  if (!client2 || !server2) return fail("session lost across restart");
-  if (auto st = await_established(*client2, 8s); !st.ok()) {
-    return fail(st.to_string());
-  }
-  if (auto st = await_established(*server2, 8s); !st.ok()) {
-    return fail(st.to_string());
-  }
-
-  while (true) {
-    auto got = client2->recv(500ms);
-    if (!got.ok()) break;
-    ledger.record_delivered(kRev, got->seq,
-                            util::ByteSpan(got->body.data(),
-                                           got->body.size()));
-  }
-
-  for (int i = 0; i < 2; ++i) {
-    const std::string body = "post" + std::to_string(i);
-    if (auto st = client2->send(span_of(body), 2s); !st.ok()) {
-      return fail("post-restart send: " + st.to_string());
-    }
-    ledger.record_sent(kFwd, span_of(body));
-    auto got = server2->recv(2s);
-    if (!got.ok()) {
-      return fail("post-restart recv: " + got.status().to_string());
-    }
-    ledger.record_delivered(kFwd, got->seq,
-                            util::ByteSpan(got->body.data(),
-                                           got->body.size()));
-  }
-
-  if (auto st = ledger.check(/*require_complete=*/true); !st.ok()) {
-    return fail(st.to_string());
-  }
-  if (auto st = check_fsm_trace(injector.transitions()); !st.ok()) {
-    return fail(st.to_string());
-  }
-
-  const auto counters = net.counters();
-  result.net_datagrams_dropped = counters.datagrams_dropped;
-  const auto cli_stats =
-      realm.node(node_name(cli_node)).controller().stats();
-  const auto srv_stats =
-      realm.node(node_name(srv_node)).controller().stats();
-  result.ctrl_retransmissions =
-      cli_stats.ctrl_retransmissions + srv_stats.ctrl_retransmissions;
-  result.stats = "client: " + cli_stats.to_string() +
-                 "\nserver: " + srv_stats.to_string();
-  result.pass = true;
-  return result;
 }
 
 /// Stage executor over a live realm: serialize exports the batch's agents
@@ -684,108 +434,307 @@ class RealmStageExecutor final : public swarm::StageExecutor {
   std::map<std::string, util::Bytes> blobs_;
 };
 
-/// The swarm choreography behind Scenario::kDrainPartition and
-/// Scenario::kCascadeRebalance: one live connection (client chaos0,
-/// server chaos1) plus a handful of passenger agents, all moved off
-/// chaos1 through the drain coordinator + batch scheduler instead of
-/// one-by-one migrate calls. The usual oracles judge the outcome.
-ChaosResult run_swarm_case(const ChaosCase& chaos_case) {
-  ChaosResult result;
-  const auto fail = [&](const std::string& why) {
+/// One case, end to end, over a three-node sim realm: chaos-cli on chaos0
+/// holds k connections to chaos-srv on chaos1 (k = 3 for the group
+/// scenarios, whose barrier is about suspending several connections as
+/// one atomic cut; 1 otherwise). setup() builds that world, traffic()
+/// sends the pre-fault load, one choreography per scenario family stages
+/// Phase B and its scenario-specific oracles, and judge() applies the
+/// shared ones. Every step returns false once fail() has recorded why.
+struct Harness {
+  explicit Harness(const ChaosCase& c)
+      : chaos_case(c), journal(c), net(c.seed) {}
+
+  ChaosResult run() {
+    injector.disarm();
+    if (setup() && traffic() && choreograph() && judge()) result.pass = true;
+    injector.disarm();
+    return result;
+  }
+
+  // Ledger stream ids of connection i's two directions.
+  static std::uint64_t fwd(std::size_t i) { return 2 * i; }
+  static std::uint64_t rev(std::size_t i) { return 2 * i + 1; }
+
+  bool fail(const std::string& why) {
     result.pass = false;
     result.failure = why;
+    // Snapshot every live session's ring before teardown destroys them:
+    // the dump is the execution history that led to the oracle tripping.
     result.recorder_dump = obs::dump_all();
-    return result;
-  };
+    return false;
+  }
 
+  nsock::SocketController& ctrl(int i) {
+    return realm.node(node_name(i)).controller();
+  }
+  agent::NodeInfo node_info(int i) {
+    return realm.node(node_name(i)).server().node_info();
+  }
+  /// The controller hosting `id` now, per the location directory.
+  nsock::SocketController* host_of(const agent::AgentId& id) {
+    const auto location = realm.locations().try_lookup(id);
+    if (!location.has_value()) return nullptr;
+    return &realm.node(location->server_name).controller();
+  }
+
+  /// Send `body` and, once it entered the stream, record it as sent.
+  util::Status send(nsock::Session& session, std::uint64_t stream,
+                    const std::string& body, util::Duration timeout) {
+    util::Status st = session.send(span_of(body), timeout);
+    if (st.ok()) ledger.record_sent(stream, span_of(body));
+    return st;
+  }
+  /// Pop one message and record it as delivered.
+  util::Status recv(nsock::Session& session, std::uint64_t stream,
+                    util::Duration timeout) {
+    auto got = session.recv(timeout);
+    if (!got.ok()) return got.status();
+    ledger.record_delivered(
+        stream, got->seq, util::ByteSpan(got->body.data(), got->body.size()));
+    return util::OkStatus();
+  }
+
+  /// Kill node i — Realm::remove_node, which sends no protocol messages —
+  /// and stand it up again under the same name, re-registering `resident`
+  /// there. Faults are disarmed at the moment of death: they belong to the
+  /// doomed incarnation. The new controller replays its durable journal
+  /// unless this is a crash case run without recovery.
+  util::Status crash_restart(int i, const agent::AgentId& resident) {
+    realm.remove_node(node_name(i));
+    injector.disarm();
+    auto& node = realm.add_node(node_name(i), net.add_node(node_name(i)),
+                                node_config(chaos_case, i, journal.path()));
+    NAPLET_RETURN_IF_ERROR(node.start());
+    if (chaos_case.recovery || !is_crash_scenario(chaos_case.scenario)) {
+      NAPLET_RETURN_IF_ERROR(node.controller().recover());
+    }
+    realm.locations().register_agent(resident, node.server().node_info());
+    return util::OkStatus();
+  }
+
+  bool setup();
+  bool traffic();
+  bool choreograph();
+  bool migrate();
+  bool crash();
+  bool swarm();
+  bool group_crash();
+  bool group_refusal();
+  bool judge();
+  bool judge_delivery();
+
+  const ChaosCase& chaos_case;
   Injector& injector = Injector::instance();
-  injector.disarm();
-
-  net::SimNet net(chaos_case.seed);
-  net.set_default_link(net::LinkConfig{.latency = 1ms});
-
+  const CaseJournalDir journal;
+  net::SimNet net;
   nsock::Realm realm;
+  const agent::AgentId cli{"chaos-cli"};
+  const agent::AgentId srv{"chaos-srv"};
+  // Connection i's endpoints, re-looked-up after Phase B.
+  std::vector<nsock::SessionPtr> clients, servers;
+  std::vector<std::uint64_t> conns;
+  DeliveryLedger ledger;
+  ChaosResult result;
+  // false when the choreography expected the migration to fail (crash
+  // without recovery): only FSM legality is then judged.
+  bool live = true;
+  std::string note;  // scenario-specific counters for result.stats
+};
+
+bool Harness::setup() {
+  net.set_default_link(net::LinkConfig{.latency = 1ms});
   for (int i = 0; i < 3; ++i) {
-    nsock::NodeConfig config;
-    config.controller.security = false;
-    config.server.rudp_config.retransmit_interval = 15ms;
-    config.server.rudp_config.max_attempts = 40;
-    config.server.rudp_config.jitter_seed = chaos_case.seed * 3 + i + 1;
-    config.server.rudp_config.repair = net::LossRepair::kXorFec;
-    // The partition scenario keeps RESUME retrying until the heal; give
-    // the resume loop the recovery-grade patience.
-    config.controller.resume_max_attempts = 25;
-    config.controller.resume_retry_backoff = 50ms;
-    config.controller.resume_retry_cap = 400ms;
-    config.controller.resume_timeout = 8s;
-    realm.add_node(node_name(i), net.add_node(node_name(i)), config);
+    realm.add_node(node_name(i), net.add_node(node_name(i)),
+                   node_config(chaos_case, i, journal.path()));
   }
   if (auto st = realm.start(); !st.ok()) {
     return fail("realm start: " + st.to_string());
   }
+  realm.locations().register_agent(cli, node_info(0));
+  realm.locations().register_agent(srv, node_info(1));
+  if (auto st = ctrl(1).listen(srv); !st.ok()) {
+    return fail("listen: " + st.to_string());
+  }
+  const int pairs = is_group_scenario(chaos_case.scenario) ? 3 : 1;
+  for (int i = 0; i < pairs; ++i) {
+    auto client = ctrl(0).connect(cli, srv);
+    if (!client.ok()) return fail("connect: " + client.status().to_string());
+    auto server = ctrl(1).accept(srv, 5s);
+    if (!server.ok()) return fail("accept: " + server.status().to_string());
+    clients.push_back(*client);
+    servers.push_back(*server);
+    conns.push_back((*client)->conn_id());
+  }
+  return true;
+}
 
-  const agent::AgentId cli("chaos-cli");
-  const agent::AgentId srv("chaos-srv");
-  realm.locations().register_agent(
-      cli, realm.node(node_name(0)).server().node_info());
-  realm.locations().register_agent(
-      srv, realm.node(node_name(1)).server().node_info());
+// Phase A — traffic. Forward messages are delivered live; reverse messages
+// are left undrained so they ride the suspension buffer across the
+// migration (the resume replay path the oracles watch).
+bool Harness::traffic() {
+  for (std::size_t i = 0; i < conns.size(); ++i) {
+    const std::string tag = std::to_string(i) + ".";
+    for (int j = 0; j < chaos_case.forward_msgs; ++j) {
+      const std::string body = "f" + tag + std::to_string(j);
+      if (auto st = send(*clients[i], fwd(i), body, 2s); !st.ok()) {
+        return fail("pre-fault send: " + st.to_string());
+      }
+    }
+    for (int j = 0; j < chaos_case.forward_msgs; ++j) {
+      if (auto st = recv(*servers[i], fwd(i), 2s); !st.ok()) {
+        return fail("pre-fault recv: " + st.to_string());
+      }
+    }
+    for (int j = 0; j < chaos_case.reverse_msgs; ++j) {
+      const std::string body = "r" + tag + std::to_string(j);
+      if (auto st = send(*servers[i], rev(i), body, 2s); !st.ok()) {
+        return fail("reverse send: " + st.to_string());
+      }
+    }
+  }
+  // Let the reverse frames reach the client's stream so the suspend drain
+  // pulls them into the migrating session's buffer.
+  std::this_thread::sleep_for(30ms);
+  return true;
+}
+
+// Phase B — one choreography per scenario family.
+bool Harness::choreograph() {
+  const Scenario scenario = chaos_case.scenario;
+  if (is_crash_scenario(scenario)) return crash();
+  if (is_swarm_scenario(scenario)) return swarm();
+  if (scenario == Scenario::kGroupCrashCommit) return group_crash();
+  if (scenario == Scenario::kGroupPeerRefusal) return group_refusal();
+  return migrate();
+}
+
+/// The generated scenarios: the migrations themselves, under the armed plan.
+bool Harness::migrate() {
+  injector.arm(chaos_case.plan);
+  util::Status cli_migrate = util::OkStatus();
+  util::Status srv_migrate = util::OkStatus();
+  if (chaos_case.scenario == Scenario::kDoubleOverlapped) {
+    std::thread mover([&] { cli_migrate = migrate_agent(realm, cli, 0, 2); });
+    srv_migrate = migrate_agent(realm, srv, 1, 0);
+    mover.join();
+  } else {
+    cli_migrate = migrate_agent(realm, cli, 0, 2);
+    if (chaos_case.scenario == Scenario::kDoubleSequential) {
+      srv_migrate = migrate_agent(realm, srv, 1, 0);
+    }
+  }
+  injector.disarm();
+  if (!cli_migrate.ok()) {
+    return fail("client migration: " + cli_migrate.to_string());
+  }
+  if (!srv_migrate.ok()) {
+    return fail("server migration: " + srv_migrate.to_string());
+  }
+  return true;
+}
+
+/// The crash-restart choreography behind Scenario::kCrash*. The server
+/// host (chaos1) is killed and stood up again; with recovery on, the new
+/// controller replays its durable journal and serves the peer's retries,
+/// and the delivery ledger must still balance exactly once ACROSS THE
+/// RESTART. With recovery off, the same staging must fail CLEANLY: a
+/// bounded error and an abortable session, never a hang.
+bool Harness::crash() {
+  util::Status staged = util::OkStatus();  // the step expected to fail
+                                           // when recovery is off
+  if (chaos_case.scenario == Scenario::kCrashSuspend) {
+    // The suspend handshake dies (every SUS_ACK killed), then the
+    // server-side controller does. The first migration attempt must
+    // fail; after the restart the retry must find the journaled
+    // passively-suspended session and complete.
+    injector.arm(chaos_case.plan);
+    if (migrate_agent(realm, cli, 0, 2).ok()) {
+      return fail("crash-suspend: first migration succeeded despite the "
+                  "killed SUS_ACKs");
+    }
+    // The failed attempt left the location pending (begin_migration):
+    // cancel by re-registering at the source.
+    realm.locations().register_agent(cli, node_info(0));
+    if (auto st = crash_restart(1, srv); !st.ok()) {
+      return fail("restart: " + st.to_string());
+    }
+    staged = migrate_agent(realm, cli, 0, 2);
+  } else {
+    // Stage the client's migration cleanly up to the resume, then let the
+    // mover's RESUME hit a redirector whose handoff workers die — and
+    // kill the controller while the RESUME hangs unanswered.
+    realm.locations().begin_migration(cli);
+    if (auto st = ctrl(0).prepare_migration(cli); !st.ok()) {
+      return fail("prepare: " + st.to_string());
+    }
+    const util::Bytes blob = ctrl(0).export_sessions(cli);
+    nsock::SocketController& dst = ctrl(2);
+    if (auto st = dst.import_sessions(
+            cli, util::ByteSpan(blob.data(), blob.size()));
+        !st.ok()) {
+      return fail("import: " + st.to_string());
+    }
+    realm.locations().register_agent(cli, node_info(2));
+    injector.arm(chaos_case.plan);
+    std::thread mover([&] { staged = dst.complete_migration(cli); });
+    std::this_thread::sleep_for(150ms);
+    const util::Status restarted = crash_restart(1, srv);
+    mover.join();
+    if (!restarted.ok()) return fail("restart: " + restarted.to_string());
+    if (chaos_case.scenario == Scenario::kCrashDouble && chaos_case.recovery &&
+        staged.ok()) {
+      // A second, fault-free migration on top of the recovered state: the
+      // server hops off the restarted host.
+      if (auto st = migrate_agent(realm, srv, 1, 0); !st.ok()) {
+        return fail("post-recovery server migration: " + st.to_string());
+      }
+    }
+  }
+  injector.disarm();
+
+  if (chaos_case.recovery) {
+    if (!staged.ok()) {
+      return fail("post-restart migration: " + staged.to_string());
+    }
+    return true;
+  }
+  // The control run: the staged step must fail with a bounded error, and
+  // the surviving half-open session must be abortable — a blocked
+  // application must see ABORTED, not a hang.
+  if (staged.ok()) return fail("staging succeeded with recovery disabled");
+  nsock::SessionPtr leftover = ctrl(2).session_by_id(conns[0]);
+  if (leftover != nullptr) {
+    ctrl(2).abort(leftover);
+    if (leftover->state() != nsock::ConnState::kClosed) {
+      return fail("abort left the session in " +
+                  std::string(nsock::to_string(leftover->state())));
+    }
+  }
+  live = false;
+  note = "staged failure (expected): " + staged.to_string();
+  return true;
+}
+
+/// The swarm choreography behind Scenario::kDrainPartition and
+/// Scenario::kCascadeRebalance: the server agent plus a handful of
+/// passenger agents are all moved off chaos1 through the drain coordinator
+/// + batch scheduler instead of one-by-one migrate calls.
+bool Harness::swarm() {
   std::vector<agent::AgentId> fleet{srv};
   for (int i = 0; i < 4; ++i) {
     const agent::AgentId pax("chaos-pax" + std::to_string(i));
-    realm.locations().register_agent(
-        pax, realm.node(node_name(1)).server().node_info());
+    realm.locations().register_agent(pax, node_info(1));
     fleet.push_back(pax);
   }
 
-  auto& ctrl0 = realm.node(node_name(0)).controller();
-  auto& ctrl1 = realm.node(node_name(1)).controller();
-  if (auto st = ctrl1.listen(srv); !st.ok()) {
-    return fail("listen: " + st.to_string());
-  }
-  auto client = ctrl0.connect(cli, srv);
-  if (!client.ok()) return fail("connect: " + client.status().to_string());
-  auto server = ctrl1.accept(srv, 5s);
-  if (!server.ok()) return fail("accept: " + server.status().to_string());
-  const std::uint64_t conn = (*client)->conn_id();
-
-  DeliveryLedger ledger;
-  constexpr std::uint64_t kFwd = 0, kRev = 1;
-  for (int i = 0; i < chaos_case.forward_msgs; ++i) {
-    const std::string body =
-        "f" + std::to_string(i) + "." + std::to_string(chaos_case.seed);
-    if (auto st = (*client)->send(span_of(body), 2s); !st.ok()) {
-      return fail("pre-fault send: " + st.to_string());
-    }
-    ledger.record_sent(kFwd, span_of(body));
-  }
-  for (int i = 0; i < chaos_case.forward_msgs; ++i) {
-    auto got = (*server)->recv(2s);
-    if (!got.ok()) return fail("pre-fault recv: " + got.status().to_string());
-    ledger.record_delivered(kFwd, got->seq,
-                            util::ByteSpan(got->body.data(),
-                                           got->body.size()));
-  }
-  for (int i = 0; i < chaos_case.reverse_msgs; ++i) {
-    const std::string body =
-        "r" + std::to_string(i) + "." + std::to_string(chaos_case.seed);
-    if (auto st = (*server)->send(span_of(body), 2s); !st.ok()) {
-      return fail("reverse send: " + st.to_string());
-    }
-    ledger.record_sent(kRev, span_of(body));
-  }
-  std::this_thread::sleep_for(30ms);
-
   injector.arm(chaos_case.plan);
-
-  const bool partitioned =
-      chaos_case.scenario == Scenario::kDrainPartition;
-  std::thread healer;
-  if (partitioned) {
+  std::jthread healer;
+  if (chaos_case.scenario == Scenario::kDrainPartition) {
     // The destination cannot reach the peer's host while the batch lands;
     // the resume retry loop must absorb the outage until the heal.
     net.set_partition(node_name(2), node_name(0), true);
-    healer = std::thread([&net] {
+    healer = std::jthread([this] {
       std::this_thread::sleep_for(300ms);
       net.set_partition(node_name(2), node_name(0), false);
     });
@@ -796,20 +745,16 @@ ChaosResult run_swarm_case(const ChaosCase& chaos_case) {
   // plan) must be retried, not dropped.
   swarm::DrainConfig drain_config;
   drain_config.max_wave = 2;  // multiple waves even for this small fleet
+  nsock::SocketController& source = ctrl(1);
   swarm::DrainCoordinator drain(
-      drain_config,
-      [&ctrl1](const agent::AgentId& id,
-               std::function<void(util::Status)> done) {
-        done(ctrl1.prepare_migration(id));
+      drain_config, [&source](const agent::AgentId& id,
+                              std::function<void(util::Status)> done) {
+        done(source.prepare_migration(id));
       });
   drain.drain(fleet);
-  if (!drain.wait(10s)) {
-    if (healer.joinable()) healer.join();
-    return fail("drain did not complete");
-  }
+  if (!drain.wait(10s)) return fail("drain did not complete");
   const swarm::DrainReport drain_report = drain.report();
   if (drain_report.stragglers != 0) {
-    if (healer.joinable()) healer.join();
     return fail("drain left " + std::to_string(drain_report.stragglers) +
                 " stragglers");
   }
@@ -846,649 +791,271 @@ ChaosResult run_swarm_case(const ChaosCase& chaos_case) {
     return fail("cascade-rebalance: admission refusal did not reroute "
                 "any agents");
   }
-
-  // Phase judgement — find where the server agent actually landed, then
-  // the usual oracles: liveness, ledger balance, FSM legality.
-  const auto srv_loc = realm.locations().try_lookup(srv);
-  if (!srv_loc.has_value()) return fail("server agent lost");
-  nsock::SessionPtr client2 = ctrl0.session_by_id(conn);
-  nsock::SessionPtr server2 =
-      realm.node(srv_loc->server_name).controller().session_by_id(conn);
-  if (!client2 || !server2) return fail("session lost across rebalance");
-  if (auto st = await_established(*client2, 8s); !st.ok()) {
-    return fail(st.to_string());
-  }
-  if (auto st = await_established(*server2, 8s); !st.ok()) {
-    return fail(st.to_string());
-  }
-
-  while (true) {
-    auto got = client2->recv(500ms);
-    if (!got.ok()) break;
-    ledger.record_delivered(kRev, got->seq,
-                            util::ByteSpan(got->body.data(),
-                                           got->body.size()));
-  }
-
-  for (int i = 0; i < 2; ++i) {
-    const std::string body = "post" + std::to_string(i);
-    if (auto st = client2->send(span_of(body), 2s); !st.ok()) {
-      return fail("post-rebalance send: " + st.to_string());
-    }
-    ledger.record_sent(kFwd, span_of(body));
-    auto got = server2->recv(2s);
-    if (!got.ok()) {
-      return fail("post-rebalance recv: " + got.status().to_string());
-    }
-    ledger.record_delivered(kFwd, got->seq,
-                            util::ByteSpan(got->body.data(),
-                                           got->body.size()));
-  }
-
-  if (auto st = ledger.check(/*require_complete=*/true); !st.ok()) {
-    return fail(st.to_string());
-  }
-  if (auto st = check_fsm_trace(injector.transitions()); !st.ok()) {
-    return fail(st.to_string());
-  }
-
-  const auto counters = net.counters();
-  result.net_datagrams_dropped = counters.datagrams_dropped;
-  result.stats =
-      "drain: waves=" + std::to_string(drain_report.waves) +
-      " retries=" + std::to_string(drain_report.retries) +
-      " | scheduler: batches=" + std::to_string(sched_report.batches) +
-      " exchanges=" + std::to_string(sched_report.handoff_exchanges) +
-      " rerouted=" + std::to_string(sched_report.rerouted);
-  result.pass = true;
-  return result;
+  note = "drain: waves=" + std::to_string(drain_report.waves) +
+         " retries=" + std::to_string(drain_report.retries) +
+         " | scheduler: batches=" + std::to_string(sched_report.batches) +
+         " exchanges=" + std::to_string(sched_report.handoff_exchanges) +
+         " rerouted=" + std::to_string(sched_report.rerouted);
+  return true;
 }
 
-/// Node config for group cases: the group sweep itself plus
-/// recovery-grade patience (the rollback resumes acknowledged members
-/// through the redirector). Only the mover's host (chaos0) carries a
-/// journal, and only the crash scenario needs one.
-nsock::NodeConfig group_node_config(const ChaosCase& chaos_case, int i,
-                                    const std::string& durable_dir) {
-  nsock::NodeConfig config;
-  config.controller.security = false;
-  config.server.rudp_config.retransmit_interval = 15ms;
-  config.server.rudp_config.max_attempts = 40;
-  config.server.rudp_config.jitter_seed = chaos_case.seed * 3 + i + 1;
-  config.server.rudp_config.repair = net::LossRepair::kXorFec;
-  config.controller.ctrl_response_timeout = 1s;
-  config.controller.drain_timeout = 1s;
-  config.controller.group_suspend = true;
-  config.controller.group_prepare_timeout = 3s;
-  config.controller.suspend_rollback = true;
-  config.controller.resume_max_attempts = 25;
-  config.controller.resume_retry_backoff = 50ms;
-  config.controller.resume_retry_cap = 400ms;
-  config.controller.resume_timeout = 8s;
-  config.controller.redirector_leases.enabled = true;
-  config.controller.redirector_leases.ttl = 3s;
-  if (!durable_dir.empty()) {
-    config.controller.durability.enabled = true;
-    config.controller.durability.dir = durable_dir;
-    config.controller.durability.compact_every = 8;
+/// Scenario::kGroupCrashCommit: the whole connection set is swept through
+/// the atomic group barrier and the mover's host (the one holding the
+/// journal) dies between the group-prepare and group-commit records.
+/// Recovery must be all-or-nothing and the declared cut causally
+/// consistent.
+bool Harness::group_crash() {
+  injector.arm(chaos_case.plan);
+  if (migrate_agent(realm, cli, 0, 2).ok()) {
+    return fail("migration succeeded despite the kill between group "
+                "prepare and commit");
   }
-  return config;
+  if (auto st = crash_restart(0, cli); !st.ok()) {
+    return fail("restart: " + st.to_string());
+  }
+
+  // The all-or-nothing oracle: after recover() the agent must never be
+  // left with a SUSPENDED/ESTABLISHED mix. The dangling prepare rolls
+  // forward (every peer had sealed), so the deterministic outcome is ALL
+  // suspended.
+  const int members = static_cast<int>(conns.size());
+  int suspended = 0, established = 0;
+  for (const std::uint64_t conn : conns) {
+    const nsock::SessionPtr session = ctrl(0).session_by_id(conn);
+    if (session == nullptr) {
+      return fail("conn " + std::to_string(conn) + " lost across the crash");
+    }
+    const nsock::ConnState st = session->state();
+    if (st == nsock::ConnState::kSuspended) {
+      ++suspended;
+    } else if (st == nsock::ConnState::kEstablished) {
+      ++established;
+    }
+  }
+  if (suspended != 0 && established != 0) {
+    return fail("all-or-nothing violated: " + std::to_string(suspended) +
+                " suspended, " + std::to_string(established) +
+                " established after recover()");
+  }
+  if (suspended != members) {
+    return fail("dangling group prepare did not roll forward: " +
+                std::to_string(suspended) + "/" + std::to_string(members) +
+                " suspended");
+  }
+
+  // The cut the group declared must be causally consistent; the peers
+  // recorded each member's mark at passive suspension, and the marks
+  // survived the mover's crash.
+  std::vector<DeliveryLedger::CutPoint> cut;
+  for (std::size_t i = 0; i < conns.size(); ++i) {
+    const std::uint64_t mark = servers[i]->flags().peer_declared_seq;
+    if (mark == 0) {
+      return fail("peer of conn " + std::to_string(conns[i]) +
+                  " holds no declared group mark");
+    }
+    cut.push_back({fwd(i), mark});
+  }
+  if (auto st = ledger.check_consistent_cut(cut); !st.ok()) {
+    return fail(st.to_string());
+  }
+
+  // Roll the interrupted migration forward to its destination.
+  if (auto st = migrate_agent(realm, cli, 0, 2); !st.ok()) {
+    return fail("post-recovery migration: " + st.to_string());
+  }
+  return true;
 }
 
-/// The group-suspend choreography behind Scenario::kGroupCrashCommit and
-/// Scenario::kGroupPeerRefusal: one agent (chaos-cli on chaos0) holds
-/// several live connections to chaos-srv on chaos1, and the whole set is
-/// swept through the atomic group barrier. Scenario 8 kills the mover's
-/// host in the prepare→commit journal window and recovery must be
-/// all-or-nothing; scenario 9 has one peer refuse mid-prepare under send
-/// load and the ENTIRE group must roll back with blocked senders waking.
-ChaosResult run_group_case(const ChaosCase& chaos_case) {
-  ChaosResult result;
-  const auto fail = [&](const std::string& why) {
-    result.pass = false;
-    result.failure = why;
-    result.recorder_dump = obs::dump_all();
-    return result;
-  };
+/// Scenario::kGroupPeerRefusal: one peer refuses mid-prepare under send
+/// load; the ENTIRE group must roll back with blocked senders waking, and
+/// a fault-free retry under racing senders must declare a consistent cut.
+bool Harness::group_refusal() {
+  const std::size_t members = conns.size();
+  nsock::SocketController& mover = ctrl(0);
+  // Concurrent send pressure on every member while the first group SUS
+  // the peer host processes is refused.
+  std::vector<util::Status> load_status(members, util::OkStatus());
+  std::vector<std::jthread> load;  // an early fail() still joins them
+  for (std::size_t i = 0; i < members; ++i) {
+    load.emplace_back([&, i] {
+      for (int j = 0; j < 8; ++j) {
+        const std::string body =
+            "l" + std::to_string(i) + "." + std::to_string(j);
+        if (auto st = send(*clients[i], fwd(i), body, 10s); !st.ok()) {
+          load_status[i] = st;
+          return;
+        }
+        std::this_thread::sleep_for(2ms);
+      }
+    });
+  }
+  std::this_thread::sleep_for(10ms);
 
-  Injector& injector = Injector::instance();
+  injector.arm(chaos_case.plan);
+  const util::Status refused = mover.prepare_migration(cli);
   injector.disarm();
-
-  const bool crash = chaos_case.scenario == Scenario::kGroupCrashCommit;
-  const CaseJournalDir journal_dir(chaos_case);
-  const std::string durable_dir = crash ? journal_dir.path() : std::string();
-
-  net::SimNet net(chaos_case.seed);
-  net.set_default_link(net::LinkConfig{.latency = 1ms});
-
-  nsock::Realm realm;
-  for (int i = 0; i < 3; ++i) {
-    realm.add_node(node_name(i), net.add_node(node_name(i)),
-                   group_node_config(chaos_case, i,
-                                     i == 0 ? durable_dir : std::string()));
-  }
-  if (auto st = realm.start(); !st.ok()) {
-    return fail("realm start: " + st.to_string());
+  if (refused.ok()) {
+    return fail("group prepare succeeded despite the refused peer");
   }
 
-  const agent::AgentId cli("chaos-cli");
-  const agent::AgentId srv("chaos-srv");
-  realm.locations().register_agent(
-      cli, realm.node(node_name(0)).server().node_info());
-  realm.locations().register_agent(
-      srv, realm.node(node_name(1)).server().node_info());
-
-  auto& ctrl0 = realm.node(node_name(0)).controller();
-  auto& ctrl1 = realm.node(node_name(1)).controller();
-  if (auto st = ctrl1.listen(srv); !st.ok()) {
-    return fail("listen: " + st.to_string());
+  // Full-group rollback oracle: every member returns to ESTABLISHED
+  // (never a mix), and the senders blocked across the rollback wake and
+  // finish cleanly.
+  for (const nsock::SessionPtr& client : clients) {
+    if (auto st = await_established(*client, 8s); !st.ok()) {
+      return fail("rollback: " + st.to_string());
+    }
   }
-
-  // The group: one agent, several live connections — the point of the
-  // barrier is that they suspend as one atomic cut.
-  constexpr int kConns = 3;
-  std::vector<nsock::SessionPtr> clients, servers;
-  std::vector<std::uint64_t> conns;
-  for (int i = 0; i < kConns; ++i) {
-    auto client = ctrl0.connect(cli, srv);
-    if (!client.ok()) return fail("connect: " + client.status().to_string());
-    auto server = ctrl1.accept(srv, 5s);
-    if (!server.ok()) return fail("accept: " + server.status().to_string());
-    clients.push_back(*client);
-    servers.push_back(*server);
-    conns.push_back((*client)->conn_id());
+  for (auto& t : load) t.join();
+  for (const util::Status& st : load_status) {
+    if (!st.ok()) return fail("sender under rollback: " + st.to_string());
   }
+  const std::uint64_t rollbacks = mover.group_rollbacks();
+  if (rollbacks == 0) return fail("refusal did not count a group rollback");
+  note = "group: rollbacks=" + std::to_string(rollbacks);
 
-  DeliveryLedger ledger;
-  const auto fwd = [](int i) { return static_cast<std::uint64_t>(2 * i); };
-  const auto rev = [](int i) { return static_cast<std::uint64_t>(2 * i + 1); };
-  const auto deliver = [&ledger](std::uint64_t stream, std::uint64_t seq,
-                                 const util::Bytes& body) {
-    ledger.record_delivered(stream, seq,
-                            util::ByteSpan(body.data(), body.size()));
+  // Retry the sweep fault-free with senders RACING the freeze: the
+  // consistent-cut oracle proves no send slipped past another member's
+  // pinned mark. Sends that time out never entered the stream (the freeze
+  // parks them before the write), so only OK sends are recorded.
+  std::atomic<bool> stop{false};
+  std::vector<util::Status> racer_status(members, util::OkStatus());
+  std::vector<std::jthread> racers;
+  for (std::size_t i = 0; i < members; ++i) {
+    racers.emplace_back([&, i] {
+      int j = 0;
+      while (!stop.load()) {
+        const std::string body =
+            "g" + std::to_string(i) + "." + std::to_string(j);
+        const util::Status st = send(*clients[i], fwd(i), body, 300ms);
+        if (st.ok()) {
+          ++j;
+        } else if (st.code() != util::StatusCode::kTimeout) {
+          racer_status[i] = st;
+          return;
+        }
+        std::this_thread::sleep_for(2ms);
+      }
+    });
+  }
+  std::this_thread::sleep_for(10ms);
+  realm.locations().begin_migration(cli);
+  // Every failure from here on leaves the agent findable at its source.
+  const auto abandon = [&](const std::string& why) {
+    realm.locations().end_migration(cli);
+    return fail(why);
   };
-
-  // Phase A — per-connection traffic: forward delivered live, reverse
-  // left riding toward the suspension buffers.
-  for (int i = 0; i < kConns; ++i) {
-    for (int j = 0; j < chaos_case.forward_msgs; ++j) {
-      const std::string body =
-          "f" + std::to_string(i) + "." + std::to_string(j);
-      if (auto st = clients[i]->send(span_of(body), 2s); !st.ok()) {
-        return fail("pre-fault send: " + st.to_string());
-      }
-      ledger.record_sent(fwd(i), span_of(body));
-    }
-    for (int j = 0; j < chaos_case.forward_msgs; ++j) {
-      auto got = servers[i]->recv(2s);
-      if (!got.ok()) {
-        return fail("pre-fault recv: " + got.status().to_string());
-      }
-      deliver(fwd(i), got->seq, got->body);
-    }
-    for (int j = 0; j < chaos_case.reverse_msgs; ++j) {
-      const std::string body =
-          "r" + std::to_string(i) + "." + std::to_string(j);
-      if (auto st = servers[i]->send(span_of(body), 2s); !st.ok()) {
-        return fail("reverse send: " + st.to_string());
-      }
-      ledger.record_sent(rev(i), span_of(body));
-    }
+  const util::Status prepared = mover.prepare_migration(cli);
+  stop.store(true);
+  for (auto& t : racers) t.join();
+  if (!prepared.ok()) {
+    return abandon("fault-free retry: " + prepared.to_string());
   }
-  std::this_thread::sleep_for(30ms);
+  for (const util::Status& st : racer_status) {
+    if (!st.ok()) return abandon("racing sender: " + st.to_string());
+  }
 
-  // Phase B — scenario choreography.
-  std::uint64_t rollbacks = 0;
-  if (crash) {
-    // The kill lands between the group-prepare and group-commit journal
-    // records; the first migration attempt must fail.
-    injector.arm(chaos_case.plan);
-    const util::Status first = migrate_agent(realm, cli, 0, 2);
-    if (first.ok()) {
-      injector.disarm();
-      return fail("migration succeeded despite the kill between group "
-                  "prepare and commit");
+  std::vector<DeliveryLedger::CutPoint> cut;
+  for (std::size_t i = 0; i < members; ++i) {
+    if (clients[i]->state() != nsock::ConnState::kSuspended) {
+      return abandon("conn " + std::to_string(conns[i]) +
+                     " not SUSPENDED after the group prepare: " +
+                     std::string(nsock::to_string(clients[i]->state())));
     }
+    cut.push_back({fwd(i), clients[i]->sent_seq()});
+  }
+  if (auto st = ledger.check_consistent_cut(cut); !st.ok()) {
+    return abandon(st.to_string());
+  }
 
-    // The crash: the mover's host (the one holding the journal) dies with
-    // no protocol goodbye and is stood up again from its journal.
-    realm.remove_node(node_name(0));
-    injector.disarm();
-    auto& node0 =
-        realm.add_node(node_name(0), net.add_node(node_name(0)),
-                       group_node_config(chaos_case, 0, durable_dir));
-    if (auto st = node0.start(); !st.ok()) {
-      return fail("restart: " + st.to_string());
-    }
-    if (auto st = node0.controller().recover(); !st.ok()) {
-      return fail("recover: " + st.to_string());
-    }
-    realm.locations().register_agent(cli, node0.server().node_info());
+  // Ship the suspended group to its destination.
+  const util::Bytes blob = mover.export_sessions(cli);
+  if (auto st = ctrl(2).import_sessions(
+          cli, util::ByteSpan(blob.data(), blob.size()));
+      !st.ok()) {
+    return abandon("import: " + st.to_string());
+  }
+  realm.locations().register_agent(cli, node_info(2));
+  if (auto st = ctrl(2).complete_migration(cli); !st.ok()) {
+    return fail("complete: " + st.to_string());
+  }
+  return true;
+}
 
-    // The all-or-nothing oracle: after recover() the agent must never be
-    // left with a SUSPENDED/ESTABLISHED mix. The dangling prepare rolls
-    // forward (every peer had sealed), so the deterministic outcome is
-    // ALL suspended.
-    int suspended = 0, established = 0;
-    for (int i = 0; i < kConns; ++i) {
-      const nsock::SessionPtr session =
-          node0.controller().session_by_id(conns[i]);
-      if (session == nullptr) {
-        return fail("conn " + std::to_string(conns[i]) +
-                    " lost across the crash");
-      }
-      const nsock::ConnState st = session->state();
-      if (st == nsock::ConnState::kSuspended) {
-        ++suspended;
-      } else if (st == nsock::ConnState::kEstablished) {
-        ++established;
-      }
+// Phase C — judgement. Faults have ceased; the liveness watchdog bounds
+// re-establishment, then the ledger must balance exactly once.
+bool Harness::judge_delivery() {
+  nsock::SocketController* cli_host = host_of(cli);
+  nsock::SocketController* srv_host = host_of(srv);
+  if (cli_host == nullptr || srv_host == nullptr) {
+    return fail("agent lost across migration");
+  }
+  for (std::size_t i = 0; i < conns.size(); ++i) {
+    clients[i] = cli_host->session_by_id(conns[i]);
+    servers[i] = srv_host->session_by_id(conns[i]);
+    if (!clients[i] || !servers[i]) {
+      return fail("session lost across migration");
     }
-    if (suspended != 0 && established != 0) {
-      return fail("all-or-nothing violated: " + std::to_string(suspended) +
-                  " suspended, " + std::to_string(established) +
-                  " established after recover()");
-    }
-    if (suspended != kConns) {
-      return fail("dangling group prepare did not roll forward: " +
-                  std::to_string(suspended) + "/" + std::to_string(kConns) +
-                  " suspended");
-    }
-
-    // The cut the group declared must be causally consistent; the peers
-    // recorded each member's mark at passive suspension, and the marks
-    // survived the mover's crash.
-    std::vector<DeliveryLedger::CutPoint> cut;
-    for (int i = 0; i < kConns; ++i) {
-      const std::uint64_t mark = servers[i]->flags().peer_declared_seq;
-      if (mark == 0) {
-        return fail("peer of conn " + std::to_string(conns[i]) +
-                    " holds no declared group mark");
-      }
-      cut.push_back({fwd(i), mark});
-    }
-    if (auto st = ledger.check_consistent_cut(cut); !st.ok()) {
+    if (auto st = await_established(*clients[i], 8s); !st.ok()) {
       return fail(st.to_string());
     }
-
-    // Roll the interrupted migration forward to its destination.
-    if (auto st = migrate_agent(realm, cli, 0, 2); !st.ok()) {
-      return fail("post-recovery migration: " + st.to_string());
-    }
-  } else {
-    // kGroupPeerRefusal: concurrent send pressure on every member while
-    // the first group SUS the peer host processes is refused.
-    std::vector<std::thread> load;
-    std::vector<util::Status> load_status(kConns, util::OkStatus());
-    for (int i = 0; i < kConns; ++i) {
-      load.emplace_back([&, i] {
-        for (int j = 0; j < 8; ++j) {
-          const std::string body =
-              "l" + std::to_string(i) + "." + std::to_string(j);
-          if (auto st = clients[i]->send(span_of(body), 10s); !st.ok()) {
-            load_status[i] = st;
-            return;
-          }
-          ledger.record_sent(fwd(i), span_of(body));
-          std::this_thread::sleep_for(2ms);
-        }
-      });
-    }
-    std::this_thread::sleep_for(10ms);
-
-    injector.arm(chaos_case.plan);
-    const util::Status refused = ctrl0.prepare_migration(cli);
-    injector.disarm();
-    if (refused.ok()) {
-      for (auto& t : load) t.join();
-      return fail("group prepare succeeded despite the refused peer");
-    }
-
-    // Full-group rollback oracle: every member returns to ESTABLISHED
-    // (never a mix), and the senders blocked across the rollback wake
-    // and finish cleanly.
-    for (int i = 0; i < kConns; ++i) {
-      if (auto st = await_established(*clients[i], 8s); !st.ok()) {
-        for (auto& t : load) t.join();
-        return fail("rollback: " + st.to_string());
-      }
-    }
-    for (auto& t : load) t.join();
-    for (int i = 0; i < kConns; ++i) {
-      if (!load_status[i].ok()) {
-        return fail("sender under rollback: " + load_status[i].to_string());
-      }
-    }
-    rollbacks = ctrl0.group_rollbacks();
-    if (rollbacks == 0) {
-      return fail("refusal did not count a group rollback");
-    }
-
-    // Retry the sweep fault-free with senders RACING the freeze: the
-    // consistent-cut oracle proves no send slipped past another member's
-    // pinned mark. Sends that time out never entered the stream (the
-    // freeze parks them before the write), so only OK sends are recorded.
-    std::atomic<bool> stop{false};
-    std::vector<std::thread> racers;
-    std::vector<util::Status> racer_status(kConns, util::OkStatus());
-    for (int i = 0; i < kConns; ++i) {
-      racers.emplace_back([&, i] {
-        int j = 0;
-        while (!stop.load()) {
-          const std::string body =
-              "g" + std::to_string(i) + "." + std::to_string(j);
-          auto st = clients[i]->send(span_of(body), 300ms);
-          if (st.ok()) {
-            ledger.record_sent(fwd(i), span_of(body));
-            ++j;
-          } else if (st.code() != util::StatusCode::kTimeout) {
-            racer_status[i] = st;
-            return;
-          }
-          std::this_thread::sleep_for(2ms);
-        }
-      });
-    }
-    std::this_thread::sleep_for(10ms);
-    realm.locations().begin_migration(cli);
-    const util::Status prepared = ctrl0.prepare_migration(cli);
-    stop.store(true);
-    for (auto& t : racers) t.join();
-    if (!prepared.ok()) {
-      realm.locations().end_migration(cli);
-      return fail("fault-free retry: " + prepared.to_string());
-    }
-    for (int i = 0; i < kConns; ++i) {
-      if (!racer_status[i].ok()) {
-        realm.locations().end_migration(cli);
-        return fail("racing sender: " + racer_status[i].to_string());
-      }
-    }
-
-    std::vector<DeliveryLedger::CutPoint> cut;
-    for (int i = 0; i < kConns; ++i) {
-      if (clients[i]->state() != nsock::ConnState::kSuspended) {
-        realm.locations().end_migration(cli);
-        return fail("conn " + std::to_string(conns[i]) +
-                    " not SUSPENDED after the group prepare: " +
-                    std::string(nsock::to_string(clients[i]->state())));
-      }
-      cut.push_back({fwd(i), clients[i]->sent_seq()});
-    }
-    if (auto st = ledger.check_consistent_cut(cut); !st.ok()) {
-      realm.locations().end_migration(cli);
+    if (auto st = await_established(*servers[i], 8s); !st.ok()) {
       return fail(st.to_string());
-    }
-
-    // Ship the suspended group to its destination.
-    const util::Bytes blob = ctrl0.export_sessions(cli);
-    auto& node2 = realm.node(node_name(2));
-    if (auto st = node2.controller().import_sessions(
-            cli, util::ByteSpan(blob.data(), blob.size()));
-        !st.ok()) {
-      realm.locations().end_migration(cli);
-      return fail("import: " + st.to_string());
-    }
-    realm.locations().register_agent(cli, node2.server().node_info());
-    if (auto st = node2.controller().complete_migration(cli); !st.ok()) {
-      return fail("complete: " + st.to_string());
     }
   }
 
-  // Phase C — judgement: liveness bounds the re-establishment, then the
-  // ledger must balance exactly once across the whole ordeal.
-  std::vector<nsock::SessionPtr> clients2, servers2;
-  for (int i = 0; i < kConns; ++i) {
-    nsock::SessionPtr c =
-        realm.node(node_name(2)).controller().session_by_id(conns[i]);
-    nsock::SessionPtr s = ctrl1.session_by_id(conns[i]);
-    if (!c || !s) return fail("session lost across the group migration");
-    if (auto st = await_established(*c, 8s); !st.ok()) {
-      return fail(st.to_string());
+  for (std::size_t i = 0; i < conns.size(); ++i) {
+    // Drain the reverse stream until it goes quiet, so a duplicated
+    // replay of the parked frames shows up in the ledger.
+    while (recv(*clients[i], rev(i), 500ms).ok()) {
     }
-    if (auto st = await_established(*s, 8s); !st.ok()) {
-      return fail(st.to_string());
+    // Forward frames the choreography sent under load may still be
+    // queued; a duplicate among them is popped by the post traffic below.
+    while (ledger.delivered_count(fwd(i)) < ledger.sent_count(fwd(i)) &&
+           recv(*servers[i], fwd(i), 2s).ok()) {
     }
-    clients2.push_back(std::move(c));
-    servers2.push_back(std::move(s));
-  }
-
-  for (int i = 0; i < kConns; ++i) {
-    while (true) {
-      auto got = clients2[i]->recv(500ms);
-      if (!got.ok()) break;
-      deliver(rev(i), got->seq, got->body);
-    }
-    while (true) {
-      auto got = servers2[i]->recv(300ms);
-      if (!got.ok()) break;
-      deliver(fwd(i), got->seq, got->body);
-    }
+    // Post-fault sanity traffic proves the resumed connection still
+    // carries data both ways.
     for (int j = 0; j < 2; ++j) {
       const std::string body =
           "post" + std::to_string(i) + "." + std::to_string(j);
-      if (auto st = clients2[i]->send(span_of(body), 2s); !st.ok()) {
-        return fail("post-migration send: " + st.to_string());
+      if (auto st = send(*clients[i], fwd(i), body, 2s); !st.ok()) {
+        return fail("post-fault send: " + st.to_string());
       }
-      ledger.record_sent(fwd(i), span_of(body));
-      auto got = servers2[i]->recv(2s);
-      if (!got.ok()) {
-        return fail("post-migration recv: " + got.status().to_string());
+      if (auto st = recv(*servers[i], fwd(i), 2s); !st.ok()) {
+        return fail("post-fault recv: " + st.to_string());
       }
-      deliver(fwd(i), got->seq, got->body);
     }
   }
-
   if (auto st = ledger.check(/*require_complete=*/true); !st.ok()) {
     return fail(st.to_string());
   }
+  return true;
+}
+
+bool Harness::judge() {
+  if (live && !judge_delivery()) return false;
   if (auto st = check_fsm_trace(injector.transitions()); !st.ok()) {
     return fail(st.to_string());
   }
-
-  const auto counters = net.counters();
-  result.net_datagrams_dropped = counters.datagrams_dropped;
-  const auto cli_stats = realm.node(node_name(2)).controller().stats();
-  const auto srv_stats = ctrl1.stats();
-  result.ctrl_retransmissions =
-      cli_stats.ctrl_retransmissions + srv_stats.ctrl_retransmissions;
-  result.stats = "group: rollbacks=" + std::to_string(rollbacks) +
-                 "\nclient: " + cli_stats.to_string() +
-                 "\nserver: " + srv_stats.to_string();
-  result.pass = true;
-  return result;
+  result.net_datagrams_dropped = net.counters().datagrams_dropped;
+  result.stats = note;
+  if (live) {
+    const auto cli_stats = host_of(cli)->stats();
+    const auto srv_stats = host_of(srv)->stats();
+    result.ctrl_retransmissions =
+        cli_stats.ctrl_retransmissions + srv_stats.ctrl_retransmissions;
+    if (!result.stats.empty()) result.stats += "\n";
+    result.stats += "client: " + cli_stats.to_string() +
+                    "\nserver: " + srv_stats.to_string();
+  }
+  return true;
 }
 
 }  // namespace
 
 ChaosResult run_case(const ChaosCase& chaos_case) {
-  if (is_group_scenario(chaos_case.scenario)) {
-    return run_group_case(chaos_case);
-  }
-  if (is_swarm_scenario(chaos_case.scenario)) {
-    return run_swarm_case(chaos_case);
-  }
-  if (is_crash_scenario(chaos_case.scenario)) {
-    return run_crash_case(chaos_case);
-  }
-
-  ChaosResult result;
-  const auto fail = [&](const std::string& why) {
-    result.pass = false;
-    result.failure = why;
-    result.recorder_dump = obs::dump_all();
-    return result;
-  };
-
-  Injector& injector = Injector::instance();
-  injector.disarm();
-
-  net::SimNet net(chaos_case.seed);
-  net.set_default_link(net::LinkConfig{.latency = 1ms});
-
-  nsock::Realm realm;
-  for (int i = 0; i < 3; ++i) {
-    nsock::NodeConfig config;
-    config.controller.security = false;
-    config.server.rudp_config.retransmit_interval = 15ms;
-    config.server.rudp_config.max_attempts = 40;
-    // Decorrelated but reproducible retransmit jitter per node.
-    config.server.rudp_config.jitter_seed = chaos_case.seed * 3 + i + 1;
-    // XOR-FEC on the control channel keeps the rudp.sack / rudp.fast_retx
-    // / rudp.fec fault sites live under the oracles.
-    config.server.rudp_config.repair = net::LossRepair::kXorFec;
-    realm.add_node(node_name(i), net.add_node(node_name(i)), config);
-  }
-  if (auto st = realm.start(); !st.ok()) {
-    return fail("realm start: " + st.to_string());
-  }
-
-  const agent::AgentId cli("chaos-cli");
-  const agent::AgentId srv("chaos-srv");
-  realm.locations().register_agent(
-      cli, realm.node(node_name(0)).server().node_info());
-  realm.locations().register_agent(
-      srv, realm.node(node_name(1)).server().node_info());
-
-  auto& ctrl0 = realm.node(node_name(0)).controller();
-  auto& ctrl1 = realm.node(node_name(1)).controller();
-  if (auto st = ctrl1.listen(srv); !st.ok()) {
-    return fail("listen: " + st.to_string());
-  }
-  auto client = ctrl0.connect(cli, srv);
-  if (!client.ok()) return fail("connect: " + client.status().to_string());
-  auto server = ctrl1.accept(srv, 5s);
-  if (!server.ok()) return fail("accept: " + server.status().to_string());
-  const std::uint64_t conn = (*client)->conn_id();
-
-  DeliveryLedger ledger;
-  constexpr std::uint64_t kFwd = 0, kRev = 1;
-
-  // Phase A — traffic. Forward messages are delivered live; reverse
-  // messages are left undrained so they ride the suspension buffer across
-  // the migration (the resume replay path the oracles watch).
-  for (int i = 0; i < chaos_case.forward_msgs; ++i) {
-    const std::string body =
-        "f" + std::to_string(i) + "." + std::to_string(chaos_case.seed);
-    if (auto st = (*client)->send(span_of(body), 2s); !st.ok()) {
-      return fail("pre-fault send: " + st.to_string());
-    }
-    ledger.record_sent(kFwd, span_of(body));
-  }
-  for (int i = 0; i < chaos_case.forward_msgs; ++i) {
-    auto got = (*server)->recv(2s);
-    if (!got.ok()) return fail("pre-fault recv: " + got.status().to_string());
-    ledger.record_delivered(kFwd, got->seq,
-                            util::ByteSpan(got->body.data(),
-                                           got->body.size()));
-  }
-  for (int i = 0; i < chaos_case.reverse_msgs; ++i) {
-    const std::string body =
-        "r" + std::to_string(i) + "." + std::to_string(chaos_case.seed);
-    if (auto st = (*server)->send(span_of(body), 2s); !st.ok()) {
-      return fail("reverse send: " + st.to_string());
-    }
-    ledger.record_sent(kRev, span_of(body));
-  }
-  // Let the reverse frames reach the client's stream so the suspend drain
-  // pulls them into the migrating session's buffer.
-  std::this_thread::sleep_for(30ms);
-
-  // Phase B — the migrations, under the armed plan.
-  injector.arm(chaos_case.plan);
-  util::Status cli_migrate = util::OkStatus();
-  util::Status srv_migrate = util::OkStatus();
-  int cli_node = 0, srv_node = 1;
-  switch (chaos_case.scenario) {
-    case Scenario::kSingleMigration:
-      cli_migrate = migrate_agent(realm, cli, 0, 2);
-      cli_node = 2;
-      break;
-    case Scenario::kDoubleSequential:
-      cli_migrate = migrate_agent(realm, cli, 0, 2);
-      cli_node = 2;
-      srv_migrate = migrate_agent(realm, srv, 1, 0);
-      srv_node = 0;
-      break;
-    case Scenario::kDoubleOverlapped: {
-      std::thread mover(
-          [&] { cli_migrate = migrate_agent(realm, cli, 0, 2); });
-      srv_migrate = migrate_agent(realm, srv, 1, 0);
-      mover.join();
-      cli_node = 2;
-      srv_node = 0;
-      break;
-    }
-    default:
-      // Crash, swarm, and group scenarios dispatch to their own runners
-      // before this switch is reached.
-      break;
-  }
-  injector.disarm();
-  if (!cli_migrate.ok()) {
-    return fail("client migration: " + cli_migrate.to_string());
-  }
-  if (!srv_migrate.ok()) {
-    return fail("server migration: " + srv_migrate.to_string());
-  }
-
-  // Phase C — judgement. Faults have ceased; the liveness watchdog bounds
-  // re-establishment, then the ledger must balance exactly once.
-  nsock::SessionPtr client2 =
-      realm.node(node_name(cli_node)).controller().session_by_id(conn);
-  nsock::SessionPtr server2 =
-      realm.node(node_name(srv_node)).controller().session_by_id(conn);
-  if (!client2 || !server2) return fail("session lost across migration");
-  if (auto st = await_established(*client2, 8s); !st.ok()) {
-    return fail(st.to_string());
-  }
-  if (auto st = await_established(*server2, 8s); !st.ok()) {
-    return fail(st.to_string());
-  }
-
-  while (true) {
-    auto got = client2->recv(500ms);
-    if (!got.ok()) break;
-    ledger.record_delivered(kRev, got->seq,
-                            util::ByteSpan(got->body.data(),
-                                           got->body.size()));
-  }
-
-  // Post-fault sanity traffic proves the resumed connection still carries
-  // data both ways.
-  for (int i = 0; i < 2; ++i) {
-    const std::string body = "post" + std::to_string(i);
-    if (auto st = client2->send(span_of(body), 2s); !st.ok()) {
-      return fail("post-fault send: " + st.to_string());
-    }
-    ledger.record_sent(kFwd, span_of(body));
-    auto got = server2->recv(2s);
-    if (!got.ok()) return fail("post-fault recv: " + got.status().to_string());
-    ledger.record_delivered(kFwd, got->seq,
-                            util::ByteSpan(got->body.data(),
-                                           got->body.size()));
-  }
-
-  if (auto st = ledger.check(/*require_complete=*/true); !st.ok()) {
-    return fail(st.to_string());
-  }
-  const auto trace = injector.transitions();
-  if (auto st = check_fsm_trace(trace); !st.ok()) {
-    return fail(st.to_string());
-  }
-
-  const auto counters = net.counters();
-  result.net_datagrams_dropped = counters.datagrams_dropped;
-  const auto cli_stats =
-      realm.node(node_name(cli_node)).controller().stats();
-  const auto srv_stats =
-      realm.node(node_name(srv_node)).controller().stats();
-  result.ctrl_retransmissions =
-      cli_stats.ctrl_retransmissions + srv_stats.ctrl_retransmissions;
-  result.stats = "client: " + cli_stats.to_string() +
-                 "\nserver: " + srv_stats.to_string();
-  result.pass = true;
-  return result;
+  return Harness(chaos_case).run();
 }
 
 Plan minimize_plan(const ChaosCase& failing, int* reruns) {

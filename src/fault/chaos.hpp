@@ -3,6 +3,11 @@
 // oracle armed, and delta-debugs a failing schedule down to a minimal
 // failing fault subset. Used by tools/chaos_runner and tests/fault.
 //
+// One harness runs every scenario: a shared setup (SimNet, three nodes,
+// k connected chaos-cli/chaos-srv pairs), the pre-fault traffic, one
+// Phase-B choreography per scenario family (migrate, crash, swarm, group)
+// and a shared judgement (liveness, exactly-once ledger, FSM legality).
+//
 // Determinism contract: generate_case(seed) derives everything — scenario,
 // message counts, every fault rule — from util::Rng(seed) alone, so
 // `chaos_runner --seed S` regenerates the identical case bit-for-bit and a
@@ -116,32 +121,20 @@ struct ChaosResult {
 /// from a generated case is always a protocol bug, never an impossible ask.
 [[nodiscard]] ChaosCase generate_case(std::uint64_t seed, bool light);
 
-/// Build a crash-restart case: the scenario-specific staged fault plan
-/// (killed SUS_ACK / killed handoff worker) plus the kill-and-restart
-/// choreography run_case performs for crash scenarios.
-[[nodiscard]] ChaosCase make_crash_case(std::uint64_t seed, Scenario scenario,
-                                        bool light, bool recovery);
-
-/// Build a swarm case: the host-drain / cascading-rebalance choreography
-/// (run by run_case for swarm scenarios) plus the scenario's fault plan —
-/// a failing first suspend for kDrainPartition, a refused first batch
-/// admission for kCascadeRebalance.
-[[nodiscard]] ChaosCase make_swarm_case(std::uint64_t seed, Scenario scenario,
-                                        bool light);
-
-/// Build a group-suspend case: a multi-connection agent swept through the
-/// group barrier, with a kill in the prepare→commit journal window
-/// (kGroupCrashCommit) or a refused peer mid-prepare (kGroupPeerRefusal).
-/// run_case adds the crash/restart/recover (resp. rollback-under-load)
-/// choreography and the group oracles: no SUSPENDED/ESTABLISHED mix after
-/// recover(), a causally consistent cut, exactly-once delivery.
-[[nodiscard]] ChaosCase make_group_case(std::uint64_t seed, Scenario scenario,
-                                        bool light);
+/// Build the case for an explicitly chosen scenario. Generated scenarios
+/// (0–2) are generate_case(seed, light) with the scenario overridden; the
+/// opt-in ones carry their staged fault plan: killed SUS_ACKs or handoff
+/// workers (crash), a failing drain suspend or refused batch admission
+/// (swarm), a kill between the group prepare and commit records or a peer
+/// refusing mid-prepare (group). `recovery` applies to crash scenarios
+/// only.
+[[nodiscard]] ChaosCase make_case(std::uint64_t seed, Scenario scenario,
+                                  bool light, bool recovery);
 
 /// Execute one case end to end: establish, pump traffic, arm the plan, run
-/// the migrations, disarm, then judge with the delivery ledger, the FSM
-/// legality check, and the liveness watchdog. Uses the process-global
-/// Injector; do not run cases concurrently.
+/// the scenario's choreography, disarm, then judge with the liveness
+/// watchdog, the delivery ledger and the FSM legality check. Uses the
+/// process-global Injector; do not run cases concurrently.
 [[nodiscard]] ChaosResult run_case(const ChaosCase& chaos_case);
 
 /// Greedy delta-debugging: repeatedly drop single rules while the case

@@ -285,9 +285,9 @@ util::Status ReliableChannel::send(const Endpoint& dest,
     packet.payload_size = payload.size();
     packet.first_send = steady_clock::now();
     packet.sends = 1;
-    packet.deadline = packet.first_send + interval_for(peer, 0);
-    const util::Bytes& frame =
-        peer.inflight.emplace(seq, std::move(packet)).first->second.wire;
+    TxPacket& sent =
+        peer.inflight.emplace(seq, std::move(packet)).first->second;
+    const util::Bytes& frame = sent.wire;
     peer.unacked_packets++;
     peer.unacked_bytes += payload.size();
     total_inflight_.fetch_add(1, std::memory_order_relaxed);
@@ -303,6 +303,10 @@ util::Status ReliableChannel::send(const Endpoint& dest,
       p2.inflight.erase(it);
       return util::Unavailable("fault: rudp send errored");
     }
+    // The retransmit clock starts once the frame is handed off. Stamped
+    // before the send, a preemption in between would pull the first
+    // retransmit closer to the original.
+    sent.deadline = steady_clock::now() + interval_for(peer, 0);
     if (config_.repair == LossRepair::kPacketDup) {
       send_frame(dest, frame);  // immediate duplicate: 1-loss repair
     }
@@ -449,6 +453,7 @@ std::optional<ReliableChannel::TimePoint> ReliableChannel::retx_pass() {
     std::uint64_t seq = 0;  // 0 span for parity frames
     util::Bytes wire;
     bool parity = false;
+    util::Duration interval{};  // this retransmit's wait before the next
   };
   std::vector<Pending> out;
   std::optional<TimePoint> next;
@@ -489,10 +494,11 @@ std::optional<ReliableChannel::TimePoint> ReliableChannel::retx_pass() {
         }
         packet.sends++;
         packet.retransmitted = true;  // Karn: no RTT sample from now on
-        packet.deadline = now + interval_for(peer, packet.sends - 1);
+        const util::Duration interval = interval_for(peer, packet.sends - 1);
+        packet.deadline = now + interval;
         fold(packet.deadline);
         retransmissions_.fetch_add(1);
-        out.push_back(Pending{dest, seq, packet.wire, false});
+        out.push_back(Pending{dest, seq, packet.wire, false, interval});
       }
     }
   }
@@ -501,23 +507,30 @@ std::optional<ReliableChannel::TimePoint> ReliableChannel::retx_pass() {
       (void)send_with_fault("rudp.fec", p.dest, p.wire);
       continue;
     }
-    if (!send_with_fault("rudp.retransmit", p.dest, p.wire)) {
-      // Scripted kError: the send fails outright (unless the ACK won
-      // the race while we were outside the lock).
-      util::MutexLock lock(mu_);
-      auto peer_it = tx_.find(p.dest);
-      if (peer_it == tx_.end()) continue;
-      auto it = peer_it->second.inflight.find(p.seq);
-      if (it == peer_it->second.inflight.end() || it->second.acked ||
-          it->second.failed) {
-        continue;
-      }
-      it->second.failed = true;
-      it->second.fail_status =
-          util::Unavailable("fault: rudp send errored");
-      release_slot(peer_it->second, it->second);
-      acked_cv_.notify_all();
+    const bool sent = send_with_fault("rudp.retransmit", p.dest, p.wire);
+    const auto handed_off = steady_clock::now();
+    util::MutexLock lock(mu_);
+    auto peer_it = tx_.find(p.dest);
+    if (peer_it == tx_.end()) continue;
+    auto it = peer_it->second.inflight.find(p.seq);
+    // Skip a packet the ACK settled while we were outside the lock.
+    if (it == peer_it->second.inflight.end() || it->second.acked ||
+        it->second.failed) {
+      continue;
     }
+    if (sent) {
+      // Re-stamp from the hand-off, as for the first send: the deadline
+      // above was taken before the lock was dropped, and a preemption
+      // before the send would shrink the gap to the next retransmit.
+      it->second.deadline =
+          std::max(it->second.deadline, handed_off + p.interval);
+      continue;
+    }
+    // Scripted kError: the send fails outright.
+    it->second.failed = true;
+    it->second.fail_status = util::Unavailable("fault: rudp send errored");
+    release_slot(peer_it->second, it->second);
+    acked_cv_.notify_all();
   }
   return next;
 }

@@ -26,6 +26,14 @@ struct PumpHarness {
   std::thread pump;
   std::thread sink;
 
+  // A failed ASSERT returns with both threads still running; stop and join
+  // them so the test fails instead of std::terminate ending the binary.
+  ~PumpHarness() {
+    stop.store(true);
+    if (pump.joinable()) pump.join();
+    if (sink.joinable()) sink.join();
+  }
+
   void start(SimRealm& realm, std::uint64_t conn_id) {
     pump = std::thread([this, &realm, conn_id] {
       while (!stop.load()) {
@@ -68,7 +76,6 @@ struct PumpHarness {
     // Drain whatever was sent.
     const std::int64_t deadline =
         util::RealClock::instance().now_us() + 15'000'000;
-    std::atomic<bool> sink_stop{false};
     while (received.load() < sent.load() &&
            util::RealClock::instance().now_us() < deadline) {
       auto side = realm.ctrl(rx_node.load()).session_by_id(conn_id);
@@ -79,7 +86,6 @@ struct PumpHarness {
       if (*r.u32() != received.load()) order_broken.store(true);
       received.fetch_add(1);
     }
-    (void)sink_stop;
     sink.join();
   }
 };

@@ -29,6 +29,38 @@ TEST_F(ChaosTest, GenerateCaseIsDeterministic) {
   }
 }
 
+TEST_F(ChaosTest, SeedToCaseMappingIsPinned) {
+  // Golden (seed -> case) pairs. A failure report is only a reproduction
+  // recipe while every seed keeps mapping to the same case, so a change
+  // that reorders the generator's RNG draws must fail here, not pass the
+  // same-build comparison above.
+  const struct {
+    std::uint64_t seed;
+    Scenario scenario;
+    const char* plan;
+  } golden[] = {
+      {42, Scenario::kDoubleSequential,
+       "rudp.retransmit@#1:delay:5;ctrl.suspend_ack.on_recv@#1:delay:10"},
+      {43, Scenario::kDoubleSequential,
+       "rudp.send@#8x2:drop;rudp.send@#1:drop"},
+      {46, Scenario::kSingleMigration,
+       "rudp.send@#5:flip;rudp.sack@#1x2:drop"},
+      {48, Scenario::kDoubleOverlapped,
+       "rudp.send@#2:flip;ctrl.suspend_ack.pre_send@#1:delay:5"},
+      {52, Scenario::kDoubleOverlapped, "ctrl.sus_res.pre_send@#1:dup"},
+      {60, Scenario::kSingleMigration,
+       "ctrl.suspend.on_recv@#2:delay:27;rudp.retransmit@#2x2:flip"},
+      {64, Scenario::kDoubleSequential,
+       "redirector.handoff.accept@#1:kill;rudp.sack@#4:drop"},
+      {66, Scenario::kSingleMigration, "rudp.fec@#2x2:drop"},
+  };
+  for (const auto& g : golden) {
+    const ChaosCase chaos_case = generate_case(g.seed, /*light=*/true);
+    EXPECT_EQ(chaos_case.scenario, g.scenario) << "seed " << g.seed;
+    EXPECT_EQ(chaos_case.plan.to_string(), g.plan) << "seed " << g.seed;
+  }
+}
+
 TEST_F(ChaosTest, DifferentSeedsDiverge) {
   // Not a hard guarantee seed-by-seed, but across a small window the
   // generator must not collapse to one schedule.

@@ -324,6 +324,9 @@ TEST_F(RudpFaultTest, FecRepairsDropWithoutRetransmit) {
 
   RudpConfig config;
   config.retransmit_interval = 5s;  // the timer must never be the fix
+  // Without this the first ACK's RTT sample shrinks the RTO to ~min_rto,
+  // and under load the timer can beat the 1 ms parity flush.
+  config.adaptive_rto = false;
   config.max_attempts = 3;
   config.repair = LossRepair::kXorFec;
   config.fec_group = 4;

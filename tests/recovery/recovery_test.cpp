@@ -387,19 +387,19 @@ TEST(Rudp, SendMaxWaitBoundsBlockingTime) {
 // every oracle armed, reproducible from the seed alone. One scenario per
 // test so a failure names its scenario.
 TEST(CrashChaos, SuspendCrashRecoversExactlyOnce) {
-  const auto result = fault::run_case(fault::make_crash_case(
+  const auto result = fault::run_case(fault::make_case(
       5, fault::Scenario::kCrashSuspend, /*light=*/true, /*recovery=*/true));
   EXPECT_TRUE(result.pass) << result.failure;
 }
 
 TEST(CrashChaos, ResumeCrashRecoversExactlyOnce) {
-  const auto result = fault::run_case(fault::make_crash_case(
+  const auto result = fault::run_case(fault::make_case(
       5, fault::Scenario::kCrashResume, /*light=*/true, /*recovery=*/true));
   EXPECT_TRUE(result.pass) << result.failure;
 }
 
 TEST(CrashChaos, DoubleMigrationAcrossCrashRecoversExactlyOnce) {
-  const auto result = fault::run_case(fault::make_crash_case(
+  const auto result = fault::run_case(fault::make_case(
       5, fault::Scenario::kCrashDouble, /*light=*/true, /*recovery=*/true));
   EXPECT_TRUE(result.pass) << result.failure;
 }
@@ -408,7 +408,7 @@ TEST(CrashChaos, WithoutRecoveryTheSameCrashesFailCleanly) {
   for (const auto scenario :
        {fault::Scenario::kCrashSuspend, fault::Scenario::kCrashResume,
         fault::Scenario::kCrashDouble}) {
-    const auto result = fault::run_case(fault::make_crash_case(
+    const auto result = fault::run_case(fault::make_case(
         5, scenario, /*light=*/true, /*recovery=*/false));
     EXPECT_TRUE(result.pass)
         << fault::to_string(scenario) << ": " << result.failure;

@@ -116,26 +116,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "bad --scenario: %d\n", scenario);
       return 2;
     }
-    const bool crash =
-        scenario >= 0 && naplet::fault::is_crash_scenario(
-                             static_cast<naplet::fault::Scenario>(scenario));
-    const bool swarm =
-        scenario >= 0 && naplet::fault::is_swarm_scenario(
-                             static_cast<naplet::fault::Scenario>(scenario));
-    const bool group =
-        scenario >= 0 && naplet::fault::is_group_scenario(
-                             static_cast<naplet::fault::Scenario>(scenario));
     naplet::fault::ChaosCase chaos_case =
-        crash ? naplet::fault::make_crash_case(
-                    case_seed, static_cast<naplet::fault::Scenario>(scenario),
-                    light, recovery)
-        : swarm ? naplet::fault::make_swarm_case(
-                      case_seed,
-                      static_cast<naplet::fault::Scenario>(scenario), light)
-        : group ? naplet::fault::make_group_case(
-                      case_seed,
-                      static_cast<naplet::fault::Scenario>(scenario), light)
-                : naplet::fault::generate_case(case_seed, light);
+        scenario >= 0
+            ? naplet::fault::make_case(
+                  case_seed, static_cast<naplet::fault::Scenario>(scenario),
+                  light, recovery)
+            : naplet::fault::generate_case(case_seed, light);
     if (!plan_text.empty()) {
       auto parsed = naplet::fault::Plan::parse(plan_text);
       if (!parsed.ok()) {
@@ -145,10 +131,6 @@ int main(int argc, char** argv) {
       }
       chaos_case.plan = std::move(*parsed);
       chaos_case.plan.seed = case_seed;
-    }
-    if (scenario >= 0 && !crash && !swarm && !group) {
-      chaos_case.scenario =
-          static_cast<naplet::fault::Scenario>(scenario);
     }
     if (plant_dup) {
       chaos_case.plan.rules.push_back(
