@@ -149,8 +149,10 @@ WanPoint rudp_wan_point(double loss, bool pipelined, int senders,
   auto dgram_a = node_a->bind_datagram(7);
   auto dgram_b = node_b->bind_datagram(7);
   if (!dgram_a.ok() || !dgram_b.ok()) std::abort();
-  net::ReliableChannel ca(std::move(*dgram_a), config);
-  net::ReliableChannel cb(std::move(*dgram_b), config);
+  obs::Registry metrics_a;  // one per channel: per-channel counters below
+  obs::Registry metrics_b;
+  net::ReliableChannel ca(std::move(*dgram_a), metrics_a, config);
+  net::ReliableChannel cb(std::move(*dgram_b), metrics_b, config);
 
   const int total = senders * msgs_per_sender;
   const util::Bytes payload(256, 0x42);

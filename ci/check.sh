@@ -21,6 +21,8 @@
 #                                       regressions)
 #      + fleet-churn bench smoke       (fast-mode JSON: the controller
 #                                       under connect/migrate/close churn)
+#      + repository benchmark smoke    (perfbench/run.py builds and runs
+#                                       churn, lifecycle and stream for 2 s)
 #      + ci/flake.sh                   (tier-1 build, `ctest -j$(nproc)` 20
 #                                       times, zero failing runs allowed)
 #   2. Sanitize build + full ctest    (ASan + UBSan)
@@ -34,9 +36,7 @@
 #      + `ctest -L group`            (group barrier + sweep under TSan)
 #      + `ctest -L shards`           (sharded session table under TSan)
 #   4. naplet-analyze gate            (lock-order graph, annotation
-#      coverage, invariant registries; registry_check is dependency-free
-#      and always runs, the optional libTooling cross-check only when the
-#      Clang dev libraries were found at configure time)
+#      coverage, invariant registries; dependency-free, always runs)
 #   5. run-clang-tidy over src/, tools/, bench/
 #                                     (bugprone / concurrency / performance)
 #   6. clang-format --dry-run         (check-only; no reformatting)
@@ -204,6 +204,18 @@ else
   skip "python3 not installed (fleet-churn JSON parse)"
 fi
 
+note "repository benchmark smoke (perfbench: build + 2 s per workload)"
+# perfbench/ compiles against the library's public surface; without this
+# step an API change could break the benchmark unnoticed.
+if command -v python3 >/dev/null 2>&1; then
+  for workload in churn lifecycle stream; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 \
+      >/dev/null
+  done
+else
+  skip "python3 not installed (perfbench/run.py)"
+fi
+
 note "flake gate (tier-1 suite, 20 parallel runs, zero failures)"
 ci/flake.sh
 
@@ -246,14 +258,6 @@ note "static analysis gate (naplet-analyze: lock order, annotations, registries)
 ./build-debug/tools/analyze/naplet-analyze \
   --root . --compdb build-debug/compile_commands.json \
   --baseline tools/analyze/baseline.txt --compact
-# The optional libTooling cross-check rides along when the Clang dev
-# libraries were found at configure time (-DNAPLET_ANALYZE_WITH_CLANG=ON).
-if [ -x build-debug/tools/analyze/naplet-analyze-clang ]; then
-  ./build-debug/tools/analyze/naplet-analyze-clang \
-    -p build-debug src/*/*.cpp >/dev/null || exit 1
-else
-  skip "naplet-analyze-clang not built (Clang dev libraries absent)"
-fi
 
 note "clang-tidy (bugprone, concurrency, performance; src+tools+bench)"
 if command -v run-clang-tidy >/dev/null 2>&1; then

@@ -78,7 +78,7 @@ util::Status AgentServer::start() {
   auto dgram = network_->bind_datagram(config_.control_port);
   if (!dgram.ok()) return dgram.status();
   bus_ = std::make_unique<ServerBus>(std::make_unique<net::ReliableChannel>(
-      std::move(*dgram), config_.rudp_config));
+      std::move(*dgram), metrics_, config_.rudp_config));
 
   post_ = std::make_unique<PostOffice>(*bus_, locations_, config_.name,
                                        config_.post_config);

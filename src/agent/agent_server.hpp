@@ -22,6 +22,7 @@
 #include "agent/migrator.hpp"
 #include "agent/postoffice.hpp"
 #include "net/transport.hpp"
+#include "obs/metrics.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -76,6 +77,9 @@ class AgentServer {
   [[nodiscard]] net::Network& network() { return *network_; }
   [[nodiscard]] LocationService& locations() { return locations_; }
   [[nodiscard]] ConnectionMigrator& migrator() { return *migrator_; }
+  /// The node's one metrics registry: the control channel, the
+  /// NapletSocket controller and its redirector all record into it.
+  [[nodiscard]] obs::Registry& metrics() { return metrics_; }
 
   [[nodiscard]] std::size_t resident_count() const;
   [[nodiscard]] std::uint64_t migrations_in() const {
@@ -112,6 +116,10 @@ class AgentServer {
                                                "immutable");
   AccessController access_ NAPLET_NOT_GUARDED("internally synchronized "
                                               "(own mutex)");
+  // Declared before every component that caches instrument references,
+  // so it outlives them.
+  obs::Registry metrics_ NAPLET_NOT_GUARDED("internally synchronized "
+                                           "(own mutex)");
 
   std::unique_ptr<ServerBus> bus_ NAPLET_NOT_GUARDED(
       "created at construction before any worker thread; the bus is "

@@ -48,11 +48,13 @@ SocketController::SocketController(agent::AgentServer& server,
                                    ControllerConfig config)
     : server_(server),
       config_(config),
+      registry_(server.metrics()),
       sessions_(kSessionShards),
       mac_rejections_(registry_.counter("mac_rejections")),
       access_denials_(registry_.counter("access_denials")),
       links_repaired_(registry_.counter("links_repaired")),
       peers_declared_dead_(registry_.counter("peers_declared_dead")),
+      epoch_(registry_.gauge("epoch")),
       sessions_recovered_(registry_.counter("sessions_recovered")),
       resume_retries_(registry_.counter("resume_retries")),
       epoch_fenced_(registry_.counter("epoch_fenced")),
@@ -80,7 +82,9 @@ SocketController::SocketController(agent::AgentServer& server,
       hist_group_rollback_us_(
           registry_.histogram("nsock_group_rollback_us")),
       hist_group_suspend_us_(
-          registry_.histogram("nsock_group_suspend_us")) {}
+          registry_.histogram("nsock_group_suspend_us")) {
+  epoch_.set(1);
+}
 
 SocketController::~SocketController() { stop(); }
 
@@ -96,7 +100,7 @@ util::Status SocketController::start() {
     auto store = std::make_unique<recovery::DurableStore>(opts);
     if (auto st = store->open(); !st.ok()) return st;
     store_ = std::move(store);
-    epoch_.store(store_->epoch());
+    epoch_.set(static_cast<std::int64_t>(store_->epoch()));
     if (store_->degraded()) {
       NAPLET_LOG(kWarn, "recovery")
           << "durable store degraded: " << store_->degraded_note();
@@ -108,7 +112,7 @@ util::Status SocketController::start() {
       [this](std::shared_ptr<net::Stream> stream, HandoffMsg msg) {
         on_handoff(std::move(stream), std::move(msg));
       },
-      config_.redirector_leases);
+      registry_, config_.redirector_leases);
   redirector_->set_host_label(server_.node_info().server_name);
   NAPLET_RETURN_IF_ERROR(redirector_->start());
 
@@ -117,15 +121,6 @@ util::Status SocketController::start() {
       [this](const net::Endpoint& from, util::ByteSpan payload) {
         on_ctrl(from, payload);
       });
-  server_.bus().channel().bind_instruments(net::RudpInstruments{
-      .rtt_us = &registry_.histogram("rudp_rtt_us"),
-      .retransmits_per_send =
-          &registry_.histogram("rudp_retransmits_per_send", "count"),
-      .window_inflight = &registry_.gauge("rudp_window_inflight"),
-      .sack_blocks = &registry_.counter("rudp_sack_blocks"),
-      .fast_retransmits = &registry_.counter("rudp_fast_retransmits"),
-      .fec_repairs = &registry_.counter("rudp_fec_repairs"),
-  });
   server_.set_redirector_endpoint(redirector_->endpoint());
   server_.set_migrator(this);
   server_.register_service(kServiceName, this);
@@ -196,7 +191,7 @@ util::Status SocketController::send_ctrl(const net::Endpoint& dest,
     }
   }
   msg.node = self_node();
-  msg.epoch = epoch_.load();
+  msg.epoch = epoch();
   const util::Bytes payload = msg.mac_payload();
   msg.mac = compute_mac(session_key,
                         util::ByteSpan(payload.data(), payload.size()));
@@ -236,7 +231,7 @@ util::Status SocketController::reply_handoff(net::Stream& stream,
                                              HandoffMsg msg,
                                              util::ByteSpan session_key) {
   msg.node = self_node();
-  msg.epoch = epoch_.load();
+  msg.epoch = epoch();
   const util::Bytes payload = msg.mac_payload();
   msg.mac = compute_mac(session_key,
                         util::ByteSpan(payload.data(), payload.size()));
@@ -357,31 +352,12 @@ ControllerStats SocketController::stats() const {
   out.sessions = sessions.size();
   for (const SessionPtr& session : sessions) {
     ++out.by_state[static_cast<std::size_t>(session->state())];
-    const DataPathStats dp = session->data_stats();
-    out.data_payload_bytes_copied += dp.payload_bytes_copied;
-    out.data_stream_write_ops += dp.stream_write_ops;
-    out.data_stream_read_ops += dp.stream_read_ops;
-    out.data_recv_wakeups += dp.recv_wakeups;
-    out.data_frames_coalesced += dp.frames_coalesced;
   }
   out.shard_sessions = sessions_.shard_sizes();
   {
     util::MutexLock lock(mu_);
     out.listening_agents = accept_queues_.size();
     out.migrating_agents = migrating_agents_.size();
-  }
-  out.mac_rejections = mac_rejections_.value();
-  out.access_denials = access_denials_.value();
-  out.links_repaired = links_repaired_.value();
-  out.peers_declared_dead = peers_declared_dead_.value();
-  out.epoch = epoch_.load();
-  out.sessions_recovered = sessions_recovered_.value();
-  out.resume_retries = resume_retries_.value();
-  out.epoch_fenced = epoch_fenced_.value();
-  if (redirector_) {
-    out.leases = redirector_->lease_count();
-    out.leases_expired = redirector_->leases_expired();
-    out.handoffs_fenced = redirector_->handoffs_fenced();
   }
   // Mirror externally-owned instantaneous values into gauges so the
   // snapshot (and the Prometheus/JSON exports built from it) is complete.
@@ -391,17 +367,9 @@ ControllerStats SocketController::stats() const {
   registry_.gauge("migrating_agents")
       .set(static_cast<std::int64_t>(out.migrating_agents));
   registry_.gauge("redirector_leases")
-      .set(static_cast<std::int64_t>(out.leases));
+      .set(static_cast<std::int64_t>(
+          redirector_ ? redirector_->lease_count() : 0));
   out.metrics = registry_.snapshot();
-  auto& channel = server_.bus().channel();
-  out.ctrl_messages_sent = channel.messages_sent();
-  out.ctrl_retransmissions = channel.retransmissions();
-  out.ctrl_duplicates_dropped = channel.duplicates_dropped();
-  const net::NetworkCounters net = server_.network().counters();
-  out.net_datagrams_dropped = net.datagrams_dropped;
-  out.net_partition_events = net.partition_events;
-  out.net_partitions_active = net.partitions_active;
-  out.net_streams_severed = net.streams_severed;
   return out;
 }
 

@@ -218,12 +218,12 @@ class SocketController final : public agent::ConnectionMigrator {
   [[nodiscard]] std::uint64_t access_denials() const {
     return access_denials_.value();
   }
-  /// Consistent snapshot of the connection table and every counter.
+  /// The session-table view plus a snapshot of the node registry.
   [[nodiscard]] ControllerStats stats() const;
 
-  /// This controller's metric registry: counters/gauges/histograms for
-  /// every protocol phase. Per-controller (not process-global) so multi-
-  /// node testbeds in one process stay independent.
+  /// The node's metric registry (owned by the AgentServer): this
+  /// controller's counters/gauges/histograms for every protocol phase,
+  /// plus the control channel's and the redirector's instruments.
   [[nodiscard]] obs::Registry& metrics() noexcept { return registry_; }
 
   /// Concatenated flight-recorder dumps of every live session (failure
@@ -239,7 +239,9 @@ class SocketController final : public agent::ConnectionMigrator {
   }
 
   /// Crash-recovery extension counters.
-  [[nodiscard]] std::uint64_t epoch() const { return epoch_.load(); }
+  [[nodiscard]] std::uint64_t epoch() const {
+    return static_cast<std::uint64_t>(epoch_.value());
+  }
   [[nodiscard]] std::uint64_t sessions_recovered() const {
     return sessions_recovered_.value();
   }
@@ -313,7 +315,9 @@ class SocketController final : public agent::ConnectionMigrator {
   util::Status suspend_for_migration(const SessionPtr& session,
                                      const agent::AgentId& id);
   /// Active suspend from ESTABLISHED (shared by app suspend + migration).
-  util::Status active_suspend(const SessionPtr& session);
+  /// nullopt when the state left ESTABLISHED before the FSM step (a peer
+  /// SUS handled on the bus thread): the caller re-runs its state dispatch.
+  std::optional<util::Status> active_suspend(const SessionPtr& session);
   /// Complete a passive suspension (drain + close) after agreeing to SUS.
   void finish_passive_suspend(const SessionPtr& session,
                               std::uint64_t peer_mark);
@@ -385,12 +389,10 @@ class SocketController final : public agent::ConnectionMigrator {
       "created in start() before worker threads; the Redirector is "
       "internally synchronized");
 
-  // Observability. The registry owns every instrument; the references
+  // Observability. The node registry owns every instrument; the references
   // below are cached registrations, so hot-path recording is lock-free.
   // Declared before the references (member initialization order).
-  // mutable: stats() const mirrors externally-owned values (session table,
-  // redirector leases) into gauges right before taking a snapshot.
-  mutable obs::Registry registry_;
+  obs::Registry& registry_;
 
   // Outermost rank in the lock hierarchy (see DESIGN.md "Concurrency
   // invariants"): held while calling into session state cells and accept
@@ -443,10 +445,10 @@ class SocketController final : public agent::ConnectionMigrator {
   std::unique_ptr<recovery::DurableStore> store_ NAPLET_NOT_GUARDED(
       "created in start() before worker threads; the store is internally "
       "synchronized");
-  /// This controller's incarnation epoch, stamped into every outbound
-  /// control/handoff message. 1 without durability; from the store (strictly
-  /// above every pre-crash epoch) with it.
-  std::atomic<std::uint64_t> epoch_{1};
+  /// This controller's incarnation epoch (gauge `epoch`), stamped into
+  /// every outbound control/handoff message. 1 without durability; from
+  /// the store (strictly above every pre-crash epoch) with it.
+  obs::Gauge& epoch_;
   obs::Counter& sessions_recovered_;
   obs::Counter& resume_retries_;
   obs::Counter& epoch_fenced_;

@@ -89,7 +89,7 @@ util::Status SocketController::group_suspend_sweep(
   // Group id: epoch in the high bits so ids from different incarnations
   // of this controller never collide in the journal.
   const std::uint64_t group_id =
-      (epoch_.load() << 24) | next_group_id_.fetch_add(1);
+      (epoch() << 24) | next_group_id_.fetch_add(1);
   std::vector<std::uint64_t> conn_ids;
   conn_ids.reserve(members.size());
   for (const SessionPtr& session : members) {

@@ -52,7 +52,10 @@ std::optional<Session::CtrlResponse> SocketController::wait_response(
 util::Status SocketController::suspend(const SessionPtr& session) {
   if (session == nullptr) return util::InvalidArgument("null session");
   const ConnState st = session->state();
-  if (st == ConnState::kEstablished) return active_suspend(session);
+  if (st == ConnState::kEstablished) {
+    if (auto done = active_suspend(session)) return *done;
+    return suspend(session);  // the peer's SUS won the race; re-dispatch
+  }
   if (st == ConnState::kSuspended || st == ConnState::kSuspendWait) {
     return suspend_for_migration(session, session->local_agent());
   }
@@ -68,8 +71,12 @@ util::Status SocketController::suspend(const SessionPtr& session) {
       "cannot suspend from state " + std::string(to_string(st)));
 }
 
-util::Status SocketController::active_suspend(const SessionPtr& session) {
-  NAPLET_RETURN_IF_ERROR(session->advance(ConnEvent::kAppSuspend));
+std::optional<util::Status> SocketController::active_suspend(
+    const SessionPtr& session) {
+  if (!session->advance(ConnEvent::kAppSuspend, ConnState::kEstablished)
+           .ok()) {
+    return std::nullopt;
+  }
   // Mint this migration's trace id (| 1 so it can never be the "untraced"
   // zero); every span and protocol message of this round carries it.
   session->set_trace_id(crypto::random_u64() | 1);
@@ -643,12 +650,13 @@ util::Status SocketController::do_resume_once(const SessionPtr& session) {
         data_socket->close();
         if (auto adv = session->advance(ConnEvent::kRecvResumeWait);
             !adv.ok()) {
-          // The peer's own RESUME may already have re-established us while
-          // this stale reply was in flight; that is success, not an error.
-          if (session->state() == ConnState::kEstablished) {
-            return util::OkStatus();
+          // Crossing resumes: the peer's own RESUME re-established us
+          // (ESTABLISHED) or is doing so (RES_ACKED) while this stale
+          // reply was in flight. That is success once it settles below.
+          const ConnState now = session->state();
+          if (now != ConnState::kEstablished && now != ConnState::kResAcked) {
+            return adv;
           }
-          return adv;
         }
         auto final_state = session->wait_state(
             [](ConnState s) {
@@ -947,7 +955,8 @@ util::Status SocketController::suspend_for_migration(
     const ConnState st = session->state();
     switch (st) {
       case ConnState::kEstablished:
-        return active_suspend(session);
+        if (auto done = active_suspend(session)) return *done;
+        continue;  // the peer's SUS won the race; re-dispatch
 
       case ConnState::kSuspended:
       case ConnState::kSuspendWait: {

@@ -179,7 +179,7 @@ util::Status SocketController::recover() {
     ++restored;
   }
   NAPLET_LOG(kInfo, "recovery")
-      << "recovered " << restored << " session(s) at epoch " << epoch_.load()
+      << "recovered " << restored << " session(s) at epoch " << epoch()
       << (failed != 0 ? " (" + std::to_string(failed) + " unusable)" : "");
   if (failed != 0 && restored == 0) {
     return util::ProtocolError("no journaled session could be restored");

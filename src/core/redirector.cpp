@@ -14,11 +14,14 @@ std::int64_t lease_now_us() { return util::RealClock::instance().now_us(); }
 }  // namespace
 
 Redirector::Redirector(net::Network& network, std::uint16_t port,
-                       HandoffHandler handler, LeaseConfig leases)
+                       HandoffHandler handler, obs::Registry& registry,
+                       LeaseConfig leases)
     : network_(network),
       port_(port),
       handler_(std::move(handler)),
-      lease_config_(leases) {}
+      lease_config_(leases),
+      leases_expired_(registry.counter("redirector_leases_expired")),
+      handoffs_fenced_(registry.counter("redirector_handoffs_fenced")) {}
 
 Redirector::~Redirector() { stop(); }
 
@@ -99,7 +102,7 @@ void Redirector::accept_loop() {
       // location and tries the live node instead.
       if (lease_config_.enabled && msg->type == HandoffType::kResume &&
           !lease_live(msg->conn_id)) {
-        handoffs_fenced_.fetch_add(1);
+        handoffs_fenced_.add(1);
         HandoffMsg err;
         err.type = HandoffType::kError;
         err.conn_id = msg->conn_id;
@@ -149,7 +152,7 @@ void Redirector::serve_batch(const std::shared_ptr<net::Stream>& stream,
     // dead lease fails ITS disposition without poisoning the batch.
     if (lease_config_.enabled && entry.type == HandoffType::kResume &&
         !lease_live(entry.conn_id)) {
-      handoffs_fenced_.fetch_add(1);
+      handoffs_fenced_.add(1);
       reply.entries[i].ok = false;
       reply.entries[i].reason =
           "no live lease for conn " + std::to_string(entry.conn_id);
@@ -217,7 +220,7 @@ std::size_t Redirector::evict_expired_leases() {
       ++it;
     }
   }
-  leases_expired_.fetch_add(evicted);
+  leases_expired_.add(evicted);
   return evicted;
 }
 

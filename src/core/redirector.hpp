@@ -17,6 +17,7 @@
 
 #include "core/wire.hpp"
 #include "net/transport.hpp"
+#include "obs/metrics.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -48,8 +49,12 @@ class Redirector {
   using BatchHandler =
       std::function<void(const BatchHandoffMsg&, BatchHandoffReply&)>;
 
+  /// The lease counters (`redirector_leases_expired`,
+  /// `redirector_handoffs_fenced`) are registered in `registry`, which must
+  /// outlive the redirector.
   Redirector(net::Network& network, std::uint16_t port,
-             HandoffHandler handler, LeaseConfig leases = {});
+             HandoffHandler handler, obs::Registry& registry,
+             LeaseConfig leases = {});
   ~Redirector();
 
   Redirector(const Redirector&) = delete;
@@ -96,10 +101,10 @@ class Redirector {
 
   [[nodiscard]] std::size_t lease_count() const;
   [[nodiscard]] std::uint64_t leases_expired() const {
-    return leases_expired_.load();
+    return leases_expired_.value();
   }
   [[nodiscard]] std::uint64_t handoffs_fenced() const {
-    return handoffs_fenced_.load();
+    return handoffs_fenced_.value();
   }
 
  private:
@@ -136,8 +141,8 @@ class Redirector {
                                  "redirector.leases"};
   std::map<std::uint64_t, std::int64_t> leases_  // conn_id -> expiry (us)
       NAPLET_GUARDED_BY(leases_mu_);
-  std::atomic<std::uint64_t> leases_expired_{0};
-  std::atomic<std::uint64_t> handoffs_fenced_{0};
+  obs::Counter& leases_expired_;
+  obs::Counter& handoffs_fenced_;
 };
 
 }  // namespace naplet::nsock

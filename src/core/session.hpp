@@ -16,6 +16,7 @@
 #include <atomic>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -40,8 +41,9 @@ struct RecvResult {
   bool from_buffer = false;
 };
 
-/// Snapshot of one session's data-path counters. All values are monotone;
-/// the controller aggregates them across sessions into ControllerStats.
+/// Snapshot of one session's data-path counters. All values are monotone.
+/// They stay per-session plain counters rather than registry instruments:
+/// the stream write path would otherwise pay a second atomic per write.
 struct DataPathStats {
   /// Heap copies made of send()-path payload bytes. Zero in steady state:
   /// the vectored path frames straight from the caller's span. Non-zero
@@ -92,8 +94,11 @@ class Session {
   [[nodiscard]] ConnState state() const { return state_.get(); }
 
   /// Validate `event` against the transition table and apply it.
-  /// kProtocolError on an illegal transition (state unchanged).
-  util::Status advance(ConnEvent event);
+  /// kProtocolError on an illegal transition (state unchanged). With
+  /// `from`, the event applies only while the state is still `from`:
+  /// kFailedPrecondition (state unchanged) once another thread moved it.
+  util::Status advance(ConnEvent event,
+                       std::optional<ConnState> from = std::nullopt);
 
   /// Wait until the state satisfies `pred`; nullopt on timeout.
   template <typename Pred>

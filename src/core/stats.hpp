@@ -1,6 +1,6 @@
 // Structured controller statistics for operators, examples, and benches:
-// a consistent snapshot of the connection table plus every protocol
-// counter, with a printable rendering.
+// the session-table view plus a snapshot of the node's metrics registry,
+// with a printable rendering.
 #pragma once
 
 #include <array>
@@ -21,43 +21,9 @@ struct ControllerStats {
   /// sanity for operators and the fleet-churn bench.
   std::vector<std::size_t> shard_sessions{};
 
-  std::uint64_t mac_rejections = 0;
-  std::uint64_t access_denials = 0;
-  std::uint64_t links_repaired = 0;
-  std::uint64_t peers_declared_dead = 0;
-
-  // Crash-recovery extension counters.
-  std::uint64_t epoch = 0;
-  std::uint64_t sessions_recovered = 0;
-  std::uint64_t resume_retries = 0;
-  std::uint64_t epoch_fenced = 0;
-  std::uint64_t leases = 0;
-  std::uint64_t leases_expired = 0;
-  std::uint64_t handoffs_fenced = 0;
-
-  // Reliability-layer (control channel) counters.
-  std::uint64_t ctrl_messages_sent = 0;
-  std::uint64_t ctrl_retransmissions = 0;
-  std::uint64_t ctrl_duplicates_dropped = 0;
-
-  // Network-fabric fault counters (net::NetworkCounters). Zero on backends
-  // without fault modeling (TcpNetwork).
-  std::uint64_t net_datagrams_dropped = 0;
-  std::uint64_t net_partition_events = 0;
-  std::uint64_t net_partitions_active = 0;
-  std::uint64_t net_streams_severed = 0;
-
-  // Data-path counters, aggregated over the CURRENT session table (a
-  // session removed on close takes its counters with it). See
-  // nsock::DataPathStats for field meanings.
-  std::uint64_t data_payload_bytes_copied = 0;
-  std::uint64_t data_stream_write_ops = 0;
-  std::uint64_t data_stream_read_ops = 0;
-  std::uint64_t data_recv_wakeups = 0;
-  std::uint64_t data_frames_coalesced = 0;
-
-  // Full registry snapshot: every counter, gauge, and histogram the
-  // controller registered. to_string() renders it generically, so a newly
+  // Full registry snapshot: every counter, gauge, and histogram of the
+  // node (controller, control channel, redirector). Every protocol counter
+  // lives only here; to_string() renders it generically, so a newly
   // registered metric shows up with no rendering change.
   obs::Snapshot metrics;
 

@@ -1043,8 +1043,11 @@ bool Harness::judge() {
   if (live) {
     const auto cli_stats = host_of(cli)->stats();
     const auto srv_stats = host_of(srv)->stats();
-    result.ctrl_retransmissions =
-        cli_stats.ctrl_retransmissions + srv_stats.ctrl_retransmissions;
+    for (const auto* stats : {&cli_stats, &srv_stats}) {
+      if (const auto* c = stats->metrics.counter("rudp_retransmissions")) {
+        result.ctrl_retransmissions += c->value;
+      }
+    }
     if (!result.stats.empty()) result.stats += "\n";
     result.stats += "client: " + cli_stats.to_string() +
                     "\nserver: " + srv_stats.to_string();

@@ -55,7 +55,8 @@ void xor_block(util::Bytes& acc, util::ByteSpan payload) {
 
 }  // namespace
 
-ReliableChannel::ReliableChannel(DatagramPtr socket, RudpConfig config)
+ReliableChannel::ReliableChannel(DatagramPtr socket, obs::Registry& registry,
+                                 RudpConfig config)
     : socket_(std::move(socket)),
       config_(sanitize(config)),
       flow_id_(static_cast<std::uint64_t>(
@@ -66,6 +67,16 @@ ReliableChannel::ReliableChannel(DatagramPtr socket, RudpConfig config)
                       : static_cast<std::uint64_t>(
                             steady_clock::now().time_since_epoch().count()) ^
                             reinterpret_cast<std::uintptr_t>(this)),
+      rtt_us_(registry.histogram("rudp_rtt_us")),
+      retransmits_per_send_(
+          registry.histogram("rudp_retransmits_per_send", "count")),
+      window_inflight_(registry.gauge("rudp_window_inflight")),
+      messages_sent_(registry.counter("rudp_messages_sent")),
+      retransmissions_(registry.counter("rudp_retransmissions")),
+      duplicates_dropped_(registry.counter("rudp_duplicates_dropped")),
+      sack_blocks_(registry.counter("rudp_sack_blocks")),
+      fast_retransmits_(registry.counter("rudp_fast_retransmits")),
+      fec_repairs_(registry.counter("rudp_fec_repairs")),
       timer_([this] { timer_loop(); }),
       receiver_([this] { receive_loop(); }) {}
 
@@ -108,15 +119,8 @@ void ReliableChannel::release_slot(TxPeer& peer, TxPacket& packet) {
   packet.slot_released = true;
   peer.unacked_packets--;
   peer.unacked_bytes -= packet.payload_size;
-  total_inflight_.fetch_sub(1, std::memory_order_relaxed);
-  update_window_gauge();
+  window_inflight_.add(-1);
   window_cv_.notify_all();
-}
-
-void ReliableChannel::update_window_gauge() {
-  if (obs::Gauge* g = window_gauge_.load(std::memory_order_acquire)) {
-    g->set(total_inflight_.load(std::memory_order_relaxed));
-  }
 }
 
 void ReliableChannel::rtt_sample(TxPeer& peer, double sample_us) {
@@ -290,8 +294,7 @@ util::Status ReliableChannel::send(const Endpoint& dest,
     const util::Bytes& frame = sent.wire;
     peer.unacked_packets++;
     peer.unacked_bytes += payload.size();
-    total_inflight_.fetch_add(1, std::memory_order_relaxed);
-    update_window_gauge();
+    window_inflight_.add(1);
 
     // First transmission happens under mu_ so the fault-site hit order
     // matches sequence order (chaos plans and the fast-retransmit tests
@@ -307,9 +310,7 @@ util::Status ReliableChannel::send(const Endpoint& dest,
     // before the send, a preemption in between would pull the first
     // retransmit closer to the original.
     sent.deadline = steady_clock::now() + interval_for(peer, 0);
-    if (config_.repair == LossRepair::kPacketDup) {
-      send_frame(dest, frame);  // immediate duplicate: 1-loss repair
-    }
+    timer_kick_ = true;
     if (!parity_wire.empty()) {
       (void)send_with_fault("rudp.fec", dest, parity_wire);
     }
@@ -333,18 +334,13 @@ util::Status ReliableChannel::send(const Endpoint& dest,
     if (packet.acked) {
       const int sends = packet.sends;
       peer.inflight.erase(it);
-      messages_sent_.fetch_add(1);
+      messages_sent_.add(1);
       // Histogram::record is lock-free, so recording under mu_ is safe.
-      if (obs::Histogram* h = rtt_us_.load(std::memory_order_acquire)) {
-        h->record(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                steady_clock::now() - t_start)
-                .count()));
-      }
-      if (obs::Histogram* h =
-              retransmits_per_send_.load(std::memory_order_acquire)) {
-        h->record(static_cast<std::uint64_t>(sends - 1));
-      }
+      rtt_us_.record(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              steady_clock::now() - t_start)
+              .count()));
+      retransmits_per_send_.record(static_cast<std::uint64_t>(sends - 1));
       return util::OkStatus();
     }
     if (packet.failed) {
@@ -428,12 +424,8 @@ void ReliableChannel::handle_ack(const Endpoint& from,
           packet.retransmitted = true;
           packet.sends++;
           packet.deadline = now + interval_for(peer, packet.sends - 1);
-          retransmissions_.fetch_add(1);
-          fast_retransmits_.fetch_add(1);
-          if (obs::Counter* c =
-                  fast_retx_counter_.load(std::memory_order_acquire)) {
-            c->add(1);
-          }
+          retransmissions_.add(1);
+          fast_retransmits_.add(1);
           fast.push_back(FastRetx{from, packet.wire});
         }
       }
@@ -463,6 +455,7 @@ std::optional<ReliableChannel::TimePoint> ReliableChannel::retx_pass() {
   {
     util::MutexLock lock(mu_);
     if (closed_.load()) return std::nullopt;
+    timer_kick_ = false;  // this pass sees every deadline set so far
     const auto now = steady_clock::now();
     for (auto& [dest, peer] : tx_) {
       if (config_.repair == LossRepair::kXorFec && peer.fec_count > 0) {
@@ -497,7 +490,7 @@ std::optional<ReliableChannel::TimePoint> ReliableChannel::retx_pass() {
         const util::Duration interval = interval_for(peer, packet.sends - 1);
         packet.deadline = now + interval;
         fold(packet.deadline);
-        retransmissions_.fetch_add(1);
+        retransmissions_.add(1);
         out.push_back(Pending{dest, seq, packet.wire, false, interval});
       }
     }
@@ -540,8 +533,9 @@ void ReliableChannel::timer_loop() {
     const auto next = retx_pass();
     util::MutexLock lock(mu_);
     if (closed_.load()) break;
+    if (timer_kick_) continue;  // a send stamped a deadline after the pass
     // New deadlines fold into `next` inside the pass; the poll-slice cap
-    // bounds the cost of a (theoretical) lost timer_cv_ wakeup.
+    // is a backstop for a missed timer_cv_ wakeup.
     const auto cap = steady_clock::now() + kPollSlice;
     (void)timer_cv_.wait_until(mu_, next ? std::min(*next, cap) : cap);
   }
@@ -617,23 +611,23 @@ void ReliableChannel::drain_in_order(RxPeer& peer, const Endpoint& from) {
   }
 }
 
-void ReliableChannel::try_reconstruct(RxPeer& peer, std::uint64_t base,
-                                      const Endpoint& from) {
-  (void)from;
+bool ReliableChannel::try_reconstruct(RxPeer& peer, std::uint64_t base) {
   auto git = peer.groups.find(base);
-  if (git == peer.groups.end()) return;
+  if (git == peer.groups.end()) return false;
   FecGroup& group = git->second;
-  if (!group.have_parity || group.k == 0 || group.k > kMaxFecGroup) return;
+  if (!group.have_parity || group.k == 0 || group.k > kMaxFecGroup) {
+    return false;
+  }
   const std::uint64_t full =
       group.k == 64 ? ~0ULL : ((1ULL << group.k) - 1);
   const std::uint64_t have = group.have_mask & full;
-  if (std::popcount(have) != group.k - 1) return;
+  if (std::popcount(have) != group.k - 1) return false;
   const std::uint64_t missing_bit = ~have & full;
   const auto idx = static_cast<std::uint64_t>(std::countr_zero(missing_bit));
   const std::uint64_t missing_seq = base + idx;
   group.have_mask |= missing_bit;  // one reconstruction attempt per group
   if (wire::seq_le(missing_seq, peer.cum) || peer.ooo.contains(missing_seq)) {
-    return;  // nothing actually missing (e.g. parity raced a retransmit)
+    return false;  // nothing missing (e.g. parity raced a retransmit)
   }
   // XOR of parity and the k-1 present members yields the missing member's
   // (u32 len | payload) block.
@@ -642,15 +636,13 @@ void ReliableChannel::try_reconstruct(RxPeer& peer, std::uint64_t base,
   for (std::size_t i = 0; i < group.acc.size(); ++i) blob[i] ^= group.acc[i];
   util::BytesReader r(util::ByteSpan(blob.data(), blob.size()));
   auto len = r.u32();
-  if (!len.ok() || *len > r.remaining()) return;  // malformed group
+  if (!len.ok() || *len > r.remaining()) return false;  // malformed group
   auto payload = r.raw(*len);
-  if (!payload.ok()) return;
-  if (peer.ooo.size() >= kReorderCap) return;
-  fec_repairs_.fetch_add(1);
-  if (obs::Counter* c = fec_counter_.load(std::memory_order_acquire)) {
-    c->add(1);
-  }
+  if (!payload.ok()) return false;
+  if (peer.ooo.size() >= kReorderCap) return false;
+  fec_repairs_.add(1);
   peer.ooo.emplace(missing_seq, std::move(*payload));
+  return true;
 }
 
 bool ReliableChannel::integrate_data(RxPeer& peer, std::uint64_t seq,
@@ -678,7 +670,7 @@ bool ReliableChannel::integrate_data(RxPeer& peer, std::uint64_t seq,
     }
   }
   peer.ooo.emplace(seq, packet.payload);
-  if (packet.fec_member()) try_reconstruct(peer, packet.fec_base, from);
+  if (packet.fec_member()) try_reconstruct(peer, packet.fec_base);
   drain_in_order(peer, from);
   return true;
 }
@@ -700,10 +692,7 @@ void ReliableChannel::send_ack(const Endpoint& to, RxPeer& peer) {
   std::size_t n_sacks = 0;
   const util::Bytes ack = build_ack(peer, &n_sacks);
   if (n_sacks > 0) {
-    sack_blocks_.fetch_add(n_sacks);
-    if (obs::Counter* c = sack_counter_.load(std::memory_order_acquire)) {
-      c->add(n_sacks);
-    }
+    sack_blocks_.add(n_sacks);
     // ACKs carrying SACK evidence get their own fault site: dropping or
     // corrupting them starves the fast-retransmit gap detector.
     (void)send_with_fault("rudp.sack", to, ack);
@@ -719,7 +708,7 @@ void ReliableChannel::handle_data(const Endpoint& from, wire::Packet packet) {
   if (wire::seq_le(seq, peer.cum) || peer.ooo.contains(seq)) {
     // Retransmit of something already integrated: count the drop, but
     // still ACK below — the original ACK may have been lost.
-    duplicates_dropped_.fetch_add(1);
+    duplicates_dropped_.add(1);
   } else if (seq - (peer.cum + 1) > kMaxReorderSpan) {
     return;  // absurd gap: garbage, allocate nothing
   } else if (peer.ooo.size() >= kReorderCap) {
@@ -757,10 +746,9 @@ void ReliableChannel::handle_parity(const Endpoint& from,
     group->parity = std::move(packet.payload);
   }
   const std::uint64_t before = peer.cum;
-  const std::uint64_t repairs_before = fec_repairs_.load();
-  try_reconstruct(peer, base, from);
+  const bool repaired = try_reconstruct(peer, base);
   drain_in_order(peer, from);
-  if (peer.cum != before || fec_repairs_.load() != repairs_before) {
+  if (peer.cum != before || repaired) {
     // The repair produced progress: ACK immediately so the sender's
     // pending send() completes without any timer involvement.
     send_ack(from, peer);

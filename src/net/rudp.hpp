@@ -11,9 +11,9 @@
 //  - fast retransmit on SACK gap evidence (a packet serially below a
 //    SACKed/cumulatively-ACKed seq is retransmitted after
 //    fast_retx_dupacks such ACKs, without waiting out its timer);
-//  - a pluggable loss-repair stage: none, packet duplication, or XOR-FEC
-//    parity over groups of fec_group packets so a single drop on a lossy
-//    link is repaired from parity without any timer at all.
+//  - a pluggable loss-repair stage: none, or XOR-FEC parity over groups
+//    of fec_group packets so a single drop on a lossy link is repaired
+//    from parity without any timer at all.
 //
 // The blocking send()/recv() surface, the non-blocking max_wait contract,
 // duplicate suppression, and the close/abort wake guarantees are unchanged
@@ -38,9 +38,8 @@ namespace naplet::net {
 
 /// Loss-repair stage applied on top of retransmission.
 enum class LossRepair : std::uint8_t {
-  kNone = 0,    ///< retransmit timers / fast retransmit only
-  kPacketDup,   ///< send every data packet twice back-to-back
-  kXorFec,      ///< XOR parity over groups of fec_group packets
+  kNone = 0,  ///< retransmit timers / fast retransmit only
+  kXorFec,    ///< XOR parity over groups of fec_group packets
 };
 
 struct RudpConfig {
@@ -94,28 +93,19 @@ struct RudpConfig {
   std::uint64_t initial_seq = 1;
 };
 
-/// Instrument bundle the controller binds into its metrics registry. All
-/// pointers are owned by the caller (which must outlive the channel); any
-/// may be null, and recording is skipped while unbound so the unbound hot
-/// path costs one relaxed load per pointer.
-struct RudpInstruments {
-  obs::Histogram* rtt_us = nullptr;                ///< per-send latency
-  obs::Histogram* retransmits_per_send = nullptr;  ///< retx count per send
-  obs::Gauge* window_inflight = nullptr;  ///< unacked packets, all peers
-  obs::Counter* sack_blocks = nullptr;        ///< SACK ranges sent in ACKs
-  obs::Counter* fast_retransmits = nullptr;   ///< gap-evidence retransmits
-  obs::Counter* fec_repairs = nullptr;        ///< packets rebuilt from FEC
-};
-
 /// Blocking reliable-datagram channel. send() enters the per-destination
 /// window (blocking while it is full) and returns once the packet is
 /// cumulatively or selectively ACKed, attempts are exhausted (kTimeout),
 /// or the channel closes (kCancelled). A background receiver thread ACKs,
 /// de-duplicates, reorders, and queues inbound messages for recv(); a
 /// background timer thread owns retransmissions and FEC parity flushes.
+///
+/// Every counter, gauge and histogram lives in `registry` (the node's
+/// registry, which must outlive the channel) under the `rudp_` prefix.
 class ReliableChannel {
  public:
-  explicit ReliableChannel(DatagramPtr socket, RudpConfig config = {});
+  ReliableChannel(DatagramPtr socket, obs::Registry& registry,
+                  RudpConfig config = {});
   ~ReliableChannel();
 
   ReliableChannel(const ReliableChannel&) = delete;
@@ -143,37 +133,24 @@ class ReliableChannel {
 
   void close();
 
-  // Observability for tests/benches.
+  // Observability for tests/benches: reads of the registry counters.
   [[nodiscard]] std::uint64_t retransmissions() const {
-    return retransmissions_.load();
+    return retransmissions_.value();
   }
   [[nodiscard]] std::uint64_t duplicates_dropped() const {
-    return duplicates_dropped_.load();
+    return duplicates_dropped_.value();
   }
   [[nodiscard]] std::uint64_t messages_sent() const {
-    return messages_sent_.load();
+    return messages_sent_.value();
   }
   [[nodiscard]] std::uint64_t fast_retransmits() const {
-    return fast_retransmits_.load();
+    return fast_retransmits_.value();
   }
   [[nodiscard]] std::uint64_t fec_repairs() const {
-    return fec_repairs_.load();
+    return fec_repairs_.value();
   }
   [[nodiscard]] std::uint64_t sack_blocks_sent() const {
-    return sack_blocks_.load();
-  }
-
-  /// Bind the full instrument bundle (see RudpInstruments for ownership).
-  void bind_instruments(const RudpInstruments& instruments) {
-    rtt_us_.store(instruments.rtt_us, std::memory_order_release);
-    retransmits_per_send_.store(instruments.retransmits_per_send,
-                                std::memory_order_release);
-    window_gauge_.store(instruments.window_inflight,
-                        std::memory_order_release);
-    sack_counter_.store(instruments.sack_blocks, std::memory_order_release);
-    fast_retx_counter_.store(instruments.fast_retransmits,
-                             std::memory_order_release);
-    fec_counter_.store(instruments.fec_repairs, std::memory_order_release);
+    return sack_blocks_.value();
   }
 
   /// The jitterless backoff schedule (pure; exposed for tests): the wait
@@ -270,14 +247,14 @@ class ReliableChannel {
       NAPLET_REQUIRES(rx_mu_);
   void drain_in_order(RxPeer& peer, const Endpoint& from)
       NAPLET_REQUIRES(rx_mu_);
-  void try_reconstruct(RxPeer& peer, std::uint64_t base, const Endpoint& from)
+  /// Rebuild the one missing member of group `base` from its parity;
+  /// true when a packet was repaired.
+  bool try_reconstruct(RxPeer& peer, std::uint64_t base)
       NAPLET_REQUIRES(rx_mu_);
   /// Build the current cumulative+SACK ACK frame for `peer`.
   [[nodiscard]] util::Bytes build_ack(RxPeer& peer, std::size_t* n_sacks)
       NAPLET_REQUIRES(rx_mu_);
   void send_ack(const Endpoint& to, RxPeer& peer) NAPLET_REQUIRES(rx_mu_);
-
-  void update_window_gauge();
 
   DatagramPtr socket_ NAPLET_NOT_GUARDED("set at construction; the "
                                          "datagram socket is internally "
@@ -290,6 +267,10 @@ class ReliableChannel {
   util::CondVar acked_cv_;   // a send completed (ACK / failure / close)
   util::CondVar window_cv_;  // a window slot freed
   util::CondVar timer_cv_;   // timer wake (new deadline / close)
+  // A new deadline since the timer's last pass; the timer re-scans instead
+  // of sleeping when set (timer_cv_ notifies sent between its pass and its
+  // wait are otherwise lost).
+  bool timer_kick_ NAPLET_GUARDED_BY(mu_) = false;
   std::map<Endpoint, TxPeer> tx_ NAPLET_GUARDED_BY(mu_);
   util::Rng jitter_rng_ NAPLET_GUARDED_BY(mu_);
 
@@ -299,20 +280,17 @@ class ReliableChannel {
   util::BlockingQueue<Message> inbox_;
 
   std::atomic<bool> closed_{false};
-  std::atomic<std::int64_t> total_inflight_{0};
-  std::atomic<std::uint64_t> retransmissions_{0};
-  std::atomic<std::uint64_t> duplicates_dropped_{0};
-  std::atomic<std::uint64_t> messages_sent_{0};
-  std::atomic<std::uint64_t> fast_retransmits_{0};
-  std::atomic<std::uint64_t> fec_repairs_{0};
-  std::atomic<std::uint64_t> sack_blocks_{0};
 
-  std::atomic<obs::Histogram*> rtt_us_{nullptr};
-  std::atomic<obs::Histogram*> retransmits_per_send_{nullptr};
-  std::atomic<obs::Gauge*> window_gauge_{nullptr};
-  std::atomic<obs::Counter*> sack_counter_{nullptr};
-  std::atomic<obs::Counter*> fast_retx_counter_{nullptr};
-  std::atomic<obs::Counter*> fec_counter_{nullptr};
+  // Instruments in the node registry (stable references, lock-free).
+  obs::Histogram& rtt_us_;                // per-send latency
+  obs::Histogram& retransmits_per_send_;  // retx count per send
+  obs::Gauge& window_inflight_;           // unacked packets, all peers
+  obs::Counter& messages_sent_;
+  obs::Counter& retransmissions_;  // timer-driven and fast, together
+  obs::Counter& duplicates_dropped_;
+  obs::Counter& sack_blocks_;       // SACK ranges sent in ACKs
+  obs::Counter& fast_retransmits_;  // the gap-evidence share of the above
+  obs::Counter& fec_repairs_;       // packets rebuilt from FEC
 
   std::thread timer_;     // constructed after all state, joined in dtor
   std::thread receiver_;  // constructed last, joined in destructor

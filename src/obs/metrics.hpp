@@ -155,8 +155,8 @@ struct Snapshot {
 
 /// Get-or-create registry of named instruments. Returned references stay
 /// valid for the registry's lifetime (node-based storage). One registry
-/// per controller keeps multi-node tests independent; Registry::global()
-/// serves process-wide code with no natural owner.
+/// per node (owned by its AgentServer) keeps multi-node tests independent;
+/// Registry::global() serves process-wide code with no natural owner.
 class Registry {
  public:
   Registry() = default;

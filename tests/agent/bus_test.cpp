@@ -18,7 +18,8 @@ std::unique_ptr<ServerBus> make_bus(net::Network& node,
   auto dgram = node.bind_datagram(0);
   EXPECT_TRUE(dgram.ok());
   return std::make_unique<ServerBus>(
-      std::make_unique<net::ReliableChannel>(std::move(*dgram), config));
+      std::make_unique<net::ReliableChannel>(
+          std::move(*dgram), obs::Registry::global(), config));
 }
 
 TEST(ServerBus, RoutesByKind) {

@@ -37,10 +37,11 @@ class PostOfficeTest : public ::testing::Test {
     auto dgram = node.bind_datagram(0);
     EXPECT_TRUE(dgram.ok());
     return std::make_unique<ServerBus>(
-        std::make_unique<net::ReliableChannel>(std::move(*dgram)));
+        std::make_unique<net::ReliableChannel>(std::move(*dgram), metrics_));
   }
 
   net::SimNet net_;
+  obs::Registry metrics_;  // shared by both buses; outlives them
   LocationService locations_;
   std::unique_ptr<ServerBus> bus_a_;
   std::unique_ptr<ServerBus> bus_b_;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 
 #include "core/naplet_socket.hpp"
 #include "core/test_realm.hpp"
@@ -153,6 +154,16 @@ class RoamingClientAgent : public agent::Agent {
 };
 NAPLET_REGISTER_AGENT(RoamingClientAgent);
 
+/// launch() only starts the agent's thread. A client CONNECT that overtakes
+/// the echo server's listen() is rejected outright, so wait for the listener.
+bool wait_listening(SocketController& ctrl) {
+  for (int i = 0; i < 1000; ++i) {
+    if (ctrl.stats().listening_agents > 0) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return false;
+}
+
 TEST(AgentApi, StationaryPingPong) {
   probe().reset();
   SimRealm realm(2);
@@ -162,6 +173,7 @@ TEST(AgentApi, StationaryPingPong) {
   ASSERT_TRUE(realm.server(1)
                   .launch(std::move(server), agent::AgentId("echo-1"))
                   .ok());
+  ASSERT_TRUE(wait_listening(realm.ctrl(1)));
 
   auto client = std::make_unique<RoamingClientAgent>();
   client->peer_name = "echo-1";
@@ -188,6 +200,7 @@ TEST(AgentApi, ClientMigratesAcrossThreeServersMidStream) {
   ASSERT_TRUE(realm.server(0)
                   .launch(std::move(server), agent::AgentId("echo-2"))
                   .ok());
+  ASSERT_TRUE(wait_listening(realm.ctrl(0)));
 
   auto client = std::make_unique<RoamingClientAgent>();
   client->peer_name = "echo-2";

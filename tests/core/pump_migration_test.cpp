@@ -68,11 +68,14 @@ struct PumpHarness {
     });
   }
 
-  // Drain the tail after stopping the pump, then join.
+  // Stop both threads, then drain the tail on this one.
   void finish(SimRealm& realm, std::uint64_t conn_id) {
     // Let in-flight sends settle, then stop producing.
     stop.store(true);
     pump.join();
+    // The sink may be mid-delivery; its read-check-increment of `received`
+    // must not interleave with the drain's below.
+    sink.join();
     // Drain whatever was sent.
     const std::int64_t deadline =
         util::RealClock::instance().now_us() + 15'000'000;
@@ -86,7 +89,6 @@ struct PumpHarness {
       if (*r.u32() != received.load()) order_broken.store(true);
       received.fetch_add(1);
     }
-    sink.join();
   }
 };
 

@@ -61,8 +61,9 @@ TEST(Security, ForgedSuspendIgnored) {
   auto attacker_node = realm.net().add_node("attacker");
   auto dgram = attacker_node->bind_datagram(0);
   ASSERT_TRUE(dgram.ok());
-  agent::ServerBus attacker_bus(
-      std::make_unique<net::ReliableChannel>(std::move(*dgram)));
+  obs::Registry attacker_metrics;
+  agent::ServerBus attacker_bus(std::make_unique<net::ReliableChannel>(
+      std::move(*dgram), attacker_metrics));
 
   CtrlMsg forged;
   forged.type = CtrlType::kSus;
@@ -98,8 +99,9 @@ TEST(Security, ForgedCloseIgnored) {
   auto attacker_node = realm.net().add_node("attacker2");
   auto dgram = attacker_node->bind_datagram(0);
   ASSERT_TRUE(dgram.ok());
-  agent::ServerBus attacker_bus(
-      std::make_unique<net::ReliableChannel>(std::move(*dgram)));
+  obs::Registry attacker_metrics;
+  agent::ServerBus attacker_bus(std::make_unique<net::ReliableChannel>(
+      std::move(*dgram), attacker_metrics));
 
   CtrlMsg forged;
   forged.type = CtrlType::kCls;

@@ -76,6 +76,27 @@ TEST(Session, AdvanceRejectsIllegalTransition) {
   EXPECT_EQ(s.state(), ConnState::kClosed);  // unchanged
 }
 
+// The active-suspend race: the app reads ESTABLISHED, then a peer SUS
+// handled on another thread moves the state on before the app's FSM step.
+// Guarded by the state it read, the step is refused instead of applied to
+// (or rejected by) the state the peer left behind.
+TEST(Session, AdvanceFromRefusesOnceStateMoved) {
+  Session s(1, 1, true, agent::AgentId("a"), agent::AgentId("b"));
+  ASSERT_TRUE(s.advance(ConnEvent::kAppConnect).ok());
+  ASSERT_TRUE(s.advance(ConnEvent::kRecvConnectAck).ok());
+  ASSERT_TRUE(s.advance(ConnEvent::kRecvSus).ok());  // -> SUS_ACKED
+  auto st = s.advance(ConnEvent::kAppSuspend, ConnState::kEstablished);
+  EXPECT_EQ(st.code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(s.state(), ConnState::kSusAcked);
+
+  // SUSPENDED accepts app:suspend (-> SUSPEND_WAIT), but not as the
+  // ESTABLISHED step the caller meant to take.
+  ASSERT_TRUE(s.advance(ConnEvent::kExecSuspended).ok());
+  st = s.advance(ConnEvent::kAppSuspend, ConnState::kEstablished);
+  EXPECT_EQ(st.code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(s.state(), ConnState::kSuspended);
+}
+
 TEST(Session, SendRecvInOrder) {
   SessionPair pair;
   ASSERT_TRUE(pair.a->send(span("one"), 1s).ok());

@@ -211,7 +211,7 @@ TEST(ControllerStatsTest, SnapshotReflectsSessions) {
   EXPECT_EQ(stats.by_state[static_cast<std::size_t>(ConnState::kEstablished)],
             1u);
   EXPECT_EQ(stats.migrating_agents, 0u);
-  EXPECT_GT(stats.ctrl_messages_sent, 0u);
+  EXPECT_GT(realm.server(0).bus().channel().messages_sent(), 0u);
   EXPECT_FALSE(stats.to_string().empty());
 
   ASSERT_TRUE(realm.ctrl(0).suspend(conn.client).ok());

@@ -66,7 +66,8 @@ TEST_F(BackoffFaultClockTest, RetransmitGapsFollowBackoffSchedule) {
   config.max_attempts = 4;
   config.retransmit_jitter = 0.0;  // exact schedule for this test
   config.jitter_seed = 1;
-  ReliableChannel channel(std::move(*sock), config);
+  obs::Registry metrics;
+  ReliableChannel channel(std::move(*sock), metrics, config);
 
   fault::Injector::instance().arm(fault::Plan{});  // observation mode
   const std::uint8_t byte = 0x5A;
@@ -110,7 +111,8 @@ TEST_F(BackoffFaultClockTest, JitterStaysInsideConfiguredBand) {
   config.max_attempts = 6;
   config.retransmit_jitter = 0.4;  // waits in [12, 28) ms
   config.jitter_seed = 99;         // reproducible draw sequence
-  ReliableChannel channel(std::move(*sock), config);
+  obs::Registry metrics;
+  ReliableChannel channel(std::move(*sock), metrics, config);
 
   fault::Injector::instance().arm(fault::Plan{});
   const std::uint8_t byte = 0x5A;
@@ -146,8 +148,10 @@ TEST_F(BackoffFaultClockTest, DroppedFirstSendRecoversViaRetransmit) {
   config.retransmit_interval = 10ms;
   config.max_attempts = 10;
   config.jitter_seed = 5;
-  ReliableChannel chan_a(std::move(*sock_a), config);
-  ReliableChannel chan_b(std::move(*sock_b), config);
+  obs::Registry metrics_a;
+  obs::Registry metrics_b;
+  ReliableChannel chan_a(std::move(*sock_a), metrics_a, config);
+  ReliableChannel chan_b(std::move(*sock_b), metrics_b, config);
 
   auto plan = fault::Plan::parse("rudp.send@#1:drop");
   ASSERT_TRUE(plan.ok());
@@ -170,7 +174,8 @@ TEST_F(BackoffFaultClockTest, ErrorRuleFailsTheSend) {
   auto a = net.add_node("bo-g");
   auto sock = a->bind_datagram(0);
   ASSERT_TRUE(sock.ok());
-  ReliableChannel channel(std::move(*sock), RudpConfig{});
+  obs::Registry metrics;
+  ReliableChannel channel(std::move(*sock), metrics);
 
   auto plan = fault::Plan::parse("rudp.send@#1:error");
   ASSERT_TRUE(plan.ok());

@@ -69,17 +69,11 @@ TEST(PartitionHealTest, SuspendSurvivesPartitionHealingMidHandshake) {
   ASSERT_TRUE(fault::await_established(*conn.server, 8s).ok());
 
   // The partition must actually have cost datagrams, and the heal must
-  // leave no partition standing — straight off the fabric counters the
-  // controller now surfaces.
+  // leave no partition standing — straight off the fabric counters.
   const auto counters = realm.net().counters();
   EXPECT_GT(counters.datagrams_dropped, 0u);
   EXPECT_EQ(counters.partition_events, 1u);
   EXPECT_EQ(counters.partitions_active, 0u);
-  const auto stats = realm.ctrl(2).stats();
-  EXPECT_EQ(stats.net_partition_events, 1u);
-  EXPECT_GT(stats.net_datagrams_dropped, 0u);
-  EXPECT_NE(stats.to_string().find("net{dropped="), std::string::npos)
-      << stats.to_string();
 
   // Exactly-once replay of the buffered frames, in order, then live
   // traffic both ways on the resumed connection.

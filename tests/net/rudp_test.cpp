@@ -13,12 +13,24 @@ namespace {
 
 using namespace std::chrono_literals;
 
-std::unique_ptr<ReliableChannel> make_channel(Network& network,
-                                              std::uint16_t port,
-                                              RudpConfig config = {}) {
+// Each channel records into a registry of its own, so every counter a test
+// reads is that channel's alone. The registry base is built first and
+// destroyed last.
+struct OwnRegistry {
+  obs::Registry metrics;
+};
+class TestChannel : private OwnRegistry, public ReliableChannel {
+ public:
+  TestChannel(DatagramPtr socket, const RudpConfig& config)
+      : ReliableChannel(std::move(socket), metrics, config) {}
+};
+
+std::unique_ptr<TestChannel> make_channel(Network& network,
+                                          std::uint16_t port,
+                                          RudpConfig config = {}) {
   auto dgram = network.bind_datagram(port);
   EXPECT_TRUE(dgram.ok());
-  return std::make_unique<ReliableChannel>(std::move(*dgram), config);
+  return std::make_unique<TestChannel>(std::move(*dgram), config);
 }
 
 TEST(Rudp, DeliversOverLossyLink) {
@@ -365,6 +377,9 @@ TEST_F(RudpFaultTest, FastRetransmitOnSackGapEvidence) {
 
   RudpConfig config;
   config.retransmit_interval = 5s;  // only the gap detector can recover
+  // Without this the ACK of 0xA1 shrinks the RTO to ~min_rto, and under
+  // load the timer retransmits 0xA2 before its ACK lands.
+  config.adaptive_rto = false;
   config.max_attempts = 5;
   config.fast_retx_dupacks = 2;
   config.window_packets = 8;
@@ -404,34 +419,6 @@ TEST_F(RudpFaultTest, FastRetransmitOnSackGapEvidence) {
     ASSERT_EQ(msg->payload.size(), 1u);
     EXPECT_EQ(msg->payload[0], v);
   }
-}
-
-TEST_F(RudpFaultTest, PacketDupRepairsSingleDrop) {
-  SimNet net(/*seed=*/41);
-  auto a = net.add_node("a");
-  auto b = net.add_node("b");
-
-  RudpConfig config;
-  config.retransmit_interval = 5s;
-  config.max_attempts = 3;
-  config.repair = LossRepair::kPacketDup;
-  auto ca = make_channel(*a, 7, config);
-  auto cb = make_channel(*b, 7, config);
-
-  // The fault site only sees the primary copy; the back-to-back duplicate
-  // still goes out, so the send completes with zero retransmissions.
-  auto plan = fault::Plan::parse("rudp.send@#1:drop");
-  ASSERT_TRUE(plan.ok());
-  fault::Injector::instance().arm(*plan);
-  const util::Bytes msg = {0x7E};
-  ASSERT_TRUE(
-      ca->send(Endpoint{"b", 7}, util::ByteSpan(msg.data(), msg.size())).ok());
-  fault::Injector::instance().disarm();
-
-  EXPECT_EQ(ca->retransmissions(), 0u);
-  auto got = cb->recv(1s);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->payload, msg);
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // Pins the invariant stats.cpp relies on: ControllerStats::to_string()
-// renders the registry snapshot generically, so EVERY metric registered by
-// the controller appears in the rendered stats by name — a new instrument
-// can never be silently missing from the diagnostic output.
+// renders the registry snapshot generically, so EVERY metric registered on
+// the node appears in the rendered stats by name — a new instrument can
+// never be silently missing from the diagnostic output. Also pins that the
+// node has one registry, which the channel accessors read.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 
 #include "core/test_realm.hpp"
 
@@ -12,6 +14,7 @@ namespace naplet::nsock {
 namespace {
 
 using namespace naplet::nsock::testing;
+using namespace std::chrono_literals;
 
 TEST(MetricsRender, EveryRegisteredMetricAppearsInStats) {
   SimRealm realm(2, /*security=*/true);
@@ -56,6 +59,45 @@ TEST(MetricsRender, EveryRegisteredMetricAppearsInStats) {
   ASSERT_NE(rtt, nullptr);
   EXPECT_GE(rtt->count, 1u);
   EXPECT_GE(stats.metrics.gauge("sessions")->value, 1);
+}
+
+TEST(MetricsRender, OneRegistryPerNodeBacksEveryCounter) {
+  SimRealm realm(2, /*security=*/true);
+  auto alice = realm.pseudo_agent("alice", 0);
+  auto bob = realm.pseudo_agent("bob", 1);
+  ConnPair conn = make_connection(realm, alice, 0, bob, 1);
+  ASSERT_TRUE(conn.client && conn.server);
+  ASSERT_TRUE(realm.ctrl(0).suspend(conn.client).ok());
+  ASSERT_TRUE(realm.ctrl(0).resume(conn.client).ok());
+
+  for (int i = 0; i < 2; ++i) {
+    SocketController& ctrl = realm.ctrl(i);
+    EXPECT_EQ(&ctrl.metrics(), &realm.server(i).metrics());
+    const net::ReliableChannel& channel = realm.server(i).bus().channel();
+
+    // Every packet the round sent is acknowledged: the window drains.
+    obs::Snapshot snap = ctrl.metrics().snapshot();
+    for (int tries = 0; tries < 200; ++tries) {
+      if (snap.gauge("rudp_window_inflight")->value == 0) break;
+      std::this_thread::sleep_for(10ms);
+      snap = ctrl.metrics().snapshot();
+    }
+    EXPECT_EQ(snap.gauge("rudp_window_inflight")->value, 0);
+
+    // The channel's accessors read the same instruments the snapshot does.
+    EXPECT_GT(snap.counter("rudp_messages_sent")->value, 0u);
+    EXPECT_EQ(snap.counter("rudp_messages_sent")->value,
+              channel.messages_sent());
+    EXPECT_EQ(snap.counter("rudp_retransmissions")->value,
+              channel.retransmissions());
+    EXPECT_EQ(snap.counter("rudp_duplicates_dropped")->value,
+              channel.duplicates_dropped());
+
+    // The epoch and the redirector's lease counters live there too.
+    EXPECT_EQ(snap.gauge("epoch")->value, 1);
+    EXPECT_NE(snap.counter("redirector_leases_expired"), nullptr);
+    EXPECT_NE(snap.counter("redirector_handoffs_fenced"), nullptr);
+  }
 }
 
 }  // namespace

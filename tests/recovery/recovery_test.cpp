@@ -372,7 +372,8 @@ TEST(Rudp, SendMaxWaitBoundsBlockingTime) {
   config.max_attempts = 200;  // unbounded retry budget: seconds of blocking
   auto dgram = a->bind_datagram(7);
   ASSERT_TRUE(dgram.ok());
-  net::ReliableChannel channel(std::move(*dgram), config);
+  obs::Registry metrics;
+  net::ReliableChannel channel(std::move(*dgram), metrics, config);
 
   const auto t0 = util::RealClock::instance().now_us();
   auto st = channel.send(net::Endpoint{"void", 9}, span("hello"),

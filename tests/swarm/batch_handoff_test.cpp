@@ -144,7 +144,7 @@ class RedirectorBatchTest : public ::testing::Test {
           per_conn_handoffs_.fetch_add(1);
           stream->close();
         },
-        leases);
+        metrics_, leases);
     ASSERT_TRUE(redirector_->start().ok());
   }
 
@@ -171,6 +171,7 @@ class RedirectorBatchTest : public ::testing::Test {
   net::SimNet world_;
   std::shared_ptr<net::SimNode> server_node_;
   std::shared_ptr<net::SimNode> client_node_;
+  obs::Registry metrics_;  // outlives redirector_
   std::unique_ptr<Redirector> redirector_;
   std::atomic<int> per_conn_handoffs_{0};
 };
@@ -226,7 +227,8 @@ TEST_F(RedirectorBatchTest, BatchHandlerRefinesDispositions) {
       *server_node_, 0,
       [](std::shared_ptr<net::Stream> stream, HandoffMsg) {
         stream->close();
-      });
+      },
+      metrics_);
   redirector_->set_batch_handler(
       [](const BatchHandoffMsg& batch, BatchHandoffReply& reply) {
         // The controller refuses admission for one agent; the redirector

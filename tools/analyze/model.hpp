@@ -6,11 +6,8 @@
 // idioms — `util::Mutex m{LockRank::kX, "name"}` declarations,
 // `MutexLock`/`UniqueMutexLock` guard scopes, `NAPLET_GUARDED_BY`
 // annotations, `fault::hit("site")` weaves, `registry_.counter("name")`
-// instruments — rather than parsing arbitrary C++. A full clang AST
-// frontend (tools/analyze/frontend_clang.cpp) cross-checks the same
-// model when clang dev libraries are present; the syntactic engine is
-// what always runs, so the gate never silently disappears on GCC-only
-// hosts.
+// instruments — rather than parsing arbitrary C++. Needing no compiler
+// libraries, the gate never silently disappears on GCC-only hosts.
 #pragma once
 
 #include <iosfwd>

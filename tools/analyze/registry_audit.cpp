@@ -1,6 +1,5 @@
 // Pass 3: invariant-registry cross-checks. Dependency-free by design —
-// this pass also ships as the standalone `registry_check` binary so the
-// CI gate never goes dark on hosts without clang libraries.
+// this pass also ships as the standalone `registry_check` binary.
 //
 //  * fault-site checks   — literals woven at fault::hit()/
 //                          send_with_fault()/ctrl_site() call sites vs.
