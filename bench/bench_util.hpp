@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/runtime.hpp"
-#include "core/session.hpp"
 #include "net/sim.hpp"
 #include "net/tcp.hpp"
 
@@ -116,64 +115,6 @@ class BenchRealm {
  private:
   std::unique_ptr<nsock::Realm> realm_;
 };
-
-/// Two ESTABLISHED sessions wired directly over a stream pair — the
-/// data-path microbenchmark harness (no handshake, control channel, or
-/// migration machinery in the loop).
-struct WiredSessionPair {
-  nsock::SessionPtr a;  // client/sender side
-  nsock::SessionPtr b;  // server/receiver side
-};
-
-inline void drive_established(nsock::Session& s, bool client) {
-  using nsock::ConnEvent;
-  if (client) {
-    (void)s.advance(ConnEvent::kAppConnect);
-    (void)s.advance(ConnEvent::kRecvConnectAck);
-  } else {
-    (void)s.advance(ConnEvent::kAppListen);
-    (void)s.advance(ConnEvent::kRecvConnect);
-    (void)s.advance(ConnEvent::kRecvAttach);
-  }
-  if (s.state() != nsock::ConnState::kEstablished) std::abort();
-}
-
-inline WiredSessionPair wire_session_pair(net::StreamPtr client,
-                                          net::StreamPtr server) {
-  WiredSessionPair pair;
-  pair.a = std::make_shared<nsock::Session>(1, 2, true, agent::AgentId("alice"),
-                                            agent::AgentId("bob"));
-  pair.b = std::make_shared<nsock::Session>(1, 2, false, agent::AgentId("bob"),
-                                            agent::AgentId("alice"));
-  pair.a->attach_stream(std::shared_ptr<net::Stream>(std::move(client)));
-  pair.b->attach_stream(std::shared_ptr<net::Stream>(std::move(server)));
-  drive_established(*pair.a, true);
-  drive_established(*pair.b, false);
-  return pair;
-}
-
-/// Session pair over the Sim backend (in-process pipes, zero latency):
-/// isolates the CPU cost of the data path.
-inline WiredSessionPair sim_session_pair(net::SimNet& net) {
-  auto node_a = net.add_node("a");
-  auto node_b = net.add_node("b");
-  auto listener = node_b->listen(1);
-  if (!listener.ok()) std::abort();
-  auto client = node_a->connect(net::Endpoint{"b", 1}, 1s);
-  auto server = (*listener)->accept(1s);
-  if (!client.ok() || !server.ok()) std::abort();
-  return wire_session_pair(std::move(*client), std::move(*server));
-}
-
-/// Session pair over real TCP loopback: adds syscall cost.
-inline WiredSessionPair tcp_session_pair(net::TcpNetwork& network) {
-  auto listener = network.listen(0);
-  if (!listener.ok()) std::abort();
-  auto client = network.connect((*listener)->local_endpoint(), 2s);
-  auto server = (*listener)->accept(2s);
-  if (!client.ok() || !server.ok()) std::abort();
-  return wire_session_pair(std::move(*client), std::move(*server));
-}
 
 /// Fixed-width table printing.
 inline void print_header(const std::string& title,

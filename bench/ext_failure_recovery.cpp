@@ -32,8 +32,8 @@ RunResult run(bool recovery, int failures, int messages_per_phase,
     nsock::NodeConfig config;
     config.controller.security = false;
     if (recovery) {
-      config.controller.failure_recovery.enabled = true;
-      config.controller.failure_recovery.probe_interval = 50ms;
+      config.controller.tolerance.enabled = true;
+      config.controller.tolerance.probe_interval = 50ms;
     }
     realm.add_node(name, net.add_node(name), config);
   }
@@ -95,16 +95,11 @@ nsock::NodeConfig restart_node_config(const std::string& durable_dir) {
       std::chrono::milliseconds(15);
   config.server.rudp_config.max_attempts = 40;
   config.controller.ctrl_response_timeout = 1s;
-  config.controller.failure_recovery.enabled = true;
-  config.controller.failure_recovery.probe_interval = 500ms;
-  config.controller.failure_recovery.probe_timeout = 200ms;
-  config.controller.failure_recovery.miss_threshold = 1000;
-  config.controller.resume_max_attempts = 25;
-  config.controller.resume_retry_backoff = 50ms;
-  config.controller.resume_retry_cap = 400ms;
+  config.controller.tolerance.enabled = true;
+  config.controller.tolerance.probe_interval = 500ms;
+  config.controller.tolerance.probe_timeout = 200ms;
+  config.controller.tolerance.miss_threshold = 1000;
   config.controller.resume_timeout = 8s;
-  config.controller.redirector_leases.enabled = true;
-  config.controller.redirector_leases.ttl = 3s;
   if (!durable_dir.empty()) {
     config.controller.durability.enabled = true;
     config.controller.durability.dir = durable_dir;

@@ -90,30 +90,6 @@ double naplet_mbps(std::size_t msg_size, std::size_t total_bytes) {
   return result;
 }
 
-/// Small-message mode (≤256 B): per-message rate on the Sim backend, where
-/// the transport is an in-process pipe and the measurement isolates the
-/// protocol stack's CPU cost per message. This is the regime the zero-copy
-/// vectored data path targets — framing overhead dominates payload size.
-double sim_small_msgs_per_sec(std::size_t msg_size, std::size_t count) {
-  net::SimNet net;
-  WiredSessionPair pair = sim_session_pair(net);
-  const util::Bytes payload(msg_size, 0x42);
-  util::Stopwatch sw(util::RealClock::instance());
-  std::thread writer([&] {
-    for (std::size_t i = 0; i < count; ++i) {
-      if (!pair.a->send(util::ByteSpan(payload.data(), payload.size()), 60s)
-               .ok()) {
-        std::abort();
-      }
-    }
-  });
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!pair.b->recv(60s).ok()) std::abort();
-  }
-  writer.join();
-  return static_cast<double>(count) / (sw.elapsed_ms() / 1000.0);
-}
-
 /// Lossy-WAN mode: control-channel (rudp) message rate across a simulated
 /// 5 ms / ±1 ms jitter link with datagram loss, stop-and-wait transport
 /// shape vs the pipelined sliding-window one. Several concurrent senders
@@ -185,17 +161,6 @@ WanPoint rudp_wan_point(double loss, bool pipelined, int senders,
   return point;
 }
 
-/// Seed data path measured on this machine (RelWithDebInfo, idle system,
-/// 2026-08-07) before the zero-copy vectored rewrite: per-frame heap
-/// encode + two transport writes, 1 ms sleep-poll receive. Kept as the
-/// before/after reference in BENCH_fig09.json.
-struct SmallMsgBaseline {
-  std::size_t size;
-  double seed_msgs_per_sec;
-};
-constexpr SmallMsgBaseline kSeedSmallMsg[] = {
-    {16, 973132.0}, {64, 1131286.0}, {256, 900877.0}};
-
 }  // namespace
 }  // namespace naplet::bench
 
@@ -238,39 +203,6 @@ int main(int argc, char** argv) {
   std::printf("\nshape check: ratio approaches 1.0 at large messages: %s "
               "(final ratio %.3f)\n",
               last_ratio > 0.7 ? "PASS" : "FAIL", last_ratio);
-
-  // Small-message mode: msgs/s on the Sim backend vs the recorded seed
-  // data path — the number the zero-copy rewrite is accountable to.
-  const std::size_t small_count = fast_mode() ? 20'000 : 100'000;
-  const int small_repeats = fast_mode() ? 1 : 3;
-  print_header("small messages, Sim backend (msgs/s, best of " +
-                   std::to_string(small_repeats) + ", " +
-                   std::to_string(small_count) + " msgs per run)",
-               {"msg size (B)", "seed", "current", "speedup"});
-  std::vector<std::string> small_points;
-  bool small_ok = true;
-  for (const auto& base : kSeedSmallMsg) {
-    double now = 0;
-    for (int r = 0; r < small_repeats; ++r) {
-      now = std::max(now, sim_small_msgs_per_sec(base.size, small_count));
-    }
-    const double speedup = now / base.seed_msgs_per_sec;
-    small_ok = small_ok && speedup >= 1.5;
-    print_row({std::to_string(base.size), fmt(base.seed_msgs_per_sec, 0),
-               fmt(now, 0), fmt(speedup, 2) + "x"});
-    small_points.push_back(
-        JsonObject()
-            .field("msg_size", static_cast<std::uint64_t>(base.size))
-            .field("seed_msgs_per_sec", base.seed_msgs_per_sec)
-            .field("msgs_per_sec", now)
-            .field("speedup", speedup)
-            .render());
-  }
-  std::printf("\nsmall-message target (>=1.5x over seed at <=256 B): %s%s\n",
-              small_ok ? "PASS" : "FAIL",
-              fast_mode() ? " (fast mode: indicative only — run full sweeps "
-                            "on an idle machine for the recorded comparison)"
-                          : "");
 
   // Lossy-WAN mode: the rudp control channel itself under loss, the regime
   // the sliding-window rebuild targets (migration control traffic on real
@@ -322,7 +254,6 @@ int main(int argc, char** argv) {
         JsonObject()
             .field("bench", std::string("fig09_throughput"))
             .raw("figure9", json_array(fig_points))
-            .raw("small_message_sim", json_array(small_points))
             .raw("rudp_wan", json_array(wan_points))
             .render());
   }

@@ -44,9 +44,8 @@ SizeResult measure(int connections, int iterations) {
     config.controller.security = false;
     config.controller.group_suspend = true;
     config.controller.group_prepare_timeout = 10s;
-    config.controller.suspend_rollback = true;
-    config.controller.redirector_leases.enabled = true;
-    config.controller.redirector_leases.ttl = 10s;
+    config.controller.tolerance.enabled = true;
+    config.controller.tolerance.lease_ttl = 10s;
     realm.add_node("node" + std::to_string(i), config);
   }
   if (!realm.start().ok()) std::abort();

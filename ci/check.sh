@@ -19,8 +19,6 @@
 #                                       percentiles for 1/8/64-member agents)
 #      + explicit `ctest -L shards`    (the sharded session table, wakeup
 #                                       regressions)
-#      + fleet-churn bench smoke       (fast-mode JSON: the controller
-#                                       under connect/migrate/close churn)
 #      + repository benchmark smoke    (perfbench/run.py builds and runs
 #                                       churn, lifecycle and stream for 2 s)
 #      + ci/flake.sh                   (tier-1 build, `ctest -j$(nproc)` 20
@@ -177,31 +175,6 @@ print("group-suspend JSON ok:", ", ".join(
 EOF
 else
   skip "python3 not installed (group-suspend JSON parse)"
-fi
-
-note "fleet-churn bench smoke (fast mode, controller at scale)"
-# The binary shape-checks itself (ramp reaches the target concurrent
-# session count, every churn op lands, suspend histogram populated, shard
-# spread sane) and exits nonzero on any miss; the JSON parse confirms the
-# reported keys the EXPERIMENTS.md recipe reads.
-(cd build-debug/bench && NAPLET_BENCH_FAST=1 ./fleet_churn --json)
-if command -v python3 >/dev/null 2>&1; then
-  python3 - build-debug/bench/BENCH_fleet_churn.json <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    data = json.load(f)
-assert data["concurrent_sessions"] >= data["target_sessions"], "ramp fell short"
-assert data["ramp_sessions_per_sec"] > 0, "ramp rate missing"
-assert data["churn_ops_per_sec"] > 0, "churn rate missing"
-assert data["suspend"]["p99_us"] >= data["suspend"]["p50_us"] > 0, \
-    "suspend percentiles malformed"
-assert data["memory_per_session_bytes"] > 0, "memory per session missing"
-assert data["shards"]["count"] > 1, "session table not sharded"
-print(f"fleet-churn JSON ok: {data['concurrent_sessions']} sessions, "
-      f"suspend p99 {data['suspend']['p99_us']:.0f}us")
-EOF
-else
-  skip "python3 not installed (fleet-churn JSON parse)"
 fi
 
 note "repository benchmark smoke (perfbench: build + 2 s per workload)"

@@ -112,7 +112,9 @@ util::Status SocketController::start() {
       [this](std::shared_ptr<net::Stream> stream, HandoffMsg msg) {
         on_handoff(std::move(stream), std::move(msg));
       },
-      registry_, config_.redirector_leases);
+      registry_,
+      config_.tolerance.enabled ? config_.tolerance.lease_ttl
+                                : util::Duration{});
   redirector_->set_host_label(server_.node_info().server_name);
   NAPLET_RETURN_IF_ERROR(redirector_->start());
 
@@ -124,9 +126,7 @@ util::Status SocketController::start() {
   server_.set_redirector_endpoint(redirector_->endpoint());
   server_.set_migrator(this);
   server_.register_service(kServiceName, this);
-  // The repair loop doubles as the lease refresher, so it also runs when
-  // only leasing is on.
-  if (config_.failure_recovery.enabled || config_.redirector_leases.enabled) {
+  if (config_.tolerance.enabled) {
     repair_thread_ = std::thread([this] { repair_loop(); });
   }
   return util::OkStatus();
@@ -252,8 +252,11 @@ SessionPtr SocketController::find_session_from(
 }
 
 void SocketController::insert_session(const SessionPtr& session) {
+  if (config_.tolerance.enabled) {
+    session->enable_history(config_.tolerance.history_bytes);
+    redirector_->register_lease(session->conn_id());
+  }
   sessions_.insert(session);
-  if (redirector_) redirector_->register_lease(session->conn_id());
 }
 
 void SocketController::remove_session(const SessionPtr& session) {
@@ -261,7 +264,9 @@ void SocketController::remove_session(const SessionPtr& session) {
   // the lease once the LAST endpoint is gone.
   const bool gone = sessions_.erase(session->conn_id(),
                                     session->local_agent().name());
-  if (gone && redirector_) redirector_->release_lease(session->conn_id());
+  if (gone && config_.tolerance.enabled) {
+    redirector_->release_lease(session->conn_id());
+  }
 }
 
 void SocketController::journal_commit(recovery::CommitPoint point,
@@ -568,9 +573,6 @@ util::StatusOr<SessionPtr> SocketController::connect(
                                            /*is_client=*/true, self, peer);
   session->set_peer_node(pending->server_node);
   session->set_session_key(session_key);
-  if (config_.failure_recovery.enabled) {
-    session->enable_history(config_.failure_recovery.history_bytes);
-  }
   NAPLET_RETURN_IF_ERROR(session->advance(ConnEvent::kAppConnect));
   bd.management_ms += sw.elapsed_ms();
 
@@ -707,9 +709,6 @@ void SocketController::handle_connect(const net::Endpoint& from,
                                            agent::AgentId(msg.client_agent));
   session->set_peer_node(msg.node);
   session->set_session_key(std::move(session_key));
-  if (config_.failure_recovery.enabled) {
-    session->enable_history(config_.failure_recovery.history_bytes);
-  }
   (void)session->advance(ConnEvent::kAppListen);
   (void)session->advance(ConnEvent::kRecvConnect);  // -> CONNECT_ACKED
   insert_session(session);

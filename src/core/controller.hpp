@@ -37,23 +37,29 @@
 
 namespace naplet::nsock {
 
-/// Fault-tolerance extension (the paper's §7 future work): detection and
-/// recovery from link/host failures. Off by default — the paper's protocol
-/// assumes coordinated suspensions only.
-struct FailureRecoveryConfig {
+/// Fault tolerance (the paper's §7 future work). Off is the paper's
+/// protocol, which assumes coordinated suspensions only. On runs, as one
+/// unit: the repair loop (broken-link repair and heartbeat death
+/// detection), history replay on resume, redirector leases, suspend
+/// rollback and resume retries (50 ms doubling to 400 ms, 25 attempts).
+struct ToleranceConfig {
   bool enabled = false;
-  /// Repair-loop cadence: scan for broken data sockets, probe idle peers.
+  /// Repair-loop cadence: scan for broken data sockets, probe idle peers,
+  /// refresh this node's redirector leases.
   util::Duration probe_interval{std::chrono::milliseconds(200)};
+  /// Liveness probes get their own short reliability deadline instead of
+  /// inheriting ctrl_response_timeout: one dead peer must not stall the
+  /// whole probe round for seconds.
+  util::Duration probe_timeout{std::chrono::milliseconds(300)};
   /// Consecutive unacknowledged heartbeats before a peer is declared dead
   /// and its sessions aborted.
   int miss_threshold = 3;
   /// Per-session bound on the sent-frame retransmission history that makes
   /// uncoordinated stream loss recoverable without data loss.
   std::size_t history_bytes = 1 << 20;
-  /// Liveness probes get their own short reliability deadline instead of
-  /// inheriting ctrl_response_timeout: one dead peer must not stall the
-  /// whole probe round for seconds.
-  util::Duration probe_timeout{std::chrono::milliseconds(300)};
+  /// Redirector lease lifetime: a RESUME naming a connection whose lease
+  /// expired (its controller crashed and never came back) is refused.
+  util::Duration lease_ttl{std::chrono::seconds(3)};
 };
 
 /// Crash-recovery extension: fsync'd write-ahead journal of session state
@@ -73,23 +79,9 @@ struct ControllerConfig {
   bool security = true;
   crypto::DhGroup dh_group = crypto::DhGroup::kModp768;
   std::uint16_t redirector_port = 0;
-  FailureRecoveryConfig failure_recovery{};
+  ToleranceConfig tolerance{};
   /// Crash-recovery extension: durable journal + restart recovery.
   DurabilityConfig durability{};
-  /// Crash-recovery extension: redirector entries become leases with this
-  /// policy (refreshed by the repair loop, evicted on expiry).
-  LeaseConfig redirector_leases{};
-  /// Resume attempts before giving up. 1 = the paper's single-shot resume;
-  /// higher values retry with capped exponential backoff, absorbing a peer
-  /// controller that is restarting from its journal.
-  int resume_max_attempts = 1;
-  util::Duration resume_retry_backoff{std::chrono::milliseconds(100)};
-  double resume_retry_multiplier = 2.0;
-  util::Duration resume_retry_cap{std::chrono::seconds(2)};
-  /// When a suspend handshake dies mid-flight (no SUS response) but the
-  /// data stream is still healthy, roll back to ESTABLISHED instead of the
-  /// fail-safe local suspension.
-  bool suspend_rollback = false;
   /// Atomic whole-agent group suspend: prepare_migration sweeps ALL of an
   /// agent's established connections into SUSPENDED behind one barrier
   /// (consistent cross-connection cut) with a two-phase journal commit and
@@ -321,8 +313,8 @@ class SocketController final : public agent::ConnectionMigrator {
   /// Complete a passive suspension (drain + close) after agreeing to SUS.
   void finish_passive_suspend(const SessionPtr& session,
                               std::uint64_t peer_mark);
-  /// Reconnect a suspended session through the peer's redirector, retrying
-  /// up to resume_max_attempts with capped exponential backoff.
+  /// Reconnect a suspended session through the peer's redirector; under
+  /// tolerance a timed-out attempt is retried with capped backoff.
   util::Status do_resume(const SessionPtr& session);
   /// One resume attempt (the paper's single-shot flow).
   util::Status do_resume_once(const SessionPtr& session);

@@ -161,7 +161,7 @@ std::optional<util::Status> SocketController::active_suspend(
     }
   }
   if (!resp) {
-    if (config_.suspend_rollback && session->has_stream() &&
+    if (config_.tolerance.enabled && session->has_stream() &&
         !session->is_broken()) {
       // The handshake died (peer controller crashed or SUS lost above the
       // reliability layer) but the data stream is healthy: roll back to
@@ -462,11 +462,12 @@ util::Status SocketController::resume(const SessionPtr& session) {
 }
 
 util::Status SocketController::do_resume(const SessionPtr& session) {
-  // Crash-recovery extension: a resume that times out because the peer
-  // controller is mid-restart (replaying its journal) is retried with
-  // capped exponential backoff. resume_max_attempts == 1 is the paper's
-  // single-shot behavior.
-  util::Duration backoff = config_.resume_retry_backoff;
+  // Fault tolerance: a resume that times out because the peer controller is
+  // mid-restart (replaying its journal) or partitioned away is retried with
+  // capped exponential backoff. Off is the paper's single-shot resume.
+  constexpr int kMaxAttempts = 25;
+  constexpr util::Duration kBackoffCap{std::chrono::milliseconds(400)};
+  util::Duration backoff{std::chrono::milliseconds(50)};
   util::Stopwatch resume_sw(util::RealClock::instance());
   for (int attempt = 1;; ++attempt) {
     util::Status status = do_resume_once(session);
@@ -474,7 +475,7 @@ util::Status SocketController::do_resume(const SessionPtr& session) {
       hist_resume_us_.record(obs::ms_to_us(resume_sw.elapsed_ms()));
       return status;
     }
-    if (attempt >= config_.resume_max_attempts) return status;
+    if (!config_.tolerance.enabled || attempt >= kMaxAttempts) return status;
     if (status.code() != util::StatusCode::kTimeout ||
         session->state() != ConnState::kSuspended) {
       return status;  // only a timed-out, still-resumable session retries
@@ -486,11 +487,7 @@ util::Status SocketController::do_resume(const SessionPtr& session) {
     if (stop_event_.wait_for(backoff)) {
       return util::Cancelled("controller stopping");
     }
-    backoff = std::min(
-        config_.resume_retry_cap,
-        util::Duration(static_cast<std::int64_t>(
-            static_cast<double>(backoff.count()) *
-            config_.resume_retry_multiplier)));
+    backoff = std::min(kBackoffCap, 2 * backoff);
   }
 }
 
@@ -607,7 +604,7 @@ util::Status SocketController::do_resume_once(const SessionPtr& session) {
         // suspension must already be in our buffer — unless the
         // fault-tolerance extension can replay it from the peer's history
         // (the peer replays frames > our declared recv_seq itself).
-        if (!config_.failure_recovery.enabled &&
+        if (!config_.tolerance.enabled &&
             session->highest_rx_seq() < reply->sent_seq) {
           data_socket->close();
           return util::ProtocolError(
@@ -621,7 +618,7 @@ util::Status SocketController::do_resume_once(const SessionPtr& session) {
         session->attach_stream(std::move(data_socket));
         // Fault-tolerance extension: replay anything the peer missed
         // (uncoordinated loss) before unblocking writers.
-        if (config_.failure_recovery.enabled) {
+        if (config_.tolerance.enabled) {
           if (auto rp = session->retransmit_after(reply->recv_seq); !rp.ok()) {
             NAPLET_LOG(kWarn, "recovery")
                 << "conn " << session->conn_id()
@@ -790,7 +787,7 @@ void SocketController::handle_resume_request(
     return;
   }
 
-  if (!config_.failure_recovery.enabled &&
+  if (!config_.tolerance.enabled &&
       session->highest_rx_seq() < msg.sent_seq) {
     fail("resume would lose data");
     return;
@@ -815,7 +812,7 @@ void SocketController::handle_resume_request(
   // Fault-tolerance extension: replay frames the mover missed, before
   // advancing (writers stay blocked until the state change, so replayed
   // frames keep their position ahead of new traffic).
-  if (config_.failure_recovery.enabled) {
+  if (config_.tolerance.enabled) {
     if (auto rp = session->retransmit_after(msg.recv_seq); !rp.ok()) {
       NAPLET_LOG(kWarn, "recovery")
           << "conn " << session->conn_id()
@@ -1064,7 +1061,9 @@ util::Bytes SocketController::export_sessions(const agent::AgentId& id) {
     // connection. (If the migration later fails the destination's own
     // journal has it from kImported on.)
     journal_remove(recovery::CommitPoint::kDeparted, session->conn_id());
-    if (redirector_) redirector_->release_lease(session->conn_id());
+    if (config_.tolerance.enabled) {
+      redirector_->release_lease(session->conn_id());
+    }
   }
   return std::move(w).take();
 }
@@ -1084,9 +1083,6 @@ util::Status SocketController::import_sessions(const agent::AgentId& id,
     if ((*session)->local_agent() != id) {
       return util::ProtocolError("imported session belongs to '" +
                                  (*session)->local_agent().name() + "'");
-    }
-    if (config_.failure_recovery.enabled) {
-      (*session)->enable_history(config_.failure_recovery.history_bytes);
     }
     insert_session(*session);
     journal_commit(recovery::CommitPoint::kImported, *session);

@@ -16,31 +16,24 @@
 //    consecutive unacknowledged probes the peer is declared dead and the
 //    session is aborted locally, releasing any blocked callers.
 //
-// Everything here is gated behind ControllerConfig::failure_recovery.
+// Everything here is gated behind ControllerConfig::tolerance.
 #include "core/controller.hpp"
 #include "util/log.hpp"
 
 namespace naplet::nsock {
 
 void SocketController::repair_loop() {
-  const FailureRecoveryConfig& fr = config_.failure_recovery;
   while (!stopped_.load()) {
     // stop() sets the event: the loop wakes immediately instead of
     // finishing its probe-interval sleep.
-    if (stop_event_.wait_for(fr.probe_interval)) break;
+    if (stop_event_.wait_for(config_.tolerance.probe_interval)) break;
     if (stopped_.load()) break;
 
+    // Leases first: a repair below can block for a whole resume.
     const std::vector<SessionPtr> sessions = sessions_.snapshot_all();
-
-    // Lease upkeep runs even when failure recovery proper is off (the
-    // thread is also spawned for lease-only configurations).
-    if (config_.redirector_leases.enabled && redirector_) {
-      for (const SessionPtr& session : sessions) {
-        redirector_->refresh_lease(session->conn_id());
-      }
+    for (const SessionPtr& session : sessions) {
+      redirector_->refresh_lease(session->conn_id());
     }
-    if (!fr.enabled) continue;
-
     for (const SessionPtr& session : sessions) {
       if (stopped_.load()) break;
       if (session->state() == ConnState::kEstablished &&
@@ -78,7 +71,7 @@ void SocketController::repair_session(const SessionPtr& session) {
 }
 
 void SocketController::probe_peers() {
-  const FailureRecoveryConfig& fr = config_.failure_recovery;
+  const ToleranceConfig& tol = config_.tolerance;
   const std::vector<SessionPtr> sessions = sessions_.snapshot_all();
 
   std::vector<SessionPtr> dead;
@@ -95,7 +88,7 @@ void SocketController::probe_peers() {
     probe.type = CtrlType::kHeartbeat;
     probe.conn_id = session->conn_id();
     const auto status = send_session_ctrl(session->peer_node().control, probe,
-                                          *session, fr.probe_timeout);
+                                          *session, tol.probe_timeout);
 
     util::MutexLock lock(mu_);
     if (status.ok()) {
@@ -103,7 +96,7 @@ void SocketController::probe_peers() {
       continue;
     }
     const int misses = ++heartbeat_misses_[session->conn_id()];
-    if (misses >= fr.miss_threshold) {
+    if (misses >= tol.miss_threshold) {
       heartbeat_misses_.erase(session->conn_id());
       NAPLET_LOG(kError, "recovery")
           << "conn " << session->conn_id() << ": peer "
@@ -168,9 +161,6 @@ util::Status SocketController::recover() {
           << "conn " << conn_id
           << ": journal blob unusable: " << session.status().to_string();
       continue;
-    }
-    if (config_.failure_recovery.enabled) {
-      (*session)->enable_history(config_.failure_recovery.history_bytes);
     }
     // The session lands SUSPENDED with its sealed input buffer; the peer's
     // resume retry finds it through the (re-registered) redirector lease.

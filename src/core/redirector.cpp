@@ -15,11 +15,11 @@ std::int64_t lease_now_us() { return util::RealClock::instance().now_us(); }
 
 Redirector::Redirector(net::Network& network, std::uint16_t port,
                        HandoffHandler handler, obs::Registry& registry,
-                       LeaseConfig leases)
+                       util::Duration lease_ttl)
     : network_(network),
       port_(port),
       handler_(std::move(handler)),
-      lease_config_(leases),
+      lease_ttl_(lease_ttl),
       leases_expired_(registry.counter("redirector_leases_expired")),
       handoffs_fenced_(registry.counter("redirector_handoffs_fenced")) {}
 
@@ -100,9 +100,7 @@ void Redirector::accept_loop() {
       // was never registered here) must not reach the handler — the owning
       // controller is gone. The mover's retry loop refreshes the peer's
       // location and tries the live node instead.
-      if (lease_config_.enabled && msg->type == HandoffType::kResume &&
-          !lease_live(msg->conn_id)) {
-        handoffs_fenced_.add(1);
+      if (fenced(*msg)) {
         HandoffMsg err;
         err.type = HandoffType::kError;
         err.conn_id = msg->conn_id;
@@ -150,9 +148,7 @@ void Redirector::serve_batch(const std::shared_ptr<net::Stream>& stream,
     const HandoffMsg& entry = batch.entries[i];
     // Same lease fence as the per-connection path, applied entry-wise: a
     // dead lease fails ITS disposition without poisoning the batch.
-    if (lease_config_.enabled && entry.type == HandoffType::kResume &&
-        !lease_live(entry.conn_id)) {
-      handoffs_fenced_.add(1);
+    if (fenced(entry)) {
       reply.entries[i].ok = false;
       reply.entries[i].reason =
           "no live lease for conn " + std::to_string(entry.conn_id);
@@ -177,36 +173,38 @@ void Redirector::serve_batch(const std::shared_ptr<net::Stream>& stream,
   stream->close();
 }
 
+bool Redirector::fenced(const HandoffMsg& msg) {
+  if (lease_ttl_.count() == 0 || msg.type != HandoffType::kResume ||
+      lease_live(msg.conn_id)) {
+    return false;
+  }
+  handoffs_fenced_.add(1);
+  return true;
+}
+
 void Redirector::register_lease(std::uint64_t conn_id) {
-  if (!lease_config_.enabled) return;
   util::MutexLock lock(leases_mu_);
-  leases_[conn_id] = lease_now_us() + lease_config_.ttl.count();
+  leases_[conn_id] = lease_now_us() + lease_ttl_.count();
 }
 
 void Redirector::refresh_lease(std::uint64_t conn_id) {
-  if (!lease_config_.enabled) return;
   util::MutexLock lock(leases_mu_);
   auto it = leases_.find(conn_id);
-  if (it != leases_.end()) {
-    it->second = lease_now_us() + lease_config_.ttl.count();
-  }
+  if (it != leases_.end()) it->second = lease_now_us() + lease_ttl_.count();
 }
 
 void Redirector::release_lease(std::uint64_t conn_id) {
-  if (!lease_config_.enabled) return;
   util::MutexLock lock(leases_mu_);
   leases_.erase(conn_id);
 }
 
 bool Redirector::lease_live(std::uint64_t conn_id) const {
-  if (!lease_config_.enabled) return true;
   util::MutexLock lock(leases_mu_);
   auto it = leases_.find(conn_id);
   return it != leases_.end() && it->second > lease_now_us();
 }
 
 std::size_t Redirector::evict_expired_leases() {
-  if (!lease_config_.enabled) return 0;
   std::size_t evicted = 0;
   const std::int64_t now = lease_now_us();
   util::MutexLock lock(leases_mu_);

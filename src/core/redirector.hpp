@@ -23,17 +23,6 @@
 
 namespace naplet::nsock {
 
-/// Crash-recovery extension: redirector entries become leases. The owning
-/// controller registers a lease per connection and refreshes it from its
-/// repair loop; entries whose lease expires (host crashed and never came
-/// back) are evicted by the accept-loop sweep, and a RESUME naming an
-/// expired/unknown lease is answered with kError instead of being routed
-/// into a dead controller.
-struct LeaseConfig {
-  bool enabled = false;
-  util::Duration ttl{std::chrono::seconds(3)};
-};
-
 class Redirector {
  public:
   /// Handler owns the stream; it validates, replies on the stream, and
@@ -52,9 +41,16 @@ class Redirector {
   /// The lease counters (`redirector_leases_expired`,
   /// `redirector_handoffs_fenced`) are registered in `registry`, which must
   /// outlive the redirector.
+  ///
+  /// A nonzero `lease_ttl` turns on the lease fence (fault tolerance): the
+  /// owning controller registers a lease per connection and refreshes it
+  /// from its repair loop; entries whose lease expires (host crashed and
+  /// never came back) are evicted by the accept-loop sweep, and a RESUME
+  /// naming an expired or unknown lease is answered with kError instead of
+  /// being routed into a dead controller. Zero routes every handoff.
   Redirector(net::Network& network, std::uint16_t port,
              HandoffHandler handler, obs::Registry& registry,
-             LeaseConfig leases = {});
+             util::Duration lease_ttl = {});
   ~Redirector();
 
   Redirector(const Redirector&) = delete;
@@ -86,14 +82,13 @@ class Redirector {
 
   // ---- lease table ----
 
-  /// Register (or re-arm) the lease for `conn_id`. No-op when disabled.
+  /// Register (or re-arm) the lease for `conn_id`.
   void register_lease(std::uint64_t conn_id);
-  /// Extend the lease for `conn_id`; no-op if absent or disabled.
+  /// Extend the lease for `conn_id`; no-op if absent.
   void refresh_lease(std::uint64_t conn_id);
   /// Drop the lease (connection closed or exported away).
   void release_lease(std::uint64_t conn_id);
-  /// True when the lease exists and has not expired (always true when
-  /// leasing is disabled — the gate is opt-in).
+  /// True when the lease exists and has not expired.
   [[nodiscard]] bool lease_live(std::uint64_t conn_id) const;
   /// Drop every expired entry; returns how many were evicted. Called from
   /// the accept-loop tick, public for tests.
@@ -113,6 +108,9 @@ class Redirector {
 
   void serve_batch(const std::shared_ptr<net::Stream>& stream,
                    const BatchHandoffMsg& batch);
+  /// The lease fence: true (and counted) for a RESUME naming a connection
+  /// with no live lease while the fence is on.
+  bool fenced(const HandoffMsg& msg);
 
   net::Network& network_;
   std::uint16_t port_ NAPLET_NOT_GUARDED("set at construction, immutable");
@@ -120,7 +118,7 @@ class Redirector {
       "set at construction, immutable while the acceptor runs");
   BatchHandler batch_handler_ NAPLET_NOT_GUARDED(
       "written before start(), read-only by workers");
-  LeaseConfig lease_config_ NAPLET_NOT_GUARDED(
+  util::Duration lease_ttl_ NAPLET_NOT_GUARDED(
       "set at construction, immutable");
   std::string host_label_ NAPLET_NOT_GUARDED(
       "written before start(), read-only by workers");

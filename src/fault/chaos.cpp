@@ -335,30 +335,21 @@ nsock::NodeConfig node_config(const ChaosCase& chaos_case, int i,
     ctrl.drain_timeout = 1s;
   }
   if (crash && !chaos_case.recovery) {
-    ctrl.resume_max_attempts = 1;
     ctrl.resume_timeout = 3s;
     return config;
   }
-  // Recovery-grade resume patience: the swarm partition keeps RESUME
-  // retrying until the heal, and crash recovery and group rollback resume
-  // through a restarted or rolled-back redirector.
-  ctrl.resume_max_attempts = 25;
-  ctrl.resume_retry_backoff = 50ms;
-  ctrl.resume_retry_cap = 400ms;
+  // One tolerant block for the crash, swarm and group families: the swarm
+  // partition keeps RESUME retrying until the heal, and crash recovery and
+  // group rollback resume through a restarted or rolled-back redirector.
+  ctrl.tolerance.enabled = true;
+  ctrl.tolerance.probe_interval = 500ms;
+  ctrl.tolerance.probe_timeout = 200ms;
+  // The planned kill and the swarm partition must not race the death
+  // detector: recovery here is retries and journal replay, not
+  // probe-driven abort.
+  ctrl.tolerance.miss_threshold = 1000;
   ctrl.resume_timeout = 8s;
-  if (swarm) return config;
-
-  ctrl.suspend_rollback = true;
-  ctrl.redirector_leases.enabled = true;
-  ctrl.redirector_leases.ttl = 3s;
-  if (crash) {
-    ctrl.failure_recovery.enabled = true;
-    ctrl.failure_recovery.probe_interval = 500ms;
-    ctrl.failure_recovery.probe_timeout = 200ms;
-    // The planned kill must not race the death detector: recovery here is
-    // journal replay serving the peer's retries, not probe-driven abort.
-    ctrl.failure_recovery.miss_threshold = 1000;
-  } else {
+  if (group) {
     ctrl.group_suspend = true;
     ctrl.group_prepare_timeout = 3s;
   }

@@ -89,7 +89,7 @@ struct ChaosCase {
                           ///< migration so the resume replay path is hot
 
   /// Crash scenarios only: true runs with the full recovery stack (durable
-  /// journal, resume retries, suspend rollback, leases) and the migration
+  /// journal plus ControllerConfig::tolerance) and the migration
   /// must complete exactly-once across the restart; false disables all of
   /// it and the same staging must fail CLEANLY — a bounded error, not a
   /// hang or an oracle violation.

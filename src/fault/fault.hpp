@@ -27,7 +27,7 @@
 // Zero-cost when unarmed: every site is guarded by a single relaxed atomic
 // load (fault::armed()); no strings are built and no locks are taken until
 // a plan is armed. The data path (Session::send/recv) carries no sites at
-// all, so bench/data_path_hotloop is unaffected either way.
+// all, so perfbench's `stream` workload is unaffected either way.
 //
 // The fault clock defaults to wall milliseconds since arm(); the DES engine
 // can bind virtual time instead (sim::Simulator::bind_fault_clock), which is

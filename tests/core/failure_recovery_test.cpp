@@ -16,9 +16,9 @@ std::function<void(NodeConfig&)> with_recovery(
     util::Duration probe = std::chrono::milliseconds(50),
     int miss_threshold = 3) {
   return [probe, miss_threshold](NodeConfig& config) {
-    config.controller.failure_recovery.enabled = true;
-    config.controller.failure_recovery.probe_interval = probe;
-    config.controller.failure_recovery.miss_threshold = miss_threshold;
+    config.controller.tolerance.enabled = true;
+    config.controller.tolerance.probe_interval = probe;
+    config.controller.tolerance.miss_threshold = miss_threshold;
     // Fail heartbeats fast so dead-peer tests stay quick.
     config.server.rudp_config.retransmit_interval =
         std::chrono::milliseconds(20);
@@ -211,8 +211,8 @@ TEST(History, SinceSemantics) {
 
 TEST(History, EvictionMakesOldSpansUnrecoverable) {
   SimRealm realm(2, /*security=*/false, {}, [](NodeConfig& config) {
-    config.controller.failure_recovery.enabled = true;
-    config.controller.failure_recovery.history_bytes = 8;  // ~2 messages
+    config.controller.tolerance.enabled = true;
+    config.controller.tolerance.history_bytes = 8;  // ~2 messages
   });
   auto alice = realm.pseudo_agent("alice", 0);
   auto bob = realm.pseudo_agent("bob", 1);

@@ -27,20 +27,15 @@ using testing::make_connection;
 using testing::span;
 using testing::text;
 
-/// The group sweep plus recovery-grade patience (rollback resumes
-/// acknowledged members through the redirector).
+/// The group sweep plus tolerance (rollback resumes acknowledged members
+/// through the redirector).
 void group_config(NodeConfig& config) {
   config.controller.group_suspend = true;
   config.controller.group_prepare_timeout = 5s;
-  config.controller.suspend_rollback = true;
+  config.controller.tolerance.enabled = true;
   config.controller.ctrl_response_timeout = 1s;
   config.controller.drain_timeout = 1s;
-  config.controller.resume_max_attempts = 10;
-  config.controller.resume_retry_backoff = 50ms;
-  config.controller.resume_retry_cap = 400ms;
   config.controller.resume_timeout = 8s;
-  config.controller.redirector_leases.enabled = true;
-  config.controller.redirector_leases.ttl = 3s;
 }
 
 class GroupSuspendTest : public ::testing::Test {
@@ -145,7 +140,7 @@ TEST_F(GroupSuspendTest, SingleConnRollbackUnderSendPressure) {
   // on the plain (non-group) path, with senders blocked mid-handshake.
   SimRealm realm(2, /*security=*/false, /*link_latency=*/{},
                  [](NodeConfig& config) {
-                   config.controller.suspend_rollback = true;
+                   config.controller.tolerance.enabled = true;
                    config.controller.ctrl_response_timeout = 300ms;
                    config.controller.drain_timeout = 1s;
                  });

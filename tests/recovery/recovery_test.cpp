@@ -33,8 +33,8 @@ std::string scratch_dir(const std::string& tag) {
 }
 
 /// Config for the crash-restart realms: short timeouts so the expected
-/// failures are quick, resume retries + rollback + leases on when
-/// `recovery`, plus a journal for the node that will be killed.
+/// failures are quick, tolerance on when `recovery`, plus a journal for the
+/// node that will be killed.
 NodeConfig restart_config(bool recovery, const std::string& durable_dir) {
   NodeConfig config;
   config.controller.security = false;
@@ -44,24 +44,18 @@ NodeConfig restart_config(bool recovery, const std::string& durable_dir) {
   config.controller.ctrl_response_timeout = 1s;
   config.controller.drain_timeout = 1s;
   if (recovery) {
-    config.controller.failure_recovery.enabled = true;
-    config.controller.failure_recovery.probe_interval = 500ms;
-    config.controller.failure_recovery.probe_timeout = 200ms;
-    config.controller.failure_recovery.miss_threshold = 1000;
-    config.controller.suspend_rollback = true;
-    config.controller.resume_max_attempts = 25;
-    config.controller.resume_retry_backoff = 50ms;
-    config.controller.resume_retry_cap = 400ms;
-    config.controller.resume_timeout = 8s;
-    config.controller.redirector_leases.enabled = true;
-    config.controller.redirector_leases.ttl = 3s;
+    config.controller.tolerance.enabled = true;
+    config.controller.tolerance.probe_interval = 500ms;
+    config.controller.tolerance.probe_timeout = 200ms;
+    config.controller.tolerance.miss_threshold = 1000;
+    // Short attempts, so an outage of a second or two spans a retry.
+    config.controller.resume_timeout = 1s;
     if (!durable_dir.empty()) {
       config.controller.durability.enabled = true;
       config.controller.durability.dir = durable_dir;
       config.controller.durability.compact_every = 8;
     }
   } else {
-    config.controller.resume_max_attempts = 1;
     config.controller.resume_timeout = 2s;
   }
   return config;
@@ -91,10 +85,12 @@ struct RestartRealm {
     return realm_.node("node" + std::to_string(i)).server();
   }
 
-  /// Kill node1 and stand it up again; with recovery on, replay the journal
-  /// and re-register `owner` there (the docking system's restart duty).
-  util::Status crash_restart_node1(const agent::AgentId& owner) {
-    realm_.remove_node("node1");
+  /// Kill node1 (no protocol goodbye).
+  void crash_node1() { realm_.remove_node("node1"); }
+
+  /// Stand node1 up again; with recovery on, replay the journal and
+  /// re-register `owner` there (the docking system's restart duty).
+  util::Status restart_node1(const agent::AgentId& owner) {
     auto& node = realm_.add_node("node1", net_.add_node("node1"),
                                  restart_config(recovery_, dir_));
     NAPLET_RETURN_IF_ERROR(node.start());
@@ -155,11 +151,21 @@ TEST(Recovery, RestartedControllerServesResumeFromJournal) {
                   .ok());
   realm.realm_.locations().register_agent(cli, realm.server(2).node_info());
 
-  ASSERT_TRUE(realm.crash_restart_node1(srv).ok());
+  // The mover resumes while node1 is down; node1 stays down past one
+  // resume attempt, so only the mover's retries reach the restarted
+  // controller.
+  realm.crash_node1();
+  SocketController& mover = realm.ctrl(2);
+  util::Status resumed = util::OkStatus();
+  std::thread migration([&] { resumed = mover.complete_migration(cli); });
+  std::this_thread::sleep_for(2s);  // twice the resume_timeout
+  const util::Status restarted = realm.restart_node1(srv);
+  migration.join();
+  ASSERT_TRUE(restarted.ok()) << restarted.to_string();
   EXPECT_EQ(realm.ctrl(1).sessions_recovered(), 1u);
   EXPECT_GE(realm.ctrl(1).epoch(), 2u);  // incarnation bumped past disk
-
-  ASSERT_TRUE(realm.ctrl(2).complete_migration(cli).ok());
+  ASSERT_TRUE(resumed.ok()) << resumed.to_string();
+  EXPECT_GT(mover.resume_retries(), 0u);
 
   SessionPtr moved = realm.ctrl(2).session_by_id(conn);
   SessionPtr recovered = realm.ctrl(1).session_by_id(conn);
@@ -202,7 +208,8 @@ TEST(Recovery, DisabledRecoveryFailsCleanlyAndAborts) {
   realm.realm_.locations().register_agent(cli, realm.server(2).node_info());
 
   // Restart WITHOUT journal replay: the new incarnation knows nothing.
-  ASSERT_TRUE(realm.crash_restart_node1(srv).ok());
+  realm.crash_node1();
+  ASSERT_TRUE(realm.restart_node1(srv).ok());
   EXPECT_EQ(realm.ctrl(1).sessions_recovered(), 0u);
 
   // The paper's single-shot resume must fail with a bounded error (the
@@ -213,7 +220,9 @@ TEST(Recovery, DisabledRecoveryFailsCleanlyAndAborts) {
   const auto elapsed_ms =
       (util::RealClock::instance().now_us() - t0) / 1000;
   EXPECT_FALSE(resume.ok());
+  EXPECT_EQ(resume.code(), util::StatusCode::kTimeout) << resume.to_string();
   EXPECT_LT(elapsed_ms, 6000) << resume.to_string();
+  EXPECT_EQ(realm.ctrl(2).resume_retries(), 0u);  // one attempt, no retry
 
   // And the surviving half-open session is abortable: blocked waiters wake
   // with ABORTED rather than waiting out their full I/O timeouts.
@@ -231,13 +240,18 @@ TEST(Recovery, RecoverWithoutDurabilityIsFailedPrecondition) {
             util::StatusCode::kFailedPrecondition);
 }
 
-TEST(Recovery, SuspendRollbackReestablishesWhenPeerNeverAnswers) {
-  // The SUS handshake dies (peer's control plane unreachable) while the
-  // data stream stays healthy: with suspend_rollback the session returns
-  // to ESTABLISHED and application traffic keeps flowing.
-  SimRealm realm(2, /*security=*/false, {}, [](NodeConfig& config) {
+/// The SUS handshake dies (peer's control plane unreachable) while the
+/// data stream stays healthy. The parameter is ControllerConfig::tolerance.
+class UnansweredSuspend : public ::testing::TestWithParam<bool> {};
+
+TEST_P(UnansweredSuspend, RollsBackOnlyUnderTolerance) {
+  const bool tolerant = GetParam();
+  SimRealm realm(2, /*security=*/false, {}, [tolerant](NodeConfig& config) {
     config.controller.ctrl_response_timeout = 500ms;
-    config.controller.suspend_rollback = true;
+    config.controller.tolerance.enabled = tolerant;
+    // The partition below is the point of the test: the death detector
+    // must not abort the session while it lasts.
+    config.controller.tolerance.miss_threshold = 1000;
     config.server.rudp_config.retransmit_interval =
         std::chrono::milliseconds(15);
     config.server.rudp_config.max_attempts = 6;
@@ -252,14 +266,27 @@ TEST(Recovery, SuspendRollbackReestablishesWhenPeerNeverAnswers) {
   util::Status st = realm.ctrl(0).prepare_migration(alice);
   realm.net().set_partition("node0", "node1", false);
   EXPECT_EQ(st.code(), util::StatusCode::kTimeout);
+
+  if (!tolerant) {
+    // The paper's fail-safe local suspension: SUSPENDED, stream closed.
+    EXPECT_EQ(st.message().find("rolled back"), std::string::npos)
+        << st.to_string();
+    EXPECT_EQ(conn.client->state(), ConnState::kSuspended);
+    EXPECT_FALSE(conn.client->has_stream());
+    return;
+  }
+  // Rolled back to ESTABLISHED; writers unfroze and traffic keeps flowing.
   EXPECT_NE(st.message().find("rolled back"), std::string::npos)
       << st.to_string();
   EXPECT_EQ(conn.client->state(), ConnState::kEstablished);
-
-  // Writers unfroze with the rollback.
   ASSERT_TRUE(conn.client->send(span("after rollback"), 2s).ok());
   EXPECT_EQ(text(conn.server->recv(2s)->body), "after rollback");
 }
+
+INSTANTIATE_TEST_SUITE_P(Tolerance, UnansweredSuspend, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "On" : "Off";
+                         });
 
 TEST(Epoch, AdmissionIsMonotonicHighWater) {
   Session session(1, 1, true, agent::AgentId("a"), agent::AgentId("b"));
@@ -276,8 +303,8 @@ TEST(Epoch, AdmissionIsMonotonicHighWater) {
 
 TEST(Leases, ExpiredMappingEvictedWhileRefreshedOneSurvives) {
   SimRealm realm(2, /*security=*/false, {}, [](NodeConfig& config) {
-    config.controller.redirector_leases.enabled = true;
-    config.controller.redirector_leases.ttl = 400ms;
+    config.controller.tolerance.enabled = true;
+    config.controller.tolerance.lease_ttl = 400ms;
   });
   auto alice = realm.pseudo_agent("alice", 0);
   auto bob = realm.pseudo_agent("bob", 1);
@@ -343,10 +370,10 @@ TEST(ProbeTimeout, HeartbeatRoundIsBoundedByProbeTimeout) {
   // in a handful of probe intervals — not after inheriting the 5s control
   // timeout per probe.
   SimRealm realm(2, /*security=*/false, {}, [](NodeConfig& config) {
-    config.controller.failure_recovery.enabled = true;
-    config.controller.failure_recovery.probe_interval = 100ms;
-    config.controller.failure_recovery.probe_timeout = 150ms;
-    config.controller.failure_recovery.miss_threshold = 2;
+    config.controller.tolerance.enabled = true;
+    config.controller.tolerance.probe_interval = 100ms;
+    config.controller.tolerance.probe_timeout = 150ms;
+    config.controller.tolerance.miss_threshold = 2;
     config.server.rudp_config.retransmit_interval =
         std::chrono::milliseconds(20);
     config.server.rudp_config.max_attempts = 50;  // >> probe_timeout budget

@@ -137,14 +137,14 @@ class RedirectorBatchTest : public ::testing::Test {
       : server_node_(world_.add_node("server")),
         client_node_(world_.add_node("client")) {}
 
-  void start(LeaseConfig leases = {}) {
+  void start(util::Duration lease_ttl = {}) {
     redirector_ = std::make_unique<Redirector>(
         *server_node_, 0,
         [this](std::shared_ptr<net::Stream> stream, HandoffMsg) {
           per_conn_handoffs_.fetch_add(1);
           stream->close();
         },
-        metrics_, leases);
+        metrics_, lease_ttl);
     ASSERT_TRUE(redirector_->start().ok());
   }
 
@@ -197,10 +197,7 @@ TEST_F(RedirectorBatchTest, OneExchangeAnswersEveryEntry) {
 }
 
 TEST_F(RedirectorBatchTest, LeaseFenceFailsOnlyTheDeadEntries) {
-  LeaseConfig leases;
-  leases.enabled = true;
-  leases.ttl = 3s;
-  start(leases);
+  start(/*lease_ttl=*/3s);
   redirector_->register_lease(1);  // conn 1 is owned by a live controller
 
   BatchHandoffMsg batch;
