@@ -1,9 +1,8 @@
 // Group-suspend makespan bench (ISSUE 9): the atomic whole-agent sweep
 // behind ControllerConfig::group_suspend, measured end to end for 1-, 8-,
 // and 64-connection agents. The sweep runs one prepare worker per member
-// concurrently behind the checkpoint barrier, so the makespan should grow
-// far slower than member count — that is the point of the barrier design
-// versus a serial suspend walk.
+// concurrently, so the makespan should grow far slower than member count —
+// that is the point of the group sweep versus a serial suspend walk.
 //
 // With --json, also emits the makespan distribution plus per-phase
 // p50/p95/p99 pulled from the controller's group histograms
@@ -43,7 +42,6 @@ SizeResult measure(int connections, int iterations) {
     nsock::NodeConfig config;
     config.controller.security = false;
     config.controller.group_suspend = true;
-    config.controller.group_prepare_timeout = 10s;
     config.controller.tolerance.enabled = true;
     config.controller.tolerance.lease_ttl = 10s;
     realm.add_node("node" + std::to_string(i), config);
@@ -161,7 +159,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Shape checks: a clean bench never rolls a group back, and the barrier
+  // Shape checks: a clean bench never rolls a group back, and the sweep
   // fans members out concurrently, so the 64-member makespan must land far
   // under 64 serial one-member sweeps.
   const double one = mean(results.front().prepare_ms);

@@ -9,8 +9,7 @@
 #      + pinned-seed crash-restart smoke (recovery on and off)
 #      + pinned-seed swarm smoke       (drain under partition, cascading
 #                                       rebalance)
-#      + explicit `ctest -L group`     (checkpoint-barrier unit tests, the
-#                                       whole-agent sweep, pinned group
+#      + explicit `ctest -L group`     (the whole-agent sweep, pinned group
 #                                       chaos scenarios 8/9)
 #      + loss-sweep bench smoke        (fast-mode JSON, parsed + shape-checked)
 #      + fleet-rebalance bench smoke   (fast-mode JSON: batching and caching
@@ -31,7 +30,7 @@
 #      + `ctest -L obs`              (observability suite under TSan)
 #      + `ctest -L net`              (the rudp transport under TSan)
 #      + `ctest -L swarm`            (swarm pipeline + smoke under TSan)
-#      + `ctest -L group`            (group barrier + sweep under TSan)
+#      + `ctest -L group`            (whole-agent sweep under TSan)
 #      + `ctest -L shards`           (sharded session table under TSan)
 #   4. naplet-analyze gate            (lock-order graph, annotation
 #      coverage, invariant registries; dependency-free, always runs)

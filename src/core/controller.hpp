@@ -15,11 +15,13 @@
 //  * the ConnectionMigrator hooks the docking system calls around hops.
 #pragma once
 
+#include <atomic>
 #include <initializer_list>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -30,7 +32,6 @@
 #include "core/stats.hpp"
 #include "core/wire.hpp"
 #include "crypto/dh.hpp"
-#include "group/coordinator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "recovery/journal.hpp"
@@ -88,9 +89,6 @@ struct ControllerConfig {
   /// full-group rollback on any member failure. Off = the paper's serial
   /// §3.2 sweep.
   bool group_suspend = false;
-  /// Phase-1 bound: how long the group coordinator waits for every member
-  /// to reach the barrier before failing the whole group.
-  util::Duration group_prepare_timeout{std::chrono::seconds(8)};
 
   util::Duration ctrl_response_timeout{std::chrono::seconds(5)};
   util::Duration connect_timeout{std::chrono::seconds(5)};
@@ -159,18 +157,6 @@ class SocketController final : public agent::ConnectionMigrator {
   /// Close from ESTABLISHED or SUSPENDED.
   util::Status close(const SessionPtr& session);
 
-  /// Atomic whole-agent group suspend (the group_suspend config path,
-  /// also reachable directly): sweep every established connection of `id`
-  /// into SUSPENDED as one barrier operation with a two-phase journal
-  /// commit. On any member failure the ENTIRE group rolls back to
-  /// ESTABLISHED with blocked senders/receivers woken. Public so tests
-  /// and tools can drive the group path without a full migration.
-  util::Status group_suspend(const agent::AgentId& id);
-
-  /// In-flight group-suspend registry (tests: barrier/cancel visibility).
-  [[nodiscard]] group::GroupSuspendCoordinator& group_coordinator() {
-    return group_coordinator_;
-  }
   [[nodiscard]] std::uint64_t group_rollbacks() const {
     return group_rollbacks_.value();
   }
@@ -320,15 +306,21 @@ class SocketController final : public agent::ConnectionMigrator {
   util::Status do_resume_once(const SessionPtr& session);
 
   // Group-suspend internals (controller_group.cpp).
-  /// The whole sweep: freeze members, run phase 1 workers, then commit or
-  /// roll back. Called with the agent already marked migrating.
-  util::Status group_suspend_sweep(const agent::AgentId& id,
-                                   const std::vector<SessionPtr>& members);
+  /// Atomic whole-agent sweep (the group_suspend config path of
+  /// prepare_migration): every established connection of `id` enters
+  /// SUSPENDED as one cut with a two-phase journal commit, or the whole
+  /// group rolls back to ESTABLISHED. One sweep per agent at a time.
+  util::Status group_suspend(const agent::AgentId& id);
+  /// The sweep over the agent's established members: freeze them, run
+  /// the phase 1 workers, then commit or roll back.
+  util::Status group_suspend_sweep(const std::vector<SessionPtr>& members);
   /// Phase-1 worker body for one member: send SUS with the group id, wait
-  /// for the ack, drain to the peer's mark, arrive at the barrier.
+  /// for the ack, drain to the peer's mark. Stops early, returning OK,
+  /// once another member has set `veto`; the vetoing member's own status
+  /// carries the cause.
   util::Status group_prepare_member(const SessionPtr& session,
-                                    const std::shared_ptr<group::GroupBarrier>&
-                                        barrier);
+                                    std::uint64_t group_id,
+                                    const std::atomic<bool>& veto);
   /// Roll the entire group back after a phase-1 failure or commit abort.
   void group_rollback(const std::vector<SessionPtr>& members,
                       std::uint64_t group_id, const std::string& reason);
@@ -342,9 +334,20 @@ class SocketController final : public agent::ConnectionMigrator {
   void group_prefreeze_watchdog(std::string peer_agent,
                                 std::vector<std::uint64_t> conn_ids);
 
+  /// One SUS exchange, shared by active_suspend and the group workers:
+  /// send `sus`, then wait for SUS_ACK, ACK_WAIT or REJECT while pumping
+  /// the receive side, resending with a peer-location refresh every
+  /// max(250 ms, ctrl_response_timeout / 4). Returns nullopt at
+  /// `deadline_us`, when the session leaves the live states, or when
+  /// `veto` (optional) is set. A zero `deadline_us` is set to one
+  /// ctrl_response_timeout after the first send; a caller that repeats
+  /// the exchange passes it back to keep one deadline.
+  std::optional<Session::CtrlResponse> exchange_sus(
+      Session& session, CtrlMsg& sus, std::int64_t& deadline_us,
+      const std::atomic<bool>* veto = nullptr);
   /// Wait on session.responses() for one of `want`, discarding stale
   /// response types. Shared by the suspend/close/resume waiters in
-  /// controller_ops.cpp and the group prepare workers.
+  /// controller_ops.cpp and the group rollback's ack harvest.
   static std::optional<Session::CtrlResponse> wait_response(
       Session& session, std::initializer_list<CtrlType> want,
       util::Duration timeout);
@@ -401,13 +404,12 @@ class SocketController final : public agent::ConnectionMigrator {
       NAPLET_GUARDED_BY(mu_);
   std::set<agent::AgentId> migrating_agents_ NAPLET_GUARDED_BY(mu_);
 
-  // Group-suspend state. The coordinator registry is internally
-  // synchronized (ranks 7/9, below mu_'s 10 — group code always releases
-  // them before touching controller state). Watchdog threads revert
-  // orphaned peer-side pre-freezes; finished entries are reaped on the
-  // next spawn and all are joined in stop().
-  group::GroupSuspendCoordinator group_coordinator_ NAPLET_NOT_GUARDED(
-      "internally synchronized behind its own rank-7 registry mutex");
+  // Group-suspend state. Agents with a group sweep in flight: a second
+  // concurrent sweep for the same agent is refused. (Not
+  // migrating_agents_: a drained agent is legitimately prepared again.)
+  // Watchdog threads revert orphaned peer-side pre-freezes; finished
+  // entries are reaped on the next spawn and all are joined in stop().
+  std::set<std::string> group_sweeps_ NAPLET_GUARDED_BY(mu_);
   struct PrefreezeWatchdog {
     std::thread thread;
     std::shared_ptr<std::atomic<bool>> done;

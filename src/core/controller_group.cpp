@@ -1,27 +1,28 @@
-// SocketController — atomic whole-agent group suspend (ISSUE 9).
+// SocketController — atomic whole-agent group suspend.
 //
 // The paper's §3.2 sweep suspends an agent's connections one at a time,
 // so an agent with N live connections migrates through a window where
-// some connections are frozen and others still deliver. The group path
-// closes that window with a two-phase barrier:
+// some connections are frozen and others still deliver. The group sweep
+// closes that window in two phases:
 //
 //  * phase 1 (*prepare*): every ESTABLISHED member is frozen locally in
 //    one pass (the local half of the consistent cut — no SUS leaves
 //    until every member's write mark is pinned), then one worker per
-//    member sends SUS carrying the group id, waits for the SUS_ACK,
-//    drains to the peer's declared mark, and arrives at the barrier.
-//    The peer side mirrors the cut: on the FIRST group SUS it pre-
-//    freezes every other session facing the migrating agent
+//    member runs the SUS exchange carrying the group id, waits for the
+//    SUS_ACK and drains to the peer's declared mark. The first worker
+//    that fails sets the group's veto, which stops the others. Phase 1
+//    ends when the workers have joined and every member is still
+//    SUS_SENT. The peer side mirrors the cut: on the FIRST group SUS it
+//    pre-freezes every other session facing the migrating agent
 //    (group_freeze_inbound), so no member's exported buffer can contain
 //    data the application produced after another member's cut point.
-//  * phase 2 (*commit*): once the barrier trips, the coordinator closes
-//    each member's stream, completes the FSM arc to SUSPENDED, and
-//    journals a group-prepare (manifest of every member's blob) /
-//    group-commit pair through the DurableStore. A crash between the
-//    two records leaves a dangling prepare that replay rolls FORWARD
-//    (the prepare is only written after the barrier, when every peer
-//    has sealed) — the whole group recovers suspended, never half of
-//    it. A live rollback journals an explicit group-abort instead.
+//  * phase 2 (*commit*): the sweep closes each member's stream,
+//    completes the FSM arc to SUSPENDED, and journals a group-prepare
+//    (manifest of every member's blob) / group-commit pair through the
+//    DurableStore. A crash between the two records leaves a dangling
+//    prepare that replay rolls FORWARD (the prepare is only written once
+//    every peer has sealed) — the whole group recovers suspended, never
+//    half of it. A live rollback journals an explicit group-abort instead.
 //
 // If ANY member's peer refuses, times out, or the member is aborted
 // mid-prepare, the ENTIRE group rolls back: un-acknowledged members
@@ -41,7 +42,6 @@ namespace naplet::nsock {
 
 namespace {
 
-constexpr util::Duration kPrepareSlice = std::chrono::milliseconds(20);
 constexpr util::Duration kWatchdogSlice = std::chrono::milliseconds(50);
 constexpr util::Duration kAckHarvest = std::chrono::milliseconds(100);
 
@@ -53,11 +53,15 @@ util::Status SocketController::group_suspend(const agent::AgentId& id) {
   util::Stopwatch sweep_sw(util::RealClock::instance());
   {
     util::MutexLock lock(mu_);
+    if (!group_sweeps_.insert(id.name()).second) {
+      return util::FailedPrecondition("group suspend already in flight for " +
+                                      id.name());
+    }
     migrating_agents_.insert(id);
   }
-  // ESTABLISHED connections form the barrier group; everything else
-  // (already suspended, parked, mid-close) is not part of the cut and
-  // settles through the serial §3.2 walk afterwards.
+  // ESTABLISHED connections form the group; everything else (already
+  // suspended, parked, mid-close) is not part of the cut and settles
+  // through the serial §3.2 walk afterwards.
   std::vector<SessionPtr> members;
   std::vector<SessionPtr> rest;
   for (const SessionPtr& session : sessions_of(id)) {
@@ -68,50 +72,42 @@ util::Status SocketController::group_suspend(const agent::AgentId& id) {
     }
   }
   util::Status status = util::OkStatus();
-  if (!members.empty()) status = group_suspend_sweep(id, members);
+  if (!members.empty()) status = group_suspend_sweep(members);
   if (status.ok()) {
     for (const SessionPtr& session : rest) {
       status = suspend_for_migration(session, id);
       if (!status.ok()) break;
     }
   }
-  if (!status.ok()) {
+  {
     util::MutexLock lock(mu_);
-    migrating_agents_.erase(id);
-    return status;
+    group_sweeps_.erase(id.name());
+    if (!status.ok()) migrating_agents_.erase(id);
   }
-  hist_group_suspend_us_.record(obs::ms_to_us(sweep_sw.elapsed_ms()));
-  return util::OkStatus();
+  if (status.ok()) {
+    hist_group_suspend_us_.record(obs::ms_to_us(sweep_sw.elapsed_ms()));
+  }
+  return status;
 }
 
 util::Status SocketController::group_suspend_sweep(
-    const agent::AgentId& id, const std::vector<SessionPtr>& members) {
+    const std::vector<SessionPtr>& members) {
   // Group id: epoch in the high bits so ids from different incarnations
   // of this controller never collide in the journal.
   const std::uint64_t group_id =
       (epoch() << 24) | next_group_id_.fetch_add(1);
-  std::vector<std::uint64_t> conn_ids;
-  conn_ids.reserve(members.size());
-  for (const SessionPtr& session : members) {
-    conn_ids.push_back(session->conn_id());
-  }
-  auto barrier = group_coordinator_.begin(id.name(), group_id, conn_ids);
-  if (barrier == nullptr) {
-    return util::FailedPrecondition("group suspend already in flight for " +
-                                    id.name());
-  }
-
   util::Stopwatch prepare_sw(util::RealClock::instance());
 
   // Local half of the consistent cut: pin EVERY member's write mark
   // before the first SUS leaves. From here no application send on any
   // member can slip past another member's cut point.
   std::vector<SessionPtr> frozen;
-  util::Status freeze_error = util::OkStatus();
   for (const SessionPtr& session : members) {
     if (auto st = session->advance(ConnEvent::kAppSuspend); !st.ok()) {
-      freeze_error = st;  // raced a close/peer suspend; veto the group
-      break;
+      // Raced a close/peer suspend; veto the group.
+      group_rollback(frozen, group_id,
+                     "member freeze failed: " + st.to_string());
+      return st;
     }
     session->set_trace_id(crypto::random_u64() | 1);
     // This round's bookkeeping; peer_declared_seq doubles as the
@@ -124,34 +120,36 @@ util::Status SocketController::group_suspend_sweep(
     (void)session->freeze_writes_and_mark();
     frozen.push_back(session);
   }
-  if (!freeze_error.ok()) {
-    barrier->fail("member freeze failed: " + freeze_error.to_string());
-    group_rollback(frozen, group_id, freeze_error.to_string());
-    barrier->resolve(group::Verdict::kAbort);
-    group_coordinator_.end(id.name());
-    return freeze_error;
-  }
 
-  // Phase 1: one prepare worker per member, all concurrent.
-  std::vector<std::thread> workers;
+  // Phase 1: one prepare worker per member, all concurrent. Each writes
+  // only its own slot; the first failure vetoes the rest.
+  std::atomic<bool> veto{false};
+  std::vector<util::Status> results(members.size(), util::OkStatus());
+  std::vector<std::jthread> workers;  // joined on every path
   workers.reserve(members.size());
-  for (const SessionPtr& session : members) {
-    workers.emplace_back([this, session, barrier] {
-      if (auto st = group_prepare_member(session, barrier); !st.ok()) {
-        barrier->fail("conn " + std::to_string(session->conn_id()) + ": " +
-                      st.to_string());
-      }
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    workers.emplace_back([this, &members, &results, &veto, group_id, i] {
+      results[i] = group_prepare_member(members[i], group_id, veto);
+      if (!results[i].ok()) veto.store(true);
     });
   }
-  const bool prepared = barrier->await_prepared(config_.group_prepare_timeout);
-  for (std::thread& worker : workers) worker.join();
+  for (std::jthread& worker : workers) worker.join();
   hist_group_prepare_us_.record(obs::ms_to_us(prepare_sw.elapsed_ms()));
 
-  if (!prepared) {
-    const std::string reason = barrier->failure();
+  // The cut holds only if every member is still SUS_SENT: an abort that
+  // lands after its worker finished shows up here, not in the slots.
+  // First failure in member order names the rollback.
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    util::Status failure = results[i];
+    if (failure.ok() && members[i]->state() != ConnState::kSusSent) {
+      failure = util::Aborted(
+          "left the sweep in " + std::string(to_string(members[i]->state())));
+    }
+    if (failure.ok()) continue;
+    const std::string reason = "conn " +
+                               std::to_string(members[i]->conn_id()) + ": " +
+                               failure.to_string();
     group_rollback(members, group_id, reason);
-    barrier->resolve(group::Verdict::kAbort);
-    group_coordinator_.end(id.name());
     return util::Aborted("group " + std::to_string(group_id) +
                          " rolled back: " + reason);
   }
@@ -179,8 +177,6 @@ util::Status SocketController::group_suspend_sweep(
           << "group " << group_id
           << ": prepare journal failed: " << st.to_string();
       group_rollback(members, group_id, st.to_string());
-      barrier->resolve(group::Verdict::kAbort);
-      group_coordinator_.end(id.name());
       return st;
     }
   }
@@ -192,15 +188,11 @@ util::Status SocketController::group_suspend_sweep(
   // group in-process instead (journaled group-abort + full rollback).
   const fault::Decision d = fault::hit("ctrl.group.commit");
   if (d.action == fault::Action::kKill) {
-    group_coordinator_.end(id.name());
     return util::Unavailable("fault: killed between group prepare and "
                              "commit");
   }
   if (d.action == fault::Action::kError) {
-    if (store_) store_->abort_group(group_id);
     group_rollback(members, group_id, "fault: group commit errored");
-    barrier->resolve(group::Verdict::kAbort);
-    group_coordinator_.end(id.name());
     return util::Unavailable("fault: group commit errored");
   }
 
@@ -218,58 +210,28 @@ util::Status SocketController::group_suspend_sweep(
          "group-commit", group_id);
   }
   hist_group_commit_us_.record(obs::ms_to_us(commit_sw.elapsed_ms()));
-  barrier->resolve(group::Verdict::kCommit);
-  group_coordinator_.end(id.name());
   return util::OkStatus();
 }
 
 util::Status SocketController::group_prepare_member(
-    const SessionPtr& session,
-    const std::shared_ptr<group::GroupBarrier>& barrier) {
+    const SessionPtr& session, std::uint64_t group_id,
+    const std::atomic<bool>& veto) {
   // The member is already frozen (kSusSent, write mark pinned); this
-  // worker only runs the wire exchange up to the barrier.
-  const std::uint64_t mark = session->sent_seq();
+  // worker only runs the wire exchange up to the cut.
   CtrlMsg sus;
   sus.type = CtrlType::kSus;
   sus.conn_id = session->conn_id();
-  sus.sent_seq = mark;
-  sus.group_id = barrier->group_id();
-  (void)send_session_ctrl(session->peer_node().control, sus, *session);
-  span(session->trace_id(), obs::SpanKind::kSuspendSent, *session,
-       "group SUS", mark);
-
-  // Wait for the peer's verdict, keeping our receive side draining (the
-  // peer can only reply after freezing writers that may be blocked on
-  // TCP backpressure only our reads relieve) and polling the barrier so
-  // a cancellation elsewhere in the group wakes this worker within one
-  // slice — the bounded-wake contract for abort_session racing the
-  // prepare.
-  std::optional<Session::CtrlResponse> resp;
-  const std::int64_t now0 = now_us();
-  const std::int64_t deadline = now0 + config_.ctrl_response_timeout.count();
-  const std::int64_t resend_every = std::max<std::int64_t>(
-      std::chrono::microseconds(std::chrono::milliseconds(250)).count(),
-      config_.ctrl_response_timeout.count() / 4);
-  std::int64_t next_resend = now0 + resend_every;
-  while (now_us() < deadline) {
-    if (barrier->cancelled()) {
-      return util::Aborted("group cancelled: " + barrier->failure());
-    }
-    resp = wait_response(
-        *session, {CtrlType::kSusAck, CtrlType::kAckWait, CtrlType::kReject},
-        kPrepareSlice);
-    if (resp) break;
-    if (now_us() >= next_resend) {
-      next_resend = now_us() + resend_every;
-      if (auto fresh = server_.locations().try_lookup(session->peer_agent())) {
-        session->set_peer_node(*fresh);
-      }
-      (void)send_session_ctrl(session->peer_node().control, sus, *session,
-                              util::us(resend_every));
-    }
-    session->pump_available(kPrepareSlice);
-  }
+  sus.sent_seq = session->sent_seq();
+  sus.group_id = group_id;
+  std::int64_t deadline = 0;
+  const auto resp = exchange_sus(*session, sus, deadline, &veto);
   if (!resp) {
+    if (!is_live(session->state())) {
+      return util::Aborted("session aborted mid-prepare");
+    }
+    // Another member's failure stopped this one; that member's own status
+    // carries the cause.
+    if (veto.load()) return util::OkStatus();
     return util::Timeout("no SUS response for group member " +
                          std::to_string(session->conn_id()));
   }
@@ -301,8 +263,10 @@ util::Status SocketController::group_prepare_member(
   span(session->trace_id(), obs::SpanKind::kDrainComplete, *session, "group",
        session->buffered_bytes());
 
-  if (!barrier->arrive()) {
-    return util::Aborted("group barrier cancelled: " + barrier->failure());
+  // This member has reached its cut.
+  const fault::Decision d = fault::hit("group.barrier");
+  if (d.action == fault::Action::kError || d.action == fault::Action::kKill) {
+    return util::Aborted("fault: member failed at its cut");
   }
   return util::OkStatus();
 }
@@ -315,12 +279,12 @@ void SocketController::group_rollback(const std::vector<SessionPtr>& members,
   NAPLET_LOG(kWarn, "controller")
       << "group " << group_id << ": rolling back " << members.size()
       << " connection(s): " << reason;
-  // Harvest acknowledgements that raced the failure: a worker that bailed
-  // on barrier cancellation may have left its SUS_ACK unread in the
-  // response queue — but that ack means the peer HAS sealed its stream,
-  // and classifying the member "un-acked" below would revert this side
-  // over a stream the peer already closed. A short bounded poll closes
-  // the race (the ack, if it exists, is normally queued already).
+  // Harvest acknowledgements that raced the failure: a worker stopped by
+  // the veto may have left its SUS_ACK unread in the response queue —
+  // but that ack means the peer HAS sealed its stream, and classifying
+  // the member "un-acked" below would revert this side over a stream the
+  // peer already closed. A short bounded poll closes the race (the ack,
+  // if it exists, is normally queued already).
   for (const SessionPtr& session : members) {
     if (session->state() != ConnState::kSusSent) continue;
     if (session->flags().peer_declared_seq != 0) continue;
@@ -449,9 +413,12 @@ void SocketController::group_prefreeze_watchdog(
   // and the passive suspension completes) or the group died — revert the
   // orphans to ESTABLISHED through the kSusAcked -> kSuspendAbort arc so
   // their blocked writers return to service bounded.
+  // Outlasts the mover's phase 1 (each worker: one ctrl_response_timeout
+  // for the exchange, one drain_timeout for the drain) by one more
+  // response timeout.
   const std::int64_t deadline =
-      now_us() + config_.group_prepare_timeout.count() +
-      config_.ctrl_response_timeout.count();
+      now_us() + 2 * config_.ctrl_response_timeout.count() +
+      config_.drain_timeout.count();
   while (now_us() < deadline && !stopped_.load()) {
     bool pending = false;
     for (std::uint64_t conn_id : conn_ids) {

@@ -14,6 +14,7 @@ namespace naplet::nsock {
 namespace {
 
 constexpr util::Duration kRetrySleep = std::chrono::milliseconds(20);
+constexpr util::Duration kExchangeSlice = std::chrono::milliseconds(20);
 constexpr util::Duration kStatePollSlice = std::chrono::milliseconds(50);
 
 std::int64_t now_us() { return util::RealClock::instance().now_us(); }
@@ -48,6 +49,62 @@ std::optional<Session::CtrlResponse> SocketController::wait_response(
 
 // ===========================================================================
 // Suspension — active side
+
+std::optional<Session::CtrlResponse> SocketController::exchange_sus(
+    Session& session, CtrlMsg& sus, std::int64_t& deadline_us,
+    const std::atomic<bool>* veto) {
+  // Best-effort: if the peer controller restarted since we last heard from
+  // it, its control endpoint is stale and this send times out — the resend
+  // below refreshes the location and tries again, so a send failure here
+  // must not end the exchange.
+  if (auto st = send_session_ctrl(session.peer_node().control, sus, session);
+      !st.ok()) {
+    NAPLET_LOG(kDebug, "controller")
+        << "conn " << session.conn_id() << ": SUS send failed ("
+        << st.to_string() << "); retrying via location refresh";
+  }
+  span(session.trace_id(), obs::SpanKind::kSuspendSent, session,
+       sus.group_id != 0 ? "group SUS" : "SUS", sus.sent_seq);
+  // The clock starts after the first send, which a dead endpoint can hold
+  // for the transport's whole retransmission budget.
+  if (deadline_us == 0) {
+    deadline_us = now_us() + config_.ctrl_response_timeout.count();
+  }
+
+  // Wait for the peer's reply while KEEPING OUR RECEIVE SIDE DRAINING:
+  // the peer can only reply after freezing its writers, and one of those
+  // writers may be blocked on TCP backpressure that only our reads can
+  // relieve (the application reader is already parked on the state cell).
+  // Unprompted resends cover a peer controller that crashed and restarted
+  // at a new control endpoint, where no REJECT ever arrives (the peer's
+  // duplicate-SUS path re-acks harmlessly if both land).
+  const std::int64_t resend_every = std::max<std::int64_t>(
+      std::chrono::microseconds(std::chrono::milliseconds(250)).count(),
+      config_.ctrl_response_timeout.count() / 4);
+  std::int64_t next_resend = now_us() + resend_every;
+  while (now_us() < deadline_us) {
+    if ((veto != nullptr && veto->load()) || !is_live(session.state())) {
+      return std::nullopt;
+    }
+    if (auto resp = wait_response(
+            session,
+            {CtrlType::kSusAck, CtrlType::kAckWait, CtrlType::kReject},
+            kExchangeSlice)) {
+      return resp;
+    }
+    if (now_us() >= next_resend) {
+      next_resend = now_us() + resend_every;
+      if (auto fresh = server_.locations().try_lookup(session.peer_agent())) {
+        session.set_peer_node(*fresh);
+      }
+      // Bounded so a still-dead endpoint cannot eat the whole deadline.
+      (void)send_session_ctrl(session.peer_node().control, sus, session,
+                              util::us(resend_every));
+    }
+    session.pump_available(kExchangeSlice);
+  }
+  return std::nullopt;
+}
 
 util::Status SocketController::suspend(const SessionPtr& session) {
   if (session == nullptr) return util::InvalidArgument("null session");
@@ -94,70 +151,25 @@ std::optional<util::Status> SocketController::active_suspend(
   sus.type = CtrlType::kSus;
   sus.conn_id = session->conn_id();
   sus.sent_seq = mark;
-  // Best-effort: if the peer controller restarted since we last heard from
-  // it, its control endpoint is stale and this send times out — the resend
-  // loop below refreshes the location and tries again, so a send failure
-  // here must not abort the suspension outright.
-  if (auto st = send_session_ctrl(session->peer_node().control, sus, *session);
-      !st.ok()) {
-    NAPLET_LOG(kDebug, "controller")
-        << "conn " << session->conn_id()
-        << ": initial SUS send failed (" << st.to_string()
-        << "); retrying via location refresh";
-  }
-  span(session->trace_id(), obs::SpanKind::kSuspendSent, *session, "SUS",
-       mark);
-
-  // Wait for the peer's reply while KEEPING OUR RECEIVE SIDE DRAINING:
-  // the peer can only reply after freezing its writers, and one of those
-  // writers may be blocked on TCP backpressure that only our reads can
-  // relieve (the application reader is already parked on the state cell).
   // A REJECT means the peer's session is mid-transit (exported, not yet
-  // imported at its destination): refresh the peer's location and resend.
+  // imported at its destination): pause, refresh the peer's location and
+  // run the exchange again within the same deadline.
+  std::int64_t deadline = 0;  // set by the first exchange
   std::optional<Session::CtrlResponse> resp;
-  {
-    const std::int64_t now0 = util::RealClock::instance().now_us();
-    const std::int64_t deadline = now0 + config_.ctrl_response_timeout.count();
-    // Unprompted resend cadence: the peer controller may have crashed and
-    // restarted at a new control endpoint, in which case no REJECT ever
-    // arrives — periodically refresh its location and send the SUS again
-    // (the peer's duplicate-SUS path re-acks harmlessly if both land).
-    const std::int64_t resend_every = std::max<std::int64_t>(
-        std::chrono::microseconds(std::chrono::milliseconds(250)).count(),
-        config_.ctrl_response_timeout.count() / 4);
-    std::int64_t next_resend = now0 + resend_every;
-    while (util::RealClock::instance().now_us() < deadline) {
-      resp = wait_response(
-          *session,
-          {CtrlType::kSusAck, CtrlType::kAckWait, CtrlType::kReject},
-          std::chrono::milliseconds(20));
-      if (resp &&
-          resp->type == static_cast<std::uint8_t>(CtrlType::kReject)) {
-        resp.reset();
-        // Interruptible pause: stop() sets the event and this suspension
-        // unwinds immediately instead of finishing its retry budget.
-        if (stop_event_.wait_for(kRetrySleep)) {
-          return util::Cancelled("controller stopping");
-        }
-        if (auto fresh =
-                server_.locations().try_lookup(session->peer_agent())) {
-          session->set_peer_node(*fresh);
-        }
-        (void)send_session_ctrl(session->peer_node().control, sus, *session);
-        continue;
-      }
-      if (resp) break;
-      if (util::RealClock::instance().now_us() >= next_resend) {
-        next_resend = util::RealClock::instance().now_us() + resend_every;
-        if (auto fresh =
-                server_.locations().try_lookup(session->peer_agent())) {
-          session->set_peer_node(*fresh);
-        }
-        // Bounded so a still-dead endpoint cannot eat the whole deadline.
-        (void)send_session_ctrl(session->peer_node().control, sus, *session,
-                                util::us(resend_every));
-      }
-      session->pump_available(std::chrono::milliseconds(20));
+  for (;;) {
+    resp = exchange_sus(*session, sus, deadline);
+    if (!resp || resp->type != static_cast<std::uint8_t>(CtrlType::kReject)) {
+      break;
+    }
+    resp.reset();
+    // Interruptible pause: stop() sets the event and this suspension
+    // unwinds immediately instead of finishing its retry budget.
+    if (stop_event_.wait_for(kRetrySleep)) {
+      return util::Cancelled("controller stopping");
+    }
+    if (now_us() >= deadline) break;
+    if (auto fresh = server_.locations().try_lookup(session->peer_agent())) {
+      session->set_peer_node(*fresh);
     }
   }
   if (!resp) {
@@ -998,7 +1010,6 @@ util::Status SocketController::suspend_for_migration(
           return util::Timeout("parked suspend not released for conn " +
                                std::to_string(session->conn_id()));
         }
-        if (!is_live(session->state())) return util::OkStatus();
         return util::OkStatus();
       }
 

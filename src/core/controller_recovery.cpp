@@ -113,13 +113,9 @@ void SocketController::probe_peers() {
 }
 
 void SocketController::abort_session(const SessionPtr& session) {
-  // If this connection is a member of an in-flight group prepare, veto
-  // the group FIRST: the barrier fails, every parked prepare worker wakes
-  // within its poll slice, and the coordinator rolls the whole group back
-  // — an abort racing the barrier must never leave it waiting for a
-  // member that will not arrive.
-  (void)group_coordinator_.cancel_member(session->conn_id(),
-                                         "session aborted");
+  // A group prepare worker for this connection sees it leave the live
+  // states within one exchange slice and vetoes its group.
+  //
   // Deregister first so that by the time waiters observe CLOSED the
   // controller's books are already consistent.
   remove_session(session);

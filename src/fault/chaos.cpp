@@ -349,10 +349,7 @@ nsock::NodeConfig node_config(const ChaosCase& chaos_case, int i,
   // probe-driven abort.
   ctrl.tolerance.miss_threshold = 1000;
   ctrl.resume_timeout = 8s;
-  if (group) {
-    ctrl.group_suspend = true;
-    ctrl.group_prepare_timeout = 3s;
-  }
+  ctrl.group_suspend = group;
   if (i == journal_node(chaos_case)) {
     ctrl.durability.enabled = true;
     ctrl.durability.dir = journal_dir;

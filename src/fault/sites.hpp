@@ -34,9 +34,9 @@ inline constexpr std::string_view kFaultSites[] = {
     "swarm.batch.admit",
     "swarm.drain.suspend",
     "swarm.cache.lookup",
-    // Whole-agent group suspend (controller_group.cpp + group/barrier.cpp).
-    // NOT part of the generic ctrl.<type>.<stage> cross-product: these mark
-    // the two-phase barrier protocol, not individual message hops.
+    // Whole-agent group suspend (controller_group.cpp; group.barrier is a
+    // member reaching its cut). NOT part of the generic ctrl.<type>.<stage>
+    // cross-product: these mark the two-phase sweep, not message hops.
     "ctrl.group.prepare",
     "ctrl.group.commit",
     "group.barrier",

@@ -35,14 +35,6 @@ enum class LockRank : int {
   kSwarmDrain = 6,      ///< swarm::DrainCoordinator::mu_
   kSwarmCache = 8,      ///< swarm::CachingLocationService::mu_
 
-  // Group suspend (nested between swarm orchestration and the controller):
-  // the coordinator registry lock is taken while looking up / cancelling a
-  // group, and may then touch the group's barrier lock (cancel_member);
-  // both are released before any controller or session call, so they slot
-  // between the swarm tier that drives them and the controller they drive.
-  kGroupCoordinator = 7,  ///< group::GroupSuspendCoordinator::mu_
-  kGroupBarrier = 9,      ///< group::GroupBarrier::mu_
-
   // Control plane (outermost): the controller owns sessions, the agent
   // server owns residents, and both call down into session/queue locks.
   kController = 10,      ///< SocketController::mu_

@@ -1,9 +1,9 @@
-// Controller-level group-suspend tests (ISSUE 9): the atomic whole-agent
-// sweep behind ControllerConfig::group_suspend — happy-path migration of a
+// Controller-level group-suspend tests: the atomic whole-agent sweep
+// behind ControllerConfig::group_suspend — happy-path migration of a
 // multi-connection agent, abort_session racing an in-flight prepare
-// (bounded barrier wake, full-group rollback), the single-connection
-// suspend-rollback arc under concurrent send pressure, and the
-// DrainCoordinator driving whole-agent group sweeps.
+// (bounded group wake, full-group rollback), one sweep per agent at a
+// time, the single-connection suspend-rollback arc under concurrent send
+// pressure, and the DrainCoordinator driving whole-agent group sweeps.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -31,7 +31,6 @@ using testing::text;
 /// through the redirector).
 void group_config(NodeConfig& config) {
   config.controller.group_suspend = true;
-  config.controller.group_prepare_timeout = 5s;
   config.controller.tolerance.enabled = true;
   config.controller.ctrl_response_timeout = 1s;
   config.controller.drain_timeout = 1s;
@@ -91,11 +90,16 @@ TEST_F(GroupSuspendTest, AtomicSweepMigratesWholeAgent) {
     ASSERT_TRUE(got.ok()) << got.status().to_string();
     EXPECT_EQ(text(got->body), body);
   }
-  EXPECT_EQ(realm.ctrl(0).group_coordinator().active(), 0u);
 }
 
 TEST_F(GroupSuspendTest, AbortRacingPrepareWakesBarrierBounded) {
-  SimRealm realm(3, /*security=*/false, /*link_latency=*/{}, group_config);
+  // The response timeout outlasts the 2 s bound below, so only the
+  // abort itself can release the parked workers in time.
+  SimRealm realm(3, /*security=*/false, /*link_latency=*/{},
+                 [](NodeConfig& config) {
+                   group_config(config);
+                   config.controller.ctrl_response_timeout = 3s;
+                 });
   const agent::AgentId cli = realm.pseudo_agent("abr-cli", 0);
   const agent::AgentId srv = realm.pseudo_agent("abr-srv", 1);
   ASSERT_TRUE(realm.ctrl(1).listen(srv).ok());
@@ -105,7 +109,7 @@ TEST_F(GroupSuspendTest, AbortRacingPrepareWakesBarrierBounded) {
   ASSERT_NE(b.client, nullptr);
 
   // Drop every SUS: the prepare workers park waiting for acks that will
-  // never come, so only the abort can release the barrier.
+  // never come, so only the abort can release the group.
   auto plan = fault::Plan::parse("ctrl.suspend.pre_send@#1x1000:drop");
   ASSERT_TRUE(plan.ok());
   fault::Injector::instance().arm(*plan);
@@ -120,12 +124,11 @@ TEST_F(GroupSuspendTest, AbortRacingPrepareWakesBarrierBounded) {
   aborter.join();
   fault::Injector::instance().disarm();
 
-  // ISSUE 9 satellite 2: the aborted member vetoes the group and every
-  // parked waiter wakes well under the 2 s bound — no deadlocked barrier.
+  // The aborted member vetoes the group and every parked worker wakes
+  // well under the 2 s bound.
   EXPECT_FALSE(st.ok());
   EXPECT_LT(elapsed, 2s);
   EXPECT_GE(realm.ctrl(0).group_rollbacks(), 1u);
-  EXPECT_EQ(realm.ctrl(0).group_coordinator().active(), 0u);
 
   // The surviving member rolls back to ESTABLISHED and still carries data.
   ASSERT_TRUE(fault::await_established(*b.client, 5s).ok());
@@ -135,8 +138,47 @@ TEST_F(GroupSuspendTest, AbortRacingPrepareWakesBarrierBounded) {
   EXPECT_EQ(text(got->body), "after-rollback");
 }
 
+TEST_F(GroupSuspendTest, SecondSweepForSameAgentRefused) {
+  SimRealm realm(3, /*security=*/false, /*link_latency=*/{}, group_config);
+  const agent::AgentId cli = realm.pseudo_agent("one-sweep-cli", 0);
+  const agent::AgentId srv = realm.pseudo_agent("one-sweep-srv", 1);
+  ASSERT_TRUE(realm.ctrl(1).listen(srv).ok());
+  ConnPair a = connect_pair(realm, cli, 0, srv, 1);
+  ConnPair b = connect_pair(realm, cli, 0, srv, 1);
+  ASSERT_NE(a.client, nullptr);
+  ASSERT_NE(b.client, nullptr);
+
+  // Dropped SUS keeps the first sweep in flight until its workers time
+  // out and the group rolls back.
+  auto plan = fault::Plan::parse("ctrl.suspend.pre_send@#1x1000:drop");
+  ASSERT_TRUE(plan.ok());
+  fault::Injector::instance().arm(*plan);
+  util::Status first = util::OkStatus();
+  std::thread sweeper([&] { first = realm.ctrl(0).prepare_migration(cli); });
+  std::this_thread::sleep_for(150ms);
+
+  const auto start = std::chrono::steady_clock::now();
+  const util::Status second = realm.ctrl(0).prepare_migration(cli);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(second.code(), util::StatusCode::kFailedPrecondition)
+      << second.to_string();
+  EXPECT_LT(elapsed, 100ms);
+
+  sweeper.join();
+  fault::Injector::instance().disarm();
+  EXPECT_FALSE(first.ok());
+  ASSERT_TRUE(fault::await_established(*a.client, 5s).ok());
+  ASSERT_TRUE(fault::await_established(*b.client, 5s).ok());
+
+  // Once the first sweep has returned, the next one is admitted.
+  ASSERT_TRUE(realm.ctrl(0).prepare_migration(cli).ok());
+  EXPECT_EQ(a.client->state(), ConnState::kSuspended);
+  EXPECT_EQ(b.client->state(), ConnState::kSuspended);
+  ASSERT_TRUE(realm.migrate_pseudo_agent(cli, 0, 2).ok());
+}
+
 TEST_F(GroupSuspendTest, SingleConnRollbackUnderSendPressure) {
-  // ISSUE 9 satellite 3: the kSusSent --kSuspendAbort--> kEstablished arc
+  // The kSusSent --kSuspendAbort--> kEstablished arc
   // on the plain (non-group) path, with senders blocked mid-handshake.
   SimRealm realm(2, /*security=*/false, /*link_latency=*/{},
                  [](NodeConfig& config) {
@@ -189,7 +231,7 @@ TEST_F(GroupSuspendTest, SingleConnRollbackUnderSendPressure) {
 
 TEST_F(GroupSuspendTest, DrainCoordinatorSweepsAgentGroups) {
   // The swarm drain wired to the group path: each agent's connections
-  // suspend behind one barrier per prepare_migration call.
+  // suspend as one group per prepare_migration call.
   SimRealm realm(3, /*security=*/false, /*link_latency=*/{}, group_config);
   const agent::AgentId ant = realm.pseudo_agent("drain-ant", 0);
   const agent::AgentId bee = realm.pseudo_agent("drain-bee", 0);
