@@ -24,7 +24,9 @@
 #                                       times, zero failing runs allowed)
 #   2. Sanitize build + full ctest    (ASan + UBSan)
 #      + explicit `ctest -L net`
-#   3. Tsan build + `ctest -L tsan`   (pinned light concurrency sweep)
+#   3. Tsan build + `ctest -L tsan`   (pinned light concurrency sweep,
+#                                       including tsan_redirector: the
+#                                       pooled handoff workers)
 #      + `ctest -L faults`            (fault-injection suite under TSan)
 #      + `ctest -L recovery`          (crash-restart recovery under TSan)
 #      + `ctest -L obs`              (observability suite under TSan)

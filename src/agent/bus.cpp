@@ -31,15 +31,29 @@ void ServerBus::subscribe(BusKind kind, Handler handler) {
   handlers_[kind] = std::move(handler);
 }
 
-util::Status ServerBus::send(const net::Endpoint& dest, BusKind kind,
-                             util::ByteSpan payload,
-                             util::Duration max_wait) {
+namespace {
+
+util::Bytes tagged(BusKind kind, util::ByteSpan payload) {
   util::BytesWriter w(payload.size() + 1);
   w.u8(static_cast<std::uint8_t>(kind));
   w.raw(payload);
-  return channel_->send(dest,
-                        util::ByteSpan(w.data().data(), w.data().size()),
+  return std::move(w).take();
+}
+
+}  // namespace
+
+util::Status ServerBus::send(const net::Endpoint& dest, BusKind kind,
+                             util::ByteSpan payload,
+                             util::Duration max_wait) {
+  const util::Bytes wire = tagged(kind, payload);
+  return channel_->send(dest, util::ByteSpan(wire.data(), wire.size()),
                         max_wait);
+}
+
+util::Status ServerBus::post(const net::Endpoint& dest, BusKind kind,
+                             util::ByteSpan payload) {
+  const util::Bytes wire = tagged(kind, payload);
+  return channel_->post(dest, util::ByteSpan(wire.data(), wire.size()));
 }
 
 void ServerBus::dispatch_loop() {

@@ -4,9 +4,11 @@
 // that sharing point, extended to PostOffice mail as well).
 //
 // Messages are (kind, payload); components register a handler per kind and
-// a single dispatch thread demultiplexes inbound traffic. Handlers may
-// block on ReliableChannel::send (rudp ACKs are processed by the channel's
-// own receiver thread, so no deadlock).
+// a single dispatch thread demultiplexes inbound traffic. Handlers reply
+// with post(), which returns once the reply is on the wire, so the
+// dispatcher does not wait out a round trip per message. They may still
+// block on send() (rudp ACKs are processed by the channel's own receiver
+// thread, so no deadlock).
 #pragma once
 
 #include <atomic>
@@ -47,6 +49,11 @@ class ServerBus {
   /// `max_wait` caps the total blocking time (see ReliableChannel::send).
   util::Status send(const net::Endpoint& dest, BusKind kind,
                     util::ByteSpan payload, util::Duration max_wait = {});
+
+  /// Reliable send that returns once the first transmission is out; the
+  /// channel keeps retransmitting it (see ReliableChannel::post).
+  util::Status post(const net::Endpoint& dest, BusKind kind,
+                    util::ByteSpan payload);
 
   [[nodiscard]] net::Endpoint local_endpoint() const {
     return channel_->local_endpoint();

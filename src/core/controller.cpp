@@ -169,7 +169,8 @@ agent::NodeInfo SocketController::self_node() const {
 util::Status SocketController::send_ctrl(const net::Endpoint& dest,
                                          CtrlMsg& msg,
                                          util::ByteSpan session_key,
-                                         util::Duration max_wait) {
+                                         util::Duration max_wait,
+                                         Delivery delivery) {
   bool duplicate = false;
   if (fault::armed()) {
     const fault::Decision d = fault::hit(ctrl_site(msg.type, "pre_send"));
@@ -196,23 +197,27 @@ util::Status SocketController::send_ctrl(const net::Endpoint& dest,
   msg.mac = compute_mac(session_key,
                         util::ByteSpan(payload.data(), payload.size()));
   const util::Bytes encoded = msg.encode();
+  const util::ByteSpan wire(encoded.data(), encoded.size());
+  const auto transmit = [&] {
+    return delivery == Delivery::kPost
+               ? server_.bus().post(dest, agent::BusKind::kControl, wire)
+               : server_.bus().send(dest, agent::BusKind::kControl, wire,
+                                    max_wait);
+  };
   if (duplicate) {
     // Two independent rudp sends: the receiver sees two distinct reliable
     // messages with identical protocol content (stressing its duplicate
     // handling, which the per-seq rudp dedup cannot cover).
-    (void)server_.bus().send(dest, agent::BusKind::kControl,
-                             util::ByteSpan(encoded.data(), encoded.size()),
-                             max_wait);
+    (void)transmit();
   }
-  return server_.bus().send(dest, agent::BusKind::kControl,
-                            util::ByteSpan(encoded.data(), encoded.size()),
-                            max_wait);
+  return transmit();
 }
 
 util::Status SocketController::send_session_ctrl(const net::Endpoint& dest,
                                                  CtrlMsg& msg,
                                                  const Session& session,
-                                                 util::Duration max_wait) {
+                                                 util::Duration max_wait,
+                                                 Delivery delivery) {
   // Sender identity rides in client_agent for post-setup messages so the
   // receiver can address the right endpoint's session (it is MAC-covered).
   msg.client_agent = session.local_agent().name();
@@ -224,7 +229,7 @@ util::Status SocketController::send_session_ctrl(const net::Endpoint& dest,
   return send_ctrl(dest, msg,
                    util::ByteSpan(session.session_key().data(),
                                   session.session_key().size()),
-                   max_wait);
+                   max_wait, delivery);
 }
 
 util::Status SocketController::reply_handoff(net::Stream& stream,

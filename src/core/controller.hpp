@@ -264,16 +264,32 @@ class SocketController final : public agent::ConnectionMigrator {
   void handle_resume_request(std::shared_ptr<net::Stream> stream,
                              HandoffMsg msg);
 
-  // Internals. `max_wait` (0 = unbounded) caps the reliability layer's
-  // retransmission loop — used by liveness probes so a dead peer costs at
+  // Internals. kAwaitAck blocks until the peer's channel ACKs the message;
+  // kPost returns once it is on the wire (rudp keeps retransmitting it).
+  // Bus handlers post their replies; initiators and CONNECT_ACK, whose
+  // failure path drops the half-open session, wait.
+  enum class Delivery : std::uint8_t { kAwaitAck, kPost };
+  // `max_wait` (0 = unbounded) caps the reliability layer's retransmission
+  // loop for kAwaitAck — used by liveness probes so a dead peer costs at
   // most probe_timeout per round.
   util::Status send_ctrl(const net::Endpoint& dest, CtrlMsg& msg,
                          util::ByteSpan session_key,
-                         util::Duration max_wait = {});
+                         util::Duration max_wait = {},
+                         Delivery delivery = Delivery::kAwaitAck);
   /// Stamp the sender agent + MAC from `session` and send to `dest`.
   util::Status send_session_ctrl(const net::Endpoint& dest, CtrlMsg& msg,
                                  const Session& session,
-                                 util::Duration max_wait = {});
+                                 util::Duration max_wait = {},
+                                 Delivery delivery = Delivery::kAwaitAck);
+  /// A bus handler's reply: posted, outcome ignored (the initiator's
+  /// response timeout covers a reply that never arrives).
+  void post_reply(const net::Endpoint& dest, CtrlMsg& msg) {
+    (void)send_ctrl(dest, msg, {}, {}, Delivery::kPost);
+  }
+  void post_reply(const net::Endpoint& dest, CtrlMsg& msg,
+                  const Session& session) {
+    (void)send_session_ctrl(dest, msg, session, {}, Delivery::kPost);
+  }
   util::Status reply_handoff(net::Stream& stream, HandoffMsg msg,
                              util::ByteSpan session_key);
   /// First session with this conn id (tests/tools; unique in practice

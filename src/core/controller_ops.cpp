@@ -27,6 +27,18 @@ bool verify_session_mac(Session& session, const CtrlMsg& msg) {
                     util::ByteSpan(msg.mac.data(), msg.mac.size()));
 }
 
+/// Resume glare: while the peer's own RESUME is being accepted on this
+/// session (RES_ACKED), wait for that to finish — it ends in ESTABLISHED on
+/// success. Returns the state reached (still RES_ACKED on timeout).
+ConnState settle_peer_resume(Session& session, util::Duration timeout) {
+  const ConnState st = session.state();
+  if (st != ConnState::kResAcked) return st;
+  return session
+      .wait_state([](ConnState s) { return s != ConnState::kResAcked; },
+                  timeout)
+      .value_or(ConnState::kResAcked);
+}
+
 }  // namespace
 
 std::optional<Session::CtrlResponse> SocketController::wait_response(
@@ -247,14 +259,14 @@ void SocketController::handle_sus(CtrlMsg msg) {
   if (session == nullptr) {
     reply.type = CtrlType::kReject;
     reply.reason = "unknown connection";
-    (void)send_ctrl(msg.node.control, reply, {});
+    post_reply(msg.node.control, reply);
     return;
   }
   if (!verify_session_mac(*session, msg)) {
     mac_rejections_.add(1);
     reply.type = CtrlType::kReject;
     reply.reason = "MAC verification failed";
-    (void)send_ctrl(msg.node.control, reply, {});
+    post_reply(msg.node.control, reply);
     return;
   }
   if (!admit_epoch(*session, msg)) return;
@@ -290,7 +302,7 @@ void SocketController::handle_sus(CtrlMsg msg) {
             d.action == fault::Action::kKill) {
           reply.type = CtrlType::kReject;
           reply.reason = "fault: group prepare refused";
-          (void)send_session_ctrl(msg.node.control, reply, *session);
+          post_reply(msg.node.control, reply, *session);
           return;
         }
       }
@@ -308,7 +320,7 @@ void SocketController::handle_sus(CtrlMsg msg) {
       if (msg.group_id != 0) group_freeze_inbound(session, msg);
       reply.type = CtrlType::kSusAck;
       reply.sent_seq = mark;
-      (void)send_session_ctrl(msg.node.control, reply, *session);
+      post_reply(msg.node.control, reply, *session);
       finish_passive_suspend(session, msg.sent_seq);
       return;
     }
@@ -326,7 +338,7 @@ void SocketController::handle_sus(CtrlMsg msg) {
         });
         reply.type = CtrlType::kAckWait;
         reply.sent_seq = mark;
-        (void)send_session_ctrl(msg.node.control, reply, *session);
+        post_reply(msg.node.control, reply, *session);
       } else {
         // Low priority always acknowledges (paper: "side A always
         // acknowledges a SUSPEND request since it has a low priority").
@@ -336,7 +348,7 @@ void SocketController::handle_sus(CtrlMsg msg) {
         });
         reply.type = CtrlType::kSusAck;
         reply.sent_seq = mark;
-        (void)send_session_ctrl(msg.node.control, reply, *session);
+        post_reply(msg.node.control, reply, *session);
         // Our own active_suspend drains and closes once ACK_WAIT arrives.
       }
       return;
@@ -354,7 +366,7 @@ void SocketController::handle_sus(CtrlMsg msg) {
         });
         reply.type = CtrlType::kSusAck;
         reply.sent_seq = session->sent_seq();
-        (void)send_session_ctrl(msg.node.control, reply, *session);
+        post_reply(msg.node.control, reply, *session);
         finish_passive_suspend(session, msg.sent_seq);
         return;
       }
@@ -365,7 +377,7 @@ void SocketController::handle_sus(CtrlMsg msg) {
       // Duplicate SUS (a lost ACK was retransmitted around): re-acknowledge.
       reply.type = CtrlType::kSusAck;
       reply.sent_seq = session->sent_seq();
-      (void)send_session_ctrl(msg.node.control, reply, *session);
+      post_reply(msg.node.control, reply, *session);
       return;
     }
 
@@ -374,15 +386,18 @@ void SocketController::handle_sus(CtrlMsg msg) {
       // is suspending again instead (another migration round began). Its
       // suspension supersedes the parked resume: accept it — we are
       // already quiesced (no data socket) — and wake the parked waiter,
-      // whose resume completes as a passive suspension.
-      (void)session->advance(ConnEvent::kRecvSus);  // -> SUSPENDED
+      // whose resume completes as a passive suspension. The flags go first:
+      // the SUSPENDED transition wakes that waiter, and it reads
+      // remote_suspended to tell a superseded resume from a failed one.
       session->update_flags([&](Session::Flags& f) {
         f.remote_suspended = true;
         f.peer_declared_seq = msg.sent_seq;
       });
+      (void)fault::hit("ctrl.sus.resume_wait");
+      (void)session->advance(ConnEvent::kRecvSus);  // -> SUSPENDED
       reply.type = CtrlType::kSusAck;
       reply.sent_seq = session->sent_seq();
-      (void)send_session_ctrl(msg.node.control, reply, *session);
+      post_reply(msg.node.control, reply, *session);
       session->resume_event().set();
       return;
     }
@@ -390,7 +405,7 @@ void SocketController::handle_sus(CtrlMsg msg) {
     default: {
       reply.type = CtrlType::kReject;
       reply.reason = "SUS in state " + std::string(to_string(st));
-      (void)send_session_ctrl(msg.node.control, reply, *session);
+      post_reply(msg.node.control, reply, *session);
       return;
     }
   }
@@ -449,7 +464,7 @@ void SocketController::handle_sus_res(CtrlMsg msg) {
   CtrlMsg ack;
   ack.type = CtrlType::kSusResAck;
   ack.conn_id = msg.conn_id;
-  (void)send_session_ctrl(msg.node.control, ack, *session);
+  post_reply(msg.node.control, ack, *session);
   session->park_event().set();
 }
 
@@ -504,7 +519,7 @@ util::Status SocketController::do_resume(const SessionPtr& session) {
 }
 
 util::Status SocketController::do_resume_once(const SessionPtr& session) {
-  const ConnState st = session->state();
+  const ConnState st = settle_peer_resume(*session, config_.resume_timeout);
   if (st == ConnState::kEstablished) return util::OkStatus();
   if (st == ConnState::kResumeWait) {
     // Parked resume: the peer owes us the reconnect (paper Fig. 4(b)) —
@@ -530,7 +545,14 @@ util::Status SocketController::do_resume_once(const SessionPtr& session) {
         "cannot resume from state " + std::string(to_string(st)));
   }
 
-  NAPLET_RETURN_IF_ERROR(session->advance(ConnEvent::kAppResume));
+  if (auto adv = session->advance(ConnEvent::kAppResume); !adv.ok()) {
+    // The peer's RESUME got in between the state check above and here.
+    if (settle_peer_resume(*session, config_.resume_timeout) ==
+        ConnState::kEstablished) {
+      return util::OkStatus();
+    }
+    return adv;
+  }
   const std::int64_t deadline = now_us() + config_.resume_timeout.count();
 
   // Escalating retry pacing: the common first failure is the peer still
@@ -547,8 +569,10 @@ util::Status SocketController::do_resume_once(const SessionPtr& session) {
   };
 
   while (now_us() < deadline) {
-    // A glare resume from the peer may have established us already.
-    const ConnState current = session->state();
+    // A glare resume from the peer may have established us already, or be
+    // establishing us now: then it wins and we send nothing more.
+    const ConnState current = settle_peer_resume(
+        *session, util::us(std::max<std::int64_t>(1, deadline - now_us())));
     if (current == ConnState::kEstablished) return util::OkStatus();
     if (current == ConnState::kResumeWait) {
       auto final_state = session->wait_state(
@@ -641,9 +665,13 @@ util::Status SocketController::do_resume_once(const SessionPtr& session) {
              "mover");
         if (auto adv = session->advance(ConnEvent::kRecvResumeOk);
             !adv.ok()) {
-          // Glare tail: the peer's own attempt already established us; its
-          // OK to our attempt means both sides now hold THIS stream.
-          if (session->state() != ConnState::kEstablished) return adv;
+          // Glare tail: the peer's own attempt already established us (or
+          // is doing so); its OK to our attempt means both sides now hold
+          // THIS stream.
+          if (settle_peer_resume(*session, config_.resume_timeout) !=
+              ConnState::kEstablished) {
+            return adv;
+          }
         }
         session->update_flags([](Session::Flags& f) {
           f.remote_suspended = false;
@@ -902,14 +930,14 @@ void SocketController::handle_cls(CtrlMsg msg) {
   if (session == nullptr) {
     // Already closed (duplicate CLS): re-ACK so the peer can finish.
     ack.type = CtrlType::kClsAck;
-    (void)send_ctrl(msg.node.control, ack, {});
+    post_reply(msg.node.control, ack);
     return;
   }
   if (!verify_session_mac(*session, msg)) {
     mac_rejections_.add(1);
     ack.type = CtrlType::kReject;
     ack.reason = "MAC verification failed";
-    (void)send_session_ctrl(msg.node.control, ack, *session);
+    post_reply(msg.node.control, ack, *session);
     return;
   }
   if (!admit_epoch(*session, msg)) return;
@@ -920,7 +948,7 @@ void SocketController::handle_cls(CtrlMsg msg) {
   }
   ack.type = CtrlType::kClsAck;
   ack.sent_seq = session->freeze_writes_and_mark();
-  (void)send_session_ctrl(msg.node.control, ack, *session);
+  post_reply(msg.node.control, ack, *session);
   // Flush the closer's in-flight frames into the buffer before teardown;
   // the application can still read them after CLOSED.
   (void)session->drain_to_mark(msg.sent_seq, config_.drain_timeout);

@@ -1,5 +1,6 @@
 #include "core/redirector.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "fault/fault.hpp"
@@ -10,7 +11,14 @@
 namespace naplet::nsock {
 
 namespace {
-std::int64_t lease_now_us() { return util::RealClock::instance().now_us(); }
+
+std::int64_t now_us() { return util::RealClock::instance().now_us(); }
+
+// How long a worker waits on one stream before moving on: the wait for its
+// first bytes (after which it goes back to the tail of the queue), and the
+// granularity at which a worker reading a frame notices stop().
+constexpr std::int64_t kReadSliceUs = 20000;
+
 }  // namespace
 
 Redirector::Redirector(net::Network& network, std::uint16_t port,
@@ -29,6 +37,9 @@ util::Status Redirector::start() {
   auto listener = network_.listen(port_);
   if (!listener.ok()) return listener.status();
   listener_ = std::move(*listener);
+  for (int i = 0; i < kHandoffWorkers; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
+  }
   acceptor_ = std::thread([this] { accept_loop(); });
   return util::OkStatus();
 }
@@ -37,7 +48,11 @@ void Redirector::stop() {
   if (stopped_.exchange(true)) return;
   if (listener_) listener_->close();
   if (acceptor_.joinable()) acceptor_.join();
-  reap_handlers(/*all=*/true);
+  // Workers close whatever is still queued instead of serving it.
+  accepted_.close();
+  for (std::thread& worker : workers_) {
+    if (worker.joinable()) worker.join();
+  }
 }
 
 net::Endpoint Redirector::endpoint() const {
@@ -52,82 +67,149 @@ void Redirector::accept_loop() {
       if (accepted.status().code() == util::StatusCode::kTimeout) continue;
       break;  // listener closed
     }
-    std::shared_ptr<net::Stream> stream(std::move(*accepted));
-    std::thread worker([this, stream]() mutable {
-      auto frame = net::read_frame(*stream);
-      if (!frame.ok()) {
-        bad_handoffs_.fetch_add(1);
-        stream->close();
-        return;
-      }
-      // A batch frame announces itself with its magic first byte; route it
-      // to the coalesced exchange instead of the per-connection path.
-      if (!frame->empty() && (*frame)[0] == kBatchHandoffMagic) {
-        auto batch = BatchHandoffMsg::decode(
-            util::ByteSpan(frame->data(), frame->size()));
-        if (!batch.ok()) {
-          bad_handoffs_.fetch_add(1);
-          NAPLET_LOG(kWarn, "redirector")
-              << "bad batch handoff frame: " << batch.status().to_string();
-          stream->close();
-          return;
-        }
-        serve_batch(stream, *batch);
-        return;
-      }
-      auto msg = HandoffMsg::decode(util::ByteSpan(frame->data(),
-                                                   frame->size()));
-      if (!msg.ok()) {
-        bad_handoffs_.fetch_add(1);
-        NAPLET_LOG(kWarn, "redirector")
-            << "bad handoff frame: " << msg.status().to_string();
-        stream->close();
-        return;
-      }
-      if (fault::armed()) {
-        const fault::Decision d = fault::hit("redirector.handoff.accept");
-        if (d.action == fault::Action::kKill ||
-            d.action == fault::Action::kDrop ||
-            d.action == fault::Action::kError) {
-          // The worker dies mid-handoff: the request was read off the wire
-          // but no reply will ever come. The peer's resume retry loop must
-          // absorb this.
-          stream->close();
-          return;
-        }
-      }
-      // Lease gate: a RESUME naming a connection whose lease expired (or
-      // was never registered here) must not reach the handler — the owning
-      // controller is gone. The mover's retry loop refreshes the peer's
-      // location and tries the live node instead.
-      if (fenced(*msg)) {
-        HandoffMsg err;
-        err.type = HandoffType::kError;
-        err.conn_id = msg->conn_id;
-        err.reason = "no live lease for conn " + std::to_string(msg->conn_id);
-        (void)net::write_frame(*stream, err.encode());
-        stream->close();
-        return;
-      }
-      // Past every gate: this handoff WILL reach the controller. (The sink
-      // drops untraced messages — ATTACH carries no trace id.)
-      {
-        obs::SpanEvent ev;
-        ev.trace_id = msg->trace_id;
-        ev.kind = obs::SpanKind::kHandoffAccept;
-        ev.conn_id = msg->conn_id;
-        ev.host = host_label_;
-        ev.detail = std::string(to_string(msg->type));
-        obs::TraceSink::instance().record(std::move(ev));
-      }
-      handler_(std::move(stream), std::move(*msg));
-    });
-    {
-      util::MutexLock lock(handlers_mu_);
-      handlers_.push_back(std::move(worker));
+    Accepted item{std::shared_ptr<net::Stream>(std::move(*accepted)),
+                  now_us() + kFirstFrameDeadline.count()};
+    if (auto stream = item.stream; !accepted_.push(std::move(item))) {
+      stream->close();  // stopping
     }
-    reap_handlers(/*all=*/false);
   }
+}
+
+void Redirector::worker_loop() {
+  while (auto item = accepted_.pop()) {
+    if (stopped_.load()) {
+      item->stream->close();
+      continue;
+    }
+    if (auto frame = first_frame(*item)) serve(item->stream, *frame);
+  }
+}
+
+void Redirector::reject_bad(net::Stream& stream) {
+  bad_handoffs_.fetch_add(1);
+  stream.close();
+}
+
+std::optional<util::Bytes> Redirector::first_frame(Accepted& item) {
+  net::Stream& stream = *item.stream;
+  std::uint8_t header[4];
+  const std::int64_t left = item.deadline_us - now_us();
+  auto got = stream.read_some_for(
+      header, sizeof header,
+      util::us(std::clamp<std::int64_t>(left, 1, kReadSliceUs)));
+  if (!got.ok() && got.status().code() == util::StatusCode::kTimeout &&
+      !stopped_.load() && now_us() < item.deadline_us) {
+    // Nothing written yet: give the worker to the next stream in line.
+    if (auto stream_ref = item.stream; !accepted_.push(std::move(item))) {
+      stream_ref->close();  // stopping
+    }
+    return std::nullopt;
+  }
+  // EOF, a read error, or the deadline passed with nothing written.
+  if (!got.ok() || *got == 0) {
+    reject_bad(stream);
+    return std::nullopt;
+  }
+  if (!read_until(stream, header + *got, sizeof header - *got,
+                  item.deadline_us)
+           .ok()) {
+    reject_bad(stream);
+    return std::nullopt;
+  }
+  std::uint32_t len = 0;
+  for (std::uint8_t b : header) len = len << 8 | b;
+  if (len > net::kMaxFrameSize) {
+    reject_bad(stream);
+    return std::nullopt;
+  }
+  util::Bytes frame(len);
+  if (!read_until(stream, frame.data(), len, item.deadline_us).ok()) {
+    reject_bad(stream);
+    return std::nullopt;
+  }
+  return frame;
+}
+
+util::Status Redirector::read_until(net::Stream& stream, std::uint8_t* out,
+                                    std::size_t n, std::int64_t deadline_us) {
+  std::size_t got = 0;
+  while (got < n) {
+    const std::int64_t left = deadline_us - now_us();
+    if (left <= 0 || stopped_.load()) {
+      return util::Timeout("handoff frame incomplete");
+    }
+    auto r = stream.read_some_for(out + got, n - got,
+                                  util::us(std::min(left, kReadSliceUs)));
+    if (!r.ok()) {
+      if (r.status().code() == util::StatusCode::kTimeout) continue;
+      return r.status();
+    }
+    if (*r == 0) return util::IoError("stream closed mid-frame");
+    got += *r;
+  }
+  return util::OkStatus();
+}
+
+void Redirector::serve(const std::shared_ptr<net::Stream>& stream,
+                       const util::Bytes& frame) {
+  // A batch frame announces itself with its magic first byte; route it to
+  // the coalesced exchange instead of the per-connection path.
+  if (!frame.empty() && frame[0] == kBatchHandoffMagic) {
+    auto batch =
+        BatchHandoffMsg::decode(util::ByteSpan(frame.data(), frame.size()));
+    if (!batch.ok()) {
+      NAPLET_LOG(kWarn, "redirector")
+          << "bad batch handoff frame: " << batch.status().to_string();
+      reject_bad(*stream);
+      return;
+    }
+    serve_batch(stream, *batch);
+    return;
+  }
+  auto msg = HandoffMsg::decode(util::ByteSpan(frame.data(), frame.size()));
+  if (!msg.ok()) {
+    NAPLET_LOG(kWarn, "redirector")
+        << "bad handoff frame: " << msg.status().to_string();
+    reject_bad(*stream);
+    return;
+  }
+  if (fault::armed()) {
+    const fault::Decision d = fault::hit("redirector.handoff.accept");
+    if (d.action == fault::Action::kKill ||
+        d.action == fault::Action::kDrop ||
+        d.action == fault::Action::kError) {
+      // The worker dies mid-handoff: the request was read off the wire
+      // but no reply will ever come. The peer's resume retry loop must
+      // absorb this.
+      stream->close();
+      return;
+    }
+  }
+  // Lease gate: a RESUME naming a connection whose lease expired (or was
+  // never registered here) must not reach the handler — the owning
+  // controller is gone. The mover's retry loop refreshes the peer's
+  // location and tries the live node instead.
+  if (fenced(*msg)) {
+    HandoffMsg err;
+    err.type = HandoffType::kError;
+    err.conn_id = msg->conn_id;
+    err.reason = "no live lease for conn " + std::to_string(msg->conn_id);
+    (void)net::write_frame(*stream, err.encode());
+    stream->close();
+    return;
+  }
+  // Past every gate: this handoff WILL reach the controller. (The sink
+  // drops untraced messages — ATTACH carries no trace id.)
+  {
+    obs::SpanEvent ev;
+    ev.trace_id = msg->trace_id;
+    ev.kind = obs::SpanKind::kHandoffAccept;
+    ev.conn_id = msg->conn_id;
+    ev.host = host_label_;
+    ev.detail = std::string(to_string(msg->type));
+    obs::TraceSink::instance().record(std::move(ev));
+  }
+  handler_(stream, std::move(*msg));
 }
 
 void Redirector::serve_batch(const std::shared_ptr<net::Stream>& stream,
@@ -184,13 +266,13 @@ bool Redirector::fenced(const HandoffMsg& msg) {
 
 void Redirector::register_lease(std::uint64_t conn_id) {
   util::MutexLock lock(leases_mu_);
-  leases_[conn_id] = lease_now_us() + lease_ttl_.count();
+  leases_[conn_id] = now_us() + lease_ttl_.count();
 }
 
 void Redirector::refresh_lease(std::uint64_t conn_id) {
   util::MutexLock lock(leases_mu_);
   auto it = leases_.find(conn_id);
-  if (it != leases_.end()) it->second = lease_now_us() + lease_ttl_.count();
+  if (it != leases_.end()) it->second = now_us() + lease_ttl_.count();
 }
 
 void Redirector::release_lease(std::uint64_t conn_id) {
@@ -201,12 +283,12 @@ void Redirector::release_lease(std::uint64_t conn_id) {
 bool Redirector::lease_live(std::uint64_t conn_id) const {
   util::MutexLock lock(leases_mu_);
   auto it = leases_.find(conn_id);
-  return it != leases_.end() && it->second > lease_now_us();
+  return it != leases_.end() && it->second > now_us();
 }
 
 std::size_t Redirector::evict_expired_leases() {
   std::size_t evicted = 0;
-  const std::int64_t now = lease_now_us();
+  const std::int64_t now = now_us();
   util::MutexLock lock(leases_mu_);
   for (auto it = leases_.begin(); it != leases_.end();) {
     if (it->second <= now) {
@@ -225,22 +307,6 @@ std::size_t Redirector::evict_expired_leases() {
 std::size_t Redirector::lease_count() const {
   util::MutexLock lock(leases_mu_);
   return leases_.size();
-}
-
-void Redirector::reap_handlers(bool all) {
-  std::vector<std::thread> done;
-  {
-    util::MutexLock lock(handlers_mu_);
-    if (all) {
-      done = std::exchange(handlers_, {});
-    } else if (handlers_.size() > 32) {
-      // Bound the backlog; joining old handlers is cheap (they are short).
-      done.swap(handlers_);
-    }
-  }
-  for (auto& t : done) {
-    if (t.joinable()) t.join();
-  }
 }
 
 }  // namespace naplet::nsock

@@ -6,12 +6,19 @@
 // socket to the controller, which hands it to the right NapletServerSocket
 // or suspended session — saving the name/port query round trip and the
 // per-agent port table the paper describes.
+//
+// One acceptor thread queues accepted streams for a fixed pool of
+// kHandoffWorkers workers. A stream must deliver its first frame within
+// kFirstFrameDeadline of being accepted; a worker that finds nothing to
+// read within one short slice puts the stream back at the tail of the
+// queue, so clients that connect and never write cannot hold the pool.
 #pragma once
 
 #include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -25,6 +32,12 @@ namespace naplet::nsock {
 
 class Redirector {
  public:
+  /// Handoff workers serving accepted streams (a constant, not a knob).
+  static constexpr int kHandoffWorkers = 4;
+  /// How long after its accept a stream has to deliver its first frame.
+  static constexpr util::Duration kFirstFrameDeadline =
+      std::chrono::seconds(2);
+
   /// Handler owns the stream; it validates, replies on the stream, and
   /// either installs it as a data socket or closes it.
   using HandoffHandler =
@@ -70,7 +83,8 @@ class Redirector {
 
   [[nodiscard]] net::Endpoint endpoint() const;
 
-  /// Handoffs whose first frame was malformed (observability).
+  /// Handoffs whose first frame was malformed, cut short, or not complete
+  /// within kFirstFrameDeadline (observability).
   [[nodiscard]] std::uint64_t bad_handoffs() const {
     return bad_handoffs_.load();
   }
@@ -103,8 +117,24 @@ class Redirector {
   }
 
  private:
+  /// An accepted stream waiting for a worker.
+  struct Accepted {
+    std::shared_ptr<net::Stream> stream;
+    std::int64_t deadline_us = 0;  // first frame due by (RealClock)
+  };
+
   void accept_loop();
-  void reap_handlers(bool all);
+  void worker_loop();
+  /// Read `item`'s first frame. Returns nullopt when the stream was put
+  /// back in the queue (nothing to read yet) or disposed of as a bad
+  /// handoff.
+  std::optional<util::Bytes> first_frame(Accepted& item);
+  /// Read exactly `n` bytes by `deadline_us`, giving up early on stop().
+  util::Status read_until(net::Stream& stream, std::uint8_t* out,
+                          std::size_t n, std::int64_t deadline_us);
+  void serve(const std::shared_ptr<net::Stream>& stream,
+             const util::Bytes& frame);
+  void reject_bad(net::Stream& stream);
 
   void serve_batch(const std::shared_ptr<net::Stream>& stream,
                    const BatchHandoffMsg& batch);
@@ -127,8 +157,8 @@ class Redirector {
       "created in start() before the acceptor thread; Listener is "
       "internally synchronized");
   std::thread acceptor_;
-  util::Mutex handlers_mu_{util::LockRank::kRedirector, "redirector"};
-  std::vector<std::thread> handlers_ NAPLET_GUARDED_BY(handlers_mu_);
+  util::BlockingQueue<Accepted> accepted_;
+  std::vector<std::thread> workers_;  // started in start(), joined in stop()
   std::atomic<bool> stopped_{false};
   std::atomic<std::uint64_t> bad_handoffs_{0};
   std::atomic<std::uint64_t> batch_exchanges_{0};

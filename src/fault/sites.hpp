@@ -29,6 +29,10 @@ inline constexpr std::string_view kFaultSites[] = {
     "redirector.handoff.accept",
     "redirector.handoff.batch",
     "session.resume.replay",
+    // A SUS superseding a parked resume (controller_ops.cpp handle_sus):
+    // between recording the peer's suspension and the SUSPENDED transition
+    // that wakes the parked resume.
+    "ctrl.sus.resume_wait",
     // Swarm orchestration (src/swarm + the redirector batch exchange).
     "swarm.batch.dispatch",
     "swarm.batch.admit",

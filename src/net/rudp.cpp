@@ -90,10 +90,17 @@ void ReliableChannel::close() {
   if (closed_.exchange(true)) return;
   inbox_.close();
   socket_->close();
-  // Take and drop mu_ so the flag is ordered before the wakeups: a waiter
-  // that checked closed_ just before the store re-checks after its wait.
-  { util::MutexLock lock(mu_); }
-  acked_cv_.notify_all();
+  {
+    // Settle every packet still in flight: a blocked send() wakes with
+    // kCancelled, and posted packets free their window slots. Any transmit
+    // that takes mu_ after this sees closed_ and adds nothing.
+    util::MutexLock lock(mu_);
+    for (auto& [dest, peer] : tx_) {
+      for (auto it = peer.inflight.begin(); it != peer.inflight.end();) {
+        it = settle(peer, it, util::Cancelled("channel closed"));
+      }
+    }
+  }
   window_cv_.notify_all();
   timer_cv_.notify_all();
 }
@@ -114,13 +121,29 @@ ReliableChannel::TxPeer& ReliableChannel::peer_for(const Endpoint& dest) {
   return it->second;
 }
 
-void ReliableChannel::release_slot(TxPeer& peer, TxPacket& packet) {
-  if (packet.slot_released) return;
-  packet.slot_released = true;
+ReliableChannel::TxMap::iterator ReliableChannel::settle(
+    TxPeer& peer, TxMap::iterator it, util::Status status) {
+  TxPacket& packet = it->second;
   peer.unacked_packets--;
   peer.unacked_bytes -= packet.payload_size;
   window_inflight_.add(-1);
   window_cv_.notify_all();
+  if (status.ok()) {
+    messages_sent_.add(1);
+    // Histogram::record is lock-free, so recording under mu_ is safe.
+    rtt_us_.record(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            steady_clock::now() - packet.start)
+            .count()));
+    retransmits_per_send_.record(
+        static_cast<std::uint64_t>(packet.sends - 1));
+  }
+  if (packet.waiter != nullptr) {
+    packet.waiter->status = std::move(status);
+    packet.waiter->done = true;
+    packet.waiter->cv.notify_one();
+  }
+  return peer.inflight.erase(it);
 }
 
 void ReliableChannel::rtt_sample(TxPeer& peer, double sample_us) {
@@ -230,14 +253,12 @@ bool ReliableChannel::send_with_fault(const char* site, const Endpoint& dest,
   return true;
 }
 
-util::Status ReliableChannel::send(const Endpoint& dest,
-                                   util::ByteSpan payload,
-                                   util::Duration max_wait) {
+util::StatusOr<std::uint64_t> ReliableChannel::transmit(
+    const Endpoint& dest, util::ByteSpan payload, SendWaiter* waiter,
+    std::optional<TimePoint> admit_deadline) {
   if (closed_.load()) return util::Cancelled("channel closed");
   const auto t_start = steady_clock::now();
-  const bool bounded = max_wait.count() > 0;
-  const auto hard_deadline = t_start + max_wait;
-
+  bool wake_timer = false;
   std::uint64_t seq = 0;
   {
     util::MutexLock lock(mu_);
@@ -249,14 +270,13 @@ util::Status ReliableChannel::send(const Endpoint& dest,
            (peer.unacked_packets >= config_.window_packets ||
             (peer.unacked_packets > 0 &&
              peer.unacked_bytes + payload.size() > config_.window_bytes))) {
-      if (bounded && steady_clock::now() >= hard_deadline) {
+      if (admit_deadline && steady_clock::now() >= *admit_deadline) {
         return util::Timeout("send window to " + dest.to_string() +
                              " full within caller budget");
       }
-      const auto wait_until =
-          bounded ? std::min(hard_deadline, steady_clock::now() + kPollSlice)
-                  : steady_clock::now() + kPollSlice;
-      (void)window_cv_.wait_until(mu_, wait_until);
+      const auto poll = steady_clock::now() + kPollSlice;
+      (void)window_cv_.wait_until(
+          mu_, admit_deadline ? std::min(*admit_deadline, poll) : poll);
     }
     if (closed_.load()) return util::Cancelled("channel closed");
 
@@ -287,11 +307,11 @@ util::Status ReliableChannel::send(const Endpoint& dest,
     TxPacket packet;
     packet.wire = wire::encode(data);
     packet.payload_size = payload.size();
+    packet.start = t_start;
     packet.first_send = steady_clock::now();
     packet.sends = 1;
-    TxPacket& sent =
-        peer.inflight.emplace(seq, std::move(packet)).first->second;
-    const util::Bytes& frame = sent.wire;
+    packet.waiter = waiter;
+    auto it = peer.inflight.emplace(seq, std::move(packet)).first;
     peer.unacked_packets++;
     peer.unacked_bytes += payload.size();
     window_inflight_.add(1);
@@ -299,73 +319,63 @@ util::Status ReliableChannel::send(const Endpoint& dest,
     // First transmission happens under mu_ so the fault-site hit order
     // matches sequence order (chaos plans and the fast-retransmit tests
     // rely on "#n" addressing the n-th packet).
-    if (!send_with_fault("rudp.send", dest, frame)) {
-      TxPeer& p2 = peer_for(dest);
-      auto it = p2.inflight.find(seq);
-      release_slot(p2, it->second);
-      p2.inflight.erase(it);
+    if (!send_with_fault("rudp.send", dest, it->second.wire)) {
+      it->second.waiter = nullptr;  // the caller gets the status directly
+      settle(peer, it, util::Unavailable("fault: rudp send errored"));
       return util::Unavailable("fault: rudp send errored");
     }
     // The retransmit clock starts once the frame is handed off. Stamped
     // before the send, a preemption in between would pull the first
     // retransmit closer to the original.
-    sent.deadline = steady_clock::now() + interval_for(peer, 0);
-    timer_kick_ = true;
+    const TimePoint deadline = steady_clock::now() + interval_for(peer, 0);
+    it->second.deadline = deadline;
+    if (!timer_wake_) {
+      timer_kick_ = true;  // mid-pass: the timer re-scans before sleeping
+    } else if (deadline < *timer_wake_) {
+      timer_wake_ = deadline;  // later sends compare against this one
+      wake_timer = true;
+    }
     if (!parity_wire.empty()) {
       (void)send_with_fault("rudp.fec", dest, parity_wire);
     }
   }
-  timer_cv_.notify_all();  // the timer owns this packet's deadline now
+  if (wake_timer) timer_cv_.notify_one();
+  return seq;
+}
 
-  // Wait for the ACK (or failure, close, caller budget).
+util::Status ReliableChannel::post(const Endpoint& dest,
+                                   util::ByteSpan payload) {
+  return transmit(dest, payload, nullptr, std::nullopt).status();
+}
+
+util::Status ReliableChannel::send(const Endpoint& dest,
+                                   util::ByteSpan payload,
+                                   util::Duration max_wait) {
+  const bool bounded = max_wait.count() > 0;
+  const auto hard_deadline = steady_clock::now() + max_wait;
+  SendWaiter waiter;
+  const auto seq = transmit(
+      dest, payload, &waiter,
+      bounded ? std::optional<TimePoint>(hard_deadline) : std::nullopt);
+  if (!seq.ok()) return seq.status();
+
+  // Wait for this packet to settle: its ACK, its last retransmit, or
+  // close(). Only the settler of THIS packet notifies waiter.cv.
   util::MutexLock lock(mu_);
-  TxPeer& peer = peer_for(dest);
-  for (;;) {
-    auto it = peer.inflight.find(seq);
-    if (it == peer.inflight.end()) {
-      // Unreachable: only this call erases its packet. Fail safe.
-      return util::Cancelled("send state lost");
-    }
-    TxPacket& packet = it->second;
-    // Success is checked before closure: if the ACK already arrived, the
-    // message was delivered and the send must report OK even when the
-    // channel is concurrently closing (a handler's blocking reply racing
-    // bus teardown used to flake here).
-    if (packet.acked) {
-      const int sends = packet.sends;
-      peer.inflight.erase(it);
-      messages_sent_.add(1);
-      // Histogram::record is lock-free, so recording under mu_ is safe.
-      rtt_us_.record(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              steady_clock::now() - t_start)
-              .count()));
-      retransmits_per_send_.record(static_cast<std::uint64_t>(sends - 1));
-      return util::OkStatus();
-    }
-    if (packet.failed) {
-      util::Status status = packet.fail_status;
-      release_slot(peer, packet);
-      peer.inflight.erase(it);
-      return status;
-    }
-    if (closed_.load()) {
-      release_slot(peer, packet);
-      peer.inflight.erase(it);
-      return util::Cancelled("channel closed");
-    }
+  while (!waiter.done) {
     if (bounded && steady_clock::now() >= hard_deadline) {
       // Caller budget exhausted: abandon the retransmit schedule.
-      release_slot(peer, packet);
-      peer.inflight.erase(it);
-      return util::Timeout("no ACK from " + dest.to_string() +
-                           " within caller budget");
+      TxPeer& peer = peer_for(dest);
+      settle(peer, peer.inflight.find(*seq),
+             util::Timeout("no ACK from " + dest.to_string() +
+                           " within caller budget"));
+      break;
     }
-    const auto wait_until =
-        bounded ? std::min(hard_deadline, steady_clock::now() + kPollSlice)
-                : steady_clock::now() + kPollSlice;
-    (void)acked_cv_.wait_until(mu_, wait_until);
+    const auto poll = steady_clock::now() + kPollSlice;
+    (void)waiter.cv.wait_until(mu_,
+                               bounded ? std::min(hard_deadline, poll) : poll);
   }
+  return waiter.status;
 }
 
 void ReliableChannel::handle_ack(const Endpoint& from,
@@ -397,13 +407,11 @@ void ReliableChannel::handle_ack(const Endpoint& from,
       return false;
     };
 
-    bool progressed = false;
     const auto now = steady_clock::now();
-    for (auto& [seq, packet] : peer.inflight) {
-      if (packet.acked || packet.failed) continue;
+    for (auto it = peer.inflight.begin(); it != peer.inflight.end();) {
+      const std::uint64_t seq = it->first;
+      TxPacket& packet = it->second;
       if (wire::seq_le(seq, cum) || sacked(seq)) {
-        packet.acked = true;
-        progressed = true;
         if (!packet.retransmitted) {  // Karn's rule
           rtt_sample(peer,
                      static_cast<double>(
@@ -411,7 +419,7 @@ void ReliableChannel::handle_ack(const Endpoint& from,
                              now - packet.first_send)
                              .count()));
         }
-        release_slot(peer, packet);
+        it = settle(peer, it, util::OkStatus());
         continue;
       }
       if (config_.fast_retx_dupacks > 0 && wire::seq_lt(seq, top) &&
@@ -429,8 +437,8 @@ void ReliableChannel::handle_ack(const Endpoint& from,
           fast.push_back(FastRetx{from, packet.wire});
         }
       }
+      ++it;
     }
-    if (progressed) acked_cv_.notify_all();
   }
   for (const FastRetx& f : fast) {
     // kError makes no sense for an opportunistic retransmit; treat it as
@@ -470,19 +478,19 @@ std::optional<ReliableChannel::TimePoint> ReliableChannel::retx_pass() {
           fold(flush_at);
         }
       }
-      for (auto& [seq, packet] : peer.inflight) {
-        if (packet.acked || packet.failed) continue;
+      for (auto it = peer.inflight.begin(); it != peer.inflight.end();) {
+        TxPacket& packet = it->second;
         if (packet.deadline > now) {
           fold(packet.deadline);
+          ++it;
           continue;
         }
         if (packet.sends >= config_.max_attempts) {
-          packet.failed = true;
-          packet.fail_status = util::Timeout(
-              "no ACK from " + dest.to_string() + " after " +
-              std::to_string(config_.max_attempts) + " attempts");
-          release_slot(peer, packet);
-          acked_cv_.notify_all();
+          it = settle(peer, it,
+                      util::Timeout("no ACK from " + dest.to_string() +
+                                    " after " +
+                                    std::to_string(config_.max_attempts) +
+                                    " attempts"));
           continue;
         }
         packet.sends++;
@@ -491,7 +499,8 @@ std::optional<ReliableChannel::TimePoint> ReliableChannel::retx_pass() {
         packet.deadline = now + interval;
         fold(packet.deadline);
         retransmissions_.add(1);
-        out.push_back(Pending{dest, seq, packet.wire, false, interval});
+        out.push_back(Pending{dest, it->first, packet.wire, false, interval});
+        ++it;
       }
     }
   }
@@ -507,10 +516,7 @@ std::optional<ReliableChannel::TimePoint> ReliableChannel::retx_pass() {
     if (peer_it == tx_.end()) continue;
     auto it = peer_it->second.inflight.find(p.seq);
     // Skip a packet the ACK settled while we were outside the lock.
-    if (it == peer_it->second.inflight.end() || it->second.acked ||
-        it->second.failed) {
-      continue;
-    }
+    if (it == peer_it->second.inflight.end()) continue;
     if (sent) {
       // Re-stamp from the hand-off, as for the first send: the deadline
       // above was taken before the lock was dropped, and a preemption
@@ -520,10 +526,7 @@ std::optional<ReliableChannel::TimePoint> ReliableChannel::retx_pass() {
       continue;
     }
     // Scripted kError: the send fails outright.
-    it->second.failed = true;
-    it->second.fail_status = util::Unavailable("fault: rudp send errored");
-    release_slot(peer_it->second, it->second);
-    acked_cv_.notify_all();
+    settle(peer_it->second, it, util::Unavailable("fault: rudp send errored"));
   }
   return next;
 }
@@ -534,10 +537,13 @@ void ReliableChannel::timer_loop() {
     util::MutexLock lock(mu_);
     if (closed_.load()) break;
     if (timer_kick_) continue;  // a send stamped a deadline after the pass
-    // New deadlines fold into `next` inside the pass; the poll-slice cap
-    // is a backstop for a missed timer_cv_ wakeup.
+    // Deadlines set during the pass fold into `next`; a later send with an
+    // earlier deadline lowers timer_wake_ and notifies. The poll-slice cap
+    // is a backstop for a missed wakeup.
     const auto cap = steady_clock::now() + kPollSlice;
-    (void)timer_cv_.wait_until(mu_, next ? std::min(*next, cap) : cap);
+    timer_wake_ = next ? std::min(*next, cap) : cap;
+    (void)timer_cv_.wait_until(mu_, *timer_wake_);
+    timer_wake_.reset();
   }
 }
 

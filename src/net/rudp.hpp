@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "net/rudp_wire.hpp"
@@ -93,12 +94,14 @@ struct RudpConfig {
   std::uint64_t initial_seq = 1;
 };
 
-/// Blocking reliable-datagram channel. send() enters the per-destination
-/// window (blocking while it is full) and returns once the packet is
+/// Reliable-datagram channel. send() enters the per-destination window
+/// (blocking while it is full) and returns once the packet is
 /// cumulatively or selectively ACKed, attempts are exhausted (kTimeout),
-/// or the channel closes (kCancelled). A background receiver thread ACKs,
-/// de-duplicates, reorders, and queues inbound messages for recv(); a
-/// background timer thread owns retransmissions and FEC parity flushes.
+/// or the channel closes (kCancelled); post() enters the window the same
+/// way but returns once the first transmission is out. A background
+/// receiver thread ACKs, de-duplicates, reorders, and queues inbound
+/// messages for recv(); a background timer thread owns retransmissions
+/// and FEC parity flushes.
 ///
 /// Every counter, gauge and histogram lives in `registry` (the node's
 /// registry, which must outlive the channel) under the `rudp_` prefix.
@@ -119,6 +122,14 @@ class ReliableChannel {
   /// one dead peer cannot stall a probe round.
   util::Status send(const Endpoint& dest, util::ByteSpan payload,
                     util::Duration max_wait = {});
+
+  /// Send `payload` reliably without waiting for its ACK: returns Ok once
+  /// the first transmission is out, kCancelled when the channel is closed,
+  /// or kUnavailable when a scripted fault errors the send. Blocks only
+  /// while the destination's window is full. The packet then retransmits
+  /// like any other, and its ACK or its final retransmit failure erases
+  /// it, recording the same per-send metrics a send() would.
+  util::Status post(const Endpoint& dest, util::ByteSpan payload);
 
   struct Message {
     Endpoint from;
@@ -163,28 +174,36 @@ class ReliableChannel {
  private:
   using TimePoint = std::chrono::steady_clock::time_point;
 
-  /// One unacknowledged packet in the send window.
+  /// A blocked send(): whoever settles its packet stores the outcome here
+  /// and wakes this sender alone.
+  struct SendWaiter {
+    util::CondVar cv;
+    bool done = false;
+    util::Status status;
+  };
+
+  /// One unacknowledged packet in the send window. Packets leave the map
+  /// only through settle().
   struct TxPacket {
     util::Bytes wire;          // encoded frame, resent verbatim
     std::size_t payload_size = 0;
-    TimePoint first_send{};
+    TimePoint start{};         // send()/post() entry: rudp_rtt_us origin
+    TimePoint first_send{};    // RTT estimator origin
     TimePoint deadline{};      // next retransmit (timer thread)
     int sends = 0;             // transmissions so far (1 = original)
     int gap_evidence = 0;      // ACKs covering serially-later packets
     bool fast_retx_done = false;
     bool retransmitted = false;  // Karn: no RTT sample once true
-    bool acked = false;
-    bool failed = false;
-    bool slot_released = false;  // window accounting done exactly once
-    util::Status fail_status;
+    SendWaiter* waiter = nullptr;  // the blocked send(); null for post()
   };
+  using TxMap = std::map<std::uint64_t, TxPacket>;
 
   /// Per-destination sender state: its own sequence space, RTT estimator,
   /// and FEC accumulator.
   struct TxPeer {
     std::uint64_t next_seq = 0;
     std::uint64_t flow_start = 0;
-    std::map<std::uint64_t, TxPacket> inflight;
+    TxMap inflight;
     int unacked_packets = 0;
     std::size_t unacked_bytes = 0;
     bool have_rtt = false;
@@ -216,7 +235,15 @@ class ReliableChannel {
   [[nodiscard]] util::Duration interval_for(TxPeer& peer, int attempt)
       NAPLET_REQUIRES(mu_);
   TxPeer& peer_for(const Endpoint& dest) NAPLET_REQUIRES(mu_);
-  void release_slot(TxPeer& peer, TxPacket& packet) NAPLET_REQUIRES(mu_);
+  /// Window admission, sequencing and first transmission: the one transmit
+  /// path under send() and post(). Returns the seq now in flight.
+  util::StatusOr<std::uint64_t> transmit(
+      const Endpoint& dest, util::ByteSpan payload, SendWaiter* waiter,
+      std::optional<TimePoint> admit_deadline);
+  /// Take a packet out of the window: free its slot, record the per-send
+  /// metrics when `status` is Ok, hand `status` to its waiter, erase it.
+  TxMap::iterator settle(TxPeer& peer, TxMap::iterator it,
+                         util::Status status) NAPLET_REQUIRES(mu_);
   void rtt_sample(TxPeer& peer, double sample_us) NAPLET_REQUIRES(mu_);
   /// Close the open FEC group and return the encoded parity frame.
   [[nodiscard]] util::Bytes flush_fec(TxPeer& peer) NAPLET_REQUIRES(mu_);
@@ -264,13 +291,14 @@ class ReliableChannel {
   const std::uint64_t flow_id_;
 
   util::Mutex mu_{util::LockRank::kRudpChannel, "rudp"};
-  util::CondVar acked_cv_;   // a send completed (ACK / failure / close)
   util::CondVar window_cv_;  // a window slot freed
-  util::CondVar timer_cv_;   // timer wake (new deadline / close)
-  // A new deadline since the timer's last pass; the timer re-scans instead
-  // of sleeping when set (timer_cv_ notifies sent between its pass and its
-  // wait are otherwise lost).
+  util::CondVar timer_cv_;   // timer wake (earlier deadline / close)
+  // A new deadline landed while the timer was running a pass; the timer
+  // re-scans instead of sleeping when set.
   bool timer_kick_ NAPLET_GUARDED_BY(mu_) = false;
+  // When the sleeping timer wakes next; nullopt while it runs a pass. A
+  // send notifies timer_cv_ only for a deadline earlier than this.
+  std::optional<TimePoint> timer_wake_ NAPLET_GUARDED_BY(mu_);
   std::map<Endpoint, TxPeer> tx_ NAPLET_GUARDED_BY(mu_);
   util::Rng jitter_rng_ NAPLET_GUARDED_BY(mu_);
 

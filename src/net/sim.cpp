@@ -299,8 +299,15 @@ struct SimNet::Impl {
       dgrams NAPLET_GUARDED_BY(mu);
 
   // Established streams per normalized node pair (for sever_streams).
-  std::map<std::pair<std::string, std::string>, std::vector<SimStreamWeak>>
-      streams NAPLET_GUARDED_BY(mu);
+  // Entries of closed-and-destroyed streams are swept only once the list
+  // has doubled since its last sweep, so a connect costs amortised O(1)
+  // however many streams stay open between the pair.
+  struct StreamList {
+    std::vector<SimStreamWeak> weak;
+    std::size_t live_after_sweep = 0;
+  };
+  std::map<std::pair<std::string, std::string>, StreamList> streams
+      NAPLET_GUARDED_BY(mu);
 
   std::uint16_t next_port NAPLET_GUARDED_BY(mu) = 40000;
   std::uint64_t dropped NAPLET_GUARDED_BY(mu) = 0;
@@ -516,7 +523,7 @@ void SimNet::sever_streams(const std::string& a, const std::string& b) {
     util::MutexLock lock(impl_->mu);
     auto it = impl_->streams.find(Impl::norm(a, b));
     if (it == impl_->streams.end()) return;
-    victims = std::move(it->second);
+    victims = std::move(it->second.weak);
     impl_->streams.erase(it);
   }
   std::uint64_t closed = 0;
@@ -598,11 +605,15 @@ util::StatusOr<StreamPtr> SimNode::connect(const Endpoint& dest,
 
   {
     util::MutexLock lock(impl->mu);
-    auto& vec = impl->streams[SimNet::Impl::norm(name_, dest.host)];
-    vec.emplace_back(client_side);
-    vec.emplace_back(server_side);
-    // Opportunistic cleanup of dead entries.
-    std::erase_if(vec, [](const SimStreamWeak& w) { return w.expired(); });
+    auto& list = impl->streams[SimNet::Impl::norm(name_, dest.host)];
+    list.weak.emplace_back(client_side);
+    list.weak.emplace_back(server_side);
+    if (list.weak.size() >= 2 * std::max<std::size_t>(list.live_after_sweep,
+                                                      32)) {
+      std::erase_if(list.weak,
+                    [](const SimStreamWeak& w) { return w.expired(); });
+      list.live_after_sweep = list.weak.size();
+    }
   }
 
   if (!accept_queue->push(PendingConn{server_side, client_ep})) {

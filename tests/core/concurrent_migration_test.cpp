@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "core/test_realm.hpp"
+#include "fault/fault.hpp"
 
 namespace naplet::nsock {
 namespace {
@@ -178,8 +179,10 @@ TEST(ConcurrentMigration, ResumeGlareResolvesByPriority) {
                        [&] { return realm.ctrl(0).resume(conn.client); });
   auto r2 = std::async(std::launch::async,
                        [&] { return realm.ctrl(1).resume(conn.server); });
-  EXPECT_TRUE(r1.get().ok());
-  EXPECT_TRUE(r2.get().ok());
+  const util::Status s1 = r1.get();
+  const util::Status s2 = r2.get();
+  EXPECT_TRUE(s1.ok()) << s1.to_string();
+  EXPECT_TRUE(s2.ok()) << s2.to_string();
   EXPECT_EQ(conn.client->state(), ConnState::kEstablished);
   EXPECT_EQ(conn.server->state(), ConnState::kEstablished);
 
@@ -187,6 +190,79 @@ TEST(ConcurrentMigration, ResumeGlareResolvesByPriority) {
   auto got = conn.server->recv(1s);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(text(got->body), "glare resolved");
+}
+
+TEST(ConcurrentMigration, SuspendSupersedingParkedResumeReleasesIt) {
+  // A SUS landing while our resume is parked in RESUME_WAIT supersedes it:
+  // the parked resume returns OK as a passive suspension. The delay sits
+  // between handle_sus recording the peer's suspension and the SUSPENDED
+  // transition that wakes the parked resume; with the two steps the other
+  // way round the waiter read remote_suspended unset and failed with
+  // "RESUME_WAIT not released".
+  SimRealm realm(3, /*security=*/true, {}, [](NodeConfig& config) {
+    config.controller.resume_timeout = 3s;
+  });
+  auto alice = realm.pseudo_agent("alice", 0);
+  auto bob = realm.pseudo_agent("bob", 1);
+  ConnPair conn = make_connection(realm, alice, 0, bob, 1);
+  const std::uint64_t conn_id = conn.client->conn_id();
+
+  // Alice departs; bob then starts migrating and his suspend parks.
+  realm.locations().begin_migration(alice);
+  ASSERT_TRUE(realm.ctrl(0).prepare_migration(alice).ok());
+  ASSERT_TRUE(conn.server->wait_state(
+      [](ConnState s) { return s == ConnState::kSuspended; }, 2s));
+  realm.locations().begin_migration(bob);
+  auto bob_prepare = std::async(std::launch::async, [&] {
+    return realm.ctrl(1).prepare_migration(bob);
+  });
+  ASSERT_TRUE(conn.server->wait_state(
+      [](ConnState s) { return s == ConnState::kSuspendWait; }, 2s));
+
+  // Alice lands; bob answers her RESUME with RESUME_WAIT, parking it.
+  const util::Bytes sessions = realm.ctrl(0).export_sessions(alice);
+  ASSERT_TRUE(realm.ctrl(2)
+                  .import_sessions(alice, util::ByteSpan(sessions.data(),
+                                                         sessions.size()))
+                  .ok());
+  realm.locations().register_agent(alice, realm.server(2).node_info());
+  auto alice_resume = std::async(std::launch::async, [&] {
+    return realm.ctrl(2).complete_migration(alice);
+  });
+  SessionPtr alice_side = realm.ctrl(2).session_by_id(conn_id);
+  ASSERT_TRUE(alice_side);
+  ASSERT_TRUE(alice_side->wait_state(
+      [](ConnState s) { return s == ConnState::kResumeWait; }, 2s));
+  ASSERT_TRUE(bob_prepare.get().ok());
+
+  // Bob's next suspension round reaches alice while her resume is parked.
+  auto plan = fault::Plan::parse("ctrl.sus.resume_wait@#1:delay:50");
+  ASSERT_TRUE(plan.ok());
+  fault::Injector::instance().arm(*plan);
+  CtrlMsg sus;
+  sus.type = CtrlType::kSus;
+  sus.conn_id = conn_id;
+  sus.client_agent = bob.name();
+  sus.sent_seq = conn.server->sent_seq();
+  sus.node = realm.server(1).node_info();
+  const util::Bytes mac_payload = sus.mac_payload();
+  sus.mac = compute_mac(
+      util::ByteSpan(conn.server->session_key().data(),
+                     conn.server->session_key().size()),
+      util::ByteSpan(mac_payload.data(), mac_payload.size()));
+  const util::Bytes encoded = sus.encode();
+  ASSERT_TRUE(realm.server(1)
+                  .bus()
+                  .send(realm.server(2).node_info().control,
+                        agent::BusKind::kControl,
+                        util::ByteSpan(encoded.data(), encoded.size()))
+                  .ok());
+
+  const util::Status resumed = alice_resume.get();
+  fault::Injector::instance().disarm();
+  EXPECT_TRUE(resumed.ok()) << resumed.to_string();
+  EXPECT_EQ(alice_side->state(), ConnState::kSuspended);
+  EXPECT_TRUE(alice_side->flags().remote_suspended);
 }
 
 TEST(ConcurrentMigration, StressAlternatingAndSimultaneousHops) {

@@ -23,7 +23,28 @@ class TestChannel : private OwnRegistry, public ReliableChannel {
  public:
   TestChannel(DatagramPtr socket, const RudpConfig& config)
       : ReliableChannel(std::move(socket), metrics, config) {}
+
+  [[nodiscard]] std::int64_t inflight() {
+    return metrics.gauge("rudp_window_inflight").value();
+  }
+  [[nodiscard]] std::uint64_t rtt_samples() {
+    return metrics.histogram("rudp_rtt_us").count();
+  }
+  [[nodiscard]] std::uint64_t retransmit_samples() {
+    return metrics.histogram("rudp_retransmits_per_send", "count").count();
+  }
 };
+
+/// Poll `done` for up to `limit`; true once it holds.
+template <typename Pred>
+bool eventually(Pred done, util::Duration limit = 2s) {
+  const auto give_up = std::chrono::steady_clock::now() + limit;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= give_up) return false;
+    std::this_thread::sleep_for(2ms);
+  }
+  return true;
+}
 
 std::unique_ptr<TestChannel> make_channel(Network& network,
                                           std::uint16_t port,
@@ -172,6 +193,98 @@ TEST(Rudp, CloseUnblocksSender) {
                          util::ByteSpan(msg.data(), msg.size()));
   EXPECT_FALSE(status.ok());
   closer.join();
+}
+
+TEST(Rudp, PostToAbsentReceiverReturnsAtOnce) {
+  SimNet net;
+  auto a = net.add_node("a");
+  net.add_node("b");  // nothing bound: the packet can never be ACKed
+  RudpConfig config;
+  config.retransmit_interval = 1s;
+  config.max_attempts = 1000;
+  auto ca = make_channel(*a, 7, config);
+
+  const util::Bytes msg = {1};
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_TRUE(
+      ca->post(Endpoint{"b", 7}, util::ByteSpan(msg.data(), msg.size())).ok());
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 100ms);
+  EXPECT_EQ(ca->inflight(), 1);  // still retransmitting in the background
+}
+
+TEST(Rudp, PostedPacketGoneAfterMaxAttempts) {
+  SimNet net;
+  auto a = net.add_node("a");
+  auto b = net.add_node("b");
+  net.set_link("a", "b", LinkConfig{.datagram_loss = 1.0});
+  RudpConfig config;
+  config.retransmit_interval = 5ms;
+  config.max_attempts = 3;
+  config.window_packets = 1;
+  auto ca = make_channel(*a, 7, config);
+  auto cb = make_channel(*b, 7, config);
+
+  const util::Bytes msg = {1};
+  ASSERT_TRUE(
+      ca->post(Endpoint{"b", 7}, util::ByteSpan(msg.data(), msg.size())).ok());
+  EXPECT_TRUE(eventually([&] { return ca->inflight() == 0; }));
+  EXPECT_EQ(ca->messages_sent(), 0u);
+  EXPECT_EQ(ca->rtt_samples(), 0u);
+
+  // The single window slot is free again: a second post is admitted at once.
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_TRUE(
+      ca->post(Endpoint{"b", 7}, util::ByteSpan(msg.data(), msg.size())).ok());
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 100ms);
+  (void)cb;
+}
+
+TEST(Rudp, AckedPostRecordsSendMetrics) {
+  SimNet net;
+  auto a = net.add_node("a");
+  auto b = net.add_node("b");
+  auto ca = make_channel(*a, 7);
+  auto cb = make_channel(*b, 7);
+
+  const util::Bytes msg = {7};
+  ASSERT_TRUE(
+      ca->post(Endpoint{"b", 7}, util::ByteSpan(msg.data(), msg.size())).ok());
+  auto got = cb->recv(1s);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->payload, msg);
+  EXPECT_TRUE(eventually([&] { return ca->messages_sent() == 1; }));
+  EXPECT_EQ(ca->rtt_samples(), 1u);
+  EXPECT_EQ(ca->retransmit_samples(), 1u);
+  EXPECT_EQ(ca->inflight(), 0);
+}
+
+TEST(Rudp, CloseWakesBlockedSendBehindPosts) {
+  SimNet net;
+  auto a = net.add_node("a");
+  net.add_node("b");  // no receiver: nothing is ever ACKed
+  RudpConfig config;
+  config.retransmit_interval = 1s;
+  config.max_attempts = 1000;
+  auto ca = make_channel(*a, 7, config);
+
+  const util::Bytes msg = {1};
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(ca->post(Endpoint{"b", 7},
+                         util::ByteSpan(msg.data(), msg.size()))
+                    .ok());
+  }
+  std::thread closer([&] {
+    std::this_thread::sleep_for(50ms);
+    ca->close();
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  auto status =
+      ca->send(Endpoint{"b", 7}, util::ByteSpan(msg.data(), msg.size()));
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  closer.join();
+  EXPECT_EQ(status.code(), util::StatusCode::kCancelled);
+  EXPECT_LT(waited, 1s);
+  EXPECT_EQ(ca->inflight(), 0);  // posted packets settled too
 }
 
 TEST(Rudp, GarbagePacketsIgnored) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
 
 #include "util/clock.hpp"
 
@@ -213,6 +214,37 @@ TEST(SimNet, SeverStreamsClosesEstablished) {
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 0u);  // closed
   EXPECT_FALSE((*client)->write_all(util::ByteSpan(buf, 1)).ok());
+}
+
+TEST(SimNet, SeverAfterManyCyclesClosesOnlyLiveStreams) {
+  // Thousands of short-lived streams between one pair leave registry
+  // entries behind; sever must still find every live stream and count no
+  // dead one.
+  SimNet net;
+  auto a = net.add_node("a");
+  auto b = net.add_node("b");
+  auto listener = b->listen(1);
+  ASSERT_TRUE(listener.ok());
+  std::vector<StreamPtr> live;
+  for (int i = 0; i < 2000; ++i) {
+    auto client = a->connect(Endpoint{"b", 1}, 1s);
+    auto server = (*listener)->accept(1s);
+    ASSERT_TRUE(client.ok() && server.ok()) << "cycle " << i;
+    if (i % 100 == 0) {
+      live.push_back(std::move(*client));
+      live.push_back(std::move(*server));
+    }
+  }
+  ASSERT_EQ(live.size(), 40u);
+
+  net.sever_streams("a", "b");
+  EXPECT_EQ(net.counters().streams_severed, live.size());
+  std::uint8_t buf[1];
+  for (auto& stream : live) {
+    auto n = stream->read_some(buf, 1);
+    ASSERT_TRUE(n.ok());
+    EXPECT_EQ(*n, 0u);  // closed
+  }
 }
 
 TEST(SimNet, SameNodeLoopback) {
