@@ -204,6 +204,10 @@ class TcpListener final : public Listener {
 
   util::StatusOr<StreamPtr> accept(
       std::optional<util::Duration> timeout) override {
+    // Shared lock: close() must not release the fd number (which the kernel
+    // may reuse) while this poll/accept is on it. close() shuts the socket
+    // down first, which is what wakes a blocked poll.
+    std::shared_lock lock(io_mu_);
     const int fd = fd_.get();
     if (fd < 0) return util::Cancelled("listener closed");
     int timeout_ms = -1;
@@ -218,7 +222,7 @@ class TcpListener final : public Listener {
       return readable.status();
     }
     if (!*readable) return util::Timeout("accept timed out");
-    const int conn = ::accept(fd_.get(), nullptr, nullptr);
+    const int conn = ::accept(fd, nullptr, nullptr);
     if (conn < 0) {
       if (fd_.get() < 0) return util::Cancelled("listener closed");
       return errno_status("accept");
@@ -229,12 +233,18 @@ class TcpListener final : public Listener {
   [[nodiscard]] Endpoint local_endpoint() const override { return local_; }
 
   void close() override {
-    const int fd = fd_.get();
-    if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
-    fd_.reset();
+    const int fd = fd_.release();
+    if (fd < 0) return;
+    ::shutdown(fd, SHUT_RDWR);
+    // Exclusive lock: waits for an accept woken by the shutdown to leave
+    // poll/accept before ::close can recycle the fd number.
+    std::unique_lock lock(io_mu_);
+    ::close(fd);
   }
 
  private:
+  // Leaf lock around the fd's lifetime, as in UdpSocket.
+  std::shared_mutex io_mu_;
   Fd fd_;
   Endpoint local_;
 };
