@@ -24,6 +24,7 @@
 #                                       times, zero failing runs allowed)
 #   2. Sanitize build + full ctest    (ASan + UBSan)
 #      + explicit `ctest -L net`
+#      + explicit `ctest -L wire`      (codec goldens + corruption sweep)
 #   3. Tsan build + `ctest -L tsan`   (pinned light concurrency sweep,
 #                                       including tsan_redirector: the
 #                                       pooled handoff workers)
@@ -200,6 +201,8 @@ if [ "$SKIP_SANITIZE" -eq 0 ]; then
   ctest --test-dir build-sanitize --output-on-failure -j "$JOBS"
   note "rudp transport suite (ctest -L net, ASan+UBSan)"
   ctest --test-dir build-sanitize -L net --output-on-failure -j "$JOBS"
+  note "codec goldens and corruption sweep (ctest -L wire, ASan+UBSan)"
+  ctest --test-dir build-sanitize -L wire --output-on-failure -j "$JOBS"
 else
   skip "--skip-sanitize"
 fi

@@ -29,21 +29,13 @@ AccessController::AccessController(std::string server_name,
                                    util::Bytes realm_key)
     : server_name_(std::move(server_name)), realm_key_(std::move(realm_key)) {}
 
-util::Bytes AccessController::token_payload(const AuthToken& token) const {
-  util::BytesWriter w;
-  w.str(token.agent_name);
-  w.str(token.issuing_server);
-  w.u64(token.issued_at_us);
-  return std::move(w).take();
-}
-
 AuthToken AccessController::issue_token(const AgentId& agent) const {
   AuthToken token;
   token.agent_name = agent.name();
   token.issuing_server = server_name_;
   token.issued_at_us =
       static_cast<std::uint64_t>(util::RealClock::instance().now_us());
-  const util::Bytes payload = token_payload(token);
+  const util::Bytes payload = util::Archive::encode_body(token);
   const crypto::Sha256Digest tag = crypto::hmac_sha256(
       util::ByteSpan(realm_key_.data(), realm_key_.size()),
       util::ByteSpan(payload.data(), payload.size()));
@@ -53,7 +45,7 @@ AuthToken AccessController::issue_token(const AgentId& agent) const {
 
 util::StatusOr<Subject> AccessController::authenticate(
     const AuthToken& token) const {
-  const util::Bytes payload = token_payload(token);
+  const util::Bytes payload = util::Archive::encode_body(token);
   if (!crypto::hmac_sha256_verify(
           util::ByteSpan(realm_key_.data(), realm_key_.size()),
           util::ByteSpan(payload.data(), payload.size()),

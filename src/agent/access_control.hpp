@@ -55,10 +55,14 @@ struct AuthToken {
   util::Bytes tag;  // HMAC-SHA256(realm_key, fields)
 
   void persist(util::Archive& ar) {
+    persist_body(ar);
+    ar.field(tag);
+  }
+  /// The fields the tag signs.
+  void persist_body(util::Archive& ar) {
     ar.field(agent_name);
     ar.field(issuing_server);
     ar.field(issued_at_us);
-    ar.field(tag);
   }
 };
 
@@ -100,8 +104,6 @@ class AccessController {
   [[nodiscard]] std::uint64_t denials() const;
 
  private:
-  [[nodiscard]] util::Bytes token_payload(const AuthToken& token) const;
-
   std::string server_name_;
   util::Bytes realm_key_;
 

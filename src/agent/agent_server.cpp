@@ -357,32 +357,15 @@ util::Status AgentServer::transfer_agent(const AgentId& id,
   }
 
   // 2. Assemble the transfer payload.
-  const util::Bytes state = util::Archive::encode(*agent);
-  const util::Bytes sessions = migrator_->export_sessions(id);
-  std::vector<Mail> mailbox = post_->drain_mailbox(id);
-  AuthToken token = access_.issue_token(id);
-
-  util::Archive mail_ar;
-  std::uint32_t mail_count = static_cast<std::uint32_t>(mailbox.size());
-  mail_ar.field(mail_count);
-  for (auto& m : mailbox) mail_ar.field(m);
-
-  util::BytesWriter frame;
-  frame.str(id.name());
-  frame.str(agent->type_name());
-  frame.u32(context->hop_count() + 1);
-  frame.bytes(util::ByteSpan(state.data(), state.size()));
-  frame.bytes(util::ByteSpan(sessions.data(), sessions.size()));
-  {
-    util::Archive token_ar;
-    token_ar.field(token);
-    const util::Bytes token_bytes = std::move(token_ar).take_bytes();
-    frame.bytes(util::ByteSpan(token_bytes.data(), token_bytes.size()));
-  }
-  {
-    const util::Bytes mail_bytes = std::move(mail_ar).take_bytes();
-    frame.bytes(util::ByteSpan(mail_bytes.data(), mail_bytes.size()));
-  }
+  TransferFrame transfer;
+  transfer.agent = id.name();
+  transfer.type_name = agent->type_name();
+  transfer.hop = context->hop_count() + 1;
+  transfer.state = util::Archive::encode(*agent);
+  transfer.sessions = migrator_->export_sessions(id);
+  transfer.mailbox = post_->drain_mailbox(id);
+  transfer.token = access_.issue_token(id);
+  const util::Bytes frame = util::Archive::encode(transfer);
 
   if (config_.extra_migration_cost.count() > 0) {
     util::RealClock::instance().sleep_for(config_.extra_migration_cost);
@@ -390,11 +373,12 @@ util::Status AgentServer::transfer_agent(const AgentId& id,
 
   // 3. Ship it.
   auto rollback = [&](const util::Status& why) {
-    post_->restore_mailbox(id, std::move(mailbox));
+    post_->restore_mailbox(id, std::move(transfer.mailbox));
     // export_sessions removed (and invalidated) the originals; rebuild
     // them from the serialized state so the agent can keep running here.
     if (auto st = migrator_->import_sessions(
-            id, util::ByteSpan(sessions.data(), sessions.size()));
+            id, util::ByteSpan(transfer.sessions.data(),
+                               transfer.sessions.size()));
         !st.ok()) {
       NAPLET_LOG(kError, "server")
           << "session rollback failed for " << id.name() << ": "
@@ -408,8 +392,7 @@ util::Status AgentServer::transfer_agent(const AgentId& id,
   auto stream = network_->connect(dest->migration, kMigrationConnectTimeout);
   if (!stream.ok()) return rollback(stream.status());
   auto sent = net::write_frame(**stream,
-                               util::ByteSpan(frame.data().data(),
-                                              frame.data().size()));
+                               util::ByteSpan(frame.data(), frame.size()));
   if (sent.ok()) {
     auto reply = net::read_frame(**stream);
     if (!reply.ok()) {
@@ -467,15 +450,6 @@ void AgentServer::handle_incoming_migration(net::StreamPtr stream) {
   auto frame = net::read_frame(*stream);
   if (!frame.ok()) return;
 
-  util::BytesReader r(util::ByteSpan(frame->data(), frame->size()));
-  auto name = r.str();
-  auto type_name = r.str();
-  auto hop = r.u32();
-  auto state = r.bytes();
-  auto sessions = r.bytes();
-  auto token_bytes = r.bytes();
-  auto mail_bytes = r.bytes();
-
   auto reject = [&](const std::string& why) {
     NAPLET_LOG(kWarn, "server") << config_.name
                                 << " rejecting migration: " << why;
@@ -483,52 +457,32 @@ void AgentServer::handle_incoming_migration(net::StreamPtr stream) {
     (void)net::write_frame(*stream, util::ByteSpan(&no, 1));
   };
 
-  if (!name.ok() || !type_name.ok() || !hop.ok() || !state.ok() ||
-      !sessions.ok() || !token_bytes.ok() || !mail_bytes.ok()) {
-    reject("malformed transfer frame");
+  TransferFrame transfer;
+  if (auto st = util::Archive::decode(
+          util::ByteSpan(frame->data(), frame->size()), transfer);
+      !st.ok()) {
+    reject("malformed transfer frame: " + st.to_string());
     return;
   }
 
   // Authenticate the sending realm.
-  AuthToken token;
-  if (auto st = util::Archive::decode(
-          util::ByteSpan(token_bytes->data(), token_bytes->size()), token);
-      !st.ok()) {
-    reject("bad token encoding");
-    return;
-  }
-  auto subject = access_.authenticate(token);
-  if (!subject.ok() || subject->name != *name) {
-    reject("authentication failed for agent '" + *name + "'");
+  auto subject = access_.authenticate(transfer.token);
+  if (!subject.ok() || subject->name != transfer.agent) {
+    reject("authentication failed for agent '" + transfer.agent + "'");
     return;
   }
 
-  auto agent = AgentFactory::instance().create(*type_name);
+  auto agent = AgentFactory::instance().create(transfer.type_name);
   if (!agent.ok()) {
     reject(agent.status().to_string());
     return;
   }
   if (auto st = util::Archive::decode(
-          util::ByteSpan(state->data(), state->size()), **agent);
+          util::ByteSpan(transfer.state.data(), transfer.state.size()),
+          **agent);
       !st.ok()) {
     reject("bad state encoding: " + st.to_string());
     return;
-  }
-
-  std::vector<Mail> mailbox;
-  {
-    util::Archive ar(util::ByteSpan(mail_bytes->data(), mail_bytes->size()));
-    std::uint32_t count = 0;
-    ar.field(count);
-    for (std::uint32_t i = 0; i < count && ar.ok(); ++i) {
-      Mail m;
-      ar.field(m);
-      mailbox.push_back(std::move(m));
-    }
-    if (!ar.ok()) {
-      reject("bad mailbox encoding");
-      return;
-    }
   }
 
   const std::uint8_t yes = 1;
@@ -537,8 +491,9 @@ void AgentServer::handle_incoming_migration(net::StreamPtr stream) {
   }
 
   migrations_in_.fetch_add(1);
-  admit(std::move(*agent), AgentId(*name), *hop, std::move(mailbox),
-        util::ByteSpan(sessions->data(), sessions->size()));
+  admit(std::move(*agent), AgentId(transfer.agent), transfer.hop,
+        std::move(transfer.mailbox),
+        util::ByteSpan(transfer.sessions.data(), transfer.sessions.size()));
 }
 
 bool wait_agent_gone(const LocationService& locations, const AgentId& id,

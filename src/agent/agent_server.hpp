@@ -40,6 +40,28 @@ struct AgentServerConfig {
   util::Duration extra_migration_cost{0};
 };
 
+/// The one frame on a migration stream: everything an agent carries to its
+/// next host. The destination answers with one byte (1 = admitted).
+struct TransferFrame {
+  std::string agent;      // the agent's id
+  std::string type_name;  // AgentFactory key
+  std::uint32_t hop = 0;
+  util::Bytes state;      // the agent's own persist()
+  util::Bytes sessions;   // ConnectionMigrator::export_sessions
+  AuthToken token;
+  std::vector<Mail> mailbox;
+
+  void persist(util::Archive& ar) {
+    ar.field(agent);
+    ar.field(type_name);
+    ar.field(hop);
+    ar.field(state);
+    ar.field(sessions);
+    ar.nested(token);
+    ar.nested(mailbox);
+  }
+};
+
 class AgentServer {
  public:
   AgentServer(net::NetworkPtr network, LocationService& locations,

@@ -41,22 +41,16 @@ bool is_lookup_op(Op op) {
 constexpr util::Duration kConnectTimeout = std::chrono::seconds(3);
 constexpr util::Duration kBaseReplyWait = std::chrono::seconds(5);
 
+// Directory ops carry a NodeInfo as a length-prefixed blob.
 void write_node(util::BytesWriter& w, const NodeInfo& node) {
-  util::Archive ar;
-  NodeInfo copy = node;
-  copy.persist(ar);
-  const util::Bytes bytes = std::move(ar).take_bytes();
-  w.bytes(util::ByteSpan(bytes.data(), bytes.size()));
+  w.bytes(util::Archive::encode(node));
 }
 
 util::StatusOr<NodeInfo> read_node(util::BytesReader& r) {
   auto bytes = r.bytes();
   if (!bytes.ok()) return bytes.status();
-  NodeInfo node;
-  util::Archive ar(util::ByteSpan(bytes->data(), bytes->size()));
-  node.persist(ar);
-  if (!ar.ok()) return ar.status();
-  return node;
+  return util::Archive::decode<NodeInfo>(
+      util::ByteSpan(bytes->data(), bytes->size()));
 }
 
 }  // namespace

@@ -77,33 +77,6 @@ void PostOffice::restore_mailbox(const AgentId& id, std::vector<Mail> mail) {
   for (auto& m : mail) box->push(std::move(m));
 }
 
-util::Bytes PostOffice::encode(const Envelope& envelope) {
-  util::BytesWriter w;
-  w.str(envelope.to.name());
-  w.str(envelope.mail.from.name());
-  w.bytes(util::ByteSpan(envelope.mail.body.data(), envelope.mail.body.size()));
-  w.u8(envelope.hops);
-  return std::move(w).take();
-}
-
-util::StatusOr<PostOffice::Envelope> PostOffice::decode(
-    util::ByteSpan payload) {
-  util::BytesReader r(payload);
-  auto to = r.str();
-  if (!to.ok()) return to.status();
-  auto from = r.str();
-  if (!from.ok()) return from.status();
-  auto body = r.bytes();
-  if (!body.ok()) return body.status();
-  auto hops = r.u8();
-  if (!hops.ok()) return hops.status();
-  Envelope envelope;
-  envelope.to = AgentId(std::move(*to));
-  envelope.mail = Mail{AgentId(std::move(*from)), std::move(*body)};
-  envelope.hops = *hops;
-  return envelope;
-}
-
 bool PostOffice::try_route(Envelope& envelope) {
   // Local delivery?
   {
@@ -130,7 +103,7 @@ bool PostOffice::try_route(Envelope& envelope) {
   }
   ++envelope.hops;
   forwarded_.fetch_add(envelope.hops > 1 ? 1 : 0);
-  const util::Bytes wire = encode(envelope);
+  const util::Bytes wire = util::Archive::encode(envelope);
   auto status = bus_.send(node->control, BusKind::kMail,
                           util::ByteSpan(wire.data(), wire.size()));
   if (!status.ok()) {
@@ -171,7 +144,7 @@ std::optional<Mail> PostOffice::read(const AgentId& owner,
 
 void PostOffice::on_bus_mail(const net::Endpoint& /*from*/,
                              util::ByteSpan payload) {
-  auto envelope = decode(payload);
+  auto envelope = util::Archive::decode<Envelope>(payload);
   if (!envelope.ok()) {
     NAPLET_LOG(kWarn, "postoffice") << "bad mail frame: "
                                     << envelope.status().to_string();

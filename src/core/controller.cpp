@@ -515,10 +515,7 @@ util::StatusOr<SessionPtr> SocketController::connect(
       cleanup_pending();
       return allowed;
     }
-    agent::AuthToken token = server_.access().issue_token(self);
-    util::Archive ar;
-    ar.field(token);
-    token_bytes = std::move(ar).take_bytes();
+    token_bytes = util::Archive::encode(server_.access().issue_token(self));
   }
   bd.security_check_ms += sw.elapsed_ms();
 

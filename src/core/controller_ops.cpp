@@ -1083,16 +1083,15 @@ util::Bytes SocketController::export_sessions(const agent::AgentId& id) {
     migrating_agents_.erase(id);
   }
 
-  util::BytesWriter w;
-  w.u32(static_cast<std::uint32_t>(sessions.size()));
+  std::vector<util::Bytes> blobs;
+  blobs.reserve(sessions.size());
   for (const SessionPtr& session : sessions) {
     // Seal first: a recv() racing this export must not pop a frame that
     // the snapshot below also captures (the clone would replay it — a
     // duplicate delivery). After the seal every pop fails; pops that won
     // the race are already absent from the buffer we serialize.
     session->seal_buffer_for_export();
-    const util::Bytes blob = session->export_state();
-    w.bytes(util::ByteSpan(blob.data(), blob.size()));
+    blobs.push_back(session->export_state());
     // The live state now travels in the blob; kill the original so stale
     // handles cannot double-deliver its buffered frames.
     session->mark_moved();
@@ -1104,20 +1103,17 @@ util::Bytes SocketController::export_sessions(const agent::AgentId& id) {
       redirector_->release_lease(session->conn_id());
     }
   }
-  return std::move(w).take();
+  return util::Archive::encode(blobs);
 }
 
 util::Status SocketController::import_sessions(const agent::AgentId& id,
                                                util::ByteSpan data) {
   if (data.empty()) return util::OkStatus();
-  util::BytesReader r(data);
-  auto count = r.u32();
-  if (!count.ok()) return count.status();
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto blob = r.bytes();
-    if (!blob.ok()) return blob.status();
-    auto session = Session::import_state(
-        util::ByteSpan(blob->data(), blob->size()));
+  auto blobs = util::Archive::decode<std::vector<util::Bytes>>(data);
+  if (!blobs.ok()) return blobs.status();
+  for (const util::Bytes& blob : *blobs) {
+    auto session =
+        Session::import_state(util::ByteSpan(blob.data(), blob.size()));
     if (!session.ok()) return session.status();
     if ((*session)->local_agent() != id) {
       return util::ProtocolError("imported session belongs to '" +

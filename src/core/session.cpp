@@ -623,51 +623,42 @@ void Session::pump_available(util::Duration budget) {
   (void)pump_socket(deadline);
 }
 
-util::Bytes Session::export_state() const {
-  util::BytesWriter w;
-  w.u64(conn_id_);
-  w.u64(verifier_);
-  w.boolean(is_client_);
-  w.str(local_agent_.name());
-  w.str(peer_agent_.name());
-  w.bytes(util::ByteSpan(session_key_.data(), session_key_.size()));
+namespace {
 
+// The blob's identity header: what the Session constructor takes.
+void persist_identity(util::Archive& ar, std::uint64_t& conn_id,
+                      std::uint64_t& verifier, bool& is_client,
+                      agent::AgentId& local, agent::AgentId& peer) {
+  ar.field(conn_id);
+  ar.field(verifier);
+  ar.field(is_client);
+  ar.field(local);
+  ar.field(peer);
+}
+
+}  // namespace
+
+void Session::persist_state(util::Archive& ar) {
+  ar.field(session_key_);
   {
     util::MutexLock lock(node_mu_);
-    util::BytesWriter nw;
-    nw.str(peer_node_.server_name);
-    nw.str(peer_node_.control.host);
-    nw.u16(peer_node_.control.port);
-    nw.str(peer_node_.redirector.host);
-    nw.u16(peer_node_.redirector.port);
-    nw.str(peer_node_.migration.host);
-    nw.u16(peer_node_.migration.port);
-    w.bytes(util::ByteSpan(nw.data().data(), nw.data().size()));
+    ar.nested(peer_node_);
   }
-
   {
     util::MutexLock lock(write_mu_);
-    w.u64(tx_seq_);
+    ar.field(tx_seq_);
   }
   {
     util::MutexLock lock(buf_mu_);
-    w.u64(rx_high_);
-    w.u64(delivered_);
-    w.u64(replay_low_);
-    w.u32(static_cast<std::uint32_t>(buffer_.size()));
-    for (const auto& frame : buffer_) {
-      w.u64(frame.seq);
-      w.bytes(util::ByteSpan(frame.body.data(), frame.body.size()));
-    }
-    w.bytes(util::ByteSpan(rx_raw_.data(), rx_raw_.size()));
+    ar.field(rx_high_);
+    ar.field(delivered_);
+    ar.field(replay_low_);
+    ar.field(buffer_);
+    ar.field(rx_raw_);
   }
   {
     util::MutexLock lock(flags_mu_);
-    w.boolean(flags_.remote_suspended);
-    w.boolean(flags_.local_suspend_parked);
-    w.boolean(flags_.peer_parked);
-    w.boolean(flags_.peer_waiting_resume);
-    w.u64(flags_.peer_declared_seq);
+    ar.field(flags_);
   }
   {
     // Retransmission history rides along: after a crash-restart the
@@ -675,127 +666,53 @@ util::Bytes Session::export_state() const {
     // received (the in-flight reverse traffic at crash time), or the
     // exactly-once ledger loses them.
     util::MutexLock lock(write_mu_);
-    w.boolean(history_enabled_);
-    w.u64(history_limit_bytes_);
-    w.u32(static_cast<std::uint32_t>(history_.size()));
-    for (const auto& [seq, body] : history_) {
-      w.u64(seq);
-      w.bytes(util::ByteSpan(body.data(), body.size()));
+    ar.field(history_enabled_);
+    auto limit = static_cast<std::uint64_t>(history_limit_bytes_);
+    ar.field(limit);
+    ar.field(history_);
+    if (ar.is_reading()) {
+      history_limit_bytes_ = static_cast<std::size_t>(limit);
+      for (const auto& entry : history_) history_bytes_ += entry.second.size();
     }
   }
-  w.u64(peer_epoch_.load(std::memory_order_relaxed));
-  w.u64(trace_id_.load(std::memory_order_relaxed));
-  return std::move(w).take();
+  std::uint64_t peer_epoch = peer_epoch_.load(std::memory_order_relaxed);
+  std::uint64_t trace_id = trace_id_.load(std::memory_order_relaxed);
+  ar.field(peer_epoch);
+  ar.field(trace_id);
+  if (ar.is_reading()) {
+    peer_epoch_.store(peer_epoch, std::memory_order_relaxed);
+    trace_id_.store(trace_id, std::memory_order_relaxed);
+  }
 }
 
-// Populates a freshly constructed, not-yet-shared Session, so the guarded
-// members are written without their locks; no other thread can see it.
+util::Bytes Session::export_state() const {
+  util::Archive ar;
+  std::uint64_t conn_id = conn_id_;
+  std::uint64_t verifier = verifier_;
+  bool is_client = is_client_;
+  agent::AgentId local = local_agent_;
+  agent::AgentId peer = peer_agent_;
+  persist_identity(ar, conn_id, verifier, is_client, local, peer);
+  const_cast<Session*>(this)->persist_state(ar);  // writing: reads only
+  return std::move(ar).take_bytes();
+}
+
+// The tail below touches the fresh, not-yet-shared session's buffer
+// without its lock; no other thread can see it yet.
 util::StatusOr<SessionPtr> Session::import_state(util::ByteSpan data)
     NAPLET_NO_THREAD_SAFETY_ANALYSIS {
-  util::BytesReader r(data);
-  auto conn_id = r.u64();
-  auto verifier = r.u64();
-  auto is_client = r.boolean();
-  auto local_name = r.str();
-  auto peer_name = r.str();
-  auto key = r.bytes();
-  auto node_bytes = r.bytes();
-  if (!conn_id.ok() || !verifier.ok() || !is_client.ok() ||
-      !local_name.ok() || !peer_name.ok() || !key.ok() || !node_bytes.ok()) {
-    return util::ProtocolError("bad session header");
-  }
-
-  auto session = std::make_shared<Session>(
-      *conn_id, *verifier, *is_client, agent::AgentId(std::move(*local_name)),
-      agent::AgentId(std::move(*peer_name)));
-  session->session_key_ = std::move(*key);
-
-  {
-    util::BytesReader nr(util::ByteSpan(node_bytes->data(), node_bytes->size()));
-    agent::NodeInfo node;
-    auto sn = nr.str();
-    auto ch = nr.str();
-    auto cp = nr.u16();
-    auto rh = nr.str();
-    auto rp = nr.u16();
-    auto mh = nr.str();
-    auto mp = nr.u16();
-    if (!sn.ok() || !ch.ok() || !cp.ok() || !rh.ok() || !rp.ok() || !mh.ok() ||
-        !mp.ok()) {
-      return util::ProtocolError("bad peer node encoding");
-    }
-    node.server_name = std::move(*sn);
-    node.control = {std::move(*ch), *cp};
-    node.redirector = {std::move(*rh), *rp};
-    node.migration = {std::move(*mh), *mp};
-    session->peer_node_ = std::move(node);
-  }
-
-  auto tx_seq = r.u64();
-  auto rx_high = r.u64();
-  auto delivered = r.u64();
-  auto replay_low = r.u64();
-  auto count = r.u32();
-  if (!tx_seq.ok() || !rx_high.ok() || !delivered.ok() || !replay_low.ok() ||
-      !count.ok()) {
-    return util::ProtocolError("bad session counters");
-  }
-  session->tx_seq_ = *tx_seq;
-  session->rx_high_ = *rx_high;
-  session->delivered_ = *delivered;
-  session->replay_low_ = *replay_low;
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto seq = r.u64();
-    auto body = r.bytes();
-    if (!seq.ok() || !body.ok()) return util::ProtocolError("bad buffered frame");
-    session->buffer_.push_back(BufferedFrame{*seq, std::move(*body)});
-  }
-  auto raw = r.bytes();
-  if (!raw.ok()) return util::ProtocolError("bad raw tail");
-  session->rx_raw_ = std::move(*raw);
-
-  auto remote_suspended = r.boolean();
-  auto local_parked = r.boolean();
-  auto peer_parked = r.boolean();
-  auto peer_waiting = r.boolean();
-  auto peer_declared = r.u64();
-  if (!remote_suspended.ok() || !local_parked.ok() || !peer_parked.ok() ||
-      !peer_waiting.ok() || !peer_declared.ok()) {
-    return util::ProtocolError("bad session flags");
-  }
-  session->flags_.remote_suspended = *remote_suspended;
-  session->flags_.local_suspend_parked = *local_parked;
-  session->flags_.peer_parked = *peer_parked;
-  session->flags_.peer_waiting_resume = *peer_waiting;
-  session->flags_.peer_declared_seq = *peer_declared;
-
-  auto history_enabled = r.boolean();
-  auto history_limit = r.u64();
-  auto history_count = r.u32();
-  if (!history_enabled.ok() || !history_limit.ok() || !history_count.ok()) {
-    return util::ProtocolError("bad session history header");
-  }
-  session->history_enabled_ = *history_enabled;
-  session->history_limit_bytes_ =
-      static_cast<std::size_t>(*history_limit);
-  for (std::uint32_t i = 0; i < *history_count; ++i) {
-    auto seq = r.u64();
-    auto body = r.bytes();
-    if (!seq.ok() || !body.ok()) {
-      return util::ProtocolError("bad history frame");
-    }
-    session->history_bytes_ += body->size();
-    session->history_.emplace_back(*seq, std::move(*body));
-  }
-  auto peer_epoch = r.u64();
-  if (!peer_epoch.ok()) return util::ProtocolError("bad peer epoch");
-  session->peer_epoch_.store(*peer_epoch, std::memory_order_relaxed);
-
-  auto trace_id = r.u64();
-  if (!trace_id.ok()) return util::ProtocolError("bad trace id");
-  session->trace_id_.store(*trace_id, std::memory_order_relaxed);
-
-  if (r.remaining() != 0) return util::ProtocolError("trailing session bytes");
+  util::Archive ar(data);
+  std::uint64_t conn_id = 0;
+  std::uint64_t verifier = 0;
+  bool is_client = false;
+  agent::AgentId local;
+  agent::AgentId peer;
+  persist_identity(ar, conn_id, verifier, is_client, local, peer);
+  if (!ar.ok()) return ar.status();
+  auto session = std::make_shared<Session>(conn_id, verifier, is_client,
+                                           std::move(local), std::move(peer));
+  session->persist_state(ar);
+  NAPLET_RETURN_IF_ERROR(ar.finish());
 
   // A migrated session lands suspended; the buffered frames are replays.
   session->state_.set(ConnState::kSuspended);

@@ -192,6 +192,14 @@ class Session {
                                      // reverted by the pre-freeze watchdog.
                                      // Transient — never persisted.
     std::uint64_t peer_declared_seq = 0;
+
+    void persist(util::Archive& ar) {
+      ar.field(remote_suspended);
+      ar.field(local_suspend_parked);
+      ar.field(peer_parked);
+      ar.field(peer_waiting_resume);
+      ar.field(peer_declared_seq);
+    }
   };
 
   /// Read or mutate flags under the flag lock.
@@ -288,7 +296,17 @@ class Session {
   struct BufferedFrame {
     std::uint64_t seq;
     util::Bytes body;
+
+    void persist(util::Archive& ar) {
+      ar.field(seq);
+      ar.field(body);
+    }
   };
+
+  /// The session blob after its identity header (conn id, verifier, role,
+  /// agents), in wire order. Writing archives read the session; a reading
+  /// archive fills a fresh, unpublished one.
+  void persist_state(util::Archive& ar);
 
   /// Read one complete frame from the socket into rx_raw_/buffer, honoring
   /// `deadline_us`. Returns true if a frame was appended.

@@ -4,44 +4,6 @@
 
 namespace naplet::nsock {
 
-namespace {
-
-void write_node(util::BytesWriter& w, const agent::NodeInfo& node) {
-  w.str(node.server_name);
-  w.str(node.control.host);
-  w.u16(node.control.port);
-  w.str(node.redirector.host);
-  w.u16(node.redirector.port);
-  w.str(node.migration.host);
-  w.u16(node.migration.port);
-}
-
-util::Status read_node(util::BytesReader& r, agent::NodeInfo& node) {
-  auto name = r.str();
-  if (!name.ok()) return name.status();
-  node.server_name = std::move(*name);
-
-  auto read_endpoint = [&r](net::Endpoint& ep) -> util::Status {
-    auto host = r.str();
-    if (!host.ok()) return host.status();
-    auto port = r.u16();
-    if (!port.ok()) return port.status();
-    ep.host = std::move(*host);
-    ep.port = *port;
-    return util::OkStatus();
-  };
-  NAPLET_RETURN_IF_ERROR(read_endpoint(node.control));
-  NAPLET_RETURN_IF_ERROR(read_endpoint(node.redirector));
-  NAPLET_RETURN_IF_ERROR(read_endpoint(node.migration));
-  return util::OkStatus();
-}
-
-}  // namespace
-
-void persist_node(util::Archive& ar, agent::NodeInfo& node) {
-  node.persist(ar);
-}
-
 std::string_view to_string(CtrlType type) noexcept {
   switch (type) {
     case CtrlType::kConnect: return "CONNECT";
@@ -72,236 +34,49 @@ std::string_view to_string(HandoffType type) noexcept {
   return "?";
 }
 
-util::Bytes CtrlMsg::mac_payload() const {
-  util::BytesWriter w;
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u64(conn_id);
-  w.u64(epoch);
-  w.u64(trace_id);
-  w.u64(verifier);
-  w.u64(sent_seq);
-  w.u64(group_id);
-  w.str(client_agent);
-  w.str(server_agent);
-  write_node(w, node);
-  w.bytes(util::ByteSpan(dh_public.data(), dh_public.size()));
-  w.bytes(util::ByteSpan(token.data(), token.size()));
-  w.str(reason);
-  return std::move(w).take();
+void CtrlMsg::persist_body(util::Archive& ar) {
+  ar.field(type);
+  if (type < CtrlType::kConnect || type > CtrlType::kHeartbeat) {
+    ar.fail("bad ctrl type " + std::to_string(static_cast<int>(type)));
+  }
+  ar.field(conn_id);
+  ar.field(epoch);
+  ar.field(trace_id);
+  ar.field(verifier);
+  ar.field(sent_seq);
+  ar.field(group_id);
+  ar.field(client_agent);
+  ar.field(server_agent);
+  ar.field(node);
+  ar.field(dh_public);
+  ar.field(token);
+  ar.field(reason);
 }
 
-util::Bytes CtrlMsg::encode() const {
-  const util::Bytes payload = mac_payload();
-  util::BytesWriter w(payload.size() + mac.size() + 8);
-  w.raw(util::ByteSpan(payload.data(), payload.size()));
-  w.bytes(util::ByteSpan(mac.data(), mac.size()));
-  return std::move(w).take();
+void HandoffMsg::persist_body(util::Archive& ar) {
+  ar.field(type);
+  if (type < HandoffType::kAttach || type > HandoffType::kError) {
+    ar.fail("bad handoff type " + std::to_string(static_cast<int>(type)));
+  }
+  ar.field(conn_id);
+  ar.field(epoch);
+  ar.field(trace_id);
+  ar.field(verifier);
+  ar.field(sent_seq);
+  ar.field(recv_seq);
+  ar.field(agent);
+  ar.field(node);
+  ar.field(reason);
 }
 
-util::StatusOr<CtrlMsg> CtrlMsg::decode(util::ByteSpan data) {
-  util::BytesReader r(data);
-  CtrlMsg msg;
-
-  auto type_byte = r.u8();
-  if (!type_byte.ok()) return type_byte.status();
-  if (*type_byte < static_cast<std::uint8_t>(CtrlType::kConnect) ||
-      *type_byte > static_cast<std::uint8_t>(CtrlType::kHeartbeat)) {
-    return util::ProtocolError("bad ctrl type " + std::to_string(*type_byte));
+void BatchHandoffMsg::persist(util::Archive& ar) {
+  std::uint8_t magic = kBatchHandoffMagic;
+  ar.field(magic);
+  if (magic != kBatchHandoffMagic) {
+    ar.fail("bad batch handoff magic " + std::to_string(magic));
   }
-  msg.type = static_cast<CtrlType>(*type_byte);
-
-  auto conn_id = r.u64();
-  if (!conn_id.ok()) return conn_id.status();
-  msg.conn_id = *conn_id;
-  auto epoch = r.u64();
-  if (!epoch.ok()) return epoch.status();
-  msg.epoch = *epoch;
-  auto trace_id = r.u64();
-  if (!trace_id.ok()) return trace_id.status();
-  msg.trace_id = *trace_id;
-  auto verifier = r.u64();
-  if (!verifier.ok()) return verifier.status();
-  msg.verifier = *verifier;
-  auto sent_seq = r.u64();
-  if (!sent_seq.ok()) return sent_seq.status();
-  msg.sent_seq = *sent_seq;
-  auto group_id = r.u64();
-  if (!group_id.ok()) return group_id.status();
-  msg.group_id = *group_id;
-
-  auto client_agent = r.str();
-  if (!client_agent.ok()) return client_agent.status();
-  msg.client_agent = std::move(*client_agent);
-  auto server_agent = r.str();
-  if (!server_agent.ok()) return server_agent.status();
-  msg.server_agent = std::move(*server_agent);
-
-  NAPLET_RETURN_IF_ERROR(read_node(r, msg.node));
-
-  auto dh_public = r.bytes();
-  if (!dh_public.ok()) return dh_public.status();
-  msg.dh_public = std::move(*dh_public);
-  auto token = r.bytes();
-  if (!token.ok()) return token.status();
-  msg.token = std::move(*token);
-  auto reason = r.str();
-  if (!reason.ok()) return reason.status();
-  msg.reason = std::move(*reason);
-
-  auto mac = r.bytes();
-  if (!mac.ok()) return mac.status();
-  msg.mac = std::move(*mac);
-
-  if (r.remaining() != 0) return util::ProtocolError("trailing ctrl bytes");
-  return msg;
-}
-
-util::Bytes HandoffMsg::mac_payload() const {
-  util::BytesWriter w;
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u64(conn_id);
-  w.u64(epoch);
-  w.u64(trace_id);
-  w.u64(verifier);
-  w.u64(sent_seq);
-  w.u64(recv_seq);
-  w.str(agent);
-  write_node(w, node);
-  w.str(reason);
-  return std::move(w).take();
-}
-
-util::Bytes HandoffMsg::encode() const {
-  const util::Bytes payload = mac_payload();
-  util::BytesWriter w(payload.size() + mac.size() + 8);
-  w.raw(util::ByteSpan(payload.data(), payload.size()));
-  w.bytes(util::ByteSpan(mac.data(), mac.size()));
-  return std::move(w).take();
-}
-
-util::StatusOr<HandoffMsg> HandoffMsg::decode(util::ByteSpan data) {
-  util::BytesReader r(data);
-  HandoffMsg msg;
-
-  auto type_byte = r.u8();
-  if (!type_byte.ok()) return type_byte.status();
-  if (*type_byte < static_cast<std::uint8_t>(HandoffType::kAttach) ||
-      *type_byte > static_cast<std::uint8_t>(HandoffType::kError)) {
-    return util::ProtocolError("bad handoff type " +
-                               std::to_string(*type_byte));
-  }
-  msg.type = static_cast<HandoffType>(*type_byte);
-
-  auto conn_id = r.u64();
-  if (!conn_id.ok()) return conn_id.status();
-  msg.conn_id = *conn_id;
-  auto epoch = r.u64();
-  if (!epoch.ok()) return epoch.status();
-  msg.epoch = *epoch;
-  auto trace_id = r.u64();
-  if (!trace_id.ok()) return trace_id.status();
-  msg.trace_id = *trace_id;
-  auto verifier = r.u64();
-  if (!verifier.ok()) return verifier.status();
-  msg.verifier = *verifier;
-  auto sent_seq = r.u64();
-  if (!sent_seq.ok()) return sent_seq.status();
-  msg.sent_seq = *sent_seq;
-
-  auto recv_seq = r.u64();
-  if (!recv_seq.ok()) return recv_seq.status();
-  msg.recv_seq = *recv_seq;
-
-  auto sender = r.str();
-  if (!sender.ok()) return sender.status();
-  msg.agent = std::move(*sender);
-
-  NAPLET_RETURN_IF_ERROR(read_node(r, msg.node));
-
-  auto reason = r.str();
-  if (!reason.ok()) return reason.status();
-  msg.reason = std::move(*reason);
-
-  auto mac = r.bytes();
-  if (!mac.ok()) return mac.status();
-  msg.mac = std::move(*mac);
-
-  if (r.remaining() != 0) return util::ProtocolError("trailing handoff bytes");
-  return msg;
-}
-
-util::Bytes BatchHandoffMsg::encode() const {
-  util::BytesWriter w;
-  w.u8(kBatchHandoffMagic);
-  w.u64(trace_id);
-  w.u32(static_cast<std::uint32_t>(entries.size()));
-  for (const HandoffMsg& entry : entries) {
-    const util::Bytes encoded = entry.encode();
-    w.bytes(util::ByteSpan(encoded.data(), encoded.size()));
-  }
-  return std::move(w).take();
-}
-
-util::StatusOr<BatchHandoffMsg> BatchHandoffMsg::decode(util::ByteSpan data) {
-  util::BytesReader r(data);
-  auto magic = r.u8();
-  if (!magic.ok()) return magic.status();
-  if (*magic != kBatchHandoffMagic) {
-    return util::ProtocolError("bad batch handoff magic " +
-                               std::to_string(*magic));
-  }
-  BatchHandoffMsg msg;
-  auto trace_id = r.u64();
-  if (!trace_id.ok()) return trace_id.status();
-  msg.trace_id = *trace_id;
-  auto count = r.u32();
-  if (!count.ok()) return count.status();
-  msg.entries.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto encoded = r.bytes();
-    if (!encoded.ok()) return encoded.status();
-    auto entry = HandoffMsg::decode(
-        util::ByteSpan(encoded->data(), encoded->size()));
-    if (!entry.ok()) return entry.status();
-    msg.entries.push_back(std::move(*entry));
-  }
-  if (r.remaining() != 0) {
-    return util::ProtocolError("trailing batch handoff bytes");
-  }
-  return msg;
-}
-
-util::Bytes BatchHandoffReply::encode() const {
-  util::BytesWriter w;
-  w.u32(static_cast<std::uint32_t>(entries.size()));
-  for (const Disposition& d : entries) {
-    w.boolean(d.ok);
-    w.str(d.reason);
-  }
-  return std::move(w).take();
-}
-
-util::StatusOr<BatchHandoffReply> BatchHandoffReply::decode(
-    util::ByteSpan data) {
-  util::BytesReader r(data);
-  auto count = r.u32();
-  if (!count.ok()) return count.status();
-  BatchHandoffReply reply;
-  reply.entries.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    Disposition d;
-    auto ok = r.boolean();
-    if (!ok.ok()) return ok.status();
-    d.ok = *ok;
-    auto reason = r.str();
-    if (!reason.ok()) return reason.status();
-    d.reason = std::move(*reason);
-    reply.entries.push_back(std::move(d));
-  }
-  if (r.remaining() != 0) {
-    return util::ProtocolError("trailing batch reply bytes");
-  }
-  return reply;
+  ar.field(trace_id);
+  ar.items(entries, [&ar](HandoffMsg& entry) { ar.nested(entry); });
 }
 
 util::Bytes compute_mac(util::ByteSpan session_key, util::ByteSpan payload) {

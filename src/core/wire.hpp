@@ -23,6 +23,7 @@
 #include "agent/agent_id.hpp"
 #include "agent/location.hpp"
 #include "util/bytes.hpp"
+#include "util/serial.hpp"
 #include "util/status.hpp"
 
 namespace naplet::nsock {
@@ -70,11 +71,24 @@ struct CtrlMsg {
   std::string reason;              // REJECT / CONNECT_REJECT
   util::Bytes mac;                 // HMAC tag (see mac_payload)
 
-  [[nodiscard]] util::Bytes encode() const;
-  static util::StatusOr<CtrlMsg> decode(util::ByteSpan data);
+  [[nodiscard]] util::Bytes encode() const {
+    return util::Archive::encode(*this);
+  }
+  static util::StatusOr<CtrlMsg> decode(util::ByteSpan data) {
+    return util::Archive::decode<CtrlMsg>(data);
+  }
+  /// Bytes covered by the MAC: the encoding of the body.
+  [[nodiscard]] util::Bytes mac_payload() const {
+    return util::Archive::encode_body(*this);
+  }
 
-  /// Bytes covered by the MAC (everything except the MAC itself).
-  [[nodiscard]] util::Bytes mac_payload() const;
+  /// The wire format: the body, then the MAC.
+  void persist(util::Archive& ar) {
+    persist_body(ar);
+    ar.field(mac);
+  }
+  /// Every field but the MAC, in wire order.
+  void persist_body(util::Archive& ar);
 };
 
 enum class HandoffType : std::uint8_t {
@@ -107,10 +121,24 @@ struct HandoffMsg {
   std::string reason;           // kError
   util::Bytes mac;
 
-  [[nodiscard]] util::Bytes encode() const;
-  static util::StatusOr<HandoffMsg> decode(util::ByteSpan data);
+  [[nodiscard]] util::Bytes encode() const {
+    return util::Archive::encode(*this);
+  }
+  static util::StatusOr<HandoffMsg> decode(util::ByteSpan data) {
+    return util::Archive::decode<HandoffMsg>(data);
+  }
+  /// Bytes covered by the MAC: the encoding of the body.
+  [[nodiscard]] util::Bytes mac_payload() const {
+    return util::Archive::encode_body(*this);
+  }
 
-  [[nodiscard]] util::Bytes mac_payload() const;
+  /// The wire format: the body, then the MAC.
+  void persist(util::Archive& ar) {
+    persist_body(ar);
+    ar.field(mac);
+  }
+  /// Every field but the MAC, in wire order.
+  void persist_body(util::Archive& ar);
 };
 
 // ---- batch handoff (swarm migration) --------------------------------------
@@ -129,8 +157,15 @@ struct BatchHandoffMsg {
   std::uint64_t trace_id = 0;  ///< the batch's migration trace id
   std::vector<HandoffMsg> entries;
 
-  [[nodiscard]] util::Bytes encode() const;
-  static util::StatusOr<BatchHandoffMsg> decode(util::ByteSpan data);
+  [[nodiscard]] util::Bytes encode() const {
+    return util::Archive::encode(*this);
+  }
+  static util::StatusOr<BatchHandoffMsg> decode(util::ByteSpan data) {
+    return util::Archive::decode<BatchHandoffMsg>(data);
+  }
+  /// The magic byte, the trace id, then each entry as a length-prefixed
+  /// HandoffMsg frame.
+  void persist(util::Archive& ar);
 };
 
 /// The single reply frame: one disposition per entry, in order.
@@ -138,11 +173,21 @@ struct BatchHandoffReply {
   struct Disposition {
     bool ok = false;
     std::string reason;  ///< empty when ok
+
+    void persist(util::Archive& ar) {
+      ar.field(ok);
+      ar.field(reason);
+    }
   };
   std::vector<Disposition> entries;
 
-  [[nodiscard]] util::Bytes encode() const;
-  static util::StatusOr<BatchHandoffReply> decode(util::ByteSpan data);
+  [[nodiscard]] util::Bytes encode() const {
+    return util::Archive::encode(*this);
+  }
+  static util::StatusOr<BatchHandoffReply> decode(util::ByteSpan data) {
+    return util::Archive::decode<BatchHandoffReply>(data);
+  }
+  void persist(util::Archive& ar) { ar.field(entries); }
 };
 
 /// Compute the HMAC tag for a message's payload under `session_key`
@@ -162,7 +207,5 @@ struct DataFrame {
   [[nodiscard]] util::Bytes encode() const;
   static util::StatusOr<DataFrame> decode(util::ByteSpan data);
 };
-
-void persist_node(util::Archive& ar, agent::NodeInfo& node);
 
 }  // namespace naplet::nsock

@@ -57,41 +57,6 @@ std::string_view to_string(CommitPoint point) noexcept {
   return "?";
 }
 
-util::Bytes GroupManifest::encode() const {
-  std::size_t size = 4;
-  for (const Member& m : members) size += 8 + 4 + m.blob.size();
-  util::BytesWriter w(size);
-  w.u32(static_cast<std::uint32_t>(members.size()));
-  for (const Member& m : members) {
-    w.u64(m.conn_id);
-    w.u32(static_cast<std::uint32_t>(m.blob.size()));
-    w.raw(util::ByteSpan(m.blob.data(), m.blob.size()));
-  }
-  return std::move(w).take();
-}
-
-util::StatusOr<GroupManifest> GroupManifest::decode(util::ByteSpan data) {
-  util::BytesReader r(data);
-  const auto count = r.u32();
-  if (!count.ok()) return util::ProtocolError("group manifest header");
-  GroupManifest manifest;
-  manifest.members.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    const auto conn_id = r.u64();
-    const auto blob_len = r.u32();
-    if (!conn_id.ok() || !blob_len.ok() || r.remaining() < *blob_len) {
-      return util::ProtocolError("group manifest member truncated");
-    }
-    auto blob = r.raw(*blob_len);
-    if (!blob.ok()) return util::ProtocolError("group manifest member blob");
-    manifest.members.push_back(Member{*conn_id, std::move(*blob)});
-  }
-  if (r.remaining() != 0) {
-    return util::ProtocolError("trailing group manifest bytes");
-  }
-  return manifest;
-}
-
 Journal::~Journal() {
   if (fd_ >= 0) ::close(fd_);
 }

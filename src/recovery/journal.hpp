@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "util/bytes.hpp"
+#include "util/serial.hpp"
 #include "util/status.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
@@ -86,11 +87,21 @@ struct GroupManifest {
   struct Member {
     std::uint64_t conn_id = 0;
     util::Bytes blob;  // Session::export_state at the barrier
+
+    void persist(util::Archive& ar) {
+      ar.field(conn_id);
+      ar.field(blob);
+    }
   };
   std::vector<Member> members;
 
-  [[nodiscard]] util::Bytes encode() const;
-  static util::StatusOr<GroupManifest> decode(util::ByteSpan data);
+  void persist(util::Archive& ar) { ar.field(members); }
+  [[nodiscard]] util::Bytes encode() const {
+    return util::Archive::encode(*this);
+  }
+  static util::StatusOr<GroupManifest> decode(util::ByteSpan data) {
+    return util::Archive::decode<GroupManifest>(data);
+  }
 };
 
 struct JournalRecord {

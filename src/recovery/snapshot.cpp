@@ -18,18 +18,23 @@ constexpr std::uint32_t kSnapshotVersion = 1;
 
 }  // namespace
 
+void SnapshotData::persist(util::Archive& ar) {
+  std::uint32_t magic = kSnapshotMagic;
+  std::uint32_t version = kSnapshotVersion;
+  ar.field(magic);
+  if (magic != kSnapshotMagic) ar.fail("bad snapshot magic");
+  ar.field(version);
+  if (version != kSnapshotVersion) ar.fail("unsupported snapshot version");
+  ar.field(epoch);
+  ar.field(sessions);
+}
+
 util::Status Snapshot::write(const std::string& path,
                              const SnapshotData& data) {
-  util::BytesWriter w;
-  w.u32(kSnapshotMagic);
-  w.u32(kSnapshotVersion);
-  w.u64(data.epoch);
-  w.u32(static_cast<std::uint32_t>(data.sessions.size()));
-  for (const auto& [conn_id, blob] : data.sessions) {
-    w.u64(conn_id);
-    w.bytes(blob);
-  }
-  w.u32(crc32(w.data()));
+  util::Archive ar;
+  ar.write(data);
+  std::uint32_t crc = crc32(ar.bytes());
+  ar.field(crc);
 
   const std::string tmp = path + ".tmp";
   const int fd =
@@ -37,7 +42,7 @@ util::Status Snapshot::write(const std::string& path,
   if (fd < 0) {
     return util::IoError("open " + tmp + ": " + std::strerror(errno));
   }
-  const util::Bytes& buf = w.data();
+  const util::Bytes& buf = ar.bytes();
   std::size_t off = 0;
   while (off < buf.size()) {
     const ssize_t n = ::write(fd, buf.data() + off, buf.size() - off);
@@ -79,41 +84,13 @@ util::StatusOr<SnapshotData> Snapshot::read(const std::string& path) {
 
   // Trailing CRC covers everything before it.
   const util::ByteSpan covered(raw.data(), raw.size() - 4);
-  util::BytesReader tail(util::ByteSpan(raw.data() + raw.size() - 4, 4));
-  const auto stored_crc = tail.u32();
+  const auto stored_crc = util::Archive::decode<std::uint32_t>(
+      util::ByteSpan(raw).last(4));
   if (!stored_crc.ok() || *stored_crc != crc32(covered)) {
     return util::ProtocolError("snapshot CRC mismatch");
   }
 
-  util::BytesReader r(covered);
-  const auto magic = r.u32();
-  const auto version = r.u32();
-  const auto epoch = r.u64();
-  const auto count = r.u32();
-  if (!magic.ok() || *magic != kSnapshotMagic) {
-    return util::ProtocolError("bad snapshot magic");
-  }
-  if (!version.ok() || *version != kSnapshotVersion) {
-    return util::ProtocolError("unsupported snapshot version");
-  }
-  if (!epoch.ok() || !count.ok()) {
-    return util::ProtocolError("snapshot header truncated");
-  }
-
-  SnapshotData data;
-  data.epoch = *epoch;
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    const auto conn_id = r.u64();
-    auto blob = r.bytes();
-    if (!conn_id.ok() || !blob.ok()) {
-      return util::ProtocolError("snapshot entry truncated");
-    }
-    data.sessions[*conn_id] = std::move(*blob);
-  }
-  if (r.remaining() != 0) {
-    return util::ProtocolError("trailing snapshot bytes");
-  }
-  return data;
+  return util::Archive::decode<SnapshotData>(covered);
 }
 
 }  // namespace naplet::recovery

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "util/bytes.hpp"
+#include "util/serial.hpp"
 #include "util/status.hpp"
 
 namespace naplet::recovery {
@@ -18,6 +19,9 @@ namespace naplet::recovery {
 struct SnapshotData {
   std::uint64_t epoch = 0;
   std::map<std::uint64_t, util::Bytes> sessions;
+
+  /// Everything the CRC covers: magic, version, epoch, sessions.
+  void persist(util::Archive& ar);
 };
 
 class Snapshot {

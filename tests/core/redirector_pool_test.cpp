@@ -148,6 +148,34 @@ TEST_F(RedirectorPool, ThreadCountFlatAcrossHandoffs) {
   EXPECT_EQ(redirector_->bad_handoffs(), 0u);
 }
 
+TEST_F(RedirectorPool, OversizedBatchCountIsABadHandoff) {
+  // 13 bytes: the batch magic, a trace id, and an entry count of 2^32 - 1
+  // that the frame cannot hold. Decoding must fail before it allocates.
+  util::Bytes batch = {kBatchHandoffMagic, 0, 0, 0, 0, 0, 0, 0, 1};
+  batch.insert(batch.end(), {0xFF, 0xFF, 0xFF, 0xFF});
+  net::StreamPtr bad = open();
+  ASSERT_NE(bad, nullptr);
+  ASSERT_TRUE(net::write_frame(*bad, batch).ok());
+  std::uint8_t byte = 0;
+  auto n = bad->read_some_for(&byte, 1, 2s);
+  ASSERT_TRUE(n.ok()) << n.status().to_string();
+  EXPECT_EQ(*n, 0u);  // closed without a reply
+  EXPECT_EQ(redirector_->bad_handoffs(), 1u);
+
+  // The worker that rejected it still serves the next handoff.
+  net::StreamPtr good = open();
+  ASSERT_NE(good, nullptr);
+  HandoffMsg attach;
+  attach.type = HandoffType::kAttach;
+  attach.conn_id = 7;
+  ASSERT_TRUE(net::write_frame(*good, attach.encode()).ok());
+  auto frame = net::read_frame(*good);
+  ASSERT_TRUE(frame.ok()) << frame.status().to_string();
+  auto reply = HandoffMsg::decode(util::ByteSpan(frame->data(), frame->size()));
+  ASSERT_TRUE(reply.ok());
+  EXPECT_EQ(reply->type, HandoffType::kAttachOk);
+}
+
 TEST_F(RedirectorPool, StopWithQueuedStreamsIsPrompt) {
   std::vector<net::StreamPtr> silent;
   for (int i = 0; i < 4 * Redirector::kHandoffWorkers; ++i) {
