@@ -24,9 +24,11 @@ TEST(DhKeyPair, PublicValueFixedWidth) {
   EXPECT_EQ(kp->public_value().size(), 96u);
 }
 
-TEST(DhKeyPair, SharedSecretAgrees) {
-  auto alice = DhKeyPair::generate(DhGroup::kModp768);
-  auto bob = DhKeyPair::generate(DhGroup::kModp768);
+class DhGroups : public ::testing::TestWithParam<DhGroup> {};
+
+TEST_P(DhGroups, SharedSecretAgrees) {
+  auto alice = DhKeyPair::generate(GetParam());
+  auto bob = DhKeyPair::generate(GetParam());
   ASSERT_TRUE(alice.ok());
   ASSERT_TRUE(bob.ok());
 
@@ -39,6 +41,11 @@ TEST(DhKeyPair, SharedSecretAgrees) {
   EXPECT_EQ(util::to_hex(util::ByteSpan(key_a->data(), key_a->size())),
             util::to_hex(util::ByteSpan(key_b->data(), key_b->size())));
 }
+
+INSTANTIATE_TEST_SUITE_P(Modp, DhGroups,
+                         ::testing::Values(DhGroup::kModp768,
+                                           DhGroup::kModp1536,
+                                           DhGroup::kModp2048));
 
 TEST(DhKeyPair, DistinctPairsDistinctKeys) {
   auto alice = DhKeyPair::generate(DhGroup::kModp768);
@@ -89,19 +96,6 @@ TEST(DhKeyPair, RejectsDegeneratePublicValues) {
   const util::Bytes p_bytes = params.prime.to_bytes(params.key_bytes);
   EXPECT_FALSE(
       kp->session_key(util::ByteSpan(p_bytes.data(), p_bytes.size())).ok());
-}
-
-TEST(DhKeyPair, LargerGroupAlsoAgrees) {
-  auto alice = DhKeyPair::generate(DhGroup::kModp1536);
-  auto bob = DhKeyPair::generate(DhGroup::kModp1536);
-  ASSERT_TRUE(alice.ok() && bob.ok());
-  auto key_a = alice->session_key(util::ByteSpan(
-      bob->public_value().data(), bob->public_value().size()));
-  auto key_b = bob->session_key(util::ByteSpan(
-      alice->public_value().data(), alice->public_value().size()));
-  ASSERT_TRUE(key_a.ok() && key_b.ok());
-  EXPECT_EQ(util::to_hex(util::ByteSpan(key_a->data(), key_a->size())),
-            util::to_hex(util::ByteSpan(key_b->data(), key_b->size())));
 }
 
 }  // namespace
