@@ -61,6 +61,7 @@ void BM_DhSessionKey(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DhSessionKey<DhGroup::kModp768>);
+BENCHMARK(BM_DhSessionKey<DhGroup::kModp1536>);
 BENCHMARK(BM_DhSessionKey<DhGroup::kModp2048>);
 
 void BM_CtrlMsgEncodeDecode(benchmark::State& state) {

@@ -3,7 +3,10 @@
 // most significant limb is nonzero (zero is the empty limb vector).
 //
 // Implemented from scratch: schoolbook multiply, Knuth Algorithm D division,
-// left-to-right square-and-multiply modular exponentiation. Not constant
+// and modular exponentiation by Montgomery multiplication (CIOS form on
+// 64-bit words) over a fixed 4-bit window, for odd moduli. Every window
+// squares four times and multiplies once, but the window-table lookup and
+// Montgomery's final subtraction depend on the data, so it is not constant
 // time — acceptable for a research reproduction; noted in DESIGN.md.
 #pragma once
 
@@ -66,7 +69,8 @@ class BigUint {
   /// (this * other) mod m.
   [[nodiscard]] util::StatusOr<BigUint> mul_mod(const BigUint& other,
                                                 const BigUint& m) const;
-  /// this^exponent mod m (m must be nonzero).
+  /// this^exponent mod m. m must be odd, as every DH prime is: a zero or
+  /// an even modulus above 1 is rejected, and m == 1 yields 0.
   [[nodiscard]] util::StatusOr<BigUint> pow_mod(const BigUint& exponent,
                                                 const BigUint& m) const;
 
