@@ -81,35 +81,42 @@ class TcpStream final : public Stream {
 
   ~TcpStream() override { close(); }
 
+  // Every syscall runs under a shared lock on a live fd, as in TcpListener:
+  // close() must not release the fd number (which the kernel may reuse)
+  // while a poll/recv/send is on it. close() shuts the socket down first,
+  // which wakes any of them, and a call woken that way reports Cancelled.
+
   util::StatusOr<std::size_t> read_some(std::uint8_t* out,
                                         std::size_t max) override {
-    for (;;) {
-      const ssize_t n = ::recv(fd_.get(), out, max, 0);
-      if (n >= 0) return static_cast<std::size_t>(n);
-      if (errno == EINTR) continue;
-      if (fd_.get() < 0) return util::Cancelled("stream closed");
-      return errno_status("recv");
-    }
+    std::shared_lock lock(io_mu_);
+    const int fd = fd_.get();
+    if (fd < 0) return util::Cancelled("stream closed");
+    return recv_locked(fd, out, max);
   }
 
   util::StatusOr<std::size_t> read_some_for(std::uint8_t* out, std::size_t max,
                                             util::Duration timeout) override {
+    std::shared_lock lock(io_mu_);
     const int fd = fd_.get();
     if (fd < 0) return util::Cancelled("stream closed");
     auto readable = wait_readable(
         fd, static_cast<int>(
                 std::chrono::duration_cast<std::chrono::milliseconds>(timeout)
                     .count()));
+    if (fd_.get() < 0) return util::Cancelled("stream closed");
     if (!readable.ok()) return readable.status();
     if (!*readable) return util::Timeout("read timed out");
-    return read_some(out, max);
+    return recv_locked(fd, out, max);
   }
 
   util::Status write_all(util::ByteSpan data) override {
+    std::shared_lock lock(io_mu_);
+    const int fd = fd_.get();
+    if (fd < 0) return util::Cancelled("stream closed");
     std::size_t sent = 0;
     while (sent < data.size()) {
-      const ssize_t n = ::send(fd_.get(), data.data() + sent,
-                               data.size() - sent, MSG_NOSIGNAL);
+      const ssize_t n =
+          ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
       if (n < 0) {
         if (errno == EINTR) continue;
         if (fd_.get() < 0) return util::Cancelled("stream closed");
@@ -138,12 +145,15 @@ class TcpStream final : public Stream {
       ++iov_count;
       remaining += part.size();
     }
+    std::shared_lock lock(io_mu_);
+    const int fd = fd_.get();
+    if (fd < 0) return util::Cancelled("stream closed");
     std::size_t first = 0;
     while (remaining > 0) {
       msghdr msg{};
       msg.msg_iov = iov + first;
       msg.msg_iovlen = iov_count - first;
-      const ssize_t n = ::sendmsg(fd_.get(), &msg, MSG_NOSIGNAL);
+      const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
       if (n < 0) {
         if (errno == EINTR) continue;
         if (fd_.get() < 0) return util::Cancelled("stream closed");
@@ -165,10 +175,13 @@ class TcpStream final : public Stream {
   }
 
   util::StatusOr<util::Bytes> drain_pending() override {
+    std::shared_lock lock(io_mu_);
+    const int fd = fd_.get();
+    if (fd < 0) return util::Cancelled("stream closed");
     util::Bytes out;
     std::uint8_t buf[4096];
     for (;;) {
-      const ssize_t n = ::recv(fd_.get(), buf, sizeof buf, MSG_DONTWAIT);
+      const ssize_t n = ::recv(fd, buf, sizeof buf, MSG_DONTWAIT);
       if (n > 0) {
         out.insert(out.end(), buf, buf + n);
         continue;
@@ -183,15 +196,33 @@ class TcpStream final : public Stream {
   }
 
   void close() override {
-    const int fd = fd_.get();
-    if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
-    fd_.reset();
+    const int fd = fd_.release();
+    if (fd < 0) return;
+    ::shutdown(fd, SHUT_RDWR);
+    // Exclusive lock: waits for every call woken by the shutdown to leave
+    // its syscall before ::close can recycle the fd number.
+    std::unique_lock lock(io_mu_);
+    ::close(fd);
   }
 
   [[nodiscard]] Endpoint local_endpoint() const override { return local_; }
   [[nodiscard]] Endpoint remote_endpoint() const override { return remote_; }
 
  private:
+  util::StatusOr<std::size_t> recv_locked(int fd, std::uint8_t* out,
+                                          std::size_t max) {
+    for (;;) {
+      const ssize_t n = ::recv(fd, out, max, 0);
+      if (n > 0) return static_cast<std::size_t>(n);
+      if (fd_.get() < 0) return util::Cancelled("stream closed");
+      if (n == 0) return std::size_t{0};
+      if (errno == EINTR) continue;
+      return errno_status("recv");
+    }
+  }
+
+  // Leaf lock around the fd's lifetime, as in TcpListener.
+  std::shared_mutex io_mu_;
   Fd fd_;
   Endpoint local_;
   Endpoint remote_;

@@ -127,6 +127,27 @@ TEST_F(TcpTest, CloseUnblocksAccept) {
   closer.join();
 }
 
+TEST_F(TcpTest, CloseUnblocksReadSomeFor) {
+  auto listener = network_->listen(0);
+  ASSERT_TRUE(listener.ok());
+  auto client = network_->connect((*listener)->local_endpoint(), 1s);
+  ASSERT_TRUE(client.ok());
+  auto server = (*listener)->accept(1s);
+  ASSERT_TRUE(server.ok());
+  std::thread closer([&] {
+    std::this_thread::sleep_for(30ms);
+    (*server)->close();
+  });
+  const auto start = std::chrono::steady_clock::now();
+  std::uint8_t buf[8];
+  auto n = (*server)->read_some_for(buf, sizeof buf, 30s);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  closer.join();
+  ASSERT_FALSE(n.ok());
+  EXPECT_EQ(n.status().code(), util::StatusCode::kCancelled);
+  EXPECT_LT(waited, 5s);
+}
+
 TEST_F(TcpTest, DrainPendingReturnsBufferedBytes) {
   auto listener = network_->listen(0);
   ASSERT_TRUE(listener.ok());
