@@ -25,6 +25,8 @@
 #   2. Sanitize build + full ctest    (ASan + UBSan)
 #      + explicit `ctest -L net`
 #      + explicit `ctest -L wire`      (codec goldens + corruption sweep)
+#      + explicit `ctest -L crypto`    (bignum/DH known answers: the
+#                                       Montgomery kernel's limb arithmetic)
 #   3. Tsan build + `ctest -L tsan`   (pinned light concurrency sweep,
 #                                       including tsan_redirector: the
 #                                       pooled handoff workers)
@@ -203,6 +205,8 @@ if [ "$SKIP_SANITIZE" -eq 0 ]; then
   ctest --test-dir build-sanitize -L net --output-on-failure -j "$JOBS"
   note "codec goldens and corruption sweep (ctest -L wire, ASan+UBSan)"
   ctest --test-dir build-sanitize -L wire --output-on-failure -j "$JOBS"
+  note "crypto known answers (ctest -L crypto, ASan+UBSan)"
+  ctest --test-dir build-sanitize -L crypto --output-on-failure -j "$JOBS"
 else
   skip "--skip-sanitize"
 fi
