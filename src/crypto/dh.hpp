@@ -6,7 +6,9 @@
 // eavesdropper-driven replay.
 //
 // Groups are the standard MODP groups (RFC 2409 / RFC 3526) with generator
-// 2. The 768-bit group keeps tests fast; 2048-bit is the secure default.
+// 2. ControllerConfig::dh_group defaults to the 768-bit group, which keeps
+// tests and perfbench fast; the paper benches (BenchRealm) run 2048-bit,
+// the size to choose where the key's secrecy matters.
 #pragma once
 
 #include <cstdint>
@@ -19,9 +21,9 @@ namespace naplet::crypto {
 
 /// Named MODP group.
 enum class DhGroup : std::uint8_t {
-  kModp768 = 1,   // RFC 2409 Oakley Group 1 — test/bench use
+  kModp768 = 1,   // RFC 2409 Oakley Group 1 — ControllerConfig default
   kModp1536 = 5,  // RFC 3526 Group 5
-  kModp2048 = 14, // RFC 3526 Group 14 — default
+  kModp2048 = 14, // RFC 3526 Group 14 — the paper benches' group
 };
 
 struct DhParams {
