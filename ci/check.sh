@@ -27,6 +27,8 @@
 #      + explicit `ctest -L wire`      (codec goldens + corruption sweep)
 #      + explicit `ctest -L crypto`    (bignum/DH known answers: the
 #                                       Montgomery kernel's limb arithmetic)
+#      + explicit `ctest -L recovery`  (journal batch framing and replay:
+#                                       hand-written byte code)
 #   3. Tsan build + `ctest -L tsan`   (pinned light concurrency sweep,
 #                                       including tsan_redirector: the
 #                                       pooled handoff workers)
@@ -207,6 +209,8 @@ if [ "$SKIP_SANITIZE" -eq 0 ]; then
   ctest --test-dir build-sanitize -L wire --output-on-failure -j "$JOBS"
   note "crypto known answers (ctest -L crypto, ASan+UBSan)"
   ctest --test-dir build-sanitize -L crypto --output-on-failure -j "$JOBS"
+  note "journal and crash recovery (ctest -L recovery, ASan+UBSan)"
+  ctest --test-dir build-sanitize -L recovery --output-on-failure -j "$JOBS"
 else
   skip "--skip-sanitize"
 fi

@@ -96,7 +96,7 @@ util::Status SocketController::start() {
   if (config_.durability.enabled) {
     recovery::DurableStoreOptions opts;
     opts.dir = config_.durability.dir;
-    opts.compact_every = config_.durability.compact_every;
+    opts.compact_floor_bytes = config_.durability.compact_floor_bytes;
     auto store = std::make_unique<recovery::DurableStore>(opts);
     if (auto st = store->open(); !st.ok()) return st;
     store_ = std::move(store);
@@ -274,40 +274,46 @@ void SocketController::remove_session(const SessionPtr& session) {
   }
 }
 
-void SocketController::journal_commit(recovery::CommitPoint point,
-                                      const SessionPtr& session) {
-  // The span marks the commit POINT being reached; it is emitted even when
-  // durability is off so traces have the same shape either way. Drain
-  // commits belong to the peer's migration trace; the rest to our own.
-  const std::uint64_t trace =
-      point == recovery::CommitPoint::kDrainComplete
-          ? (session->peer_trace_id() != 0 ? session->peer_trace_id()
-                                           : session->trace_id())
-          : (session->trace_id() != 0 ? session->trace_id()
-                                      : session->peer_trace_id());
-  span(trace, obs::SpanKind::kJournalCommit, *session,
-       std::string(to_string(point)));
-  if (!store_) return;
-  // Serialize outside any lock: export_state takes the session's own locks
-  // and the store serializes its file writes itself.
-  const util::Bytes blob = session->export_state();
-  if (auto st = store_->record(point, session->conn_id(),
-                               util::ByteSpan(blob.data(), blob.size()));
-      !st.ok()) {
-    NAPLET_LOG(kError, "recovery")
-        << "journal append failed at " << to_string(point) << " for conn "
-        << session->conn_id() << ": " << st.to_string();
+util::Status SocketController::journal_batch(
+    recovery::CommitPoint point, std::span<const SessionPtr> sessions) {
+  const bool removal = recovery::is_removal(point);
+  std::vector<recovery::JournalRecord> records;
+  if (store_) records.reserve(sessions.size());
+  for (const SessionPtr& session : sessions) {
+    if (!removal) {
+      // The span marks the commit POINT being reached; it is emitted even
+      // when durability is off so traces have the same shape either way.
+      // Drain commits belong to the peer's migration trace; the rest to
+      // our own.
+      const std::uint64_t trace =
+          point == recovery::CommitPoint::kDrainComplete
+              ? (session->peer_trace_id() != 0 ? session->peer_trace_id()
+                                               : session->trace_id())
+              : (session->trace_id() != 0 ? session->trace_id()
+                                          : session->peer_trace_id());
+      span(trace, obs::SpanKind::kJournalCommit, *session,
+           std::string(to_string(point)));
+    }
+    if (!store_) continue;
+    if (removal) {
+      records.push_back({point, session->conn_id(), {}});
+    } else if (is_live(session->state())) {
+      // Serialize outside any lock: export_state takes the session's own
+      // locks and the store serializes its file writes itself. A session
+      // closed since it reached the commit point (the peer's CLS during a
+      // sweep) must not come back to life in the journal.
+      records.push_back({point, session->conn_id(), session->export_state()});
+    }
   }
-}
-
-void SocketController::journal_remove(recovery::CommitPoint point,
-                                      std::uint64_t conn_id) {
-  if (!store_) return;
-  if (auto st = store_->record(point, conn_id, {}); !st.ok()) {
+  if (records.empty()) return util::OkStatus();
+  util::Status st = store_->record(records);
+  if (!st.ok()) {
     NAPLET_LOG(kError, "recovery")
-        << "journal removal failed at " << to_string(point) << " for conn "
-        << conn_id << ": " << st.to_string();
+        << "journal append failed at " << to_string(point) << " for "
+        << records.size() << " conn(s) from " << records.front().conn_id
+        << ": " << st.to_string();
   }
+  return st;
 }
 
 void SocketController::span(std::uint64_t trace_id, obs::SpanKind kind,

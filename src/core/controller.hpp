@@ -21,6 +21,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -70,8 +71,9 @@ struct DurabilityConfig {
   bool enabled = false;
   /// Directory holding journal.nplj + snapshot.npls for this controller.
   std::string dir;
-  /// Journal appends between snapshot compactions.
-  std::uint64_t compact_every = 64;
+  /// Compaction trigger: the snapshot is rewritten once the journal has
+  /// grown by max(this many bytes, twice the last snapshot's size).
+  std::uint64_t compact_floor_bytes = 1 << 20;
 };
 
 struct ControllerConfig {
@@ -305,21 +307,32 @@ class SocketController final : public agent::ConnectionMigrator {
   [[nodiscard]] std::vector<SessionPtr> sessions_of(
       const agent::AgentId& id) const;
   [[nodiscard]] bool agent_is_migrating(const agent::AgentId& id) const;
-  /// The §3.2 sweep step for one connection during prepare_migration.
+  /// Sessions whose commit point one caller journals together: the mover's
+  /// sweep and completion collect their sessions here and journal them in
+  /// one batch after the loop.
+  using CommitBatch = std::vector<SessionPtr>;
+  /// The §3.2 sweep step for one connection during prepare_migration. A
+  /// suspension it commits is deferred to `swept` when given.
   util::Status suspend_for_migration(const SessionPtr& session,
-                                     const agent::AgentId& id);
+                                     const agent::AgentId& id,
+                                     CommitBatch* swept = nullptr);
   /// Active suspend from ESTABLISHED (shared by app suspend + migration).
   /// nullopt when the state left ESTABLISHED before the FSM step (a peer
   /// SUS handled on the bus thread): the caller re-runs its state dispatch.
-  std::optional<util::Status> active_suspend(const SessionPtr& session);
+  /// The suspend commit is journaled here, or deferred to `swept`.
+  std::optional<util::Status> active_suspend(const SessionPtr& session,
+                                             CommitBatch* swept = nullptr);
   /// Complete a passive suspension (drain + close) after agreeing to SUS.
   void finish_passive_suspend(const SessionPtr& session,
                               std::uint64_t peer_mark);
   /// Reconnect a suspended session through the peer's redirector; under
-  /// tolerance a timed-out attempt is retried with capped backoff.
-  util::Status do_resume(const SessionPtr& session);
+  /// tolerance a timed-out attempt is retried with capped backoff. The
+  /// resume commit is journaled here, or deferred to `resumed`.
+  util::Status do_resume(const SessionPtr& session,
+                         CommitBatch* resumed = nullptr);
   /// One resume attempt (the paper's single-shot flow).
-  util::Status do_resume_once(const SessionPtr& session);
+  util::Status do_resume_once(const SessionPtr& session,
+                              CommitBatch* resumed);
 
   // Group-suspend internals (controller_group.cpp).
   /// Atomic whole-agent sweep (the group_suspend config path of
@@ -369,10 +382,26 @@ class SocketController final : public agent::ConnectionMigrator {
       util::Duration timeout);
 
   // Crash-recovery extension internals.
-  /// Journal the session's current state at a protocol commit point.
-  void journal_commit(recovery::CommitPoint point, const SessionPtr& session);
-  /// Journal that the connection left this controller (close / export).
-  void journal_remove(recovery::CommitPoint point, std::uint64_t conn_id);
+  /// Journal `sessions` at one protocol commit point as one batch: one
+  /// journal write and one fsync for all of them. A removal point (close,
+  /// export) records that the connection left this controller; any other
+  /// point records the session's current state. Failures are logged and
+  /// returned.
+  util::Status journal_batch(recovery::CommitPoint point,
+                             std::span<const SessionPtr> sessions);
+  void journal_commit(recovery::CommitPoint point, const SessionPtr& session) {
+    (void)journal_batch(point, std::span(&session, 1));
+  }
+  /// Journal `session` at `point` now, or leave it to the caller that
+  /// journals `batch` (when given).
+  void commit_or_defer(recovery::CommitPoint point, const SessionPtr& session,
+                       CommitBatch* batch) {
+    if (batch != nullptr) {
+      batch->push_back(session);
+    } else {
+      journal_commit(point, session);
+    }
+  }
   /// Epoch fence: admit `msg` only if its incarnation epoch is not older
   /// than the highest this session has seen from the peer. Returns false
   /// (and counts) for stale pre-crash messages, which the caller drops.
@@ -451,7 +480,7 @@ class SocketController final : public agent::ConnectionMigrator {
   obs::Counter& peers_declared_dead_;
 
   // Crash-recovery extension state. The store serializes its own writes;
-  // journal_commit never runs under mu_.
+  // journal_batch never runs under mu_.
   std::unique_ptr<recovery::DurableStore> store_ NAPLET_NOT_GUARDED(
       "created in start() before worker threads; the store is internally "
       "synchronized");

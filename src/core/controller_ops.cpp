@@ -141,7 +141,7 @@ util::Status SocketController::suspend(const SessionPtr& session) {
 }
 
 std::optional<util::Status> SocketController::active_suspend(
-    const SessionPtr& session) {
+    const SessionPtr& session, CommitBatch* swept) {
   if (!session->advance(ConnEvent::kAppSuspend, ConnState::kEstablished)
            .ok()) {
     return std::nullopt;
@@ -219,7 +219,8 @@ std::optional<util::Status> SocketController::active_suspend(
   if (resp->type == static_cast<std::uint8_t>(CtrlType::kSusAck)) {
     NAPLET_RETURN_IF_ERROR(session->advance(ConnEvent::kRecvSusAck));
     if (drained.ok()) {
-      journal_commit(recovery::CommitPoint::kSuspendCommitted, session);
+      commit_or_defer(recovery::CommitPoint::kSuspendCommitted, session,
+                      swept);
       hist_suspend_us_.record(obs::ms_to_us(suspend_sw.elapsed_ms()));
     }
     return drained;
@@ -241,7 +242,7 @@ std::optional<util::Status> SocketController::active_suspend(
     return util::Timeout("parked suspend not released for conn " +
                          std::to_string(session->conn_id()));
   }
-  journal_commit(recovery::CommitPoint::kSuspendCommitted, session);
+  commit_or_defer(recovery::CommitPoint::kSuspendCommitted, session, swept);
   hist_suspend_us_.record(obs::ms_to_us(suspend_sw.elapsed_ms()));
   return util::OkStatus();
 }
@@ -488,7 +489,8 @@ util::Status SocketController::resume(const SessionPtr& session) {
   return do_resume(session);
 }
 
-util::Status SocketController::do_resume(const SessionPtr& session) {
+util::Status SocketController::do_resume(const SessionPtr& session,
+                                         CommitBatch* resumed) {
   // Fault tolerance: a resume that times out because the peer controller is
   // mid-restart (replaying its journal) or partitioned away is retried with
   // capped exponential backoff. Off is the paper's single-shot resume.
@@ -497,7 +499,7 @@ util::Status SocketController::do_resume(const SessionPtr& session) {
   util::Duration backoff{std::chrono::milliseconds(50)};
   util::Stopwatch resume_sw(util::RealClock::instance());
   for (int attempt = 1;; ++attempt) {
-    util::Status status = do_resume_once(session);
+    util::Status status = do_resume_once(session, resumed);
     if (status.ok()) {
       hist_resume_us_.record(obs::ms_to_us(resume_sw.elapsed_ms()));
       return status;
@@ -518,7 +520,8 @@ util::Status SocketController::do_resume(const SessionPtr& session) {
   }
 }
 
-util::Status SocketController::do_resume_once(const SessionPtr& session) {
+util::Status SocketController::do_resume_once(const SessionPtr& session,
+                                              CommitBatch* resumed) {
   const ConnState st = settle_peer_resume(*session, config_.resume_timeout);
   if (st == ConnState::kEstablished) return util::OkStatus();
   if (st == ConnState::kResumeWait) {
@@ -676,7 +679,8 @@ util::Status SocketController::do_resume_once(const SessionPtr& session) {
         session->update_flags([](Session::Flags& f) {
           f.remote_suspended = false;
         });
-        journal_commit(recovery::CommitPoint::kResumeCommitted, session);
+        commit_or_defer(recovery::CommitPoint::kResumeCommitted, session,
+                        resumed);
         span(session->trace_id(), obs::SpanKind::kResumeCommitted, *session,
              "mover");
         return util::OkStatus();
@@ -917,7 +921,7 @@ util::Status SocketController::close(const SessionPtr& session) {
   session->close_stream();
   (void)session->advance(resp ? ConnEvent::kRecvClsAck : ConnEvent::kTimeout);
   remove_session(session);
-  journal_remove(recovery::CommitPoint::kClosed, session->conn_id());
+  journal_commit(recovery::CommitPoint::kClosed, session);
   session->park_event().set();
   session->resume_event().set();
   return util::OkStatus();
@@ -957,7 +961,7 @@ void SocketController::handle_cls(CtrlMsg msg) {
     (void)session->advance(ConnEvent::kExecClosed);  // -> CLOSED
   }
   remove_session(session);
-  journal_remove(recovery::CommitPoint::kClosed, session->conn_id());
+  journal_commit(recovery::CommitPoint::kClosed, session);
   session->park_event().set();
   session->resume_event().set();
 }
@@ -974,25 +978,36 @@ util::Status SocketController::prepare_migration(const agent::AgentId& id) {
     util::MutexLock lock(mu_);
     migrating_agents_.insert(id);
   }
+  // The sweep stays serial on the wire (§3.2); only its durability point
+  // moves to the end: every suspension it committed is journaled in one
+  // batch, also when a later connection failed the sweep. A journal
+  // failure fails the sweep, so the hop is not taken on state that never
+  // reached the disk.
+  CommitBatch swept;
+  util::Status status = util::OkStatus();
   for (const SessionPtr& session : sessions_of(id)) {
-    auto status = suspend_for_migration(session, id);
-    if (!status.ok()) {
-      util::MutexLock lock(mu_);
-      migrating_agents_.erase(id);
-      return status;
-    }
+    status = suspend_for_migration(session, id, &swept);
+    if (!status.ok()) break;
   }
-  return util::OkStatus();
+  const util::Status journaled =
+      journal_batch(recovery::CommitPoint::kSuspendCommitted, swept);
+  if (status.ok()) status = journaled;
+  if (!status.ok()) {
+    util::MutexLock lock(mu_);
+    migrating_agents_.erase(id);
+  }
+  return status;
 }
 
 util::Status SocketController::suspend_for_migration(
-    const SessionPtr& session, const agent::AgentId& id) {
+    const SessionPtr& session, const agent::AgentId& id,
+    CommitBatch* swept) {
   const std::int64_t deadline = now_us() + config_.park_timeout.count();
   for (;;) {
     const ConnState st = session->state();
     switch (st) {
       case ConnState::kEstablished:
-        if (auto done = active_suspend(session)) return *done;
+        if (auto done = active_suspend(session, swept)) return *done;
         continue;  // the peer's SUS won the race; re-dispatch
 
       case ConnState::kSuspended:
@@ -1095,14 +1110,14 @@ util::Bytes SocketController::export_sessions(const agent::AgentId& id) {
     // The live state now travels in the blob; kill the original so stale
     // handles cannot double-deliver its buffered frames.
     session->mark_moved();
-    // Departed: this controller is no longer responsible for the
-    // connection. (If the migration later fails the destination's own
-    // journal has it from kImported on.)
-    journal_remove(recovery::CommitPoint::kDeparted, session->conn_id());
     if (config_.tolerance.enabled) {
       redirector_->release_lease(session->conn_id());
     }
   }
+  // Departed, in one batch: this controller is no longer responsible for
+  // the agent's connections. (If the migration later fails the
+  // destination's own journal has them from kImported on.)
+  (void)journal_batch(recovery::CommitPoint::kDeparted, sessions);
   return util::Archive::encode(blobs);
 }
 
@@ -1111,18 +1126,27 @@ util::Status SocketController::import_sessions(const agent::AgentId& id,
   if (data.empty()) return util::OkStatus();
   auto blobs = util::Archive::decode<std::vector<util::Bytes>>(data);
   if (!blobs.ok()) return blobs.status();
+  // Every session inserted is journaled in one batch, also when a later
+  // blob fails the import.
+  CommitBatch imported;
+  util::Status status = util::OkStatus();
   for (const util::Bytes& blob : *blobs) {
     auto session =
         Session::import_state(util::ByteSpan(blob.data(), blob.size()));
-    if (!session.ok()) return session.status();
+    if (!session.ok()) {
+      status = session.status();
+      break;
+    }
     if ((*session)->local_agent() != id) {
-      return util::ProtocolError("imported session belongs to '" +
-                                 (*session)->local_agent().name() + "'");
+      status = util::ProtocolError("imported session belongs to '" +
+                                   (*session)->local_agent().name() + "'");
+      break;
     }
     insert_session(*session);
-    journal_commit(recovery::CommitPoint::kImported, *session);
+    imported.push_back(std::move(*session));
   }
-  return util::OkStatus();
+  (void)journal_batch(recovery::CommitPoint::kImported, imported);
+  return status;
 }
 
 util::Status SocketController::complete_migration(const agent::AgentId& id) {
@@ -1131,6 +1155,8 @@ util::Status SocketController::complete_migration(const agent::AgentId& id) {
     migrating_agents_.erase(id);
   }
   util::Status first_error = util::OkStatus();
+  // The mover's resumes are journaled in one batch after the loop.
+  CommitBatch resumed;
   for (const SessionPtr& session : sessions_of(id)) {
     const Session::Flags f = session->flags();
 
@@ -1160,7 +1186,7 @@ util::Status SocketController::complete_migration(const agent::AgentId& id) {
       session->update_flags([](Session::Flags& f2) {
         f2.peer_waiting_resume = false;
       });
-      auto status = do_resume(session);
+      auto status = do_resume(session, &resumed);
       if (!status.ok() && first_error.ok()) first_error = status;
       continue;
     }
@@ -1170,9 +1196,10 @@ util::Status SocketController::complete_migration(const agent::AgentId& id) {
       continue;
     }
 
-    auto status = do_resume(session);
+    auto status = do_resume(session, &resumed);
     if (!status.ok() && first_error.ok()) first_error = status;
   }
+  (void)journal_batch(recovery::CommitPoint::kResumeCommitted, resumed);
   return first_error;
 }
 

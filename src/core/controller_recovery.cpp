@@ -119,7 +119,7 @@ void SocketController::abort_session(const SessionPtr& session) {
   // Deregister first so that by the time waiters observe CLOSED the
   // controller's books are already consistent.
   remove_session(session);
-  journal_remove(recovery::CommitPoint::kClosed, session->conn_id());
+  journal_commit(recovery::CommitPoint::kClosed, session);
   // abort_local forces CLOSED from ANY state (the old advance(kAppClose)
   // path only worked from ESTABLISHED/SUSPENDED, leaving resume waiters in
   // RES_SENT/RESUME_WAIT to hang until io_timeout) and wakes every parked

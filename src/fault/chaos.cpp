@@ -353,7 +353,7 @@ nsock::NodeConfig node_config(const ChaosCase& chaos_case, int i,
   if (i == journal_node(chaos_case)) {
     ctrl.durability.enabled = true;
     ctrl.durability.dir = journal_dir;
-    ctrl.durability.compact_every = 8;
+    ctrl.durability.compact_floor_bytes = 64;
   }
   return config;
 }
@@ -489,6 +489,19 @@ struct Harness {
   /// doomed incarnation. The new controller replays its durable journal
   /// unless this is a crash case run without recovery.
   util::Status crash_restart(int i, const agent::AgentId& resident) {
+    // The small byte floor (node_config) must have compacted the doomed
+    // incarnation's journal past the compaction open() always does, so
+    // the restart replays a snapshot plus a journal tail. A peer's drain
+    // commit trails its SUS_ACK, so give it a moment to land.
+    if (const auto* store = ctrl(i).durable_store(); store != nullptr) {
+      for (int tick = 0; tick < 200 && store->compactions() < 2; ++tick) {
+        std::this_thread::sleep_for(10ms);
+      }
+      if (store->compactions() < 2) {
+        return util::FailedPrecondition("journal never compacted before "
+                                        "the crash");
+      }
+    }
     realm.remove_node(node_name(i));
     injector.disarm();
     auto& node = realm.add_node(node_name(i), net.add_node(node_name(i)),

@@ -44,6 +44,9 @@ inline constexpr std::string_view kFaultSites[] = {
     "ctrl.group.prepare",
     "ctrl.group.commit",
     "group.barrier",
+    // Crash durability (journal.cpp): between a record batch's write and
+    // its fsync, the window where one commit point covers a whole agent.
+    "recovery.journal.sync",
     // Control messages: ctrl.<type>.<stage>, woven generically through
     // ctrl_site() in controller.cpp for every CtrlType.
     "ctrl.connect.pre_send",

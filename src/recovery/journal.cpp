@@ -4,10 +4,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
 
+#include "fault/fault.hpp"
 #include "recovery/snapshot.hpp"
 
 namespace naplet::recovery {
@@ -84,23 +86,40 @@ util::StatusOr<std::unique_ptr<Journal>> Journal::open(const std::string& path,
   return journal;
 }
 
-util::Status Journal::append(const JournalRecord& record) {
+util::Status Journal::append(std::span<const JournalRecord> records) {
   if (fd_ < 0) return util::FailedPrecondition("journal not open");
-  util::BytesWriter body(1 + 8 + record.payload.size());
-  body.u8(static_cast<std::uint8_t>(record.point));
-  body.u64(record.conn_id);
-  body.raw(record.payload);
-
-  util::BytesWriter frame(4 + body.size() + 4);
-  frame.u32(static_cast<std::uint32_t>(body.size()));
-  frame.raw(body.data());
-  frame.u32(crc32(body.data()));
-  NAPLET_RETURN_IF_ERROR(write_fully(fd_, frame.data()));
+  if (records.empty()) return util::OkStatus();
+  std::size_t total = 0;
+  for (const JournalRecord& record : records) {
+    total += 4 + 1 + 8 + record.payload.size() + 4;
+  }
+  util::BytesWriter frames(total);
+  for (const JournalRecord& record : records) {
+    const std::size_t body_len = 1 + 8 + record.payload.size();
+    frames.u32(static_cast<std::uint32_t>(body_len));
+    const std::size_t body_start = frames.size();
+    frames.u8(static_cast<std::uint8_t>(record.point));
+    frames.u64(record.conn_id);
+    frames.raw(record.payload);
+    frames.u32(crc32(
+        util::ByteSpan(frames.data().data() + body_start, body_len)));
+  }
+  NAPLET_RETURN_IF_ERROR(write_fully(fd_, frames.data()));
+  // The crash window the batch moved: the whole batch is written but not
+  // yet durable. A kill is the process dying here; the written bytes stay
+  // in the file, as they would in the page cache, and this journal takes
+  // no further appends.
+  if (fault::hit("recovery.journal.sync").action == fault::Action::kKill) {
+    ::close(fd_);
+    fd_ = -1;
+    return util::Unavailable("fault: killed between journal write and fsync");
+  }
   if (::fsync(fd_) != 0) {
     return util::IoError(std::string("fsync journal: ") +
                          std::strerror(errno));
   }
-  ++appended_;
+  appended_ += records.size();
+  bytes_ += frames.size();
   return util::OkStatus();
 }
 
@@ -265,27 +284,41 @@ util::Status DurableStore::open() {
   return compact_locked();
 }
 
-util::Status DurableStore::record(CommitPoint point, std::uint64_t conn_id,
-                                  util::ByteSpan blob) {
+util::Status DurableStore::record(std::span<const JournalRecord> records) {
   util::MutexLock lock(mu_);
   if (journal_ == nullptr) return util::FailedPrecondition("store not open");
+  if (records.empty()) return util::OkStatus();
+  // A batch that finds the journal already grown past its trigger folds
+  // itself into a compaction once it is durable. The trigger scales with
+  // the snapshot, so a large live map is not rewritten every few records.
+  const bool due =
+      journal_->bytes() >=
+      std::max(options_.compact_floor_bytes, 2 * snapshot_bytes_);
+  NAPLET_RETURN_IF_ERROR(journal_->append(records));
+  records_written_ += records.size();
+  ++syncs_;
+  for (const JournalRecord& record : records) {
+    NAPLET_RETURN_IF_ERROR(apply_locked(record));
+  }
+  // Compaction is deferred while a group prepare is pending: folding the
+  // live map into a snapshot and resetting the journal would erase the
+  // prepare record the crash path depends on.
+  if (due && pending_group_ == 0) return compact_locked();
+  return util::OkStatus();
+}
 
-  JournalRecord record;
-  record.point = point;
-  record.conn_id = conn_id;
-  record.payload.assign(blob.begin(), blob.end());
-  NAPLET_RETURN_IF_ERROR(journal_->append(record));
-  ++records_written_;
-
+util::Status DurableStore::apply_locked(const JournalRecord& record) {
+  const CommitPoint point = record.point;
   if (point == CommitPoint::kGroupPrepare) {
-    auto manifest = GroupManifest::decode(blob);
+    auto manifest = GroupManifest::decode(
+        util::ByteSpan(record.payload.data(), record.payload.size()));
     if (!manifest.ok()) return manifest.status();
-    pending_group_ = conn_id;
+    pending_group_ = record.conn_id;
     pending_manifest_ = std::move(*manifest);
   } else if (point == CommitPoint::kGroupCommit ||
              point == CommitPoint::kGroupAbort) {
     if (point == CommitPoint::kGroupCommit && pending_group_ != 0 &&
-        pending_group_ == conn_id) {
+        pending_group_ == record.conn_id) {
       for (auto& member : pending_manifest_.members) {
         live_[member.conn_id] = std::move(member.blob);
       }
@@ -293,17 +326,9 @@ util::Status DurableStore::record(CommitPoint point, std::uint64_t conn_id,
     pending_group_ = 0;
     pending_manifest_.members.clear();
   } else if (is_removal(point)) {
-    live_.erase(conn_id);
+    live_.erase(record.conn_id);
   } else {
-    live_[conn_id] = std::move(record.payload);
-  }
-
-  // Compaction is deferred while a group prepare is pending: folding the
-  // live map into a snapshot and resetting the journal would erase the
-  // prepare record the crash path depends on.
-  if (++appends_since_compact_ >= options_.compact_every &&
-      pending_group_ == 0) {
-    return compact_locked();
+    live_[record.conn_id] = record.payload;
   }
   return util::OkStatus();
 }
@@ -322,7 +347,7 @@ void DurableStore::abort_group(std::uint64_t group_id) {
   record.conn_id = group_id;
   if (auto st = journal_->append(record); st.ok()) {
     ++records_written_;
-    ++appends_since_compact_;
+    ++syncs_;
   }
   // On append failure the next compaction still folds the clean live map
   // (the pending manifest is already dropped), closing the window.
@@ -342,11 +367,15 @@ util::Status DurableStore::compact_locked() {
   SnapshotData data;
   data.epoch = epoch_;
   data.sessions = live_;
-  NAPLET_RETURN_IF_ERROR(Snapshot::write(snapshot_path(), data));
+  // Snapshot::write returns only once the rename itself is durable, so the
+  // journal below may be truncated: a crash cannot pair the old snapshot
+  // with the emptied journal.
+  auto written = Snapshot::write(snapshot_path(), data);
+  if (!written.ok()) return written.status();
   auto journal = Journal::open(journal_path(), epoch_);
   if (!journal.ok()) return journal.status();
   journal_ = std::move(*journal);
-  appends_since_compact_ = 0;
+  snapshot_bytes_ = *written;
   ++compactions_;
   return util::OkStatus();
 }

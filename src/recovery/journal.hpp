@@ -13,11 +13,17 @@
 // Replay stops at the first truncated or CRC-corrupt record and reports
 // `truncated` instead of failing — a torn tail is the expected shape of a
 // crash mid-append, and everything before it is still authoritative.
+//
+// An append is a batch: every record keeps its own frame and CRC, and the
+// whole batch goes out in one write followed by one fsync. A torn batch
+// therefore replays as a whole-record prefix, exactly like a crash between
+// two single-record appends.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -132,14 +138,20 @@ class Journal {
   static util::StatusOr<std::unique_ptr<Journal>> open(
       const std::string& path, std::uint64_t epoch);
 
-  /// Append one record and fsync before returning.
-  util::Status append(const JournalRecord& record);
+  /// Append `records` with one write and one fsync before returning. An
+  /// empty batch writes nothing.
+  util::Status append(std::span<const JournalRecord> records);
+  util::Status append(const JournalRecord& record) {
+    return append(std::span(&record, 1));
+  }
 
   /// Read a journal file back. kNotFound when absent, kProtocolError when
   /// the header itself is damaged; a damaged record merely truncates.
   static util::StatusOr<ReplayResult> replay(const std::string& path);
 
   [[nodiscard]] std::uint64_t appended() const noexcept { return appended_; }
+  /// Record bytes appended since open() (the header excluded).
+  [[nodiscard]] std::uint64_t bytes() const noexcept { return bytes_; }
 
  private:
   Journal(int fd, std::string path) : fd_(fd), path_(std::move(path)) {}
@@ -147,12 +159,14 @@ class Journal {
   int fd_ = -1;
   std::string path_;
   std::uint64_t appended_ = 0;
+  std::uint64_t bytes_ = 0;
 };
 
 struct DurableStoreOptions {
   std::string dir;
-  /// Rewrite the snapshot and reset the journal every N appends.
-  std::uint64_t compact_every = 64;
+  /// Rewrite the snapshot and reset the journal once the journal has grown
+  /// by max(this many bytes, twice the last snapshot's size).
+  std::uint64_t compact_floor_bytes = 1 << 20;
 };
 
 /// Coordinates snapshot + journal under one directory. open() merges the
@@ -166,16 +180,23 @@ class DurableStore {
   /// Load (or initialize) the store; must be called before record().
   util::Status open();
 
-  /// Durably record `blob` (or a removal) for `conn_id` at `point`.
+  /// Durably record a batch: one journal write and one fsync for all of
+  /// `records`, then apply them to the live map in order. Each record is
+  /// `payload` (or a removal) for `conn_id` at `point`.
   ///
   /// Group points get two-phase semantics: kGroupPrepare (conn_id = group
-  /// id, blob = GroupManifest::encode()) journals the manifest and parks
+  /// id, payload = GroupManifest::encode()) journals the manifest and parks
   /// it pending without touching the live map; kGroupCommit (same group
   /// id) applies every member blob to the live map atomically; kGroupAbort
   /// discards the pending manifest. While a group is pending, compaction
   /// is deferred so the snapshot can never capture half a group.
+  util::Status record(std::span<const JournalRecord> records);
   util::Status record(CommitPoint point, std::uint64_t conn_id,
-                      util::ByteSpan blob);
+                      util::ByteSpan blob) {
+    const JournalRecord one{point, conn_id,
+                            util::Bytes(blob.begin(), blob.end())};
+    return record(std::span(&one, 1));
+  }
 
   /// Drop an in-flight group prepare (the coordinator rolled the group
   /// back live). Journals a kGroupAbort record when the prepare reached
@@ -207,6 +228,9 @@ class DurableStore {
   [[nodiscard]] std::uint64_t records_written() const noexcept {
     return records_written_;
   }
+  /// Journal fsyncs of record batches (compaction's own fsyncs are not
+  /// counted here; see compactions()).
+  [[nodiscard]] std::uint64_t syncs() const noexcept { return syncs_; }
   [[nodiscard]] std::uint64_t compactions() const noexcept {
     return compactions_;
   }
@@ -216,6 +240,8 @@ class DurableStore {
 
  private:
   util::Status compact_locked() NAPLET_REQUIRES(mu_);
+  /// Fold one journaled record into the live map / pending group.
+  util::Status apply_locked(const JournalRecord& record) NAPLET_REQUIRES(mu_);
 
   DurableStoreOptions options_ NAPLET_NOT_GUARDED("set at construction, "
                                                   "immutable");
@@ -225,13 +251,15 @@ class DurableStore {
   mutable util::Mutex mu_{util::LockRank::kUnranked, "durable_store"};
   std::unique_ptr<Journal> journal_ NAPLET_GUARDED_BY(mu_);
   std::map<std::uint64_t, util::Bytes> live_ NAPLET_GUARDED_BY(mu_);
-  std::uint64_t appends_since_compact_ NAPLET_GUARDED_BY(mu_) = 0;
+  // Size of the last snapshot written (the compaction trigger).
+  std::uint64_t snapshot_bytes_ NAPLET_GUARDED_BY(mu_) = 0;
   // Two-phase group suspend: the prepared-but-uncommitted manifest. 0 =
   // no group in flight. While non-zero, compact_locked() is deferred.
   std::uint64_t pending_group_ NAPLET_GUARDED_BY(mu_) = 0;
   GroupManifest pending_manifest_ NAPLET_GUARDED_BY(mu_);
   // Monitoring counters: written under mu_, read lock-free by accessors.
   std::atomic<std::uint64_t> records_written_{0};
+  std::atomic<std::uint64_t> syncs_{0};
   std::atomic<std::uint64_t> compactions_{0};
 
   // Written only by open(), before the store is shared with any thread.

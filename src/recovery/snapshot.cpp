@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 
 #include "recovery/journal.hpp"
@@ -29,8 +30,8 @@ void SnapshotData::persist(util::Archive& ar) {
   ar.field(sessions);
 }
 
-util::Status Snapshot::write(const std::string& path,
-                             const SnapshotData& data) {
+util::StatusOr<std::uint64_t> Snapshot::write(const std::string& path,
+                                              const SnapshotData& data) {
   util::Archive ar;
   ar.write(data);
   std::uint32_t crc = crc32(ar.bytes());
@@ -70,7 +71,23 @@ util::Status Snapshot::write(const std::string& path,
     return util::IoError("rename snapshot: " +
                          std::string(std::strerror(saved)));
   }
-  return util::OkStatus();
+  // The rename is durable only once the directory entry is: without this
+  // fsync a crash can bring back the old snapshot after the caller has
+  // already truncated the journal that held the delta.
+  std::string dir = std::filesystem::path(path).parent_path().string();
+  if (dir.empty()) dir = ".";
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dir_fd < 0) {
+    return util::IoError("open " + dir + ": " + std::strerror(errno));
+  }
+  const int synced = ::fsync(dir_fd);
+  const int saved = errno;
+  ::close(dir_fd);
+  if (synced != 0) {
+    return util::IoError(std::string("fsync snapshot directory: ") +
+                         std::strerror(saved));
+  }
+  return static_cast<std::uint64_t>(buf.size());
 }
 
 util::StatusOr<SnapshotData> Snapshot::read(const std::string& path) {

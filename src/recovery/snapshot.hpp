@@ -1,6 +1,6 @@
 // Point-in-time checkpoint of the durable session map, written atomically
-// (tmp file + fsync + rename) so a crash mid-compaction leaves the old
-// snapshot intact.
+// (tmp file + fsync + rename + directory fsync) so a crash mid-compaction
+// leaves either the old snapshot or the new one, never neither.
 //
 //   u32 magic 'NPLS' | u32 version | u64 epoch | u32 count |
 //   count x (u64 conn_id | bytes session blob) | u32 crc32(everything above)
@@ -26,8 +26,10 @@ struct SnapshotData {
 
 class Snapshot {
  public:
-  /// Atomically replace the snapshot at `path`.
-  static util::Status write(const std::string& path, const SnapshotData& data);
+  /// Atomically and durably replace the snapshot at `path`; returns the
+  /// snapshot's size in bytes.
+  static util::StatusOr<std::uint64_t> write(const std::string& path,
+                                             const SnapshotData& data);
 
   /// kNotFound when absent, kProtocolError on any corruption (bad magic,
   /// truncation, CRC mismatch) — the caller decides how to degrade.

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "recovery/snapshot.hpp"
 
@@ -317,6 +318,118 @@ TEST_F(JournalTest, StoreDegradesToJournalWhenSnapshotCorrupt) {
   auto live = store.recovered();
   EXPECT_EQ(live.count(9), 1u);
   EXPECT_EQ(live.count(8), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Batched appends: one write + one fsync for a whole commit point, framed
+// record by record so a torn batch replays as a whole-record prefix.
+
+TEST_F(JournalTest, TornBatchReplaysWholeRecordPrefixAtEveryCut) {
+  const std::string p = path("journal.nplj");
+  const std::vector<JournalRecord> batch = {
+      {CommitPoint::kSuspendCommitted, 1, bytes("first")},
+      {CommitPoint::kSuspendCommitted, 2, bytes("the second one")},
+      {CommitPoint::kDeparted, 3, {}},
+  };
+  {
+    auto journal = Journal::open(p, 4);
+    ASSERT_TRUE(journal.ok());
+    ASSERT_TRUE((*journal)->append(batch).ok());
+    EXPECT_EQ((*journal)->appended(), 3u);
+  }
+  const util::Bytes full = read_file(p);
+  constexpr std::size_t kHeader = 20;
+  // Record boundaries: header end, then after each u32 len | body | u32 crc.
+  std::vector<std::size_t> boundaries{kHeader};
+  for (const JournalRecord& record : batch) {
+    boundaries.push_back(boundaries.back() + 4 + 1 + 8 +
+                         record.payload.size() + 4);
+  }
+  ASSERT_EQ(boundaries.back(), full.size());
+
+  const std::string cut_path = path("cut.nplj");
+  for (std::size_t cut = 0; cut <= full.size(); ++cut) {
+    write_file(cut_path, util::Bytes(full.begin(), full.begin() + cut));
+    auto replay = Journal::replay(cut_path);
+    if (cut < kHeader) {
+      EXPECT_EQ(replay.status().code(), util::StatusCode::kProtocolError)
+          << "cut " << cut;
+      continue;
+    }
+    ASSERT_TRUE(replay.ok()) << "cut " << cut;
+    std::size_t whole = 0;
+    while (whole + 1 < boundaries.size() && boundaries[whole + 1] <= cut) {
+      ++whole;
+    }
+    ASSERT_EQ(replay->records.size(), whole) << "cut " << cut;
+    const bool on_boundary = boundaries[whole] == cut;
+    EXPECT_EQ(replay->truncated, !on_boundary) << "cut " << cut;
+    for (std::size_t i = 0; i < whole; ++i) {
+      EXPECT_EQ(replay->records[i].point, batch[i].point);
+      EXPECT_EQ(replay->records[i].conn_id, batch[i].conn_id);
+      EXPECT_EQ(replay->records[i].payload, batch[i].payload);
+    }
+  }
+}
+
+TEST_F(JournalTest, StoreBatchIsOneSync) {
+  {
+    DurableStore store({dir_, 1 << 20});
+    ASSERT_TRUE(store.open().ok());
+    const std::vector<JournalRecord> batch = {
+        {CommitPoint::kImported, 1, bytes("a")},
+        {CommitPoint::kImported, 2, bytes("b")},
+        {CommitPoint::kImported, 3, bytes("c")},
+        {CommitPoint::kDeparted, 2, {}},
+    };
+    ASSERT_TRUE(store.record(batch).ok());
+    EXPECT_EQ(store.syncs(), 1u);
+    EXPECT_EQ(store.records_written(), 4u);
+    // An empty batch is no durability point at all.
+    ASSERT_TRUE(store.record(std::span<const JournalRecord>{}).ok());
+    EXPECT_EQ(store.syncs(), 1u);
+  }
+  DurableStore reopened({dir_, 1 << 20});
+  ASSERT_TRUE(reopened.open().ok());
+  auto live = reopened.recovered();
+  ASSERT_EQ(live.size(), 2u);  // the batch applies in order
+  EXPECT_EQ(text(live[1]), "a");
+  EXPECT_EQ(text(live[3]), "c");
+}
+
+TEST_F(JournalTest, StoreCompactionTriggerScalesWithSnapshot) {
+  constexpr std::uint64_t kFloor = 256;
+  DurableStore store({dir_, kFloor});
+  ASSERT_TRUE(store.open().ok());
+  const std::uint64_t opened = store.compactions();
+  const util::Bytes blob(200, 0x5a);
+  const auto put = [&](std::uint64_t conn) {
+    return store.record(CommitPoint::kResumeCommitted, conn,
+                        util::ByteSpan(blob.data(), blob.size()));
+  };
+  // Sixteen live sessions in one batch: far past the floor, so the next
+  // batch compacts them (and itself) into a snapshot of several KiB.
+  std::vector<JournalRecord> many;
+  for (std::uint64_t conn = 1; conn <= 16; ++conn) {
+    many.push_back({CommitPoint::kImported, conn, blob});
+  }
+  ASSERT_TRUE(store.record(many).ok());
+  EXPECT_EQ(store.compactions(), opened);
+  ASSERT_TRUE(put(1).ok());
+  EXPECT_EQ(store.compactions(), opened + 1);
+  const std::uint64_t snapshot = fs::file_size(store.snapshot_path());
+  ASSERT_GT(snapshot, 16 * blob.size());
+
+  // Rewrites of one session: the journal now grows to twice the snapshot,
+  // not just the floor, before the next batch compacts it.
+  const std::uint64_t record_bytes = 4 + 1 + 8 + blob.size() + 4;
+  const std::uint64_t to_reach =
+      (2 * snapshot + record_bytes - 1) / record_bytes;
+  ASSERT_GT(to_reach * record_bytes, kFloor);
+  for (std::uint64_t i = 0; i < to_reach; ++i) ASSERT_TRUE(put(2).ok());
+  EXPECT_EQ(store.compactions(), opened + 1);
+  ASSERT_TRUE(put(2).ok());
+  EXPECT_EQ(store.compactions(), opened + 2);
 }
 
 // ---------------------------------------------------------------------------

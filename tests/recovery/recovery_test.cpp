@@ -14,6 +14,7 @@
 #include "core/runtime.hpp"
 #include "core/test_realm.hpp"
 #include "fault/chaos.hpp"
+#include "fault/oracle.hpp"
 #include "net/rudp.hpp"
 #include "net/sim.hpp"
 
@@ -53,7 +54,7 @@ NodeConfig restart_config(bool recovery, const std::string& durable_dir) {
     if (!durable_dir.empty()) {
       config.controller.durability.enabled = true;
       config.controller.durability.dir = durable_dir;
-      config.controller.durability.compact_every = 8;
+      config.controller.durability.compact_floor_bytes = 64;
     }
   } else {
     config.controller.resume_timeout = 2s;
@@ -61,15 +62,19 @@ NodeConfig restart_config(bool recovery, const std::string& durable_dir) {
   return config;
 }
 
-/// Three-node realm where node1 (the server host) can be crash-restarted.
+/// Three-node realm where the durable node (node1, the server host, unless
+/// told otherwise) can be crash-restarted.
 struct RestartRealm {
-  explicit RestartRealm(bool recovery, const std::string& tag)
-      : recovery_(recovery), dir_(scratch_dir(tag)), net_(/*seed=*/1) {
+  RestartRealm(bool recovery, const std::string& tag, int durable = 1)
+      : recovery_(recovery),
+        durable_(durable),
+        dir_(scratch_dir(tag)),
+        net_(/*seed=*/1) {
     net_.set_default_link(net::LinkConfig{.latency = 1ms});
     for (int i = 0; i < 3; ++i) {
       const std::string name = "node" + std::to_string(i);
       realm_.add_node(name, net_.add_node(name),
-                      restart_config(recovery_, i == 1 ? dir_ : ""));
+                      restart_config(recovery_, i == durable_ ? dir_ : ""));
     }
     EXPECT_TRUE(realm_.start().ok());
   }
@@ -85,13 +90,13 @@ struct RestartRealm {
     return realm_.node("node" + std::to_string(i)).server();
   }
 
-  /// Kill node1 (no protocol goodbye).
-  void crash_node1() { realm_.remove_node("node1"); }
+  /// Kill the durable node (no protocol goodbye).
+  void crash() { realm_.remove_node(durable_name()); }
 
-  /// Stand node1 up again; with recovery on, replay the journal and
-  /// re-register `owner` there (the docking system's restart duty).
-  util::Status restart_node1(const agent::AgentId& owner) {
-    auto& node = realm_.add_node("node1", net_.add_node("node1"),
+  /// Stand the durable node up again; with recovery on, replay the journal
+  /// and re-register `owner` there (the docking system's restart duty).
+  util::Status restart(const agent::AgentId& owner) {
+    auto& node = realm_.add_node(durable_name(), net_.add_node(durable_name()),
                                  restart_config(recovery_, dir_));
     NAPLET_RETURN_IF_ERROR(node.start());
     if (recovery_) {
@@ -111,7 +116,12 @@ struct RestartRealm {
     return ctrl(to).complete_migration(id);
   }
 
+  std::string durable_name() const {
+    return "node" + std::to_string(durable_);
+  }
+
   bool recovery_;
+  int durable_;
   std::string dir_;
   net::SimNet net_;
   Realm realm_;
@@ -151,15 +161,25 @@ TEST(Recovery, RestartedControllerServesResumeFromJournal) {
                   .ok());
   realm.realm_.locations().register_agent(cli, realm.server(2).node_info());
 
+  // The small byte floor makes the doomed incarnation compact past the
+  // compaction open() always does once its drain commit lands (posted
+  // after the SUS_ACK, so it can trail prepare_migration): the restart
+  // replays a snapshot plus a journal tail.
+  const recovery::DurableStore* store = realm.ctrl(1).durable_store();
+  for (int i = 0; i < 200 && store->compactions() < 2; ++i) {
+    std::this_thread::sleep_for(10ms);
+  }
+  EXPECT_GT(store->compactions(), 1u);
+
   // The mover resumes while node1 is down; node1 stays down past one
   // resume attempt, so only the mover's retries reach the restarted
   // controller.
-  realm.crash_node1();
+  realm.crash();
   SocketController& mover = realm.ctrl(2);
   util::Status resumed = util::OkStatus();
   std::thread migration([&] { resumed = mover.complete_migration(cli); });
   std::this_thread::sleep_for(2s);  // twice the resume_timeout
-  const util::Status restarted = realm.restart_node1(srv);
+  const util::Status restarted = realm.restart(srv);
   migration.join();
   ASSERT_TRUE(restarted.ok()) << restarted.to_string();
   EXPECT_EQ(realm.ctrl(1).sessions_recovered(), 1u);
@@ -208,8 +228,8 @@ TEST(Recovery, DisabledRecoveryFailsCleanlyAndAborts) {
   realm.realm_.locations().register_agent(cli, realm.server(2).node_info());
 
   // Restart WITHOUT journal replay: the new incarnation knows nothing.
-  realm.crash_node1();
-  ASSERT_TRUE(realm.restart_node1(srv).ok());
+  realm.crash();
+  ASSERT_TRUE(realm.restart(srv).ok());
   EXPECT_EQ(realm.ctrl(1).sessions_recovered(), 0u);
 
   // The paper's single-shot resume must fail with a bounded error (the
@@ -441,6 +461,159 @@ TEST(CrashChaos, WithoutRecoveryTheSameCrashesFailCleanly) {
     EXPECT_TRUE(result.pass)
         << fault::to_string(scenario) << ": " << result.failure;
   }
+}
+
+// The mover's four hop commit points (sweep, export, import, complete)
+// are one journal fsync each for the whole agent, however many
+// connections it carries.
+TEST(Recovery, HopIsOneJournalSyncPerMoverCommitPoint) {
+  const std::string dir = scratch_dir("syncs");
+  fs::create_directories(dir);
+  net::SimNet net(/*seed=*/1);
+  Realm realm;
+  for (int i = 0; i < 3; ++i) {
+    const std::string name = "node" + std::to_string(i);
+    NodeConfig config;
+    config.controller.security = false;
+    if (i < 2) {  // the hop's source and destination; the peers' node2 not
+      config.controller.durability.enabled = true;
+      config.controller.durability.dir = dir + "/" + name;
+    }
+    realm.add_node(name, net.add_node(name), config);
+  }
+  ASSERT_TRUE(realm.start().ok());
+  SocketController& src = realm.node("node0").controller();
+  SocketController& dst = realm.node("node1").controller();
+  SocketController& peers = realm.node("node2").controller();
+  const agent::AgentId mob("mob");
+  const agent::AgentId peer("peer");
+  realm.locations().register_agent(
+      mob, realm.node("node0").server().node_info());
+  realm.locations().register_agent(
+      peer, realm.node("node2").server().node_info());
+  ASSERT_TRUE(peers.listen(peer).ok());
+  constexpr int kConns = 4;
+  for (int i = 0; i < kConns; ++i) {
+    ASSERT_TRUE(src.connect(mob, peer).ok());
+    ASSERT_TRUE(peers.accept(peer, 5s).ok());
+  }
+
+  const std::uint64_t src_syncs = src.durable_store()->syncs();
+  const std::uint64_t dst_syncs = dst.durable_store()->syncs();
+  const std::uint64_t src_records = src.durable_store()->records_written();
+  const std::uint64_t dst_records = dst.durable_store()->records_written();
+  realm.locations().begin_migration(mob);
+  ASSERT_TRUE(src.prepare_migration(mob).ok());
+  const util::Bytes blob = src.export_sessions(mob);
+  ASSERT_TRUE(
+      dst.import_sessions(mob, util::ByteSpan(blob.data(), blob.size())).ok());
+  realm.locations().register_agent(
+      mob, realm.node("node1").server().node_info());
+  ASSERT_TRUE(dst.complete_migration(mob).ok());
+
+  EXPECT_EQ(dst.session_count(), static_cast<std::size_t>(kConns));
+  // Source: the sweep's suspend commits, then the departures.
+  EXPECT_EQ(src.durable_store()->syncs() - src_syncs, 2u);
+  EXPECT_EQ(src.durable_store()->records_written() - src_records,
+            2u * kConns);
+  // Destination: the imports, then the mover's resume commits.
+  EXPECT_EQ(dst.durable_store()->syncs() - dst_syncs, 2u);
+  EXPECT_EQ(dst.durable_store()->records_written() - dst_records,
+            2u * kConns);
+  realm.stop();
+  fs::remove_all(dir);
+}
+
+// The crash window the batching moved: the mover's host dies after its
+// sweep's one journal write and before the fsync. The restarted controller
+// replays the batch, every connection comes back SUSPENDED, and a second
+// hop delivers every message exactly once and in order.
+TEST(Recovery, MoverCrashBetweenSweepWriteAndSyncDeliversExactlyOnce) {
+  RestartRealm realm(/*recovery=*/true, "mover-sync", /*durable=*/0);
+  const agent::AgentId cli("cli");
+  const agent::AgentId srv("srv");
+  realm.realm_.locations().register_agent(cli, realm.server(0).node_info());
+  realm.realm_.locations().register_agent(srv, realm.server(1).node_info());
+  ASSERT_TRUE(realm.ctrl(1).listen(srv).ok());
+
+  // Ledger streams: 2i is connection i's forward direction, 2i+1 reverse.
+  fault::DeliveryLedger ledger;
+  const auto send = [&](Session& session, std::uint64_t stream,
+                        const std::string& body) {
+    const util::Status st = session.send(span(body), 2s);
+    if (st.ok()) ledger.record_sent(stream, span(body));
+    return st;
+  };
+  const auto recv = [&](Session& session, std::uint64_t stream,
+                        util::Duration timeout) {
+    auto got = session.recv(timeout);
+    if (!got.ok()) return got.status();
+    ledger.record_delivered(stream, got->seq,
+                            util::ByteSpan(got->body.data(),
+                                           got->body.size()));
+    return util::OkStatus();
+  };
+
+  constexpr std::uint64_t kConns = 3;
+  std::vector<std::uint64_t> conns;
+  for (std::uint64_t i = 0; i < kConns; ++i) {
+    auto client = realm.ctrl(0).connect(cli, srv);
+    ASSERT_TRUE(client.ok()) << client.status().to_string();
+    auto server = realm.ctrl(1).accept(srv, 5s);
+    ASSERT_TRUE(server.ok()) << server.status().to_string();
+    conns.push_back((*client)->conn_id());
+    // Forward frames are delivered live; reverse frames stay unread, so
+    // the sweep's drain carries them in the journaled blobs.
+    for (int j = 0; j < 3; ++j) {
+      const std::string tag = std::to_string(i) + "." + std::to_string(j);
+      ASSERT_TRUE(send(**client, 2 * i, "f" + tag).ok());
+      ASSERT_TRUE(recv(**server, 2 * i, 2s).ok());
+      ASSERT_TRUE(send(**server, 2 * i + 1, "r" + tag).ok());
+    }
+  }
+  std::this_thread::sleep_for(30ms);
+
+  // node0 is the only durable node, so its sweep batch is the first hit.
+  auto plan = fault::Plan::parse("recovery.journal.sync@#1:kill");
+  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+  fault::Injector& injector = fault::Injector::instance();
+  injector.arm(*plan);
+  const util::Status swept = realm.ctrl(0).prepare_migration(cli);
+  const std::uint64_t hits = injector.hit_count("recovery.journal.sync");
+  injector.disarm();
+  EXPECT_EQ(hits, 1u);
+  EXPECT_EQ(swept.code(), util::StatusCode::kUnavailable)
+      << swept.to_string();
+
+  realm.crash();
+  ASSERT_TRUE(realm.restart(cli).ok());
+  EXPECT_EQ(realm.ctrl(0).sessions_recovered(), kConns);
+  for (const std::uint64_t conn : conns) {
+    SessionPtr session = realm.ctrl(0).session_by_id(conn);
+    ASSERT_TRUE(session) << conn;
+    EXPECT_EQ(session->state(), ConnState::kSuspended);
+    EXPECT_EQ(session->buffered_frames(), 3u);  // the drained reverse frames
+  }
+
+  ASSERT_TRUE(realm.migrate(cli, 0, 2).ok());
+  for (std::uint64_t i = 0; i < kConns; ++i) {
+    SessionPtr client = realm.ctrl(2).session_by_id(conns[i]);
+    SessionPtr server = realm.ctrl(1).session_by_id(conns[i]);
+    ASSERT_TRUE(client && server);
+    ASSERT_TRUE(fault::await_established(*client, 8s).ok());
+    ASSERT_TRUE(fault::await_established(*server, 8s).ok());
+    while (recv(*client, 2 * i + 1, 500ms).ok()) {
+    }
+    for (int j = 0; j < 2; ++j) {
+      const std::string tag = std::to_string(i) + "." + std::to_string(j);
+      ASSERT_TRUE(send(*client, 2 * i, "post" + tag).ok());
+      ASSERT_TRUE(recv(*server, 2 * i, 2s).ok());
+      ASSERT_TRUE(send(*server, 2 * i + 1, "echo" + tag).ok());
+      ASSERT_TRUE(recv(*client, 2 * i + 1, 2s).ok());
+    }
+  }
+  const util::Status balanced = ledger.check(/*require_complete=*/true);
+  EXPECT_TRUE(balanced.ok()) << balanced.to_string();
 }
 
 }  // namespace
