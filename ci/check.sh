@@ -3,17 +3,11 @@
 #
 #   1. Debug build + full ctest       (lock-rank validator active)
 #      + explicit `ctest -L net`       (rudp sliding-window/SACK/FEC suite)
-#      + explicit `ctest -L swarm`     (batch scheduler, drain sweeps,
-#                                       caching location tier)
 #      + fixed-seed chaos_runner smoke (25 replayable fault schedules)
 #      + pinned-seed crash-restart smoke (recovery on and off)
-#      + pinned-seed swarm smoke       (drain under partition, cascading
-#                                       rebalance)
 #      + explicit `ctest -L group`     (the whole-agent sweep, pinned group
-#                                       chaos scenarios 8/9)
+#                                       chaos scenarios 6/7)
 #      + loss-sweep bench smoke        (fast-mode JSON, parsed + shape-checked)
-#      + fleet-rebalance bench smoke   (fast-mode JSON: batching and caching
-#                                       ratios shape-checked)
 #      + group-suspend bench smoke     (fast-mode JSON: makespan + per-phase
 #                                       percentiles for 1/8/64-member agents)
 #      + explicit `ctest -L shards`    (the sharded session table, wakeup
@@ -36,7 +30,6 @@
 #      + `ctest -L recovery`          (crash-restart recovery under TSan)
 #      + `ctest -L obs`              (observability suite under TSan)
 #      + `ctest -L net`              (the rudp transport under TSan)
-#      + `ctest -L swarm`            (swarm pipeline + smoke under TSan)
 #      + `ctest -L group`            (whole-agent sweep under TSan)
 #      + `ctest -L shards`           (sharded session table under TSan)
 #   4. naplet-analyze gate            (lock-order graph, annotation
@@ -78,9 +71,6 @@ ctest --test-dir build-debug --output-on-failure -j "$JOBS"
 note "rudp transport suite (ctest -L net, Debug)"
 ctest --test-dir build-debug -L net --output-on-failure -j "$JOBS"
 
-note "swarm migration suite (ctest -L swarm, Debug)"
-ctest --test-dir build-debug -L swarm --output-on-failure -j "$JOBS"
-
 note "chaos smoke (fixed-seed, replayable)"
 NAPLET_FAULTS_LIGHT=1 ./build-debug/tools/chaos_runner --seed 42 --runs 25 --light
 
@@ -90,12 +80,6 @@ for scenario in 3 4 5; do
     --seed 5 --scenario "$scenario" --light
   NAPLET_FAULTS_LIGHT=1 ./build-debug/tools/chaos_runner \
     --seed 5 --scenario "$scenario" --light --no-recovery
-done
-
-note "swarm smoke (pinned seed: drain under partition, cascading rebalance)"
-for scenario in 6 7; do
-  NAPLET_FAULTS_LIGHT=1 ./build-debug/tools/chaos_runner \
-    --seed 5 --scenario "$scenario" --light
 done
 
 note "group-suspend suite (ctest -L group, Debug)"
@@ -115,7 +99,7 @@ with open(sys.argv[1]) as f:
 sweep = data["loss_sweep"]
 assert sweep, "loss_sweep is empty"
 for point in sweep:
-    for mode in ("stop_and_wait", "pipelined"):
+    for mode in ("stop_and_wait", "pipelined", "pipelined_no_fec"):
         for key in ("suspend_p95_us", "resume_p95_us"):
             assert point[mode][key] > 0, f"{mode}.{key} missing at {point['loss_pct']}%"
 lossy = [p for p in sweep if p["loss_pct"] >= 10]
@@ -131,27 +115,6 @@ print("loss-sweep JSON ok:", ", ".join(
 EOF
 else
   skip "python3 not installed (loss-sweep JSON parse)"
-fi
-
-note "fleet-rebalance bench smoke (fast mode, batching/caching ratios)"
-# The binary shape-checks itself (all agents land, >=5x fewer redirector
-# exchanges, >=10x fewer directory lookups, swarm makespan wins) and exits
-# nonzero on any miss; the JSON parse confirms the report is well-formed.
-(cd build-debug/bench && NAPLET_BENCH_FAST=1 ./fleet_rebalance --json)
-if command -v python3 >/dev/null 2>&1; then
-  python3 - build-debug/bench/BENCH_fleet_rebalance.json <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    data = json.load(f)
-for mode in ("solo", "swarm"):
-    assert data[mode]["drain"]["makespan_ms"] > 0, f"{mode} drain missing"
-    assert data[mode]["rebalance"]["migrated"] > 0, f"{mode} rebalance missing"
-ratio = data["solo"]["rebalance"]["handoff_exchanges"] / \
-    max(1, data["swarm"]["rebalance"]["handoff_exchanges"])
-print(f"fleet-rebalance JSON ok: exchange ratio {ratio:.1f}x")
-EOF
-else
-  skip "python3 not installed (fleet-rebalance JSON parse)"
 fi
 
 note "group-suspend bench smoke (fast mode, makespan + phase percentiles)"
@@ -223,7 +186,6 @@ if [ "$SKIP_TSAN" -eq 0 ]; then
   ctest --test-dir build-tsan -L faults --output-on-failure -j "$JOBS"
   ctest --test-dir build-tsan -L recovery --output-on-failure -j "$JOBS"
   ctest --test-dir build-tsan -L obs --output-on-failure -j "$JOBS"
-  ctest --test-dir build-tsan -L swarm --output-on-failure -j "$JOBS"
   ctest --test-dir build-tsan -L group --output-on-failure -j "$JOBS"
   ctest --test-dir build-tsan -L shards --output-on-failure -j "$JOBS"
   # The `net` test has no per-test TSAN env property (it also runs in

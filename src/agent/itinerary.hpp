@@ -15,7 +15,6 @@
 //   };
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,29 +33,6 @@ class Itinerary {
   [[nodiscard]] std::string peek() const {
     if (exhausted()) return {};
     return stops_[static_cast<std::size_t>(position_ % stops_.size())];
-  }
-
-  /// Destination `k` hops ahead (k = 0 is peek()); empty when the route
-  /// ends before then. Lets an itinerary-aware scheduler group agents by
-  /// where they are HEADED, not just where they are.
-  [[nodiscard]] std::string peek_ahead(std::uint64_t k) const {
-    if (stops_.empty()) return {};
-    const std::uint64_t hop = position_ + k;
-    if (loop_) {
-      if (max_hops_ != 0 && hop >= max_hops_) return {};
-    } else if (hop >= stops_.size()) {
-      return {};
-    }
-    return stops_[static_cast<std::size_t>(hop % stops_.size())];
-  }
-
-  /// Hops left before the route completes; nullopt for an unbounded loop.
-  [[nodiscard]] std::optional<std::uint64_t> remaining_hops() const {
-    if (loop_ && max_hops_ == 0) {
-      return stops_.empty() ? std::optional<std::uint64_t>(0) : std::nullopt;
-    }
-    const std::uint64_t total = loop_ ? max_hops_ : stops_.size();
-    return position_ >= total ? 0 : total - position_;
   }
 
   /// Request migration to the next stop. Returns false (and requests

@@ -181,7 +181,7 @@ util::Status SocketController::group_suspend_sweep(
     }
   }
 
-  // The crash window between prepare and commit (chaos scenario 8): a
+  // The crash window between prepare and commit (chaos scenario 6): a
   // kill here leaves the dangling prepare that recovery rolls FORWARD —
   // every peer has already sealed, so the manifest folds in and the
   // whole group recovers SUSPENDED, never a mix. An error aborts the

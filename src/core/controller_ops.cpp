@@ -297,7 +297,7 @@ void SocketController::handle_sus(CtrlMsg msg) {
       if (msg.group_id != 0) {
         // Group-suspend prepare: the peer is sweeping its whole agent.
         // A refusal here (injected or policy) vetoes the ENTIRE group —
-        // the coordinator rolls every member back (chaos scenario 9).
+        // the coordinator rolls every member back (chaos scenario 7).
         const fault::Decision d = fault::hit("ctrl.group.prepare");
         if (d.action == fault::Action::kError ||
             d.action == fault::Action::kKill) {

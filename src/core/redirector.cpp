@@ -152,20 +152,6 @@ util::Status Redirector::read_until(net::Stream& stream, std::uint8_t* out,
 
 void Redirector::serve(const std::shared_ptr<net::Stream>& stream,
                        const util::Bytes& frame) {
-  // A batch frame announces itself with its magic first byte; route it to
-  // the coalesced exchange instead of the per-connection path.
-  if (!frame.empty() && frame[0] == kBatchHandoffMagic) {
-    auto batch =
-        BatchHandoffMsg::decode(util::ByteSpan(frame.data(), frame.size()));
-    if (!batch.ok()) {
-      NAPLET_LOG(kWarn, "redirector")
-          << "bad batch handoff frame: " << batch.status().to_string();
-      reject_bad(*stream);
-      return;
-    }
-    serve_batch(stream, *batch);
-    return;
-  }
   auto msg = HandoffMsg::decode(util::ByteSpan(frame.data(), frame.size()));
   if (!msg.ok()) {
     NAPLET_LOG(kWarn, "redirector")
@@ -210,49 +196,6 @@ void Redirector::serve(const std::shared_ptr<net::Stream>& stream,
     obs::TraceSink::instance().record(std::move(ev));
   }
   handler_(stream, std::move(*msg));
-}
-
-void Redirector::serve_batch(const std::shared_ptr<net::Stream>& stream,
-                             const BatchHandoffMsg& batch) {
-  if (fault::armed()) {
-    const fault::Decision d = fault::hit("redirector.handoff.batch");
-    if (d.action == fault::Action::kKill || d.action == fault::Action::kDrop ||
-        d.action == fault::Action::kError) {
-      // The whole exchange dies unanswered; the mover's retry loop falls
-      // back to re-sending the batch (or per-agent handoffs).
-      stream->close();
-      return;
-    }
-  }
-  BatchHandoffReply reply;
-  reply.entries.resize(batch.entries.size());
-  for (std::size_t i = 0; i < batch.entries.size(); ++i) {
-    const HandoffMsg& entry = batch.entries[i];
-    // Same lease fence as the per-connection path, applied entry-wise: a
-    // dead lease fails ITS disposition without poisoning the batch.
-    if (fenced(entry)) {
-      reply.entries[i].ok = false;
-      reply.entries[i].reason =
-          "no live lease for conn " + std::to_string(entry.conn_id);
-    } else {
-      reply.entries[i].ok = true;
-    }
-  }
-  if (batch_handler_) batch_handler_(batch, reply);
-  {
-    obs::SpanEvent ev;
-    ev.trace_id = batch.trace_id;
-    ev.kind = obs::SpanKind::kHandoffAccept;
-    ev.conn_id = batch.entries.empty() ? 0 : batch.entries.front().conn_id;
-    ev.host = host_label_;
-    ev.detail = "batch:" + std::to_string(batch.entries.size());
-    obs::TraceSink::instance().record(std::move(ev));
-  }
-  // Count the exchange before the reply leaves: a client that has read
-  // the reply must observe the counter already bumped.
-  batch_exchanges_.fetch_add(1);
-  (void)net::write_frame(*stream, reply.encode());
-  stream->close();
 }
 
 bool Redirector::fenced(const HandoffMsg& msg) {

@@ -43,14 +43,6 @@ class Redirector {
   using HandoffHandler =
       std::function<void(std::shared_ptr<net::Stream>, HandoffMsg)>;
 
-  /// Batch exchange handler: called once per batch frame AFTER the lease
-  /// gate pre-filled `reply` (fenced entries are already marked not-ok).
-  /// It may refine any disposition; the redirector then writes the single
-  /// reply frame and closes the stream. When unset, the pre-filled
-  /// dispositions are answered as-is — a coalesced lease/route check.
-  using BatchHandler =
-      std::function<void(const BatchHandoffMsg&, BatchHandoffReply&)>;
-
   /// The lease counters (`redirector_leases_expired`,
   /// `redirector_handoffs_fenced`) are registered in `registry`, which must
   /// outlive the redirector.
@@ -76,22 +68,12 @@ class Redirector {
   /// before start().
   void set_host_label(std::string host) { host_label_ = std::move(host); }
 
-  /// Install the batch exchange handler. Set once, before start().
-  void set_batch_handler(BatchHandler handler) {
-    batch_handler_ = std::move(handler);
-  }
-
   [[nodiscard]] net::Endpoint endpoint() const;
 
   /// Handoffs whose first frame was malformed, cut short, or not complete
   /// within kFirstFrameDeadline (observability).
   [[nodiscard]] std::uint64_t bad_handoffs() const {
     return bad_handoffs_.load();
-  }
-
-  /// Batch exchanges served (each one coalesces N per-agent round trips).
-  [[nodiscard]] std::uint64_t batch_exchanges() const {
-    return batch_exchanges_.load();
   }
 
   // ---- lease table ----
@@ -136,8 +118,6 @@ class Redirector {
              const util::Bytes& frame);
   void reject_bad(net::Stream& stream);
 
-  void serve_batch(const std::shared_ptr<net::Stream>& stream,
-                   const BatchHandoffMsg& batch);
   /// The lease fence: true (and counted) for a RESUME naming a connection
   /// with no live lease while the fence is on.
   bool fenced(const HandoffMsg& msg);
@@ -146,8 +126,6 @@ class Redirector {
   std::uint16_t port_ NAPLET_NOT_GUARDED("set at construction, immutable");
   HandoffHandler handler_ NAPLET_NOT_GUARDED(
       "set at construction, immutable while the acceptor runs");
-  BatchHandler batch_handler_ NAPLET_NOT_GUARDED(
-      "written before start(), read-only by workers");
   util::Duration lease_ttl_ NAPLET_NOT_GUARDED(
       "set at construction, immutable");
   std::string host_label_ NAPLET_NOT_GUARDED(
@@ -161,7 +139,6 @@ class Redirector {
   std::vector<std::thread> workers_;  // started in start(), joined in stop()
   std::atomic<bool> stopped_{false};
   std::atomic<std::uint64_t> bad_handoffs_{0};
-  std::atomic<std::uint64_t> batch_exchanges_{0};
 
   // Leaf lock: held only for map operations, never across handler_ or
   // any stream I/O.

@@ -69,16 +69,6 @@ void HandoffMsg::persist_body(util::Archive& ar) {
   ar.field(reason);
 }
 
-void BatchHandoffMsg::persist(util::Archive& ar) {
-  std::uint8_t magic = kBatchHandoffMagic;
-  ar.field(magic);
-  if (magic != kBatchHandoffMagic) {
-    ar.fail("bad batch handoff magic " + std::to_string(magic));
-  }
-  ar.field(trace_id);
-  ar.items(entries, [&ar](HandoffMsg& entry) { ar.nested(entry); });
-}
-
 util::Bytes compute_mac(util::ByteSpan session_key, util::ByteSpan payload) {
   if (session_key.empty()) return {};
   const crypto::Sha256Digest tag = crypto::hmac_sha256(session_key, payload);

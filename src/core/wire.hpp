@@ -141,55 +141,6 @@ struct HandoffMsg {
   void persist_body(util::Archive& ar);
 };
 
-// ---- batch handoff (swarm migration) --------------------------------------
-//
-// A fleet rebalance resumes many connections at the destination at once;
-// one redirector round trip per connection is the dominant cost at scale.
-// The batch exchange coalesces them: one frame carrying N handoff entries,
-// answered by one frame of per-entry dispositions (lease/route verdicts).
-// Each entry keeps its own MAC — session keys differ per connection.
-
-/// First byte of a batch frame. Deliberately outside the HandoffType range
-/// so HandoffMsg::decode rejects it and the redirector can route on it.
-inline constexpr std::uint8_t kBatchHandoffMagic = 0xB7;
-
-struct BatchHandoffMsg {
-  std::uint64_t trace_id = 0;  ///< the batch's migration trace id
-  std::vector<HandoffMsg> entries;
-
-  [[nodiscard]] util::Bytes encode() const {
-    return util::Archive::encode(*this);
-  }
-  static util::StatusOr<BatchHandoffMsg> decode(util::ByteSpan data) {
-    return util::Archive::decode<BatchHandoffMsg>(data);
-  }
-  /// The magic byte, the trace id, then each entry as a length-prefixed
-  /// HandoffMsg frame.
-  void persist(util::Archive& ar);
-};
-
-/// The single reply frame: one disposition per entry, in order.
-struct BatchHandoffReply {
-  struct Disposition {
-    bool ok = false;
-    std::string reason;  ///< empty when ok
-
-    void persist(util::Archive& ar) {
-      ar.field(ok);
-      ar.field(reason);
-    }
-  };
-  std::vector<Disposition> entries;
-
-  [[nodiscard]] util::Bytes encode() const {
-    return util::Archive::encode(*this);
-  }
-  static util::StatusOr<BatchHandoffReply> decode(util::ByteSpan data) {
-    return util::Archive::decode<BatchHandoffReply>(data);
-  }
-  void persist(util::Archive& ar) { ar.field(entries); }
-};
-
 /// Compute the HMAC tag for a message's payload under `session_key`
 /// (empty key -> empty tag, the no-security mode).
 util::Bytes compute_mac(util::ByteSpan session_key, util::ByteSpan payload);

@@ -12,8 +12,6 @@
 #include "fault/sites.hpp"
 #include "net/sim.hpp"
 #include "obs/recorder.hpp"
-#include "swarm/drain.hpp"
-#include "swarm/scheduler.hpp"
 #include "util/rng.hpp"
 
 namespace naplet::fault {
@@ -166,8 +164,6 @@ std::string_view to_string(Scenario scenario) noexcept {
     case Scenario::kCrashSuspend: return "crash-suspend";
     case Scenario::kCrashResume: return "crash-resume";
     case Scenario::kCrashDouble: return "crash-double";
-    case Scenario::kDrainPartition: return "drain-partition";
-    case Scenario::kCascadeRebalance: return "cascade-rebalance";
     case Scenario::kGroupCrashCommit: return "group-crash-commit";
     case Scenario::kGroupPeerRefusal: return "group-peer-refusal";
   }
@@ -233,20 +229,6 @@ ChaosCase make_case(std::uint64_t seed, Scenario scenario, bool light,
       rule.site = "redirector.handoff.accept";
       rule.count = 1000;
       rule.action = Action::kKill;
-      break;
-    case Scenario::kDrainPartition:
-      // One suspend in the second wave fails; the drain coordinator's
-      // capped-backoff retry must land it without stalling the sweep.
-      rule.site = "swarm.drain.suspend";
-      rule.hit = 2;
-      rule.action = Action::kError;
-      break;
-    case Scenario::kCascadeRebalance:
-      // The destination refuses the first batch admission outright: the
-      // scheduler must split the batch and reroute the rear half to the
-      // fallback host (the cascading rebalance).
-      rule.site = "swarm.batch.admit";
-      rule.action = Action::kError;
       break;
     case Scenario::kGroupCrashCommit:
       // Kill the mover's controller in the window between the
@@ -326,27 +308,23 @@ nsock::NodeConfig node_config(const ChaosCase& chaos_case, int i,
 
   const bool crash = is_crash_scenario(chaos_case.scenario);
   const bool group = is_group_scenario(chaos_case.scenario);
-  const bool swarm = is_swarm_scenario(chaos_case.scenario);
-  if (!crash && !group && !swarm) return config;
+  if (!crash && !group) return config;
 
   nsock::ControllerConfig& ctrl = config.controller;
-  if (!swarm) {
-    ctrl.ctrl_response_timeout = 1s;
-    ctrl.drain_timeout = 1s;
-  }
+  ctrl.ctrl_response_timeout = 1s;
+  ctrl.drain_timeout = 1s;
   if (crash && !chaos_case.recovery) {
     ctrl.resume_timeout = 3s;
     return config;
   }
-  // One tolerant block for the crash, swarm and group families: the swarm
-  // partition keeps RESUME retrying until the heal, and crash recovery and
-  // group rollback resume through a restarted or rolled-back redirector.
+  // One tolerant block for the crash and group families: crash recovery
+  // and group rollback resume through a restarted or rolled-back
+  // redirector.
   ctrl.tolerance.enabled = true;
   ctrl.tolerance.probe_interval = 500ms;
   ctrl.tolerance.probe_timeout = 200ms;
-  // The planned kill and the swarm partition must not race the death
-  // detector: recovery here is retries and journal replay, not
-  // probe-driven abort.
+  // The planned kill must not race the death detector: recovery here is
+  // retries and journal replay, not probe-driven abort.
   ctrl.tolerance.miss_threshold = 1000;
   ctrl.resume_timeout = 8s;
   ctrl.group_suspend = group;
@@ -357,70 +335,6 @@ nsock::NodeConfig node_config(const ChaosCase& chaos_case, int i,
   }
   return config;
 }
-
-/// Stage executor over a live realm: serialize exports the batch's agents
-/// from the source host, transfer is a no-op (the sim network "ships" the
-/// blobs instantly), reactivate imports at the batch's CURRENT destination
-/// and completes the migration — so a batch rerouted by an admission
-/// refusal cleanly re-imports at the fallback host.
-class RealmStageExecutor final : public swarm::StageExecutor {
- public:
-  RealmStageExecutor(nsock::Realm& realm, int source, bool prepare)
-      : realm_(realm), source_(source), prepare_(prepare) {}
-
-  void serialize(const swarm::MigrationBatch& batch, Done done) override {
-    auto& src = realm_.node(node_name(source_));
-    for (const agent::AgentId& id : batch.agents) {
-      realm_.locations().begin_migration(id);
-      if (prepare_) {
-        if (auto st = src.controller().prepare_migration(id); !st.ok()) {
-          realm_.locations().end_migration(id);
-          done(st);
-          return;
-        }
-      }
-      blobs_[id.name()] = src.controller().export_sessions(id);
-    }
-    done(util::OkStatus());
-  }
-
-  void transfer(const swarm::MigrationBatch& batch, Done done) override {
-    (void)batch;
-    done(util::OkStatus());
-  }
-
-  void reactivate(const swarm::MigrationBatch& batch, Done done) override {
-    auto& dst = realm_.node(batch.destination);
-    for (const agent::AgentId& id : batch.agents) {
-      auto it = blobs_.find(id.name());
-      if (it == blobs_.end()) {
-        done(util::Internal("no exported state for " + id.name()));
-        return;
-      }
-      if (auto st = dst.controller().import_sessions(
-              id, util::ByteSpan(it->second.data(), it->second.size()));
-          !st.ok()) {
-        realm_.locations().end_migration(id);
-        done(st);
-        return;
-      }
-      blobs_.erase(it);
-      realm_.locations().register_agent(id, dst.server().node_info());
-      if (auto st = dst.controller().complete_migration(id); !st.ok()) {
-        done(st);
-        return;
-      }
-    }
-    done(util::OkStatus());
-  }
-
- private:
-  nsock::Realm& realm_;
-  int source_;
-  bool prepare_;
-  // The scheduler drives this executor from one pump at a time; no lock.
-  std::map<std::string, util::Bytes> blobs_;
-};
 
 /// One case, end to end, over a three-node sim realm: chaos-cli on chaos0
 /// holds k connections to chaos-srv on chaos1 (k = 3 for the group
@@ -519,7 +433,6 @@ struct Harness {
   bool choreograph();
   bool migrate();
   bool crash();
-  bool swarm();
   bool group_crash();
   bool group_refusal();
   bool judge();
@@ -604,7 +517,6 @@ bool Harness::traffic() {
 bool Harness::choreograph() {
   const Scenario scenario = chaos_case.scenario;
   if (is_crash_scenario(scenario)) return crash();
-  if (is_swarm_scenario(scenario)) return swarm();
   if (scenario == Scenario::kGroupCrashCommit) return group_crash();
   if (scenario == Scenario::kGroupPeerRefusal) return group_refusal();
   return migrate();
@@ -714,89 +626,6 @@ bool Harness::crash() {
   }
   live = false;
   note = "staged failure (expected): " + staged.to_string();
-  return true;
-}
-
-/// The swarm choreography behind Scenario::kDrainPartition and
-/// Scenario::kCascadeRebalance: the server agent plus a handful of
-/// passenger agents are all moved off chaos1 through the drain coordinator
-/// + batch scheduler instead of one-by-one migrate calls.
-bool Harness::swarm() {
-  std::vector<agent::AgentId> fleet{srv};
-  for (int i = 0; i < 4; ++i) {
-    const agent::AgentId pax("chaos-pax" + std::to_string(i));
-    realm.locations().register_agent(pax, node_info(1));
-    fleet.push_back(pax);
-  }
-
-  injector.arm(chaos_case.plan);
-  std::jthread healer;
-  if (chaos_case.scenario == Scenario::kDrainPartition) {
-    // The destination cannot reach the peer's host while the batch lands;
-    // the resume retry loop must absorb the outage until the heal.
-    net.set_partition(node_name(2), node_name(0), true);
-    healer = std::jthread([this] {
-      std::this_thread::sleep_for(300ms);
-      net.set_partition(node_name(2), node_name(0), false);
-    });
-  }
-
-  // Phase drain — mass-suspend the source host in latency-tuned waves.
-  // Wave suspends run inline; the injected suspend failure (scenario 6's
-  // plan) must be retried, not dropped.
-  swarm::DrainConfig drain_config;
-  drain_config.max_wave = 2;  // multiple waves even for this small fleet
-  nsock::SocketController& source = ctrl(1);
-  swarm::DrainCoordinator drain(
-      drain_config, [&source](const agent::AgentId& id,
-                              std::function<void(util::Status)> done) {
-        done(source.prepare_migration(id));
-      });
-  drain.drain(fleet);
-  if (!drain.wait(10s)) return fail("drain did not complete");
-  const swarm::DrainReport drain_report = drain.report();
-  if (drain_report.stragglers != 0) {
-    return fail("drain left " + std::to_string(drain_report.stragglers) +
-                " stragglers");
-  }
-
-  // Phase rebalance — batch the drained fleet to chaos2; chaos0 is the
-  // fallback for refused admissions (the cascade).
-  swarm::SchedulerConfig sched_config;
-  sched_config.max_batch = 5;
-  sched_config.fallback_destination = node_name(0);
-  RealmStageExecutor executor(realm, /*source=*/1, /*prepare=*/false);
-  swarm::MigrationScheduler scheduler(sched_config, executor);
-  std::vector<swarm::AgentPlan> plans;
-  plans.reserve(fleet.size());
-  for (const agent::AgentId& id : fleet) {
-    plans.push_back(swarm::AgentPlan{id, node_name(2)});
-  }
-  scheduler.run(plans);
-  const bool finished = scheduler.wait(15s);
-  if (healer.joinable()) healer.join();
-  injector.disarm();
-  if (!finished) return fail("scheduler did not complete");
-  const swarm::SchedulerReport sched_report = scheduler.report();
-  if (sched_report.failed != 0) {
-    return fail("scheduler failed " + std::to_string(sched_report.failed) +
-                " agents");
-  }
-  if (sched_report.migrated != fleet.size()) {
-    return fail("scheduler migrated " +
-                std::to_string(sched_report.migrated) + " of " +
-                std::to_string(fleet.size()));
-  }
-  if (chaos_case.scenario == Scenario::kCascadeRebalance &&
-      sched_report.rerouted == 0) {
-    return fail("cascade-rebalance: admission refusal did not reroute "
-                "any agents");
-  }
-  note = "drain: waves=" + std::to_string(drain_report.waves) +
-         " retries=" + std::to_string(drain_report.retries) +
-         " | scheduler: batches=" + std::to_string(sched_report.batches) +
-         " exchanges=" + std::to_string(sched_report.handoff_exchanges) +
-         " rerouted=" + std::to_string(sched_report.rerouted);
   return true;
 }
 

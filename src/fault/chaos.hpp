@@ -5,7 +5,7 @@
 //
 // One harness runs every scenario: a shared setup (SimNet, three nodes,
 // k connected chaos-cli/chaos-srv pairs), the pre-fault traffic, one
-// Phase-B choreography per scenario family (migrate, crash, swarm, group)
+// Phase-B choreography per scenario family (migrate, crash, group)
 // and a shared judgement (liveness, exactly-once ledger, FSM legality).
 //
 // Determinism contract: generate_case(seed) derives everything — scenario,
@@ -37,40 +37,25 @@ enum class Scenario : std::uint8_t {
   kCrashResume = 4,   ///< controller dies while the mover's RESUME retries
   kCrashDouble = 5,   ///< crash-resume, then a second migration on top
 
-  // Swarm scenarios: a whole host's agents move through the swarm
-  // subsystem (drain coordinator + batch scheduler) instead of one-by-one
-  // migrate calls. Opt-in like the crash scenarios.
-  kDrainPartition = 6,    ///< drain a host while the destination cannot
-                          ///< reach the peer (partition heals mid-run)
-  kCascadeRebalance = 7,  ///< destination refuses its first batch
-                          ///< admission; half reroutes to the fallback
-
   // Group-suspend scenarios: one agent with several live connections is
   // swept through the atomic group barrier (ControllerConfig::
   // group_suspend). Opt-in like the crash scenarios.
-  kGroupCrashCommit = 8,   ///< mover's host dies between the group
+  kGroupCrashCommit = 6,   ///< mover's host dies between the group
                            ///< prepare and commit journal records;
                            ///< recovery must be all-or-nothing
-  kGroupPeerRefusal = 9,   ///< one peer refuses mid-prepare under send
+  kGroupPeerRefusal = 7,   ///< one peer refuses mid-prepare under send
                            ///< load; the ENTIRE group must roll back
 };
 
-inline constexpr int kScenarioCount = 10;
+inline constexpr int kScenarioCount = 8;
 /// Scenarios generate_case(seed) draws from (the crash scenarios are
 /// opt-in and carry their own staged fault plans).
 inline constexpr int kGeneratedScenarioCount = 3;
-/// First swarm scenario.
-inline constexpr int kSwarmScenarioStart = 6;
 /// First group-suspend scenario (the tail of the enum).
-inline constexpr int kGroupScenarioStart = 8;
+inline constexpr int kGroupScenarioStart = 6;
 
 [[nodiscard]] constexpr bool is_crash_scenario(Scenario s) noexcept {
   return static_cast<int>(s) >= kGeneratedScenarioCount &&
-         static_cast<int>(s) < kSwarmScenarioStart;
-}
-
-[[nodiscard]] constexpr bool is_swarm_scenario(Scenario s) noexcept {
-  return static_cast<int>(s) >= kSwarmScenarioStart &&
          static_cast<int>(s) < kGroupScenarioStart;
 }
 
@@ -124,9 +109,8 @@ struct ChaosResult {
 /// Build the case for an explicitly chosen scenario. Generated scenarios
 /// (0–2) are generate_case(seed, light) with the scenario overridden; the
 /// opt-in ones carry their staged fault plan: killed SUS_ACKs or handoff
-/// workers (crash), a failing drain suspend or refused batch admission
-/// (swarm), a kill between the group prepare and commit records or a peer
-/// refusing mid-prepare (group). `recovery` applies to crash scenarios
+/// workers (crash), a kill between the group prepare and commit records or
+/// a peer refusing mid-prepare (group). `recovery` applies to crash scenarios
 /// only.
 [[nodiscard]] ChaosCase make_case(std::uint64_t seed, Scenario scenario,
                                   bool light, bool recovery);

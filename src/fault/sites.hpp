@@ -27,17 +27,11 @@ inline constexpr std::string_view kFaultSites[] = {
     "rudp.fec",
     // Migration control plane.
     "redirector.handoff.accept",
-    "redirector.handoff.batch",
     "session.resume.replay",
     // A SUS superseding a parked resume (controller_ops.cpp handle_sus):
     // between recording the peer's suspension and the SUSPENDED transition
     // that wakes the parked resume.
     "ctrl.sus.resume_wait",
-    // Swarm orchestration (src/swarm + the redirector batch exchange).
-    "swarm.batch.dispatch",
-    "swarm.batch.admit",
-    "swarm.drain.suspend",
-    "swarm.cache.lookup",
     // Whole-agent group suspend (controller_group.cpp; group.barrier is a
     // member reaching its cut). NOT part of the generic ctrl.<type>.<stage>
     // cross-product: these mark the two-phase sweep, not message hops.

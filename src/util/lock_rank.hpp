@@ -27,14 +27,6 @@ namespace naplet::util {
 enum class LockRank : int {
   kUnranked = 0,  ///< opted out of ordering checks (leaf/local locks)
 
-  // Swarm orchestration (outermost of all): the batch scheduler, drain
-  // coordinator, and caching location tier drive whole fleets of
-  // migrations, calling DOWN into controller/agent-server code — so their
-  // locks rank below everything they orchestrate.
-  kSwarmScheduler = 4,  ///< swarm::MigrationScheduler::mu_
-  kSwarmDrain = 6,      ///< swarm::DrainCoordinator::mu_
-  kSwarmCache = 8,      ///< swarm::CachingLocationService::mu_
-
   // Control plane (outermost): the controller owns sessions, the agent
   // server owns residents, and both call down into session/queue locks.
   kController = 10,      ///< SocketController::mu_

@@ -86,65 +86,6 @@ TEST(Itinerary, PersistMidRoute) {
   EXPECT_EQ(restored.stops(), route.stops());
 }
 
-TEST(Itinerary, PeekAheadOnSequentialRoute) {
-  Itinerary route({"a", "b", "c"});
-  StubContext ctx;
-  EXPECT_EQ(route.peek_ahead(0), "a");  // k = 0 is peek()
-  EXPECT_EQ(route.peek_ahead(1), "b");
-  EXPECT_EQ(route.peek_ahead(2), "c");
-  EXPECT_EQ(route.peek_ahead(3), "");  // beyond the end
-
-  ASSERT_TRUE(route.advance(ctx));
-  EXPECT_EQ(route.peek_ahead(0), "b");
-  EXPECT_EQ(route.peek_ahead(1), "c");
-  EXPECT_EQ(route.peek_ahead(2), "");
-}
-
-TEST(Itinerary, PeekAheadHonorsLoopHopBound) {
-  Itinerary route({"x", "y"}, /*loop=*/true, /*max_hops=*/5);
-  StubContext ctx;
-  // Hops 0..4 exist; the bound cuts the loop mid-cycle.
-  EXPECT_EQ(route.peek_ahead(3), "y");
-  EXPECT_EQ(route.peek_ahead(4), "x");
-  EXPECT_EQ(route.peek_ahead(5), "");
-
-  ASSERT_TRUE(route.advance(ctx));
-  ASSERT_TRUE(route.advance(ctx));
-  ASSERT_TRUE(route.advance(ctx));
-  ASSERT_TRUE(route.advance(ctx));  // position 4, one hop left
-  EXPECT_EQ(route.peek_ahead(0), "x");
-  EXPECT_EQ(route.peek_ahead(1), "");
-}
-
-TEST(Itinerary, PeekAheadWrapsUnboundedLoop) {
-  Itinerary route({"x", "y", "z"}, /*loop=*/true);
-  EXPECT_EQ(route.peek_ahead(100), "y");  // 100 % 3 == 1
-  EXPECT_EQ(Itinerary().peek_ahead(0), "");  // empty route: no stops at all
-}
-
-TEST(Itinerary, RemainingHops) {
-  StubContext ctx;
-
-  Itinerary bounded({"a", "b", "c"});
-  EXPECT_EQ(bounded.remaining_hops(), std::optional<std::uint64_t>(3));
-  ASSERT_TRUE(bounded.advance(ctx));
-  EXPECT_EQ(bounded.remaining_hops(), std::optional<std::uint64_t>(2));
-  while (bounded.advance(ctx)) {
-  }
-  EXPECT_EQ(bounded.remaining_hops(), std::optional<std::uint64_t>(0));
-
-  Itinerary capped_loop({"x", "y"}, /*loop=*/true, /*max_hops=*/5);
-  EXPECT_EQ(capped_loop.remaining_hops(), std::optional<std::uint64_t>(5));
-  ASSERT_TRUE(capped_loop.advance(ctx));
-  EXPECT_EQ(capped_loop.remaining_hops(), std::optional<std::uint64_t>(4));
-
-  Itinerary unbounded({"x"}, /*loop=*/true);
-  EXPECT_EQ(unbounded.remaining_hops(), std::nullopt);
-
-  Itinerary empty;
-  EXPECT_EQ(empty.remaining_hops(), std::optional<std::uint64_t>(0));
-}
-
 TEST(Itinerary, PersistAcrossHopPreservesLoopBound) {
   // The scenario the persist path exists for: an agent hops, carrying its
   // itinerary in its serialized state, and continues at the destination.
@@ -162,7 +103,6 @@ TEST(Itinerary, PersistAcrossHopPreservesLoopBound) {
   restored.persist(r);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(restored.hops_taken(), 1u);
-  EXPECT_EQ(restored.remaining_hops(), std::optional<std::uint64_t>(2));
 
   // The restored copy finishes the journey exactly where the original
   // would have: y, then x, then the hop bound ends the loop.

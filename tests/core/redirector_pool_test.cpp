@@ -1,6 +1,7 @@
 // The redirector's fixed handoff pool: silent clients cannot hold it, the
-// thread count does not grow with the handoff count, and stop() does not
-// wait out queued streams.
+// thread count does not grow with the handoff count, a malformed first
+// frame is a bad handoff, and stop() does not wait out queued streams.
+// Also the lease fence on the per-connection RESUME path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -45,12 +46,13 @@ std::size_t settled_thread_count() {
 /// while the handoff is being served.
 class RedirectorPool : public ::testing::Test {
  protected:
-  RedirectorPool()
+  explicit RedirectorPool(util::Duration lease_ttl = {})
       : server_node_(world_.add_node("server")),
         client_node_(world_.add_node("client")) {
     redirector_ = std::make_unique<Redirector>(
         *server_node_, 0,
         [this](std::shared_ptr<net::Stream> stream, HandoffMsg msg) {
+          handled_.fetch_add(1);
           const std::size_t now = thread_count();
           std::size_t seen = serving_peak_.load();
           while (now > seen &&
@@ -62,7 +64,7 @@ class RedirectorPool : public ::testing::Test {
           (void)net::write_frame(*stream, ok.encode());
           stream->close();
         },
-        metrics_);
+        metrics_, lease_ttl);
     EXPECT_TRUE(redirector_->start().ok());
   }
 
@@ -74,10 +76,21 @@ class RedirectorPool : public ::testing::Test {
     return stream.ok() ? std::move(*stream) : nullptr;
   }
 
+  /// Send one handoff frame and decode the redirector's reply.
+  util::StatusOr<HandoffMsg> exchange(const HandoffMsg& msg) {
+    net::StreamPtr stream = open();
+    if (stream == nullptr) return util::IoError("connect failed");
+    NAPLET_RETURN_IF_ERROR(net::write_frame(*stream, msg.encode()));
+    auto frame = net::read_frame(*stream);
+    if (!frame.ok()) return frame.status();
+    return HandoffMsg::decode(util::ByteSpan(frame->data(), frame->size()));
+  }
+
   net::SimNet world_;
   std::shared_ptr<net::SimNode> server_node_;
   std::shared_ptr<net::SimNode> client_node_;
   std::atomic<std::size_t> serving_peak_{0};
+  std::atomic<int> handled_{0};  // handoffs that reached the handler
   obs::Registry metrics_;  // outlives redirector_
   std::unique_ptr<Redirector> redirector_;
 };
@@ -148,32 +161,65 @@ TEST_F(RedirectorPool, ThreadCountFlatAcrossHandoffs) {
   EXPECT_EQ(redirector_->bad_handoffs(), 0u);
 }
 
-TEST_F(RedirectorPool, OversizedBatchCountIsABadHandoff) {
-  // 13 bytes: the batch magic, a trace id, and an entry count of 2^32 - 1
-  // that the frame cannot hold. Decoding must fail before it allocates.
-  util::Bytes batch = {kBatchHandoffMagic, 0, 0, 0, 0, 0, 0, 0, 1};
-  batch.insert(batch.end(), {0xFF, 0xFF, 0xFF, 0xFF});
-  net::StreamPtr bad = open();
-  ASSERT_NE(bad, nullptr);
-  ASSERT_TRUE(net::write_frame(*bad, batch).ok());
-  std::uint8_t byte = 0;
-  auto n = bad->read_some_for(&byte, 1, 2s);
-  ASSERT_TRUE(n.ok()) << n.status().to_string();
-  EXPECT_EQ(*n, 0u);  // closed without a reply
-  EXPECT_EQ(redirector_->bad_handoffs(), 1u);
+TEST_F(RedirectorPool, FrameStartingWithB7IsABadHandoff) {
+  // 0xB7 is outside the HandoffType range, so HandoffMsg::decode rejects
+  // the frame: a short junk frame, and a 13-byte frame whose bytes 9-12
+  // read as a count of 2^32 - 1 that must not be allocated.
+  util::Bytes oversized = {0xB7, 0, 0, 0, 0, 0, 0, 0, 1};
+  oversized.insert(oversized.end(), {0xFF, 0xFF, 0xFF, 0xFF});
+  const std::vector<util::Bytes> frames = {{0xB7, 0xDE, 0xAD}, oversized};
+  for (const util::Bytes& bad_frame : frames) {
+    net::StreamPtr bad = open();
+    ASSERT_NE(bad, nullptr);
+    ASSERT_TRUE(net::write_frame(*bad, bad_frame).ok());
+    std::uint8_t byte = 0;
+    auto n = bad->read_some_for(&byte, 1, 2s);
+    ASSERT_TRUE(n.ok()) << n.status().to_string();
+    EXPECT_EQ(*n, 0u);  // closed without a reply
+  }
+  EXPECT_EQ(redirector_->bad_handoffs(), frames.size());
+  EXPECT_EQ(handled_.load(), 0);
 
-  // The worker that rejected it still serves the next handoff.
-  net::StreamPtr good = open();
-  ASSERT_NE(good, nullptr);
+  // The workers that rejected them still serve the next handoff.
   HandoffMsg attach;
   attach.type = HandoffType::kAttach;
   attach.conn_id = 7;
-  ASSERT_TRUE(net::write_frame(*good, attach.encode()).ok());
-  auto frame = net::read_frame(*good);
-  ASSERT_TRUE(frame.ok()) << frame.status().to_string();
-  auto reply = HandoffMsg::decode(util::ByteSpan(frame->data(), frame->size()));
-  ASSERT_TRUE(reply.ok());
+  auto reply = exchange(attach);
+  ASSERT_TRUE(reply.ok()) << reply.status().to_string();
   EXPECT_EQ(reply->type, HandoffType::kAttachOk);
+}
+
+/// The same redirector with the lease fence on (fault tolerance).
+class RedirectorLeaseFence : public RedirectorPool {
+ protected:
+  RedirectorLeaseFence() : RedirectorPool(3s) {}
+
+  static HandoffMsg resume(std::uint64_t conn_id) {
+    HandoffMsg msg;
+    msg.type = HandoffType::kResume;
+    msg.conn_id = conn_id;
+    msg.agent = "mover";
+    return msg;
+  }
+};
+
+TEST_F(RedirectorLeaseFence, ResumeForUnregisteredConnIsFenced) {
+  redirector_->register_lease(1);  // conn 1 is owned by a live controller
+
+  auto fenced = exchange(resume(2));  // conn 2 has no lease here
+  ASSERT_TRUE(fenced.ok()) << fenced.status().to_string();
+  EXPECT_EQ(fenced->type, HandoffType::kError);
+  EXPECT_EQ(fenced->conn_id, 2u);
+  EXPECT_NE(fenced->reason.find("lease"), std::string::npos);
+  EXPECT_EQ(redirector_->handoffs_fenced(), 1u);
+  EXPECT_EQ(handled_.load(), 0);
+
+  auto routed = exchange(resume(1));
+  ASSERT_TRUE(routed.ok()) << routed.status().to_string();
+  EXPECT_EQ(routed->type, HandoffType::kAttachOk);
+  EXPECT_EQ(handled_.load(), 1);
+  EXPECT_EQ(redirector_->handoffs_fenced(), 1u);
+  EXPECT_EQ(redirector_->bad_handoffs(), 0u);
 }
 
 TEST_F(RedirectorPool, StopWithQueuedStreamsIsPrompt) {

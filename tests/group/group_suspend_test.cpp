@@ -3,7 +3,8 @@
 // multi-connection agent, abort_session racing an in-flight prepare
 // (bounded group wake, full-group rollback), one sweep per agent at a
 // time, the single-connection suspend-rollback arc under concurrent send
-// pressure, and the DrainCoordinator driving whole-agent group sweeps.
+// pressure, and a host sweep that suspends several agents' groups before
+// any of them hops.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,7 +16,6 @@
 #include "core/test_realm.hpp"
 #include "fault/fault.hpp"
 #include "fault/oracle.hpp"
-#include "swarm/drain.hpp"
 
 namespace naplet::nsock {
 namespace {
@@ -229,13 +229,13 @@ TEST_F(GroupSuspendTest, SingleConnRollbackUnderSendPressure) {
   EXPECT_TRUE(ledger.check(/*require_complete=*/true).ok());
 }
 
-TEST_F(GroupSuspendTest, DrainCoordinatorSweepsAgentGroups) {
-  // The swarm drain wired to the group path: each agent's connections
+TEST_F(GroupSuspendTest, HostSweepSuspendsEveryAgentGroup) {
+  // A host sweeps its agents one after another: each agent's connections
   // suspend as one group per prepare_migration call.
   SimRealm realm(3, /*security=*/false, /*link_latency=*/{}, group_config);
-  const agent::AgentId ant = realm.pseudo_agent("drain-ant", 0);
-  const agent::AgentId bee = realm.pseudo_agent("drain-bee", 0);
-  const agent::AgentId srv = realm.pseudo_agent("drain-srv", 1);
+  const agent::AgentId ant = realm.pseudo_agent("sweep-ant", 0);
+  const agent::AgentId bee = realm.pseudo_agent("sweep-bee", 0);
+  const agent::AgentId srv = realm.pseudo_agent("sweep-srv", 1);
 
   ASSERT_TRUE(realm.ctrl(1).listen(srv).ok());
   std::vector<ConnPair> conns;
@@ -246,22 +246,14 @@ TEST_F(GroupSuspendTest, DrainCoordinatorSweepsAgentGroups) {
     }
   }
 
-  swarm::DrainCoordinator drain(
-      swarm::DrainConfig{},
-      [&](const agent::AgentId& id, std::function<void(util::Status)> done) {
-        done(realm.ctrl(0).prepare_migration(id));
-      });
-  drain.drain({ant, bee});
-  ASSERT_TRUE(drain.wait(20s));
-  const swarm::DrainReport report = drain.report();
-  EXPECT_EQ(report.agents, 2u);
-  EXPECT_EQ(report.suspended, 2u);
-  EXPECT_EQ(report.stragglers, 0u);
+  for (const auto& id : {ant, bee}) {
+    ASSERT_TRUE(realm.ctrl(0).prepare_migration(id).ok()) << id.name();
+  }
   for (const ConnPair& conn : conns) {
     EXPECT_EQ(conn.client->state(), ConnState::kSuspended);
   }
 
-  // Drained agents complete their hops like any suspended group.
+  // Swept agents complete their hops like any suspended group.
   ASSERT_TRUE(realm.migrate_pseudo_agent(ant, 0, 2).ok());
   ASSERT_TRUE(realm.migrate_pseudo_agent(bee, 0, 2).ok());
   for (const ConnPair& conn : conns) {

@@ -72,12 +72,6 @@ TEST(WireCorruption, HandoffMessages) {
   }
 }
 
-TEST(WireCorruption, BatchHandoffPair) {
-  sweep("batch", unhex(kBatchHex), archive_decoder<nsock::BatchHandoffMsg>());
-  sweep("batch_reply", unhex(kBatchReplyHex),
-        archive_decoder<nsock::BatchHandoffReply>());
-}
-
 TEST(WireCorruption, RecoveryBlobs) {
   sweep("manifest", unhex(kManifestHex),
         archive_decoder<recovery::GroupManifest>());

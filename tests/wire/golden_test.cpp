@@ -77,24 +77,6 @@ TEST(Golden, HandoffMsgEveryType) {
   }
 }
 
-TEST(Golden, BatchHandoffPair) {
-  expect_golden("batch", sample_batch().encode(), kBatchHex);
-  auto batch = nsock::BatchHandoffMsg::decode(span_of(unhex(kBatchHex)));
-  ASSERT_TRUE(batch.ok()) << batch.status().to_string();
-  EXPECT_EQ(batch->trace_id, 77u);
-  ASSERT_EQ(batch->entries.size(), 2u);
-  EXPECT_EQ(batch->entries[1].conn_id, 2u);
-  expect_golden("batch.reencoded", batch->encode(), kBatchHex);
-
-  expect_golden("batch_reply", sample_batch_reply().encode(), kBatchReplyHex);
-  auto reply =
-      nsock::BatchHandoffReply::decode(span_of(unhex(kBatchReplyHex)));
-  ASSERT_TRUE(reply.ok()) << reply.status().to_string();
-  ASSERT_EQ(reply->entries.size(), 2u);
-  EXPECT_TRUE(reply->entries[0].ok);
-  EXPECT_EQ(reply->entries[1].reason, "fenced");
-}
-
 TEST(Golden, GroupManifest) {
   expect_golden("manifest", sample_manifest().encode(), kManifestHex);
   auto manifest =

@@ -20,15 +20,10 @@
 //   chaos_runner --scenario 4 --no-recovery  the control: same crash, all
 //                                            recovery off — must fail
 //                                            cleanly, not hang
-//   chaos_runner --scenario 6 --seed 5       swarm scenario (6 = host
-//                                            drain under a healing
-//                                            partition, 7 = cascading
-//                                            rebalance off a refused
-//                                            batch admission)
-//   chaos_runner --scenario 8 --seed 5       group-suspend scenario (8 =
+//   chaos_runner --scenario 6 --seed 5       group-suspend scenario (6 =
 //                                            kill between group prepare
 //                                            and commit, recover all-or-
-//                                            nothing; 9 = one peer refuses
+//                                            nothing; 7 = one peer refuses
 //                                            mid-prepare, full-group
 //                                            rollback under send load)
 //   chaos_runner --list-sites                print every injection site
@@ -49,7 +44,7 @@ namespace {
 void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--seed N] [--runs N] [--light] [--plan RULES]\n"
-               "          [--scenario 0..9] [--no-recovery] [--plant-dup]\n"
+               "          [--scenario 0..7] [--no-recovery] [--plant-dup]\n"
                "          [--minimize] [--list-sites] [--verbose]\n",
                argv0);
 }
