@@ -32,6 +32,8 @@
 #      + `ctest -L net`              (the rudp transport under TSan)
 #      + `ctest -L group`            (whole-agent sweep under TSan)
 #      + `ctest -L shards`           (sharded session table under TSan)
+#      + `ctest -L crypto`           (DH comb tables, built on first use
+#                                       by whichever connect gets there)
 #   4. naplet-analyze gate            (lock-order graph, annotation
 #      coverage, invariant registries; dependency-free, always runs)
 #   5. run-clang-tidy over src/, tools/, bench/
@@ -188,6 +190,7 @@ if [ "$SKIP_TSAN" -eq 0 ]; then
   ctest --test-dir build-tsan -L obs --output-on-failure -j "$JOBS"
   ctest --test-dir build-tsan -L group --output-on-failure -j "$JOBS"
   ctest --test-dir build-tsan -L shards --output-on-failure -j "$JOBS"
+  ctest --test-dir build-tsan -L crypto --output-on-failure -j "$JOBS"
   # The `net` test has no per-test TSAN env property (it also runs in
   # non-TSan builds), so supply the suppressions here.
   NAPLET_TSAN_LIGHT=1 \

@@ -455,15 +455,105 @@ util::StatusOr<BigUint> BigUint::pow_mod(const BigUint& exponent,
     mont_mul(acc, acc, table + window * n, mod_w, m_inv, n, t);
   }
   mont_mul(acc, acc, one, mod_w, m_inv, n, t);  // leave Montgomery form
+  return from_words(acc, n);
+}
 
+BigUint BigUint::from_words(const std::uint64_t* words, std::size_t n) {
   BigUint out;
   out.limbs_.resize(2 * n);
   for (std::size_t i = 0; i < n; ++i) {
-    out.limbs_[2 * i] = static_cast<std::uint32_t>(acc[i]);
-    out.limbs_[2 * i + 1] = static_cast<std::uint32_t>(acc[i] >> 32);
+    out.limbs_[2 * i] = static_cast<std::uint32_t>(words[i]);
+    out.limbs_[2 * i + 1] = static_cast<std::uint32_t>(words[i] >> 32);
   }
   out.normalize();
   return out;
+}
+
+util::StatusOr<FixedBaseComb> FixedBaseComb::build(const BigUint& base,
+                                                   const BigUint& m) {
+  if (m.bit_length() < 2 || !m.is_odd()) {
+    return util::InvalidArgument("comb needs an odd modulus above 1");
+  }
+  const std::size_t n = (m.limbs_.size() + 1) / 2;
+  auto r2_mod = BigUint(1).shift_left(128 * n).mod(m);
+  if (!r2_mod.ok()) return r2_mod.status();
+  auto base_or = base.mod(m);
+  if (!base_or.ok()) return base_or.status();
+
+  constexpr std::size_t kEntries = std::size_t{1} << kRows;
+  std::vector<std::uint64_t> words(n * (1 + kEntries), 0);
+  std::uint64_t* const mod_w = words.data();
+  std::uint64_t* const table = mod_w + n;
+  pack_words(m.limbs_, mod_w);
+  const std::uint64_t m_inv = neg_inverse_mod_word(mod_w[0]);
+
+  // R^2 mod m, plain 1 and the CIOS scratch row, needed only while building.
+  std::vector<std::uint64_t> scratch(3 * n + 2, 0);
+  std::uint64_t* const r2 = scratch.data();
+  std::uint64_t* const one = r2 + n;
+  std::uint64_t* const t = one + n;
+  pack_words(r2_mod->limbs_, r2);
+  one[0] = 1;
+
+  // table[0] = R mod m (Montgomery 1); table[2^i] = base^(2^(32i)), each
+  // row's generator 32 squarings above the last; every other entry is the
+  // product of its lowest set bit's entry and the rest.
+  mont_mul(table, r2, one, mod_w, m_inv, n, t);
+  pack_words(base_or->limbs_, table + n);
+  mont_mul(table + n, table + n, r2, mod_w, m_inv, n, t);
+  for (std::size_t row = 1; row < kRows; ++row) {
+    const std::uint64_t* const prev =
+        table + (std::size_t{1} << (row - 1)) * n;
+    std::uint64_t* const entry = table + (std::size_t{1} << row) * n;
+    std::copy(prev, prev + n, entry);
+    for (std::size_t k = 0; k < kColumns; ++k) {
+      mont_mul(entry, entry, entry, mod_w, m_inv, n, t);
+    }
+  }
+  for (std::size_t k = 3; k < kEntries; ++k) {
+    const std::size_t low = k & (~k + 1);
+    if (low == k) continue;
+    mont_mul(table + k * n, table + (k - low) * n, table + low * n, mod_w,
+             m_inv, n, t);
+  }
+  return FixedBaseComb(n, m_inv, std::move(words));
+}
+
+util::StatusOr<BigUint> FixedBaseComb::pow(const BigUint& exponent) const {
+  if (exponent.bit_length() > kMaxExponentBits) {
+    return util::InvalidArgument("exponent wider than the comb table");
+  }
+  // Row i of the comb is the exponent's 32-bit limb i.
+  std::uint32_t rows[kRows] = {};
+  std::copy(exponent.limbs_.begin(), exponent.limbs_.end(), rows);
+  const auto column = [&rows](std::size_t j) {
+    std::size_t index = 0;
+    for (std::size_t i = 0; i < kRows; ++i) {
+      index |= static_cast<std::size_t>((rows[i] >> j) & 1) << i;
+    }
+    return index;
+  };
+
+  const std::size_t n = n_;
+  const std::uint64_t* const mod_w = words_.data();
+  const std::uint64_t* const table = mod_w + n;
+  // The accumulator, plain 1 and the CIOS scratch row.
+  std::vector<std::uint64_t> scratch(3 * n + 2, 0);
+  std::uint64_t* const acc = scratch.data();
+  std::uint64_t* const one = acc + n;
+  std::uint64_t* const t = one + n;
+  one[0] = 1;
+
+  // Most significant column first. table[0] is Montgomery 1, so every
+  // column multiplies, including the all-zero ones.
+  const std::uint64_t* const top = table + column(kColumns - 1) * n;
+  std::copy(top, top + n, acc);
+  for (std::size_t j = kColumns - 1; j-- > 0;) {
+    mont_mul(acc, acc, acc, mod_w, m_inv_, n, t);
+    mont_mul(acc, acc, table + column(j) * n, mod_w, m_inv_, n, t);
+  }
+  mont_mul(acc, acc, one, mod_w, m_inv_, n, t);  // leave Montgomery form
+  return BigUint::from_words(acc, n);
 }
 
 }  // namespace naplet::crypto

@@ -4,9 +4,11 @@
 //
 // Implemented from scratch: schoolbook multiply, Knuth Algorithm D division,
 // and modular exponentiation by Montgomery multiplication (CIOS form on
-// 64-bit words) over a fixed 4-bit window, for odd moduli. Every window
-// squares four times and multiplies once, but the window-table lookup and
-// Montgomery's final subtraction depend on the data, so it is not constant
+// 64-bit words), for odd moduli. A variable base goes through pow_mod's
+// fixed 4-bit window; a fixed base (the DH generator) goes through
+// FixedBaseComb's precomputed table. Both square and multiply on a fixed
+// schedule, but the table lookups and Montgomery's final subtraction depend
+// on the data (the lookups on secret exponent bits), so neither is constant
 // time — acceptable for a research reproduction; noted in DESIGN.md.
 #pragma once
 
@@ -75,7 +77,11 @@ class BigUint {
                                                 const BigUint& m) const;
 
  private:
+  friend class FixedBaseComb;
+
   void normalize() noexcept;
+  /// The value of n little-endian 64-bit words.
+  static BigUint from_words(const std::uint64_t* words, std::size_t n);
 
   std::vector<std::uint32_t> limbs_;  // little-endian
 };
@@ -83,6 +89,41 @@ class BigUint {
 struct BigUint::DivMod {
   BigUint quotient;
   BigUint remainder;
+};
+
+/// base^e mod m for one fixed base and exponents of up to 256 bits: a
+/// fixed-base comb (Lim and Lee, "More Flexible Exponentiation with
+/// Precomputation", CRYPTO '94). The exponent is read as 8 rows of 32 bits
+/// (row i is bits 32i..32i+31); column j gathers bit j of every row into an
+/// 8-bit index. Entry k of the 256-entry table is the product of
+/// base^(2^(32i)) over the set bits i of k, in Montgomery form, so pow()
+/// costs 31 squarings and 32 multiplications whatever the exponent (the
+/// last one leaves Montgomery form). The table holds 256 values of the
+/// modulus's width: 24, 48 and 64 KiB for the 768-, 1536- and 2048-bit
+/// MODP primes. Immutable once built, so one table serves concurrent
+/// callers.
+class FixedBaseComb {
+ public:
+  static constexpr std::size_t kRows = 8;
+  static constexpr std::size_t kColumns = 32;
+  static constexpr std::size_t kMaxExponentBits = kRows * kColumns;
+
+  /// Precompute the table for `base` mod `m`. m must be odd and above 1.
+  static util::StatusOr<FixedBaseComb> build(const BigUint& base,
+                                             const BigUint& m);
+
+  /// base^exponent mod m. An exponent wider than kMaxExponentBits is
+  /// rejected with InvalidArgument.
+  [[nodiscard]] util::StatusOr<BigUint> pow(const BigUint& exponent) const;
+
+ private:
+  FixedBaseComb(std::size_t n, std::uint64_t m_inv,
+                std::vector<std::uint64_t> words)
+      : n_(n), m_inv_(m_inv), words_(std::move(words)) {}
+
+  std::size_t n_;                     // 64-bit words per value
+  std::uint64_t m_inv_;               // -m^-1 mod 2^64
+  std::vector<std::uint64_t> words_;  // the modulus, then the table
 };
 
 }  // namespace naplet::crypto

@@ -37,20 +37,28 @@ constexpr const char* kPrime2048 =
 DhParams make_params(const char* prime_hex, std::size_t key_bytes) {
   auto prime = BigUint::from_hex(prime_hex);
   assert(prime.ok());
-  return DhParams{std::move(*prime), BigUint(2), key_bytes};
+  const BigUint generator(2);
+  auto comb = FixedBaseComb::build(generator, *prime);
+  assert(comb.ok());
+  return DhParams{std::move(*prime), generator, key_bytes, std::move(*comb)};
 }
 
 }  // namespace
 
 const DhParams& DhParams::get(DhGroup group) {
-  static const DhParams modp768 = make_params(kPrime768, 96);
-  static const DhParams modp1536 = make_params(kPrime1536, 192);
-  static const DhParams modp2048 = make_params(kPrime2048, 256);
+  // One static per group, so only the groups in use pay for a table.
   switch (group) {
-    case DhGroup::kModp768: return modp768;
-    case DhGroup::kModp1536: return modp1536;
-    case DhGroup::kModp2048: return modp2048;
+    case DhGroup::kModp768: {
+      static const DhParams modp768 = make_params(kPrime768, 96);
+      return modp768;
+    }
+    case DhGroup::kModp1536: {
+      static const DhParams modp1536 = make_params(kPrime1536, 192);
+      return modp1536;
+    }
+    case DhGroup::kModp2048: break;
   }
+  static const DhParams modp2048 = make_params(kPrime2048, 256);
   return modp2048;
 }
 
@@ -63,7 +71,7 @@ util::StatusOr<DhKeyPair> DhKeyPair::generate(DhGroup group) {
     priv = BigUint::from_bytes(random_bytes(32));
   } while (priv.bit_length() < 128);  // reject pathologically small draws
 
-  auto pub = params.generator.pow_mod(priv, params.prime);
+  auto pub = params.generator_comb.pow(priv);
   if (!pub.ok()) return pub.status();
 
   return DhKeyPair(group, std::move(priv), pub->to_bytes(params.key_bytes));

@@ -9,6 +9,13 @@
 // 2. ControllerConfig::dh_group defaults to the 768-bit group, which keeps
 // tests and perfbench fast; the paper benches (BenchRealm) run 2048-bit,
 // the size to choose where the key's secrecy matters.
+//
+// Key generation raises the generator through the group's FixedBaseComb
+// (bignum.hpp), built the first time the group is used: 24, 48 or 64 KiB,
+// 31 squarings per public value instead of pow_mod's 256. The session key
+// raises the peer's value, a variable base, through pow_mod. Neither is
+// constant time: the comb's column index and the window index come from
+// secret exponent bits.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +37,10 @@ struct DhParams {
   BigUint prime;
   BigUint generator;
   std::size_t key_bytes;  // size of the wire encoding of public values
+  FixedBaseComb generator_comb;  // generator^e mod prime, e up to 256 bits
 
+  /// The group's parameters, built (comb table included) on its first use;
+  /// thread-safe.
   static const DhParams& get(DhGroup group);
 };
 

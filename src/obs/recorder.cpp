@@ -28,7 +28,9 @@ std::string name_or_num(const std::atomic<Namer>& namer, std::uint8_t code) {
 // of any rank — a ranked mutex here would recurse into the validator.
 struct RecorderDirectory {
   util::Mutex mu{util::LockRank::kUnranked, "recorder.directory"};
-  std::vector<FlightRecorder*> live NAPLET_GUARDED_BY(mu);
+  // Ends of the intrusive list threaded through FlightRecorder::live_*.
+  FlightRecorder* head NAPLET_GUARDED_BY(mu) = nullptr;
+  FlightRecorder* tail NAPLET_GUARDED_BY(mu) = nullptr;
 
   static RecorderDirectory& instance() {
     static RecorderDirectory dir;
@@ -46,13 +48,16 @@ FlightRecorder::FlightRecorder(std::string label, std::size_t capacity)
       slots_(new Slot[capacity_]) {
   auto& dir = RecorderDirectory::instance();
   util::MutexLock lock(dir.mu);
-  dir.live.push_back(this);
+  live_prev_ = dir.tail;
+  (dir.tail != nullptr ? dir.tail->live_next_ : dir.head) = this;
+  dir.tail = this;
 }
 
 FlightRecorder::~FlightRecorder() {
   auto& dir = RecorderDirectory::instance();
   util::MutexLock lock(dir.mu);
-  std::erase(dir.live, this);
+  (live_prev_ != nullptr ? live_prev_->live_next_ : dir.head) = live_next_;
+  (live_next_ != nullptr ? live_next_->live_prev_ : dir.tail) = live_prev_;
 }
 
 void FlightRecorder::record(Kind kind, std::uint8_t a, std::uint8_t b,
@@ -143,7 +148,8 @@ std::string dump_all() {
   auto& dir = RecorderDirectory::instance();
   std::string out;
   util::MutexLock lock(dir.mu);
-  for (const FlightRecorder* rec : dir.live) {
+  for (const FlightRecorder* rec = dir.head; rec != nullptr;
+       rec = rec->live_next_) {
     out += rec->dump();
   }
   return out;

@@ -84,11 +84,17 @@ class FlightRecorder {
     std::atomic<std::uint64_t> packed{0};  // kind<<56|a<<48|b<<40|c<<32|seq
   };
 
+  friend std::string dump_all();
+
   std::string label_;
   std::size_t capacity_;
   std::unique_ptr<Slot[]> slots_;
   std::atomic<std::uint64_t> next_{0};
   std::atomic<bool> enabled_{true};
+  // Links in the directory of live recorders, a list in creation order
+  // guarded by the directory's mutex, so the destructor unlinks in O(1).
+  FlightRecorder* live_prev_ = nullptr;
+  FlightRecorder* live_next_ = nullptr;
 };
 
 /// Decode a raw code into a name for dump() (installed by the core layer:

@@ -8,16 +8,27 @@ namespace naplet::util {
 namespace {
 constexpr char kHexDigits[] = "0123456789abcdef";
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slice-by-8 tables for the reflected IEEE polynomial: table[0] is the
+// classic byte-at-a-time table, and table[k][b] is the CRC of byte b
+// followed by k zero bytes, so eight table lookups consume eight bytes.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1U) != 0 ? 0xEDB88320U ^ (c >> 1U) : c >> 1U;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    for (std::size_t k = 1; k < 8; ++k) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = tables[0][prev & 0xFFU] ^ (prev >> 8U);
+    }
+  }
+  return tables;
 }
 
 int hex_nibble(char c) noexcept {
@@ -29,10 +40,23 @@ int hex_nibble(char c) noexcept {
 }  // namespace
 
 std::uint32_t crc32(ByteSpan data) noexcept {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  static const CrcTables t = make_crc_tables();
   std::uint32_t c = 0xFFFFFFFFU;
-  for (const std::uint8_t byte : data) {
-    c = table[(c ^ byte) & 0xFFU] ^ (c >> 8U);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    // Assembled byte by byte, so the result does not depend on the host's
+    // byte order or the buffer's alignment.
+    const std::uint32_t lo = c ^ (std::uint32_t{p[0]} |
+                                  std::uint32_t{p[1]} << 8U |
+                                  std::uint32_t{p[2]} << 16U |
+                                  std::uint32_t{p[3]} << 24U);
+    c = t[7][lo & 0xFFU] ^ t[6][(lo >> 8U) & 0xFFU] ^
+        t[5][(lo >> 16U) & 0xFFU] ^ t[4][lo >> 24U] ^ t[3][p[4]] ^
+        t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
+  }
+  for (; n > 0; ++p, --n) {
+    c = t[0][(c ^ *p) & 0xFFU] ^ (c >> 8U);
   }
   return c ^ 0xFFFFFFFFU;
 }

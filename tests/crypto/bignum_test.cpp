@@ -4,6 +4,8 @@
 
 #include <iterator>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "crypto/dh.hpp"
 #include "crypto/sha256.hpp"
@@ -383,6 +385,110 @@ TEST(BigUint, PowModMatchesReferenceOnOddModuli) {
     }
   }
   EXPECT_GT(checked, 1000u);
+}
+
+// The DH generator's comb against the pinned base-2 answers: exponents 0,
+// 1 and kExp256 (p-2 is wider than the comb's 256 bits).
+TEST(FixedBaseComb, KnownAnswersForModpGenerators) {
+  constexpr int kBase2 = 1;
+  for (const PowModAnswers& answers : kPowModAnswers) {
+    const DhParams& params = DhParams::get(answers.group);
+    ASSERT_EQ(params.generator.to_u64(), 2u);
+    const std::pair<int, BigUint> exponents[] = {
+        {0, BigUint()}, {1, BigUint(1)}, {3, from_hex_ok(kExp256)}};
+    for (const auto& [e, exponent] : exponents) {
+      auto r = params.generator_comb.pow(exponent);
+      ASSERT_TRUE(r.ok());
+      const util::Bytes bytes = r->to_bytes(params.key_bytes);
+      const Sha256Digest digest =
+          Sha256::hash(util::ByteSpan(bytes.data(), bytes.size()));
+      EXPECT_EQ(util::to_hex(util::ByteSpan(digest.data(), digest.size())),
+                answers.digests[kBase2][e])
+          << params.prime.bit_length() << "-bit prime, exponent #" << e
+          << ": " << r->to_hex();
+    }
+  }
+}
+
+// Exponents with set bits on the comb's row boundaries (every 32 bits) and
+// its first and last column, the all-ones exponent, and random widths.
+std::vector<BigUint> comb_exponents(util::Rng& rng) {
+  std::vector<BigUint> out;
+  BigUint all_edges;
+  for (std::size_t bit : {0, 31, 32, 223, 224, 255}) {
+    out.push_back(BigUint(1).shift_left(bit));
+    all_edges = all_edges.add(out.back());
+  }
+  out.push_back(all_edges);
+  out.push_back(BigUint(1).shift_left(256).sub(BigUint(1)));
+  for (int i = 0; i < 40; ++i) {
+    out.push_back(random_exponent(rng, rng.next_below(257)));
+  }
+  return out;
+}
+
+TEST(FixedBaseComb, MatchesPowModOnModpGenerators) {
+  util::Rng rng(24);
+  for (DhGroup group :
+       {DhGroup::kModp768, DhGroup::kModp1536, DhGroup::kModp2048}) {
+    const DhParams& params = DhParams::get(group);
+    for (const BigUint& e : comb_exponents(rng)) {
+      auto r = params.generator_comb.pow(e);
+      ASSERT_TRUE(r.ok());
+      EXPECT_EQ(r->to_hex(),
+                params.generator.pow_mod(e, params.prime)->to_hex())
+          << params.prime.bit_length() << "-bit prime, exponent "
+          << e.to_hex();
+    }
+  }
+}
+
+// Any base and odd modulus, from one word up to past 2048 bits, including
+// bases at and above the modulus.
+TEST(FixedBaseComb, MatchesPowModOnOddModuli) {
+  util::Rng rng(25);
+  for (std::size_t limbs : {1, 2, 3, 7, 24, 65}) {
+    util::Bytes raw = rng_bytes(rng, limbs * 4);
+    raw.front() |= 0x80;
+    raw.back() |= 1;
+    const BigUint m = BigUint::from_bytes(util::ByteSpan(raw.data(), raw.size()));
+    for (const BigUint& base :
+         {random_biguint(rng, 1 + rng.next_below(limbs * 8)), BigUint(),
+          BigUint(1), m.sub(BigUint(1)), m}) {
+      auto comb = FixedBaseComb::build(base, m);
+      ASSERT_TRUE(comb.ok());
+      for (int i = 0; i < 6; ++i) {
+        const BigUint e = random_exponent(rng, rng.next_below(257));
+        auto r = comb->pow(e);
+        ASSERT_TRUE(r.ok());
+        EXPECT_EQ(r->to_hex(), base.pow_mod(e, m)->to_hex())
+            << "base " << base.to_hex() << " exponent " << e.to_hex()
+            << " modulus " << m.to_hex();
+      }
+    }
+  }
+}
+
+TEST(FixedBaseComb, RejectsExponentWiderThanTable) {
+  const FixedBaseComb& comb =
+      DhParams::get(DhGroup::kModp768).generator_comb;
+  const BigUint widest = BigUint(1).shift_left(256).sub(BigUint(1));
+  EXPECT_TRUE(comb.pow(widest).ok());
+  for (const BigUint& e : {BigUint(1).shift_left(256), widest.shift_left(1)}) {
+    ASSERT_EQ(e.bit_length(), 257u);
+    auto r = comb.pow(e);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(FixedBaseComb, RejectsEvenOrUnitModulus) {
+  for (const BigUint& m : {BigUint(), BigUint(1), BigUint(2),
+                           from_hex_ok("fffffffffffffffffffffffe")}) {
+    auto comb = FixedBaseComb::build(BigUint(3), m);
+    ASSERT_FALSE(comb.ok()) << m.to_hex();
+    EXPECT_EQ(comb.status().code(), util::StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(BigUint, PowModZeroModulusRejected) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <thread>
+#include <vector>
+
 #include "util/bytes.hpp"
 
 namespace naplet::crypto {
@@ -70,6 +74,39 @@ TEST(DhKeyPair, FreshKeysEachGeneration) {
                                         a->public_value().size())),
             util::to_hex(util::ByteSpan(b->public_value().data(),
                                         b->public_value().size())));
+}
+
+// Eight connects racing on a group's first use all build on, or wait for,
+// one comb table, and every pair of their keys agrees. Run in a process of
+// its own (ctest crypto_dh_first_use) the race is on the real first use.
+TEST(DhKeyPair, ConcurrentFirstUseAgreesPairwise) {
+  constexpr int kThreads = 8;
+  for (DhGroup group :
+       {DhGroup::kModp768, DhGroup::kModp1536, DhGroup::kModp2048}) {
+    std::vector<std::optional<DhKeyPair>> pairs(kThreads);
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i) {
+      threads.emplace_back([&pairs, group, i] {
+        auto kp = DhKeyPair::generate(group);
+        if (kp.ok()) pairs[i] = std::move(*kp);
+      });
+    }
+    for (auto& t : threads) t.join();
+    for (int i = 0; i < kThreads; ++i) ASSERT_TRUE(pairs[i]) << i;
+
+    for (int i = 0; i < kThreads; ++i) {
+      for (int j = i + 1; j < kThreads; ++j) {
+        const util::Bytes& pub_i = pairs[i]->public_value();
+        const util::Bytes& pub_j = pairs[j]->public_value();
+        auto key_ij =
+            pairs[i]->session_key(util::ByteSpan(pub_j.data(), pub_j.size()));
+        auto key_ji =
+            pairs[j]->session_key(util::ByteSpan(pub_i.data(), pub_i.size()));
+        ASSERT_TRUE(key_ij.ok() && key_ji.ok()) << i << "," << j;
+        EXPECT_EQ(*key_ij, *key_ji) << i << "," << j;
+      }
+    }
+  }
 }
 
 TEST(DhKeyPair, RejectsDegeneratePublicValues) {

@@ -5,8 +5,10 @@
 // the abort completes normally).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/test_realm.hpp"
 #include "obs/recorder.hpp"
@@ -61,6 +63,58 @@ TEST(FlightRecorder, DumpDecodesKindsAndLabels) {
   const std::string all = dump_all();
   EXPECT_NE(all.find("decode-me"), std::string::npos);
   EXPECT_NE(all.find("also-live"), std::string::npos);
+}
+
+// Labels of this test's recorders that dump_all lists, in listed order.
+std::vector<std::string> listed_churn_labels() {
+  const std::string all = dump_all();
+  const std::string tag = "flight recorder [";
+  std::vector<std::string> out;
+  for (std::size_t at = all.find(tag + "churn-"); at != std::string::npos;
+       at = all.find(tag + "churn-", at + 1)) {
+    const std::size_t begin = at + tag.size();
+    out.push_back(all.substr(begin, all.find(']', begin) - begin));
+  }
+  return out;
+}
+
+// Recorders unregister in any order, from the ends and the middle of the
+// directory, and dump_all lists exactly the survivors in creation order.
+TEST(FlightRecorder, DirectoryTracksInterleavedCreateAndDestroy) {
+  std::vector<std::unique_ptr<FlightRecorder>> recs;
+  const auto survivors = [&] {
+    std::vector<std::string> out;
+    for (const auto& rec : recs) {
+      if (rec) out.push_back(rec->label());
+    }
+    return out;
+  };
+  const auto add = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      recs.push_back(std::make_unique<FlightRecorder>(
+          "churn-" + std::to_string(recs.size()), 4));
+    }
+  };
+
+  add(32);
+  EXPECT_EQ(listed_churn_labels(), survivors());
+  for (std::size_t i = 1; i < recs.size(); i += 2) recs[i].reset();  // odd
+  recs.front().reset();
+  EXPECT_EQ(listed_churn_labels(), survivors());
+  add(8);
+  recs.back().reset();
+  recs[30].reset();
+  for (std::size_t i = 4; i < recs.size(); i += 6) recs[i].reset();
+  EXPECT_EQ(listed_churn_labels(), survivors());
+  // Destroy the rest newest-first but for one in the middle.
+  for (std::size_t i = recs.size(); i-- > 0;) {
+    if (i != 20) recs[i].reset();
+  }
+  EXPECT_EQ(listed_churn_labels(), (std::vector<std::string>{"churn-20"}));
+  recs[20].reset();
+  EXPECT_TRUE(listed_churn_labels().empty());
+  add(2);
+  EXPECT_EQ(listed_churn_labels(), survivors());
 }
 
 TEST(FlightRecorder, SessionFsmTransitionsAreRecordedAndNamed) {

@@ -2,8 +2,41 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 namespace naplet::util {
 namespace {
+
+TEST(Crc32, CheckValue) {
+  const std::string_view check = "123456789";
+  EXPECT_EQ(crc32(ByteSpan(reinterpret_cast<const std::uint8_t*>(check.data()),
+                           check.size())),
+            0xCBF43926U);
+  EXPECT_EQ(crc32(ByteSpan()), 0U);
+}
+
+// Every length from 0 to 1,024 at every start offset mod 8 against a
+// bit-at-a-time reference over the same reflected IEEE polynomial.
+TEST(Crc32, MatchesBitwiseReference) {
+  Bytes buf(1024 + 8);
+  std::uint32_t x = 0x9E3779B9U;
+  for (auto& b : buf) {
+    x = x * 1664525U + 1013904223U;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    std::uint32_t state = 0xFFFFFFFFU;  // reference CRC of buf[offset, len)
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      ASSERT_EQ(crc32(ByteSpan(buf.data() + offset, len)),
+                state ^ 0xFFFFFFFFU)
+          << "offset " << offset << " length " << len;
+      state ^= buf[offset + len];
+      for (int bit = 0; bit < 8; ++bit) {
+        state = (state >> 1) ^ (0xEDB88320U & (0U - (state & 1U)));
+      }
+    }
+  }
+}
 
 TEST(Hex, RoundTrip) {
   const Bytes data = {0x00, 0x01, 0xab, 0xcd, 0xef, 0xff};
