@@ -192,52 +192,38 @@ RestartResult run_restart() {
 
 // --- lossy-link suspend/resume sweep ---------------------------------------
 // Quantifies what the pipelined sliding-window rudp (SACK, RTT-adaptive
-// timers, XOR-FEC) buys for the paper's core operation — suspending and
-// resuming a live session — when the control channel crosses a lossy 1 ms
-// link. "baseline" pins the transport to the seed's stop-and-wait shape:
-// one packet in flight, fixed retransmit timer, no SACK-driven fast
-// retransmit, no loss repair. "pipelined without FEC" is the sliding
-// window with loss repair off, so FEC's own effect is the difference
-// between the two pipelined rows.
-
-enum class SweepMode { kStopAndWait, kPipelined, kPipelinedNoFec };
+// timers) buys for the paper's core operation — suspending and resuming a
+// live session — when the control channel crosses a lossy 1 ms link.
+// "baseline" pins the transport to the seed's stop-and-wait shape: one
+// packet in flight, fixed retransmit timer, no SACK-driven fast
+// retransmit.
 
 struct SweepModeResult {
   double suspend_p50 = 0, suspend_p95 = 0, suspend_p99 = 0;
   double resume_p50 = 0, resume_p95 = 0, resume_p99 = 0;
   std::uint64_t retransmits = 0;  // both directions
-  std::uint64_t fec_repairs = 0;  // both directions
 };
 
-nsock::NodeConfig sweep_node_config(SweepMode mode) {
+nsock::NodeConfig sweep_node_config(bool pipelined) {
   nsock::NodeConfig config;
   config.controller.security = false;
   auto& rudp = config.server.rudp_config;
   rudp.retransmit_interval = std::chrono::milliseconds(15);
   rudp.max_attempts = 40;
-  switch (mode) {
-    case SweepMode::kPipelined:
-      rudp.repair = net::LossRepair::kXorFec;
-      break;
-    case SweepMode::kPipelinedNoFec:
-      rudp.repair = net::LossRepair::kNone;
-      break;
-    case SweepMode::kStopAndWait:
-      rudp.window_packets = 1;
-      rudp.adaptive_rto = false;
-      rudp.fast_retx_dupacks = 0;  // 0 disables fast retransmit
-      rudp.repair = net::LossRepair::kNone;
-      break;
+  if (!pipelined) {
+    rudp.window_packets = 1;
+    rudp.adaptive_rto = false;
+    rudp.fast_retx_dupacks = 0;  // 0 disables fast retransmit
   }
   return config;
 }
 
-SweepModeResult run_loss_point(double loss, SweepMode mode, int rounds) {
+SweepModeResult run_loss_point(double loss, bool pipelined, int rounds) {
   net::SimNet net(/*seed=*/7);
   net.set_default_link(net::LinkConfig{.latency = 1ms, .datagram_loss = loss});
   nsock::Realm realm;
   for (const char* name : {"a", "b"}) {
-    realm.add_node(name, net.add_node(name), sweep_node_config(mode));
+    realm.add_node(name, net.add_node(name), sweep_node_config(pipelined));
   }
   if (!realm.start().ok()) std::abort();
 
@@ -270,16 +256,13 @@ SweepModeResult run_loss_point(double loss, SweepMode mode, int rounds) {
     result.resume_p95 = h->percentile(95);
     result.resume_p99 = h->percentile(99);
   }
-  // Loss hits both directions; retransmits accrue on each node's sender and
-  // FEC repairs on each node's receiver, so sum the two controllers.
+  // Loss hits both directions and retransmits accrue on each node's
+  // sender, so sum the two controllers.
   const obs::Snapshot remote =
       realm.node("b").controller().metrics().snapshot();
   for (const obs::Snapshot* snap : {&origin, &remote}) {
     if (const auto* h = snap->histogram("rudp_retransmits_per_send")) {
       result.retransmits += h->sum;
-    }
-    if (const auto* c = snap->counter("rudp_fec_repairs")) {
-      result.fec_repairs += c->value;
     }
   }
   realm.stop();
@@ -350,8 +333,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(restart.resume_retries));
 
   // Suspend/resume latency vs datagram loss, stop-and-wait transport vs the
-  // pipelined sliding-window rudp (adaptive RTO + SACK fast retransmit),
-  // with and without XOR-FEC.
+  // pipelined sliding-window rudp (adaptive RTO + SACK fast retransmit).
   const std::vector<double> losses =
       fast_mode() ? std::vector<double>{0.0, 0.10}
                   : std::vector<double>{0.0, 0.05, 0.10, 0.20};
@@ -359,39 +341,35 @@ int main(int argc, char** argv) {
   print_header("suspend/resume over lossy link (" +
                    std::to_string(sweep_rounds) + " rounds per point, us)",
                {"loss", "mode", "susp p50", "susp p95", "resume p50",
-                "resume p95", "retx", "fec fix"});
+                "resume p95", "retx"});
   struct SweepRow {
     double loss;
-    SweepModeResult baseline, pipelined, no_fec;
+    SweepModeResult baseline, pipelined;
   };
   std::vector<SweepRow> sweep;
   for (double loss : losses) {
     SweepRow row;
     row.loss = loss;
-    row.baseline = run_loss_point(loss, SweepMode::kStopAndWait, sweep_rounds);
-    row.pipelined = run_loss_point(loss, SweepMode::kPipelined, sweep_rounds);
-    row.no_fec = run_loss_point(loss, SweepMode::kPipelinedNoFec, sweep_rounds);
+    row.baseline = run_loss_point(loss, /*pipelined=*/false, sweep_rounds);
+    row.pipelined = run_loss_point(loss, /*pipelined=*/true, sweep_rounds);
     for (const auto& [label, r] :
          {std::pair<const char*, const SweepModeResult*>{"stop-and-wait",
                                                          &row.baseline},
-          {"pipelined", &row.pipelined},
-          {"pipelined, no FEC", &row.no_fec}}) {
+          {"pipelined", &row.pipelined}}) {
       print_row({fmt(100.0 * loss, 0) + "%", label, fmt(r->suspend_p50, 0),
                  fmt(r->suspend_p95, 0), fmt(r->resume_p50, 0),
-                 fmt(r->resume_p95, 0), std::to_string(r->retransmits),
-                 std::to_string(r->fec_repairs)});
+                 fmt(r->resume_p95, 0), std::to_string(r->retransmits)});
     }
     sweep.push_back(row);
   }
   // The acceptance bar for the transport rebuild: at 10% loss the pipelined
   // stack halves the suspend->resume p95 relative to stop-and-wait.
   bool sweep_ok = false;
-  double base_p95 = 0, pipe_p95 = 0, no_fec_p95 = 0;
+  double base_p95 = 0, pipe_p95 = 0;
   for (const auto& row : sweep) {
     if (std::abs(row.loss - 0.10) > 1e-9) continue;
     base_p95 = row.baseline.suspend_p95 + row.baseline.resume_p95;
     pipe_p95 = row.pipelined.suspend_p95 + row.pipelined.resume_p95;
-    no_fec_p95 = row.no_fec.suspend_p95 + row.no_fec.resume_p95;
     sweep_ok = pipe_p95 > 0 && base_p95 >= 2.0 * pipe_p95;
   }
 
@@ -408,11 +386,6 @@ int main(int argc, char** argv) {
   std::printf("  pipelined >=2x at 10%% loss      : %s "
               "(suspend+resume p95: %.0f us vs %.0f us)\n",
               sweep_ok ? "PASS" : "FAIL", base_p95, pipe_p95);
-  // FEC's own effect, reported but not gated: each p95 rests on a few
-  // samples in log2 buckets.
-  std::printf("  FEC at 10%% loss (no gate)       : suspend+resume p95 "
-              "%.0f us with FEC vs %.0f us without\n",
-              pipe_p95, no_fec_p95);
 
   if (json_flag(argc, argv)) {
     JsonObject obj;
@@ -461,7 +434,6 @@ int main(int argc, char** argv) {
           .field("resume_p95_us", r.resume_p95)
           .field("resume_p99_us", r.resume_p99)
           .field("retransmits", r.retransmits)
-          .field("fec_repairs", r.fec_repairs)
           .render();
     };
     std::vector<std::string> sweep_points;
@@ -472,7 +444,6 @@ int main(int argc, char** argv) {
               .field("rounds", static_cast<std::uint64_t>(sweep_rounds))
               .raw("stop_and_wait", mode_json(row.baseline))
               .raw("pipelined", mode_json(row.pipelined))
-              .raw("pipelined_no_fec", mode_json(row.no_fec))
               .render());
     }
     obj.raw("loss_sweep", json_array(sweep_points));

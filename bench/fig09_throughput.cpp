@@ -95,12 +95,11 @@ double naplet_mbps(std::size_t msg_size, std::size_t total_bytes) {
 /// shape vs the pipelined sliding-window one. Several concurrent senders
 /// share one channel, modeling a controller with overlapping control
 /// exchanges; with a window of one they serialize, with the sliding window
-/// they pipeline and single drops are repaired by SACK/FEC instead of a
-/// full timer wait.
+/// they pipeline and single drops are repaired by SACK-driven fast
+/// retransmit instead of a full timer wait.
 struct WanPoint {
   double msgs_per_sec = 0;
   std::uint64_t retransmits = 0;
-  std::uint64_t fec_repairs = 0;
 };
 
 WanPoint rudp_wan_point(double loss, bool pipelined, int senders,
@@ -114,13 +113,10 @@ WanPoint rudp_wan_point(double loss, bool pipelined, int senders,
   net::RudpConfig config;
   config.retransmit_interval = 30ms;  // > RTT so the fixed timer is sane
   config.max_attempts = 40;
-  if (pipelined) {
-    config.repair = net::LossRepair::kXorFec;
-  } else {
+  if (!pipelined) {
     config.window_packets = 1;
     config.adaptive_rto = false;
     config.fast_retx_dupacks = 0;
-    config.repair = net::LossRepair::kNone;
   }
   auto dgram_a = node_a->bind_datagram(7);
   auto dgram_b = node_b->bind_datagram(7);
@@ -155,7 +151,6 @@ WanPoint rudp_wan_point(double loss, bool pipelined, int senders,
   WanPoint point;
   point.msgs_per_sec = static_cast<double>(total) / (sw.elapsed_ms() / 1000.0);
   point.retransmits = ca.retransmissions();
-  point.fec_repairs = cb.fec_repairs();
   ca.close();
   cb.close();
   return point;
@@ -215,8 +210,7 @@ int main(int argc, char** argv) {
   print_header("lossy WAN, rudp control channel (5 ms +-1 ms link, " +
                    std::to_string(wan_senders) + " senders x " +
                    std::to_string(wan_msgs) + " msgs, 256 B)",
-               {"loss", "stop-and-wait", "pipelined", "speedup", "retx s/p",
-                "fec fix"});
+               {"loss", "stop-and-wait", "pipelined", "speedup", "retx s/p"});
   std::vector<std::string> wan_points;
   double wan_speedup_at_10 = 0, wan_ratio_at_0 = 0;
   for (double loss : wan_losses) {
@@ -230,8 +224,7 @@ int main(int argc, char** argv) {
     print_row({fmt(100.0 * loss, 0) + "%", fmt(base.msgs_per_sec, 0) + "/s",
                fmt(pipe.msgs_per_sec, 0) + "/s", fmt(speedup, 2) + "x",
                std::to_string(base.retransmits) + "/" +
-                   std::to_string(pipe.retransmits),
-               std::to_string(pipe.fec_repairs)});
+                   std::to_string(pipe.retransmits)});
     wan_points.push_back(
         JsonObject()
             .field("loss_pct", 100.0 * loss)
@@ -240,7 +233,6 @@ int main(int argc, char** argv) {
             .field("speedup", speedup)
             .field("stop_and_wait_retransmits", base.retransmits)
             .field("pipelined_retransmits", pipe.retransmits)
-            .field("pipelined_fec_repairs", pipe.fec_repairs)
             .render());
   }
   std::printf("\nlossy-WAN checks: pipelined >=2x at 10%% loss: %s (%.2fx); "

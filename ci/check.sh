@@ -2,7 +2,7 @@
 # The full local CI gate:
 #
 #   1. Debug build + full ctest       (lock-rank validator active)
-#      + explicit `ctest -L net`       (rudp sliding-window/SACK/FEC suite)
+#      + explicit `ctest -L net`       (rudp sliding-window/SACK suite)
 #      + fixed-seed chaos_runner smoke (25 replayable fault schedules)
 #      + pinned-seed crash-restart smoke (recovery on and off)
 #      + explicit `ctest -L group`     (the whole-agent sweep, pinned group
@@ -101,7 +101,7 @@ with open(sys.argv[1]) as f:
 sweep = data["loss_sweep"]
 assert sweep, "loss_sweep is empty"
 for point in sweep:
-    for mode in ("stop_and_wait", "pipelined", "pipelined_no_fec"):
+    for mode in ("stop_and_wait", "pipelined"):
         for key in ("suspend_p95_us", "resume_p95_us"):
             assert point[mode][key] > 0, f"{mode}.{key} missing at {point['loss_pct']}%"
 lossy = [p for p in sweep if p["loss_pct"] >= 10]

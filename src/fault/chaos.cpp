@@ -63,7 +63,6 @@ enum class Template : std::uint64_t {
   kRudpSendFlip,
   kRudpSackDrop,
   kRudpFastRetxDrop,
-  kRudpFecDrop,
   kCtrlPreSendDup,
   kCtrlPreSendDelay,
   kCtrlOnRecvDelay,
@@ -97,7 +96,7 @@ Rule make_rule(util::Rng& rng) {
       break;
     case Template::kRudpSendFlip:
       // A flipped bit anywhere in the frame fails the peer's CRC check:
-      // corruption degrades to loss, which retransmit/FEC must absorb.
+      // corruption degrades to loss, which retransmission must absorb.
       rule.site = rng.bernoulli(0.5) ? "rudp.send" : "rudp.retransmit";
       rule.hit = 1 + rng.next_below(6);
       rule.count = 1 + rng.next_below(2);
@@ -114,13 +113,6 @@ Rule make_rule(util::Rng& rng) {
     case Template::kRudpFastRetxDrop:
       rule.site = "rudp.fast_retx";
       rule.hit = 1 + rng.next_below(2);
-      rule.action = Action::kDrop;
-      break;
-    case Template::kRudpFecDrop:
-      // Lost parity only removes a repair opportunity, never data.
-      rule.site = "rudp.fec";
-      rule.hit = 1 + rng.next_below(4);
-      rule.count = 1 + rng.next_below(3);
       rule.action = Action::kDrop;
       break;
     case Template::kCtrlPreSendDup:
@@ -302,9 +294,6 @@ nsock::NodeConfig node_config(const ChaosCase& chaos_case, int i,
   config.server.rudp_config.max_attempts = 40;
   // Decorrelated but reproducible retransmit jitter per node.
   config.server.rudp_config.jitter_seed = chaos_case.seed * 3 + i + 1;
-  // XOR-FEC on the control channel keeps the rudp.sack / rudp.fast_retx
-  // / rudp.fec fault sites live under the oracles.
-  config.server.rudp_config.repair = net::LossRepair::kXorFec;
 
   const bool crash = is_crash_scenario(chaos_case.scenario);
   const bool group = is_group_scenario(chaos_case.scenario);

@@ -24,7 +24,6 @@ inline constexpr std::string_view kFaultSites[] = {
     "rudp.retransmit",
     "rudp.sack",
     "rudp.fast_retx",
-    "rudp.fec",
     // Migration control plane.
     "redirector.handoff.accept",
     "session.resume.replay",

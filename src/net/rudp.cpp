@@ -1,7 +1,6 @@
 #include "net/rudp.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <utility>
@@ -22,8 +21,12 @@ using std::chrono::steady_clock;
 // garbage rather than allocating state for it.
 constexpr std::size_t kReorderCap = 4096;
 constexpr std::uint64_t kMaxReorderSpan = 1 << 20;
-constexpr std::size_t kFecGroupCap = 256;
-constexpr int kMaxFecGroup = 64;  // receiver membership mask is a u64
+
+// Max unacknowledged payload bytes in flight per destination. A single
+// payload larger than this is still admitted when the window is empty.
+constexpr std::size_t kWindowBytes = 1 << 20;
+// Floor of the adaptive RTO, in util::Duration units (microseconds).
+constexpr double kMinRtoUs = 2000;
 
 // Idle poll slice for waits that are also woken by notify: bounds the cost
 // of a (theoretical) lost wakeup without busy-waiting.
@@ -32,25 +35,8 @@ constexpr auto kPollSlice = std::chrono::milliseconds(200);
 RudpConfig sanitize(RudpConfig config) {
   config.max_attempts = std::max(config.max_attempts, 1);
   config.window_packets = std::max(config.window_packets, 1);
-  config.window_bytes = std::max<std::size_t>(config.window_bytes, 1);
-  config.fec_group = std::clamp(config.fec_group, 1, kMaxFecGroup);
   config.fast_retx_dupacks = std::max(config.fast_retx_dupacks, 0);
-  if (config.min_rto.count() < 0) config.min_rto = util::Duration{0};
-  if (config.fec_flush.count() <= 0) {
-    config.fec_flush = std::chrono::milliseconds(1);
-  }
   return config;
-}
-
-/// XOR (u32 len | payload), zero-padded, into `acc` (grown as needed) —
-/// the FEC block combiner used identically by sender and receiver.
-void xor_block(util::Bytes& acc, util::ByteSpan payload) {
-  util::BytesWriter w(payload.size() + 4);
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  w.raw(payload);
-  const util::Bytes block = std::move(w).take();
-  if (acc.size() < block.size()) acc.resize(block.size(), 0);
-  for (std::size_t i = 0; i < block.size(); ++i) acc[i] ^= block[i];
 }
 
 }  // namespace
@@ -76,7 +62,6 @@ ReliableChannel::ReliableChannel(DatagramPtr socket, obs::Registry& registry,
       duplicates_dropped_(registry.counter("rudp_duplicates_dropped")),
       sack_blocks_(registry.counter("rudp_sack_blocks")),
       fast_retransmits_(registry.counter("rudp_fast_retransmits")),
-      fec_repairs_(registry.counter("rudp_fec_repairs")),
       timer_([this] { timer_loop(); }),
       receiver_([this] { receive_loop(); }) {}
 
@@ -189,7 +174,7 @@ util::Duration ReliableChannel::interval_for(TxPeer& peer, int attempt) {
     // is the slow path for repeated loss of the same packet, not the
     // first-retransmit latency.
     const double rto = peer.srtt_us + std::max(4.0 * peer.rttvar_us, 1000.0);
-    base = std::clamp(rto, static_cast<double>(config_.min_rto.count()), cap);
+    base = std::clamp(rto, std::min(kMinRtoUs, cap), cap);
   }
   double interval = base;
   for (int i = 0; i < attempt && interval < cap; ++i) {
@@ -201,20 +186,6 @@ util::Duration ReliableChannel::interval_for(TxPeer& peer, int attempt) {
     interval *= jitter_rng_.uniform(1.0 - jitter, 1.0 + jitter);
   }
   return util::Duration(static_cast<std::int64_t>(interval));
-}
-
-util::Bytes ReliableChannel::flush_fec(TxPeer& peer) {
-  wire::Packet parity;
-  parity.type = wire::PacketType::kParity;
-  parity.seq = peer.fec_base;
-  parity.flow_id = flow_id_;
-  parity.flow_start = peer.flow_start;
-  parity.fec_base = peer.fec_base;
-  parity.fec_k = static_cast<std::uint8_t>(peer.fec_count);
-  parity.payload = std::move(peer.fec_acc);
-  peer.fec_acc.clear();
-  peer.fec_count = 0;
-  return wire::encode(parity);
 }
 
 void ReliableChannel::send_frame(const Endpoint& dest,
@@ -236,7 +207,7 @@ bool ReliableChannel::send_with_fault(const char* site, const Endpoint& dest,
         return false;
       case fault::Action::kCorrupt: {
         // Flip one bit mid-frame: the peer's CRC check downgrades the
-        // corruption to a loss, which retransmit/FEC already repair.
+        // corruption to a loss, which retransmission already repairs.
         util::Bytes flipped = wire;
         flipped[flipped.size() / 2] ^= 0x10;
         send_frame(dest, flipped);
@@ -265,11 +236,11 @@ util::StatusOr<std::uint64_t> ReliableChannel::transmit(
     TxPeer& peer = peer_for(dest);
 
     // Window admission: block while the per-destination window is full.
-    // A payload larger than window_bytes is still admitted alone.
+    // A payload larger than kWindowBytes is still admitted alone.
     while (!closed_.load() &&
            (peer.unacked_packets >= config_.window_packets ||
             (peer.unacked_packets > 0 &&
-             peer.unacked_bytes + payload.size() > config_.window_bytes))) {
+             peer.unacked_bytes + payload.size() > kWindowBytes))) {
       if (admit_deadline && steady_clock::now() >= *admit_deadline) {
         return util::Timeout("send window to " + dest.to_string() +
                              " full within caller budget");
@@ -287,22 +258,6 @@ util::StatusOr<std::uint64_t> ReliableChannel::transmit(
     data.flow_id = flow_id_;
     data.flow_start = peer.flow_start;
     data.payload.assign(payload.begin(), payload.end());
-
-    util::Bytes parity_wire;
-    if (config_.repair == LossRepair::kXorFec) {
-      if (peer.fec_count == 0) {
-        peer.fec_base = seq;
-        peer.fec_acc.clear();
-        peer.fec_opened = steady_clock::now();
-      }
-      data.flags |= wire::kFlagFecMember;
-      data.fec_base = peer.fec_base;
-      xor_block(peer.fec_acc, payload);
-      peer.fec_count++;
-      if (peer.fec_count >= config_.fec_group) {
-        parity_wire = flush_fec(peer);
-      }
-    }
 
     TxPacket packet;
     packet.wire = wire::encode(data);
@@ -334,9 +289,6 @@ util::StatusOr<std::uint64_t> ReliableChannel::transmit(
     } else if (deadline < *timer_wake_) {
       timer_wake_ = deadline;  // later sends compare against this one
       wake_timer = true;
-    }
-    if (!parity_wire.empty()) {
-      (void)send_with_fault("rudp.fec", dest, parity_wire);
     }
   }
   if (wake_timer) timer_cv_.notify_one();
@@ -450,9 +402,8 @@ void ReliableChannel::handle_ack(const Endpoint& from,
 std::optional<ReliableChannel::TimePoint> ReliableChannel::retx_pass() {
   struct Pending {
     Endpoint dest;
-    std::uint64_t seq = 0;  // 0 span for parity frames
+    std::uint64_t seq = 0;
     util::Bytes wire;
-    bool parity = false;
     util::Duration interval{};  // this retransmit's wait before the next
   };
   std::vector<Pending> out;
@@ -466,18 +417,6 @@ std::optional<ReliableChannel::TimePoint> ReliableChannel::retx_pass() {
     timer_kick_ = false;  // this pass sees every deadline set so far
     const auto now = steady_clock::now();
     for (auto& [dest, peer] : tx_) {
-      if (config_.repair == LossRepair::kXorFec && peer.fec_count > 0) {
-        // Partial-group parity flush: a sparse sender (the control
-        // plane's request/reply cadence) still gets every packet
-        // covered, degrading to per-packet parity instead of leaving
-        // the group open forever.
-        const auto flush_at = peer.fec_opened + config_.fec_flush;
-        if (flush_at <= now) {
-          out.push_back(Pending{dest, 0, flush_fec(peer), true});
-        } else {
-          fold(flush_at);
-        }
-      }
       for (auto it = peer.inflight.begin(); it != peer.inflight.end();) {
         TxPacket& packet = it->second;
         if (packet.deadline > now) {
@@ -499,16 +438,12 @@ std::optional<ReliableChannel::TimePoint> ReliableChannel::retx_pass() {
         packet.deadline = now + interval;
         fold(packet.deadline);
         retransmissions_.add(1);
-        out.push_back(Pending{dest, it->first, packet.wire, false, interval});
+        out.push_back(Pending{dest, it->first, packet.wire, interval});
         ++it;
       }
     }
   }
   for (const Pending& p : out) {
-    if (p.parity) {
-      (void)send_with_fault("rudp.fec", p.dest, p.wire);
-      continue;
-    }
     const bool sent = send_with_fault("rudp.retransmit", p.dest, p.wire);
     const auto handed_off = steady_clock::now();
     util::MutexLock lock(mu_);
@@ -578,9 +513,6 @@ void ReliableChannel::handle_packet(const Endpoint& from,
     case wire::PacketType::kData:
       handle_data(from, std::move(*packet));
       return;
-    case wire::PacketType::kParity:
-      handle_parity(from, std::move(*packet));
-      return;
   }
 }
 
@@ -606,79 +538,6 @@ void ReliableChannel::drain_in_order(RxPeer& peer, const Endpoint& from) {
     peer.ooo.erase(it);
     peer.cum++;
   }
-  // Prune FEC groups entirely at or below the cumulative ack.
-  for (auto it = peer.groups.begin(); it != peer.groups.end();) {
-    const std::uint64_t span = it->second.k > 0 ? it->second.k : kMaxFecGroup;
-    if (wire::seq_le(it->first + span - 1, peer.cum)) {
-      it = peer.groups.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-bool ReliableChannel::try_reconstruct(RxPeer& peer, std::uint64_t base) {
-  auto git = peer.groups.find(base);
-  if (git == peer.groups.end()) return false;
-  FecGroup& group = git->second;
-  if (!group.have_parity || group.k == 0 || group.k > kMaxFecGroup) {
-    return false;
-  }
-  const std::uint64_t full =
-      group.k == 64 ? ~0ULL : ((1ULL << group.k) - 1);
-  const std::uint64_t have = group.have_mask & full;
-  if (std::popcount(have) != group.k - 1) return false;
-  const std::uint64_t missing_bit = ~have & full;
-  const auto idx = static_cast<std::uint64_t>(std::countr_zero(missing_bit));
-  const std::uint64_t missing_seq = base + idx;
-  group.have_mask |= missing_bit;  // one reconstruction attempt per group
-  if (wire::seq_le(missing_seq, peer.cum) || peer.ooo.contains(missing_seq)) {
-    return false;  // nothing missing (e.g. parity raced a retransmit)
-  }
-  // XOR of parity and the k-1 present members yields the missing member's
-  // (u32 len | payload) block.
-  util::Bytes blob = group.parity;
-  if (blob.size() < group.acc.size()) blob.resize(group.acc.size(), 0);
-  for (std::size_t i = 0; i < group.acc.size(); ++i) blob[i] ^= group.acc[i];
-  util::BytesReader r(util::ByteSpan(blob.data(), blob.size()));
-  auto len = r.u32();
-  if (!len.ok() || *len > r.remaining()) return false;  // malformed group
-  auto payload = r.raw(*len);
-  if (!payload.ok()) return false;
-  if (peer.ooo.size() >= kReorderCap) return false;
-  fec_repairs_.add(1);
-  peer.ooo.emplace(missing_seq, std::move(*payload));
-  return true;
-}
-
-bool ReliableChannel::integrate_data(RxPeer& peer, std::uint64_t seq,
-                                     const wire::Packet& packet,
-                                     const Endpoint& from) {
-  if (packet.fec_member()) {
-    const std::uint64_t idx = seq - packet.fec_base;
-    if (idx < kMaxFecGroup) {
-      FecGroup* group = nullptr;
-      auto git = peer.groups.find(packet.fec_base);
-      if (git != peer.groups.end()) {
-        group = &git->second;
-      } else if (peer.groups.size() < kFecGroupCap) {
-        group = &peer.groups[packet.fec_base];
-      }
-      // At the group cap the packet is still delivered normally; only the
-      // FEC repair opportunity is lost. Never create a group mid-life
-      // after pruning: a partial mask would "reconstruct" garbage.
-      if (group != nullptr && (group->have_mask & (1ULL << idx)) == 0) {
-        group->have_mask |= 1ULL << idx;
-        xor_block(group->acc,
-                  util::ByteSpan(packet.payload.data(),
-                                 packet.payload.size()));
-      }
-    }
-  }
-  peer.ooo.emplace(seq, packet.payload);
-  if (packet.fec_member()) try_reconstruct(peer, packet.fec_base);
-  drain_in_order(peer, from);
-  return true;
 }
 
 util::Bytes ReliableChannel::build_ack(RxPeer& peer, std::size_t* n_sacks) {
@@ -720,45 +579,10 @@ void ReliableChannel::handle_data(const Endpoint& from, wire::Packet packet) {
   } else if (peer.ooo.size() >= kReorderCap) {
     return;  // reorder buffer full: drop; the sender retransmits
   } else {
-    integrate_data(peer, seq, packet, from);
+    peer.ooo.emplace(seq, std::move(packet.payload));
+    drain_in_order(peer, from);
   }
   send_ack(from, peer);
-}
-
-void ReliableChannel::handle_parity(const Endpoint& from,
-                                    wire::Packet packet) {
-  if (packet.fec_k == 0 || packet.fec_k > kMaxFecGroup) return;
-  util::MutexLock lock(rx_mu_);
-  RxPeer& peer = rx_peer_for(from, packet);
-  const std::uint64_t base = packet.fec_base;
-  if (wire::seq_le(base + packet.fec_k - 1, peer.cum)) return;  // all done
-  // Far-future guard: serial distance, since base may be at or below the
-  // cumulative ack when earlier group members already landed.
-  if (wire::seq_lt(peer.cum + 1, base) &&
-      base - (peer.cum + 1) > kMaxReorderSpan) {
-    return;
-  }
-  auto git = peer.groups.find(base);
-  FecGroup* group = nullptr;
-  if (git != peer.groups.end()) {
-    group = &git->second;
-  } else if (peer.groups.size() < kFecGroupCap) {
-    group = &peer.groups[base];
-  }
-  if (group == nullptr) return;
-  group->k = packet.fec_k;
-  if (!group->have_parity) {
-    group->have_parity = true;
-    group->parity = std::move(packet.payload);
-  }
-  const std::uint64_t before = peer.cum;
-  const bool repaired = try_reconstruct(peer, base);
-  drain_in_order(peer, from);
-  if (peer.cum != before || repaired) {
-    // The repair produced progress: ACK immediately so the sender's
-    // pending send() completes without any timer involvement.
-    send_ack(from, peer);
-  }
 }
 
 }  // namespace naplet::net

@@ -1,7 +1,7 @@
 // Reliable delivery over UDP for the NapletSocket control channel
 // (paper §3.5), rebuilt as a pipelined sliding-window transport:
 //
-//  - a windowed sender (window_packets / window_bytes) so concurrent
+//  - a windowed sender (window_packets, plus a 1 MiB byte cap) so concurrent
 //    send() calls pipeline instead of serialising on one ACK round-trip;
 //  - a cumulative-ACK + SACK-range receiver with an in-order reorder
 //    buffer feeding recv();
@@ -10,10 +10,12 @@
 //    repeated loss of the same packet;
 //  - fast retransmit on SACK gap evidence (a packet serially below a
 //    SACKed/cumulatively-ACKed seq is retransmitted after
-//    fast_retx_dupacks such ACKs, without waiting out its timer);
-//  - a pluggable loss-repair stage: none, or XOR-FEC parity over groups
-//    of fec_group packets so a single drop on a lossy link is repaired
-//    from parity without any timer at all.
+//    fast_retx_dupacks such ACKs, without waiting out its timer).
+//
+// Loss is repaired by retransmission alone, as in the paper: no forward
+// error correction. (An XOR-parity stage was measured and deleted: it cut
+// the suspend+resume p95 by under 1.5x even at 20% loss; EXPERIMENTS.md
+// E14.)
 //
 // The blocking send()/recv() surface, the non-blocking max_wait contract,
 // duplicate suppression, and the close/abort wake guarantees are unchanged
@@ -37,12 +39,6 @@
 
 namespace naplet::net {
 
-/// Loss-repair stage applied on top of retransmission.
-enum class LossRepair : std::uint8_t {
-  kNone = 0,  ///< retransmit timers / fast retransmit only
-  kXorFec,    ///< XOR parity over groups of fec_group packets
-};
-
 struct RudpConfig {
   /// Fixed retransmit interval when adaptive_rto is off, and the RTO used
   /// until the first RTT sample when it is on.
@@ -64,30 +60,19 @@ struct RudpConfig {
   std::uint64_t jitter_seed = 0;
 
   // --- sliding window ---
-  /// Max unacknowledged packets in flight per destination.
+  /// Max unacknowledged packets in flight per destination (the byte cap,
+  /// kWindowBytes in rudp.cpp, is fixed).
   int window_packets = 32;
-  /// Max unacknowledged payload bytes in flight per destination. A single
-  /// payload larger than this is still admitted when the window is empty.
-  std::size_t window_bytes = 1 << 20;
 
   // --- RTT-adaptive retransmit timer ---
-  /// When true, RTO = clamp(SRTT + 4*RTTVAR, min_rto, cap) once samples
+  /// When true, RTO = clamp(SRTT + 4*RTTVAR, 2 ms, cap) once samples
   /// exist (Karn's rule: retransmitted packets never produce samples);
   /// backoff then multiplies from that RTO instead of the fixed interval.
   bool adaptive_rto = true;
-  util::Duration min_rto{std::chrono::milliseconds(2)};
 
   /// SACK/cumulative-ACK evidence threshold for fast retransmit (each ACK
   /// covering a serially-later packet is one unit); 0 disables.
   int fast_retx_dupacks = 2;
-
-  // --- loss repair ---
-  LossRepair repair = LossRepair::kNone;
-  /// XOR-FEC group size (clamped to [1, 64]). Parity goes out when the
-  /// group fills or fec_flush after the group opened, so sparse senders
-  /// degrade to per-packet parity rather than never covering the tail.
-  int fec_group = 4;
-  util::Duration fec_flush{std::chrono::milliseconds(1)};
 
   /// First sequence number of every flow (tests set values near 2^64 to
   /// exercise serial-arithmetic wraparound).
@@ -100,8 +85,7 @@ struct RudpConfig {
 /// or the channel closes (kCancelled); post() enters the window the same
 /// way but returns once the first transmission is out. A background
 /// receiver thread ACKs, de-duplicates, reorders, and queues inbound
-/// messages for recv(); a background timer thread owns retransmissions
-/// and FEC parity flushes.
+/// messages for recv(); a background timer thread owns retransmissions.
 ///
 /// Every counter, gauge and histogram lives in `registry` (the node's
 /// registry, which must outlive the channel) under the `rudp_` prefix.
@@ -157,9 +141,6 @@ class ReliableChannel {
   [[nodiscard]] std::uint64_t fast_retransmits() const {
     return fast_retransmits_.value();
   }
-  [[nodiscard]] std::uint64_t fec_repairs() const {
-    return fec_repairs_.value();
-  }
   [[nodiscard]] std::uint64_t sack_blocks_sent() const {
     return sack_blocks_.value();
   }
@@ -198,8 +179,8 @@ class ReliableChannel {
   };
   using TxMap = std::map<std::uint64_t, TxPacket>;
 
-  /// Per-destination sender state: its own sequence space, RTT estimator,
-  /// and FEC accumulator.
+  /// Per-destination sender state: its own sequence space and RTT
+  /// estimator.
   struct TxPeer {
     std::uint64_t next_seq = 0;
     std::uint64_t flow_start = 0;
@@ -209,27 +190,14 @@ class ReliableChannel {
     bool have_rtt = false;
     double srtt_us = 0;
     double rttvar_us = 0;
-    // Open FEC group: XOR of (u32 len | payload) blocks, zero-padded.
-    int fec_count = 0;
-    std::uint64_t fec_base = 0;
-    util::Bytes fec_acc;
-    TimePoint fec_opened{};
   };
 
-  /// Per-source receiver state: cumulative ack, reorder buffer, FEC groups.
-  struct FecGroup {
-    std::uint8_t k = 0;
-    std::uint64_t have_mask = 0;  // bit i: member fec_base+i integrated
-    util::Bytes acc;              // XOR of integrated members
-    bool have_parity = false;
-    util::Bytes parity;
-  };
+  /// Per-source receiver state: cumulative ack and reorder buffer.
   struct RxPeer {
     bool inited = false;
     std::uint64_t flow_id = 0;
     std::uint64_t cum = 0;  // every seq serially <= cum delivered
     std::map<std::uint64_t, util::Bytes> ooo;  // arrived out of order
-    std::map<std::uint64_t, FecGroup> groups;  // keyed by fec_base
   };
 
   [[nodiscard]] util::Duration interval_for(TxPeer& peer, int attempt)
@@ -245,8 +213,6 @@ class ReliableChannel {
   TxMap::iterator settle(TxPeer& peer, TxMap::iterator it,
                          util::Status status) NAPLET_REQUIRES(mu_);
   void rtt_sample(TxPeer& peer, double sample_us) NAPLET_REQUIRES(mu_);
-  /// Close the open FEC group and return the encoded parity frame.
-  [[nodiscard]] util::Bytes flush_fec(TxPeer& peer) NAPLET_REQUIRES(mu_);
 
   void send_frame(const Endpoint& dest, const util::Bytes& wire);
   /// Consult `site` and transmit (possibly duplicated/corrupted/skipped).
@@ -256,27 +222,18 @@ class ReliableChannel {
 
   void receive_loop();
   void timer_loop();
-  /// One retransmit/FEC-flush scan (the timer_loop body): collects due
+  /// One retransmit scan (the timer_loop body): collects due
   /// frames under mu_, transmits them unlocked, and returns the earliest
   /// next deadline — nullopt when nothing is in flight.
   std::optional<TimePoint> retx_pass();
   void handle_packet(const Endpoint& from, util::ByteSpan data);
   void handle_ack(const Endpoint& from, const wire::Packet& packet);
   void handle_data(const Endpoint& from, wire::Packet packet);
-  void handle_parity(const Endpoint& from, wire::Packet packet);
 
   RxPeer& rx_peer_for(const Endpoint& from, const wire::Packet& packet)
       NAPLET_REQUIRES(rx_mu_);
-  /// Integrate an in-window data payload, drain the reorder buffer to the
-  /// inbox, and try FEC reconstruction. Returns true if state changed.
-  bool integrate_data(RxPeer& peer, std::uint64_t seq,
-                      const wire::Packet& packet, const Endpoint& from)
-      NAPLET_REQUIRES(rx_mu_);
+  /// Move every payload now in order from the reorder buffer to the inbox.
   void drain_in_order(RxPeer& peer, const Endpoint& from)
-      NAPLET_REQUIRES(rx_mu_);
-  /// Rebuild the one missing member of group `base` from its parity;
-  /// true when a packet was repaired.
-  bool try_reconstruct(RxPeer& peer, std::uint64_t base)
       NAPLET_REQUIRES(rx_mu_);
   /// Build the current cumulative+SACK ACK frame for `peer`.
   [[nodiscard]] util::Bytes build_ack(RxPeer& peer, std::size_t* n_sacks)
@@ -318,7 +275,6 @@ class ReliableChannel {
   obs::Counter& duplicates_dropped_;
   obs::Counter& sack_blocks_;       // SACK ranges sent in ACKs
   obs::Counter& fast_retransmits_;  // the gap-evidence share of the above
-  obs::Counter& fec_repairs_;       // packets rebuilt from FEC
 
   std::thread timer_;     // constructed after all state, joined in dtor
   std::thread receiver_;  // constructed last, joined in destructor

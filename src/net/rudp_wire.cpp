@@ -6,16 +6,13 @@ namespace naplet::net::wire {
 
 util::Bytes encode(const Packet& packet) {
   const std::size_t n_sacks = std::min(packet.sacks.size(), kMaxSackRanges);
-  util::BytesWriter w(packet.payload.size() + 48 + n_sacks * 16);
+  util::BytesWriter w(packet.payload.size() + 37 + n_sacks * 16);
   w.u16(kMagic);
   w.u8(kVersion);
   w.u8(static_cast<std::uint8_t>(packet.type));
   w.u64(packet.seq);
   w.u64(packet.flow_id);
   w.u64(packet.flow_start);
-  w.u8(packet.flags);
-  w.u8(packet.fec_k);
-  w.u64(packet.fec_base);
   w.u8(static_cast<std::uint8_t>(n_sacks));
   for (std::size_t i = 0; i < n_sacks; ++i) {
     w.u64(packet.sacks[i].first);
@@ -44,7 +41,7 @@ std::optional<Packet> decode(util::ByteSpan data) {
   if (!version.ok() || *version != kVersion) return std::nullopt;
   auto type = r.u8();
   if (!type.ok() ||
-      *type > static_cast<std::uint8_t>(PacketType::kParity)) {
+      *type > static_cast<std::uint8_t>(PacketType::kAck)) {
     return std::nullopt;
   }
 
@@ -53,21 +50,14 @@ std::optional<Packet> decode(util::ByteSpan data) {
   auto seq = r.u64();
   auto flow_id = r.u64();
   auto flow_start = r.u64();
-  auto flags = r.u8();
-  auto fec_k = r.u8();
-  auto fec_base = r.u64();
   auto n_sacks = r.u8();
-  if (!seq.ok() || !flow_id.ok() || !flow_start.ok() || !flags.ok() ||
-      !fec_k.ok() || !fec_base.ok() || !n_sacks.ok() ||
+  if (!seq.ok() || !flow_id.ok() || !flow_start.ok() || !n_sacks.ok() ||
       *n_sacks > kMaxSackRanges) {
     return std::nullopt;
   }
   packet.seq = *seq;
   packet.flow_id = *flow_id;
   packet.flow_start = *flow_start;
-  packet.flags = *flags;
-  packet.fec_k = *fec_k;
-  packet.fec_base = *fec_base;
   packet.sacks.reserve(*n_sacks);
   for (std::uint8_t i = 0; i < *n_sacks; ++i) {
     auto first = r.u64();

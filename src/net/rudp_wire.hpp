@@ -3,29 +3,27 @@
 //
 // Packet layout (all integers big-endian, via BytesWriter):
 //
-//   u16 magic 'NS' | u8 version(2) | u8 type | u64 seq | u64 flow_id |
-//   u64 flow_start | u8 flags | u8 fec_k | u64 fec_base | u8 sack_count |
-//   sack_count x (u64 first, u64 last) | u32 payload_len | payload |
-//   u32 crc32(everything above)
+//   u16 magic 'NS' | u8 version(3) | u8 type | u64 seq | u64 flow_id |
+//   u64 flow_start | u8 sack_count | sack_count x (u64 first, u64 last) |
+//   u32 payload_len | payload | u32 crc32(everything above)
+//
+// Version 3 dropped the ten bytes of XOR-FEC group fields that v2 carried
+// after flow_start, and v2's PARITY type; a v2 frame is rejected like a
+// foreign one.
 //
 // Field meaning by type:
 //   DATA    seq = packet sequence; flow_id identifies this sender
 //           incarnation (a restarted channel reusing the endpoint resets
 //           the receiver state instead of colliding with the old flow's
 //           dedup window); flow_start = first seq of the flow (lets the
-//           receiver initialise its cumulative ack without a handshake);
-//           fec_base marks the XOR-FEC group this packet belongs to
-//           (kFlagFecMember set).
+//           receiver initialise its cumulative ack without a handshake).
 //   ACK     seq = cumulative ack (every seq serially <= it is delivered);
 //           sacks = up to kMaxSackRanges of out-of-order received ranges.
-//   PARITY  seq = fec_base of the group; fec_k = group size; payload =
-//           XOR over the members' (u32 len | payload) blocks, zero-padded
-//           to the longest member.
 //
 // Sequence numbers are compared with serial arithmetic (RFC 1982 style) so
 // flows survive wraparound at 2^64; the codec rejects any packet whose CRC
 // does not match — a flipped bit anywhere downgrades the packet to a loss,
-// which the retransmit/FEC machinery already repairs.
+// which the retransmit machinery already repairs.
 #pragma once
 
 #include <cstdint>
@@ -37,14 +35,12 @@
 namespace naplet::net::wire {
 
 inline constexpr std::uint16_t kMagic = 0x4E53;  // "NS"
-inline constexpr std::uint8_t kVersion = 2;
+inline constexpr std::uint8_t kVersion = 3;
 inline constexpr std::size_t kMaxSackRanges = 4;
-inline constexpr std::uint8_t kFlagFecMember = 0x01;
 
 enum class PacketType : std::uint8_t {
   kData = 0,
   kAck = 1,
-  kParity = 2,
 };
 
 /// Serial (wraparound-safe) sequence comparison: a < b iff the signed
@@ -69,15 +65,8 @@ struct Packet {
   std::uint64_t seq = 0;
   std::uint64_t flow_id = 0;
   std::uint64_t flow_start = 0;
-  std::uint8_t flags = 0;
-  std::uint8_t fec_k = 0;
-  std::uint64_t fec_base = 0;
   std::vector<SackRange> sacks;
   util::Bytes payload;
-
-  [[nodiscard]] bool fec_member() const noexcept {
-    return (flags & kFlagFecMember) != 0;
-  }
 };
 
 /// Encode with trailing CRC. sacks beyond kMaxSackRanges are dropped.

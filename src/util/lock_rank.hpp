@@ -55,7 +55,7 @@ enum class LockRank : int {
   kStateCell = 40,    ///< WaitableCell (FSM state; logs under its lock)
   kRudpChannel = 44,  ///< net::ReliableChannel::mu_ (sender window state)
   kRudpRx = 46,       ///< net::ReliableChannel::rx_mu_ (receiver reorder
-                      ///< buffer / FEC groups; never nests inside mu_)
+                      ///< buffer; never nests inside mu_)
   kQueue = 60,        ///< util::BlockingQueue
   kEvent = 64,        ///< util::Event
   kSimFabric = 68,    ///< net::SimNet::Impl::mu

@@ -40,19 +40,19 @@ TEST_F(ChaosTest, SeedToCaseMappingIsPinned) {
     const char* plan;
   } golden[] = {
       {42, Scenario::kDoubleSequential,
-       "rudp.retransmit@#1:delay:5;ctrl.suspend_ack.on_recv@#1:delay:10"},
+       "ctrl.suspend.on_recv@#1:delay:27;rudp.fast_retx@#1:drop"},
       {43, Scenario::kDoubleSequential,
-       "rudp.send@#8x2:drop;rudp.send@#1:drop"},
+       "ctrl.sus_res.pre_send@#2:delay:11;ctrl.suspend.on_recv@#1:delay:7"},
       {46, Scenario::kSingleMigration,
-       "rudp.send@#5:flip;rudp.sack@#1x2:drop"},
+       "rudp.fast_retx@#2:drop;rudp.sack@#3x3:drop"},
       {48, Scenario::kDoubleOverlapped,
-       "rudp.send@#2:flip;ctrl.suspend_ack.pre_send@#1:delay:5"},
-      {52, Scenario::kDoubleOverlapped, "ctrl.sus_res.pre_send@#1:dup"},
+       "rudp.sack@#4x2:drop;rudp.sack@#1x2:drop"},
+      {52, Scenario::kDoubleOverlapped, "rudp.sack@#4x3:drop"},
       {60, Scenario::kSingleMigration,
-       "ctrl.suspend.on_recv@#2:delay:27;rudp.retransmit@#2x2:flip"},
+       "rudp.send@#6:flip;rudp.retransmit@#2x2:drop"},
       {64, Scenario::kDoubleSequential,
-       "redirector.handoff.accept@#1:kill;rudp.sack@#4:drop"},
-      {66, Scenario::kSingleMigration, "rudp.fec@#2x2:drop"},
+       "ctrl.suspend.on_recv@#1:delay:24;rudp.fast_retx@#1:drop"},
+      {66, Scenario::kSingleMigration, "ctrl.suspend.pre_send@#1:delay:13"},
   };
   for (const auto& g : golden) {
     const ChaosCase chaos_case = generate_case(g.seed, /*light=*/true);

@@ -25,7 +25,7 @@ TEST(FaultGrammarTest, RuleRoundTrips) {
            "rudp.send@#3x2:flip",
            "rudp.sack@#1:drop",
            "rudp.fast_retx@#1:drop",
-           "rudp.fec@#2:flip",
+           "rudp.sack@#2:flip",
            "ctrl.suspend.on_recv@t250:drop",
            "rudp.retransmit@t100x4:delay:5",
        }) {

@@ -442,47 +442,6 @@ class RudpFaultTest : public ::testing::Test {
   void TearDown() override { fault::Injector::instance().disarm(); }
 };
 
-TEST_F(RudpFaultTest, FecRepairsDropWithoutRetransmit) {
-  SimNet net(/*seed=*/31);
-  auto a = net.add_node("a");
-  auto b = net.add_node("b");
-
-  RudpConfig config;
-  config.retransmit_interval = 5s;  // the timer must never be the fix
-  // Without this the first ACK's RTT sample shrinks the RTO to ~min_rto,
-  // and under load the timer can beat the 1 ms parity flush.
-  config.adaptive_rto = false;
-  config.max_attempts = 3;
-  config.repair = LossRepair::kXorFec;
-  config.fec_group = 4;
-  config.fec_flush = 1ms;  // sequential sends degrade to per-packet parity
-  auto ca = make_channel(*a, 7, config);
-  auto cb = make_channel(*b, 7, config);
-
-  auto plan = fault::Plan::parse("rudp.send@#2:drop");
-  ASSERT_TRUE(plan.ok());
-  fault::Injector::instance().arm(*plan);
-  for (int i = 0; i < 3; ++i) {
-    util::BytesWriter w;
-    w.u32(static_cast<std::uint32_t>(i));
-    ASSERT_TRUE(ca->send(Endpoint{"b", 7},
-                         util::ByteSpan(w.data().data(), w.data().size()))
-                    .ok())
-        << "message " << i;
-  }
-  fault::Injector::instance().disarm();
-
-  for (int i = 0; i < 3; ++i) {
-    auto msg = cb->recv(1s);
-    ASSERT_TRUE(msg.has_value()) << "message " << i;
-    util::BytesReader r(
-        util::ByteSpan(msg->payload.data(), msg->payload.size()));
-    EXPECT_EQ(*r.u32(), static_cast<std::uint32_t>(i));
-  }
-  EXPECT_EQ(ca->retransmissions(), 0u);  // parity repaired the drop
-  EXPECT_GE(cb->fec_repairs(), 1u);
-}
-
 TEST_F(RudpFaultTest, FastRetransmitOnSackGapEvidence) {
   SimNet net(/*seed=*/37);
   auto a = net.add_node("a");
@@ -490,8 +449,8 @@ TEST_F(RudpFaultTest, FastRetransmitOnSackGapEvidence) {
 
   RudpConfig config;
   config.retransmit_interval = 5s;  // only the gap detector can recover
-  // Without this the ACK of 0xA1 shrinks the RTO to ~min_rto, and under
-  // load the timer retransmits 0xA2 before its ACK lands.
+  // Without this the ACK of 0xA1 shrinks the RTO to its 2 ms floor, and
+  // under load the timer retransmits 0xA2 before its ACK lands.
   config.adaptive_rto = false;
   config.max_attempts = 5;
   config.fast_retx_dupacks = 2;

@@ -1,10 +1,11 @@
 // Wire-codec coverage for the sliding-window rudp packet format: encode /
-// decode round trips for every packet type, CRC rejection of single-bit
-// corruption anywhere in the frame, SACK-range coalescing, and serial
-// sequence arithmetic across the 2^64 wraparound.
+// decode round trips for every packet type, byte-exact v3 goldens, version
+// and CRC rejection, SACK-range coalescing, and serial sequence arithmetic
+// across the 2^64 wraparound.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #include "net/rudp_wire.hpp"
 
@@ -15,16 +16,41 @@ util::Bytes payload_of(std::initializer_list<std::uint8_t> bytes) {
   return util::Bytes(bytes);
 }
 
-TEST(RudpWireTest, DataRoundTrip) {
+std::string hex_of(const util::Bytes& frame) {
+  return util::to_hex(util::ByteSpan(frame.data(), frame.size()));
+}
+
+/// Overwrite the trailing CRC so it covers the frame's current bytes.
+void reseal(util::Bytes& frame) {
+  const std::uint32_t crc =
+      util::crc32(util::ByteSpan(frame.data(), frame.size() - 4));
+  for (int i = 0; i < 4; ++i) {
+    frame[frame.size() - 4 + i] =
+        static_cast<std::uint8_t>(crc >> (24 - 8 * i));
+  }
+}
+
+Packet sample_data() {
   Packet in;
   in.type = PacketType::kData;
   in.seq = 0x0123456789ABCDEFULL;
   in.flow_id = 42;
   in.flow_start = 0x0123456789ABCDE0ULL;
-  in.flags = kFlagFecMember;
-  in.fec_base = 0x0123456789ABCDECULL;
   in.payload = payload_of({0xDE, 0xAD, 0xBE, 0xEF});
+  return in;
+}
 
+Packet sample_ack() {
+  Packet in;
+  in.type = PacketType::kAck;
+  in.seq = 99;  // cumulative ack
+  in.flow_id = 7;
+  in.sacks = {SackRange{101, 103}, SackRange{107, 107}};
+  return in;
+}
+
+TEST(RudpWireTest, DataRoundTrip) {
+  const Packet in = sample_data();
   const util::Bytes frame = encode(in);
   auto out = decode(util::ByteSpan(frame.data(), frame.size()));
   ASSERT_TRUE(out.has_value());
@@ -32,20 +58,12 @@ TEST(RudpWireTest, DataRoundTrip) {
   EXPECT_EQ(out->seq, in.seq);
   EXPECT_EQ(out->flow_id, in.flow_id);
   EXPECT_EQ(out->flow_start, in.flow_start);
-  EXPECT_TRUE(out->fec_member());
-  EXPECT_EQ(out->fec_base, in.fec_base);
   EXPECT_EQ(out->payload, in.payload);
   EXPECT_TRUE(out->sacks.empty());
 }
 
 TEST(RudpWireTest, AckWithSacksRoundTrip) {
-  Packet in;
-  in.type = PacketType::kAck;
-  in.seq = 99;  // cumulative ack
-  in.flow_id = 7;
-  in.sacks = {SackRange{101, 103}, SackRange{107, 107}};
-
-  const util::Bytes frame = encode(in);
+  const util::Bytes frame = encode(sample_ack());
   auto out = decode(util::ByteSpan(frame.data(), frame.size()));
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->type, PacketType::kAck);
@@ -56,21 +74,30 @@ TEST(RudpWireTest, AckWithSacksRoundTrip) {
   EXPECT_TRUE(out->payload.empty());
 }
 
-TEST(RudpWireTest, ParityRoundTrip) {
-  Packet in;
-  in.type = PacketType::kParity;
-  in.seq = 12;
-  in.fec_base = 12;
-  in.fec_k = 4;
-  in.payload = payload_of({0x00, 0x00, 0x00, 0x01, 0x5A});
+// The v3 header, byte for byte: magic | version 3 | type | seq | flow_id |
+// flow_start | sack_count | sacks | payload_len | payload | crc32. A codec
+// change that moves these bytes breaks every live peer.
+TEST(RudpWireTest, DataGoldenV3) {
+  EXPECT_EQ(hex_of(encode(sample_data())),
+            "4e5303000123456789abcdef000000000000002a0123456789abcde000"
+            "00000004deadbeef0a35cca7");
+}
 
-  const util::Bytes frame = encode(in);
-  auto out = decode(util::ByteSpan(frame.data(), frame.size()));
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(out->type, PacketType::kParity);
-  EXPECT_EQ(out->fec_k, 4u);
-  EXPECT_EQ(out->fec_base, 12u);
-  EXPECT_EQ(out->payload, in.payload);
+TEST(RudpWireTest, AckGoldenV3) {
+  EXPECT_EQ(hex_of(encode(sample_ack())),
+            "4e53030100000000000000630000000000000007000000000000000002"
+            "00000000000000650000000000000067000000000000006b000000000000006b"
+            "000000001f178546");
+}
+
+TEST(RudpWireTest, OtherVersionWithValidCrcIsRejected) {
+  util::Bytes frame = encode(sample_data());
+  ASSERT_EQ(frame[2], kVersion);
+  reseal(frame);  // the helper's own CRC is accepted
+  ASSERT_TRUE(decode(util::ByteSpan(frame.data(), frame.size())).has_value());
+  frame[2] = 2;  // the FEC-era layout's version byte
+  reseal(frame);
+  EXPECT_FALSE(decode(util::ByteSpan(frame.data(), frame.size())).has_value());
 }
 
 TEST(RudpWireTest, EveryBitFlipIsRejected) {
