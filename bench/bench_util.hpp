@@ -89,12 +89,11 @@ class BenchRealm {
     locations().begin_migration(id);
     auto st = ctrl(from).prepare_migration(id);
     if (!st.ok()) {
-      // Abort the hop: keep the agent (and its suspended sessions) where
-      // they are and resume them, mirroring AgentServer's rollback.
+      // Abort the hop: a failed prepare has already resumed the agent's
+      // connections, so only the location goes back to the source.
       std::fprintf(stderr, "bench migrate (prepare) failed: %s\n",
                    st.to_string().c_str());
       locations().register_agent(id, node(from).server().node_info());
-      (void)ctrl(from).complete_migration(id);
       return sw.elapsed_ms();
     }
     const util::Bytes sessions = ctrl(from).export_sessions(id);

@@ -5,11 +5,7 @@
 #      + explicit `ctest -L net`       (rudp sliding-window/SACK suite)
 #      + fixed-seed chaos_runner smoke (25 replayable fault schedules)
 #      + pinned-seed crash-restart smoke (recovery on and off)
-#      + explicit `ctest -L group`     (the whole-agent sweep, pinned group
-#                                       chaos scenarios 6/7)
 #      + loss-sweep bench smoke        (fast-mode JSON, parsed + shape-checked)
-#      + group-suspend bench smoke     (fast-mode JSON: makespan + per-phase
-#                                       percentiles for 1/8/64-member agents)
 #      + explicit `ctest -L shards`    (the sharded session table, wakeup
 #                                       regressions)
 #      + repository benchmark smoke    (perfbench/run.py builds and runs
@@ -25,12 +21,14 @@
 #                                       hand-written byte code)
 #   3. Tsan build + `ctest -L tsan`   (pinned light concurrency sweep,
 #                                       including tsan_redirector: the
-#                                       pooled handoff workers)
+#                                       pooled handoff workers, and
+#                                       tsan_sweep_rollback: a failed
+#                                       migration sweep resuming what it
+#                                       suspended)
 #      + `ctest -L faults`            (fault-injection suite under TSan)
 #      + `ctest -L recovery`          (crash-restart recovery under TSan)
 #      + `ctest -L obs`              (observability suite under TSan)
 #      + `ctest -L net`              (the rudp transport under TSan)
-#      + `ctest -L group`            (whole-agent sweep under TSan)
 #      + `ctest -L shards`           (sharded session table under TSan)
 #      + `ctest -L crypto`           (DH comb tables, built on first use
 #                                       by whichever connect gets there)
@@ -84,9 +82,6 @@ for scenario in 3 4 5; do
     --seed 5 --scenario "$scenario" --light --no-recovery
 done
 
-note "group-suspend suite (ctest -L group, Debug)"
-ctest --test-dir build-debug -L group --output-on-failure -j "$JOBS"
-
 note "sharded session table suite (ctest -L shards, Debug)"
 ctest --test-dir build-debug -L shards --output-on-failure -j "$JOBS"
 
@@ -117,35 +112,6 @@ print("loss-sweep JSON ok:", ", ".join(
 EOF
 else
   skip "python3 not installed (loss-sweep JSON parse)"
-fi
-
-note "group-suspend bench smoke (fast mode, makespan + phase percentiles)"
-# The binary shape-checks itself (no rollbacks, 64-member sweep beats the
-# serial bound); the JSON parse confirms every agent size carries a
-# makespan distribution and per-phase p50/p95/p99.
-(cd build-debug/bench && NAPLET_BENCH_FAST=1 ./ops_group_suspend --json)
-if command -v python3 >/dev/null 2>&1; then
-  python3 - build-debug/bench/BENCH_ops_group_suspend.json <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    data = json.load(f)
-agents = data["agents"]
-assert [a["connections"] for a in agents] == [1, 8, 64], "agent sizes wrong"
-for a in agents:
-    assert a["rollbacks"] == 0, f"{a['connections']}-conn sweep rolled back"
-    for span in ("prepare_makespan", "resume_makespan"):
-        for key in ("mean_ms", "p50_ms", "p95_ms", "p99_ms"):
-            assert a[span][key] > 0, f"{a['connections']}-conn {span}.{key} missing"
-    for phase in ("group_prepare", "group_commit", "group_suspend"):
-        assert a[phase]["count"] > 0, f"{a['connections']}-conn {phase} never recorded"
-        assert a[phase]["p99_us"] >= a[phase]["p50_us"] > 0, \
-            f"{a['connections']}-conn {phase} percentiles malformed"
-print("group-suspend JSON ok:", ", ".join(
-    f"{a['connections']}c prepare p95 {a['prepare_makespan']['p95_ms']:.2f}ms"
-    for a in agents))
-EOF
-else
-  skip "python3 not installed (group-suspend JSON parse)"
 fi
 
 note "repository benchmark smoke (perfbench: build + 2 s per workload)"
@@ -188,7 +154,6 @@ if [ "$SKIP_TSAN" -eq 0 ]; then
   ctest --test-dir build-tsan -L faults --output-on-failure -j "$JOBS"
   ctest --test-dir build-tsan -L recovery --output-on-failure -j "$JOBS"
   ctest --test-dir build-tsan -L obs --output-on-failure -j "$JOBS"
-  ctest --test-dir build-tsan -L group --output-on-failure -j "$JOBS"
   ctest --test-dir build-tsan -L shards --output-on-failure -j "$JOBS"
   ctest --test-dir build-tsan -L crypto --output-on-failure -j "$JOBS"
   # The `net` test has no per-test TSAN env property (it also runs in

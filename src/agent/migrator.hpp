@@ -20,7 +20,8 @@ class ConnectionMigrator {
 
   /// Suspend all connections of `id`; blocks until every one is suspended
   /// (honoring the concurrent-migration protocol, which may serialize this
-  /// behind a peer's migration).
+  /// behind a peer's migration). All or nothing: on failure every
+  /// connection is back in service and the agent may stay where it is.
   virtual util::Status prepare_migration(const AgentId& id) = 0;
 
   /// Serialized state of `id`'s suspended connections (empty if none).

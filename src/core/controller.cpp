@@ -58,7 +58,6 @@ SocketController::SocketController(agent::AgentServer& server,
       sessions_recovered_(registry_.counter("sessions_recovered")),
       resume_retries_(registry_.counter("resume_retries")),
       epoch_fenced_(registry_.counter("epoch_fenced")),
-      group_rollbacks_(registry_.counter("group_rollbacks")),
       hist_suspend_us_(registry_.histogram("nsock_suspend_latency_us")),
       hist_drain_us_(registry_.histogram("nsock_drain_time_us")),
       hist_handoff_us_(registry_.histogram("nsock_handoff_time_us")),
@@ -75,14 +74,7 @@ SocketController::SocketController(agent::AgentServer& server,
       hist_connect_handshake_us_(
           registry_.histogram("nsock_connect_handshake_us")),
       hist_connect_open_us_(
-          registry_.histogram("nsock_connect_open_socket_us")),
-      hist_group_prepare_us_(
-          registry_.histogram("nsock_group_prepare_us")),
-      hist_group_commit_us_(registry_.histogram("nsock_group_commit_us")),
-      hist_group_rollback_us_(
-          registry_.histogram("nsock_group_rollback_us")),
-      hist_group_suspend_us_(
-          registry_.histogram("nsock_group_suspend_us")) {
+          registry_.histogram("nsock_connect_open_socket_us")) {
   epoch_.set(1);
 }
 
@@ -149,14 +141,6 @@ void SocketController::stop() {
   }
   if (redirector_) redirector_->stop();
   if (repair_thread_.joinable()) repair_thread_.join();
-  std::vector<PrefreezeWatchdog> watchdogs;
-  {
-    util::MutexLock lock(mu_);
-    watchdogs = std::exchange(prefreeze_watchdogs_, {});
-  }
-  for (PrefreezeWatchdog& w : watchdogs) {
-    if (w.thread.joinable()) w.thread.join();
-  }
 }
 
 agent::NodeInfo SocketController::self_node() const {

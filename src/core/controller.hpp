@@ -85,12 +85,6 @@ struct ControllerConfig {
   ToleranceConfig tolerance{};
   /// Crash-recovery extension: durable journal + restart recovery.
   DurabilityConfig durability{};
-  /// Atomic whole-agent group suspend: prepare_migration sweeps ALL of an
-  /// agent's established connections into SUSPENDED behind one barrier
-  /// (consistent cross-connection cut) with a two-phase journal commit and
-  /// full-group rollback on any member failure. Off = the paper's serial
-  /// §3.2 sweep.
-  bool group_suspend = false;
 
   util::Duration ctrl_response_timeout{std::chrono::seconds(5)};
   util::Duration connect_timeout{std::chrono::seconds(5)};
@@ -158,10 +152,6 @@ class SocketController final : public agent::ConnectionMigrator {
   util::Status resume(const SessionPtr& session);
   /// Close from ESTABLISHED or SUSPENDED.
   util::Status close(const SessionPtr& session);
-
-  [[nodiscard]] std::uint64_t group_rollbacks() const {
-    return group_rollbacks_.value();
-  }
 
   /// Crash-recovery extension: replay the durable journal after a restart.
   /// Every recorded session is reconstructed in SUSPENDED with its sealed
@@ -334,49 +324,19 @@ class SocketController final : public agent::ConnectionMigrator {
   util::Status do_resume_once(const SessionPtr& session,
                               CommitBatch* resumed);
 
-  // Group-suspend internals (controller_group.cpp).
-  /// Atomic whole-agent sweep (the group_suspend config path of
-  /// prepare_migration): every established connection of `id` enters
-  /// SUSPENDED as one cut with a two-phase journal commit, or the whole
-  /// group rolls back to ESTABLISHED. One sweep per agent at a time.
-  util::Status group_suspend(const agent::AgentId& id);
-  /// The sweep over the agent's established members: freeze them, run
-  /// the phase 1 workers, then commit or roll back.
-  util::Status group_suspend_sweep(const std::vector<SessionPtr>& members);
-  /// Phase-1 worker body for one member: send SUS with the group id, wait
-  /// for the ack, drain to the peer's mark. Stops early, returning OK,
-  /// once another member has set `veto`; the vetoing member's own status
-  /// carries the cause.
-  util::Status group_prepare_member(const SessionPtr& session,
-                                    std::uint64_t group_id,
-                                    const std::atomic<bool>& veto);
-  /// Roll the entire group back after a phase-1 failure or commit abort.
-  void group_rollback(const std::vector<SessionPtr>& members,
-                      std::uint64_t group_id, const std::string& reason);
-  /// Peer side of the consistent cut: on the first SUS carrying a group
-  /// id, pre-freeze every OTHER established session facing the migrating
-  /// agent so nothing written after the first member's cut can slip into
-  /// a later member's buffer. A watchdog reverts orphaned pre-freezes.
-  void group_freeze_inbound(const SessionPtr& trigger, const CtrlMsg& msg);
-  /// Watchdog body: revert still-pre-frozen sessions of `peer_agent` to
-  /// ESTABLISHED if their own group SUS never arrives within the bound.
-  void group_prefreeze_watchdog(std::string peer_agent,
-                                std::vector<std::uint64_t> conn_ids);
-
-  /// One SUS exchange, shared by active_suspend and the group workers:
-  /// send `sus`, then wait for SUS_ACK, ACK_WAIT or REJECT while pumping
-  /// the receive side, resending with a peer-location refresh every
-  /// max(250 ms, ctrl_response_timeout / 4). Returns nullopt at
-  /// `deadline_us`, when the session leaves the live states, or when
-  /// `veto` (optional) is set. A zero `deadline_us` is set to one
-  /// ctrl_response_timeout after the first send; a caller that repeats
+  /// One SUS exchange for active_suspend: send `sus`, then wait for
+  /// SUS_ACK, ACK_WAIT or REJECT while pumping the receive side, resending
+  /// with a peer-location refresh every max(250 ms,
+  /// ctrl_response_timeout / 4). Returns nullopt at `deadline_us` or when
+  /// the session leaves the live states. A zero `deadline_us` is set to
+  /// one ctrl_response_timeout after the first send; a caller that repeats
   /// the exchange passes it back to keep one deadline.
-  std::optional<Session::CtrlResponse> exchange_sus(
-      Session& session, CtrlMsg& sus, std::int64_t& deadline_us,
-      const std::atomic<bool>* veto = nullptr);
+  std::optional<Session::CtrlResponse> exchange_sus(Session& session,
+                                                    CtrlMsg& sus,
+                                                    std::int64_t& deadline_us);
   /// Wait on session.responses() for one of `want`, discarding stale
   /// response types. Shared by the suspend/close/resume waiters in
-  /// controller_ops.cpp and the group rollback's ack harvest.
+  /// controller_ops.cpp.
   static std::optional<Session::CtrlResponse> wait_response(
       Session& session, std::initializer_list<CtrlType> want,
       util::Duration timeout);
@@ -449,20 +409,6 @@ class SocketController final : public agent::ConnectionMigrator {
       NAPLET_GUARDED_BY(mu_);
   std::set<agent::AgentId> migrating_agents_ NAPLET_GUARDED_BY(mu_);
 
-  // Group-suspend state. Agents with a group sweep in flight: a second
-  // concurrent sweep for the same agent is refused. (Not
-  // migrating_agents_: a drained agent is legitimately prepared again.)
-  // Watchdog threads revert orphaned peer-side pre-freezes; finished
-  // entries are reaped on the next spawn and all are joined in stop().
-  std::set<std::string> group_sweeps_ NAPLET_GUARDED_BY(mu_);
-  struct PrefreezeWatchdog {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
-  std::vector<PrefreezeWatchdog> prefreeze_watchdogs_ NAPLET_GUARDED_BY(mu_);
-  /// Monotonic group-id source (combined with the epoch on the wire).
-  std::atomic<std::uint64_t> next_group_id_{1};
-
   std::atomic<bool> started_{false};
   std::atomic<bool> stopped_{false};
   /// Set once by stop(): every retry/backoff pause in the operation paths
@@ -491,7 +437,6 @@ class SocketController final : public agent::ConnectionMigrator {
   obs::Counter& sessions_recovered_;
   obs::Counter& resume_retries_;
   obs::Counter& epoch_fenced_;
-  obs::Counter& group_rollbacks_;
 
   // Latency / size distributions (paper §4.2 phases + the extensions).
   obs::Histogram& hist_suspend_us_;
@@ -505,13 +450,6 @@ class SocketController final : public agent::ConnectionMigrator {
   obs::Histogram& hist_connect_key_exchange_us_;
   obs::Histogram& hist_connect_handshake_us_;
   obs::Histogram& hist_connect_open_us_;
-  // Group-suspend phase breakdown (prepare = SUS fan-out to barrier,
-  // commit = journal pair, rollback = full-group revert, suspend = whole
-  // group_suspend() makespan).
-  obs::Histogram& hist_group_prepare_us_;
-  obs::Histogram& hist_group_commit_us_;
-  obs::Histogram& hist_group_rollback_us_;
-  obs::Histogram& hist_group_suspend_us_;
 };
 
 }  // namespace naplet::nsock

@@ -63,8 +63,7 @@ std::optional<Session::CtrlResponse> SocketController::wait_response(
 // Suspension — active side
 
 std::optional<Session::CtrlResponse> SocketController::exchange_sus(
-    Session& session, CtrlMsg& sus, std::int64_t& deadline_us,
-    const std::atomic<bool>* veto) {
+    Session& session, CtrlMsg& sus, std::int64_t& deadline_us) {
   // Best-effort: if the peer controller restarted since we last heard from
   // it, its control endpoint is stale and this send times out — the resend
   // below refreshes the location and tries again, so a send failure here
@@ -75,8 +74,8 @@ std::optional<Session::CtrlResponse> SocketController::exchange_sus(
         << "conn " << session.conn_id() << ": SUS send failed ("
         << st.to_string() << "); retrying via location refresh";
   }
-  span(session.trace_id(), obs::SpanKind::kSuspendSent, session,
-       sus.group_id != 0 ? "group SUS" : "SUS", sus.sent_seq);
+  span(session.trace_id(), obs::SpanKind::kSuspendSent, session, "SUS",
+       sus.sent_seq);
   // The clock starts after the first send, which a dead endpoint can hold
   // for the transport's whole retransmission budget.
   if (deadline_us == 0) {
@@ -95,9 +94,7 @@ std::optional<Session::CtrlResponse> SocketController::exchange_sus(
       config_.ctrl_response_timeout.count() / 4);
   std::int64_t next_resend = now_us() + resend_every;
   while (now_us() < deadline_us) {
-    if ((veto != nullptr && veto->load()) || !is_live(session.state())) {
-      return std::nullopt;
-    }
+    if (!is_live(session.state())) return std::nullopt;
     if (auto resp = wait_response(
             session,
             {CtrlType::kSusAck, CtrlType::kAckWait, CtrlType::kReject},
@@ -294,19 +291,6 @@ void SocketController::handle_sus(CtrlMsg msg) {
   const ConnState st = session->state();
   switch (st) {
     case ConnState::kEstablished: {
-      if (msg.group_id != 0) {
-        // Group-suspend prepare: the peer is sweeping its whole agent.
-        // A refusal here (injected or policy) vetoes the ENTIRE group —
-        // the coordinator rolls every member back (chaos scenario 7).
-        const fault::Decision d = fault::hit("ctrl.group.prepare");
-        if (d.action == fault::Action::kError ||
-            d.action == fault::Action::kKill) {
-          reply.type = CtrlType::kReject;
-          reply.reason = "fault: group prepare refused";
-          post_reply(msg.node.control, reply, *session);
-          return;
-        }
-      }
       // Normal passive suspension (paper §2.2).
       (void)session->advance(ConnEvent::kRecvSus);  // -> SUS_ACKED
       const std::uint64_t mark = session->freeze_writes_and_mark();
@@ -314,11 +298,6 @@ void SocketController::handle_sus(CtrlMsg msg) {
         f.remote_suspended = true;
         f.peer_declared_seq = msg.sent_seq;
       });
-      // Consistent cut: before acknowledging the FIRST member of a group
-      // sweep, freeze every OTHER established session facing the
-      // migrating agent, so no later member's buffer can contain data the
-      // application produced after this member's cut point.
-      if (msg.group_id != 0) group_freeze_inbound(session, msg);
       reply.type = CtrlType::kSusAck;
       reply.sent_seq = mark;
       post_reply(msg.node.control, reply, *session);
@@ -355,24 +334,7 @@ void SocketController::handle_sus(CtrlMsg msg) {
       return;
     }
 
-    case ConnState::kSusAcked: {
-      // Pre-frozen group member: group_freeze_inbound froze this session
-      // ahead of its own SUS (consistent cut). That SUS has now arrived —
-      // acknowledge with the pre-freeze mark and complete the passive
-      // suspension that was deferred until the peer actually asked.
-      if (session->flags().group_prefrozen) {
-        session->update_flags([&](Session::Flags& f) {
-          f.group_prefrozen = false;
-          f.peer_declared_seq = msg.sent_seq;
-        });
-        reply.type = CtrlType::kSusAck;
-        reply.sent_seq = session->sent_seq();
-        post_reply(msg.node.control, reply, *session);
-        finish_passive_suspend(session, msg.sent_seq);
-        return;
-      }
-      [[fallthrough]];
-    }
+    case ConnState::kSusAcked:
     case ConnState::kSuspended:
     case ConnState::kSuspendWait: {
       // Duplicate SUS (a lost ACK was retransmitted around): re-acknowledge.
@@ -816,6 +778,13 @@ void SocketController::handle_resume_request(
     // resuming ourselves we would not be in ESTABLISHED.)
     NAPLET_LOG(kDebug, "controller")
         << "conn " << msg.conn_id << ": re-attach on established connection";
+    // Without history replay, frames the peer wrote into the old stream
+    // before it gave up on it (a SUS that timed out, then the undo of the
+    // failed sweep) exist only in that stream: pull them in up to the
+    // peer's declared mark before dropping it.
+    if (!config_.tolerance.enabled) {
+      (void)session->drain_to_mark(msg.sent_seq, config_.drain_timeout);
+    }
     session->close_stream();
   } else if (st == ConnState::kResSent) {
     // Resume glare: the higher-priority side's attempt wins.
@@ -970,10 +939,6 @@ void SocketController::handle_cls(CtrlMsg msg) {
 // ConnectionMigrator (docking-system hooks)
 
 util::Status SocketController::prepare_migration(const agent::AgentId& id) {
-  // Atomic whole-agent sweep: every established connection suspends
-  // behind one barrier with a two-phase journal commit, instead of the
-  // serial one-at-a-time walk below.
-  if (config_.group_suspend) return group_suspend(id);
   {
     util::MutexLock lock(mu_);
     migrating_agents_.insert(id);
@@ -992,10 +957,10 @@ util::Status SocketController::prepare_migration(const agent::AgentId& id) {
   const util::Status journaled =
       journal_batch(recovery::CommitPoint::kSuspendCommitted, swept);
   if (status.ok()) status = journaled;
-  if (!status.ok()) {
-    util::MutexLock lock(mu_);
-    migrating_agents_.erase(id);
-  }
+  // All or nothing: a failed sweep resumes every connection it suspended
+  // (complete_migration also clears the migrating mark), so the agent
+  // keeps a fully usable set of connections where it is.
+  if (!status.ok()) (void)complete_migration(id);
   return status;
 }
 

@@ -113,8 +113,8 @@ void SocketController::probe_peers() {
 }
 
 void SocketController::abort_session(const SessionPtr& session) {
-  // A group prepare worker for this connection sees it leave the live
-  // states within one exchange slice and vetoes its group.
+  // An in-flight SUS exchange on this connection sees it leave the live
+  // states within one exchange slice and gives up.
   //
   // Deregister first so that by the time waiters observe CLOSED the
   // controller's books are already consistent.

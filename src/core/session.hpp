@@ -186,11 +186,6 @@ class Session {
     bool peer_parked = false;        // we ACK_WAIT'ed the peer: owe SUS_RES
     bool peer_waiting_resume = false;  // peer RESUMEd into our parked
                                        // suspend: we owe the reconnect
-    bool group_prefrozen = false;    // frozen ahead of our own SUS by a
-                                     // peer's group sweep (consistent cut);
-                                     // cleared when that SUS arrives, or
-                                     // reverted by the pre-freeze watchdog.
-                                     // Transient — never persisted.
     std::uint64_t peer_declared_seq = 0;
 
     void persist(util::Archive& ar) {

@@ -112,12 +112,6 @@ std::optional<ConnState> transition(ConnState state, ConnEvent event) noexcept {
     case S::kSusAcked:
       switch (event) {
         case E::kExecSuspended: return S::kSuspended;
-        // Group pre-freeze revert: a peer of a group suspend freezes ALL
-        // of its sessions facing the migrating agent on the first group
-        // SUS (consistent cut), then waits for each member's own SUS. If
-        // the group aborts before that SUS arrives, the orphaned
-        // pre-frozen session rolls back to service.
-        case E::kSuspendAbort: return S::kEstablished;
         default: return std::nullopt;
       }
 

@@ -44,7 +44,6 @@ void CtrlMsg::persist_body(util::Archive& ar) {
   ar.field(trace_id);
   ar.field(verifier);
   ar.field(sent_seq);
-  ar.field(group_id);
   ar.field(client_agent);
   ar.field(server_agent);
   ar.field(node);

@@ -56,13 +56,6 @@ struct CtrlMsg {
                                    // MAC-covered like the epoch
   std::uint64_t verifier = 0;      // client-chosen correlation id (CONNECT*)
   std::uint64_t sent_seq = 0;      // sender's data-frame high-water mark
-  std::uint64_t group_id = 0;      // SUS: whole-agent group-suspend barrier
-                                   // this member belongs to (0 = solo
-                                   // suspend); MAC-covered. The peer
-                                   // freezes ALL its sessions facing the
-                                   // migrating agent on the first group
-                                   // SUS, making the cut consistent across
-                                   // every member connection.
   std::string client_agent;        // CONNECT
   std::string server_agent;        // CONNECT
   agent::NodeInfo node;            // sender's current service endpoints

@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <atomic>
 #include <filesystem>
 #include <sstream>
 #include <thread>
@@ -156,8 +155,6 @@ std::string_view to_string(Scenario scenario) noexcept {
     case Scenario::kCrashSuspend: return "crash-suspend";
     case Scenario::kCrashResume: return "crash-resume";
     case Scenario::kCrashDouble: return "crash-double";
-    case Scenario::kGroupCrashCommit: return "group-crash-commit";
-    case Scenario::kGroupPeerRefusal: return "group-peer-refusal";
   }
   return "?";
 }
@@ -195,13 +192,12 @@ ChaosCase make_case(std::uint64_t seed, Scenario scenario, bool light,
     chaos_case.scenario = scenario;
     return chaos_case;
   }
-  const bool group = is_group_scenario(scenario);
   ChaosCase chaos_case;
   chaos_case.seed = seed;
   chaos_case.scenario = scenario;
-  if (is_crash_scenario(scenario)) chaos_case.recovery = recovery;
-  chaos_case.forward_msgs = group ? (light ? 4 : 8) : (light ? 6 : 12);
-  chaos_case.reverse_msgs = group ? (light ? 3 : 6) : (light ? 4 : 8);
+  chaos_case.recovery = recovery;
+  chaos_case.forward_msgs = light ? 6 : 12;
+  chaos_case.reverse_msgs = light ? 4 : 8;
   chaos_case.plan.seed = seed;
   Rule rule;
   switch (scenario) {
@@ -214,27 +210,12 @@ ChaosCase make_case(std::uint64_t seed, Scenario scenario, bool light,
       rule.count = 1000;  // all hits until disarm (which follows the kill)
       rule.action = Action::kKill;
       break;
-    case Scenario::kCrashResume:
-    case Scenario::kCrashDouble:
+    default:  // kCrashResume, kCrashDouble
       // Every handoff worker of the doomed incarnation dies: the mover's
       // RESUME is in flight, unanswered, when the controller is killed.
       rule.site = "redirector.handoff.accept";
       rule.count = 1000;
       rule.action = Action::kKill;
-      break;
-    case Scenario::kGroupCrashCommit:
-      // Kill the mover's controller in the window between the
-      // group-prepare and group-commit journal records; recovery must
-      // resolve the whole group one way (roll forward: every peer already
-      // sealed).
-      rule.site = "ctrl.group.commit";
-      rule.action = Action::kKill;
-      break;
-    default:  // kGroupPeerRefusal
-      // The first group SUS the peer host processes is refused; the
-      // coordinator must roll the ENTIRE group back under send load.
-      rule.site = "ctrl.group.prepare";
-      rule.action = Action::kError;
       break;
   }
   chaos_case.plan.rules.push_back(rule);
@@ -274,18 +255,13 @@ class CaseJournalDir {
 };
 
 /// The node whose durable journal a crash choreography replays: the
-/// killed server host in the crash scenarios, the mover's host in the
-/// group crash; -1 when the case kills no node.
-int journal_node(const ChaosCase& chaos_case) {
-  if (is_crash_scenario(chaos_case.scenario)) return 1;
-  if (chaos_case.scenario == Scenario::kGroupCrashCommit) return 0;
-  return -1;
-}
+/// killed server host.
+constexpr int kJournalNode = 1;
 
-/// Node i's config: the shared rudp base, then the scenario family's
+/// Node i's config: the shared rudp base, then the crash family's
 /// overrides. Crash cases without recovery get the paper's single-shot
 /// protocol with tight timeouts, so the expected failure is bounded, never
-/// a hang. Only the journal node (journal_node) is durable.
+/// a hang. Only the journal node (kJournalNode) is durable.
 nsock::NodeConfig node_config(const ChaosCase& chaos_case, int i,
                               const std::string& journal_dir) {
   nsock::NodeConfig config;
@@ -295,20 +271,16 @@ nsock::NodeConfig node_config(const ChaosCase& chaos_case, int i,
   // Decorrelated but reproducible retransmit jitter per node.
   config.server.rudp_config.jitter_seed = chaos_case.seed * 3 + i + 1;
 
-  const bool crash = is_crash_scenario(chaos_case.scenario);
-  const bool group = is_group_scenario(chaos_case.scenario);
-  if (!crash && !group) return config;
+  if (!is_crash_scenario(chaos_case.scenario)) return config;
 
   nsock::ControllerConfig& ctrl = config.controller;
   ctrl.ctrl_response_timeout = 1s;
   ctrl.drain_timeout = 1s;
-  if (crash && !chaos_case.recovery) {
+  if (!chaos_case.recovery) {
     ctrl.resume_timeout = 3s;
     return config;
   }
-  // One tolerant block for the crash and group families: crash recovery
-  // and group rollback resume through a restarted or rolled-back
-  // redirector.
+  // Crash recovery resumes through a restarted redirector.
   ctrl.tolerance.enabled = true;
   ctrl.tolerance.probe_interval = 500ms;
   ctrl.tolerance.probe_timeout = 200ms;
@@ -316,8 +288,7 @@ nsock::NodeConfig node_config(const ChaosCase& chaos_case, int i,
   // retries and journal replay, not probe-driven abort.
   ctrl.tolerance.miss_threshold = 1000;
   ctrl.resume_timeout = 8s;
-  ctrl.group_suspend = group;
-  if (i == journal_node(chaos_case)) {
+  if (i == kJournalNode) {
     ctrl.durability.enabled = true;
     ctrl.durability.dir = journal_dir;
     ctrl.durability.compact_floor_bytes = 64;
@@ -326,9 +297,7 @@ nsock::NodeConfig node_config(const ChaosCase& chaos_case, int i,
 }
 
 /// One case, end to end, over a three-node sim realm: chaos-cli on chaos0
-/// holds k connections to chaos-srv on chaos1 (k = 3 for the group
-/// scenarios, whose barrier is about suspending several connections as
-/// one atomic cut; 1 otherwise). setup() builds that world, traffic()
+/// holds one connection to chaos-srv on chaos1. setup() builds that world, traffic()
 /// sends the pre-fault load, one choreography per scenario family stages
 /// Phase B and its scenario-specific oracles, and judge() applies the
 /// shared ones. Every step returns false once fail() has recorded why.
@@ -410,7 +379,7 @@ struct Harness {
     auto& node = realm.add_node(node_name(i), net.add_node(node_name(i)),
                                 node_config(chaos_case, i, journal.path()));
     NAPLET_RETURN_IF_ERROR(node.start());
-    if (chaos_case.recovery || !is_crash_scenario(chaos_case.scenario)) {
+    if (chaos_case.recovery) {
       NAPLET_RETURN_IF_ERROR(node.controller().recover());
     }
     realm.locations().register_agent(resident, node.server().node_info());
@@ -422,8 +391,6 @@ struct Harness {
   bool choreograph();
   bool migrate();
   bool crash();
-  bool group_crash();
-  bool group_refusal();
   bool judge();
   bool judge_delivery();
 
@@ -459,16 +426,13 @@ bool Harness::setup() {
   if (auto st = ctrl(1).listen(srv); !st.ok()) {
     return fail("listen: " + st.to_string());
   }
-  const int pairs = is_group_scenario(chaos_case.scenario) ? 3 : 1;
-  for (int i = 0; i < pairs; ++i) {
-    auto client = ctrl(0).connect(cli, srv);
-    if (!client.ok()) return fail("connect: " + client.status().to_string());
-    auto server = ctrl(1).accept(srv, 5s);
-    if (!server.ok()) return fail("accept: " + server.status().to_string());
-    clients.push_back(*client);
-    servers.push_back(*server);
-    conns.push_back((*client)->conn_id());
-  }
+  auto client = ctrl(0).connect(cli, srv);
+  if (!client.ok()) return fail("connect: " + client.status().to_string());
+  auto server = ctrl(1).accept(srv, 5s);
+  if (!server.ok()) return fail("accept: " + server.status().to_string());
+  clients.push_back(*client);
+  servers.push_back(*server);
+  conns.push_back((*client)->conn_id());
   return true;
 }
 
@@ -504,10 +468,7 @@ bool Harness::traffic() {
 
 // Phase B — one choreography per scenario family.
 bool Harness::choreograph() {
-  const Scenario scenario = chaos_case.scenario;
-  if (is_crash_scenario(scenario)) return crash();
-  if (scenario == Scenario::kGroupCrashCommit) return group_crash();
-  if (scenario == Scenario::kGroupPeerRefusal) return group_refusal();
+  if (is_crash_scenario(chaos_case.scenario)) return crash();
   return migrate();
 }
 
@@ -615,189 +576,6 @@ bool Harness::crash() {
   }
   live = false;
   note = "staged failure (expected): " + staged.to_string();
-  return true;
-}
-
-/// Scenario::kGroupCrashCommit: the whole connection set is swept through
-/// the atomic group barrier and the mover's host (the one holding the
-/// journal) dies between the group-prepare and group-commit records.
-/// Recovery must be all-or-nothing and the declared cut causally
-/// consistent.
-bool Harness::group_crash() {
-  injector.arm(chaos_case.plan);
-  if (migrate_agent(realm, cli, 0, 2).ok()) {
-    return fail("migration succeeded despite the kill between group "
-                "prepare and commit");
-  }
-  if (auto st = crash_restart(0, cli); !st.ok()) {
-    return fail("restart: " + st.to_string());
-  }
-
-  // The all-or-nothing oracle: after recover() the agent must never be
-  // left with a SUSPENDED/ESTABLISHED mix. The dangling prepare rolls
-  // forward (every peer had sealed), so the deterministic outcome is ALL
-  // suspended.
-  const int members = static_cast<int>(conns.size());
-  int suspended = 0, established = 0;
-  for (const std::uint64_t conn : conns) {
-    const nsock::SessionPtr session = ctrl(0).session_by_id(conn);
-    if (session == nullptr) {
-      return fail("conn " + std::to_string(conn) + " lost across the crash");
-    }
-    const nsock::ConnState st = session->state();
-    if (st == nsock::ConnState::kSuspended) {
-      ++suspended;
-    } else if (st == nsock::ConnState::kEstablished) {
-      ++established;
-    }
-  }
-  if (suspended != 0 && established != 0) {
-    return fail("all-or-nothing violated: " + std::to_string(suspended) +
-                " suspended, " + std::to_string(established) +
-                " established after recover()");
-  }
-  if (suspended != members) {
-    return fail("dangling group prepare did not roll forward: " +
-                std::to_string(suspended) + "/" + std::to_string(members) +
-                " suspended");
-  }
-
-  // The cut the group declared must be causally consistent; the peers
-  // recorded each member's mark at passive suspension, and the marks
-  // survived the mover's crash.
-  std::vector<DeliveryLedger::CutPoint> cut;
-  for (std::size_t i = 0; i < conns.size(); ++i) {
-    const std::uint64_t mark = servers[i]->flags().peer_declared_seq;
-    if (mark == 0) {
-      return fail("peer of conn " + std::to_string(conns[i]) +
-                  " holds no declared group mark");
-    }
-    cut.push_back({fwd(i), mark});
-  }
-  if (auto st = ledger.check_consistent_cut(cut); !st.ok()) {
-    return fail(st.to_string());
-  }
-
-  // Roll the interrupted migration forward to its destination.
-  if (auto st = migrate_agent(realm, cli, 0, 2); !st.ok()) {
-    return fail("post-recovery migration: " + st.to_string());
-  }
-  return true;
-}
-
-/// Scenario::kGroupPeerRefusal: one peer refuses mid-prepare under send
-/// load; the ENTIRE group must roll back with blocked senders waking, and
-/// a fault-free retry under racing senders must declare a consistent cut.
-bool Harness::group_refusal() {
-  const std::size_t members = conns.size();
-  nsock::SocketController& mover = ctrl(0);
-  // Concurrent send pressure on every member while the first group SUS
-  // the peer host processes is refused.
-  std::vector<util::Status> load_status(members, util::OkStatus());
-  std::vector<std::jthread> load;  // an early fail() still joins them
-  for (std::size_t i = 0; i < members; ++i) {
-    load.emplace_back([&, i] {
-      for (int j = 0; j < 8; ++j) {
-        const std::string body =
-            "l" + std::to_string(i) + "." + std::to_string(j);
-        if (auto st = send(*clients[i], fwd(i), body, 10s); !st.ok()) {
-          load_status[i] = st;
-          return;
-        }
-        std::this_thread::sleep_for(2ms);
-      }
-    });
-  }
-  std::this_thread::sleep_for(10ms);
-
-  injector.arm(chaos_case.plan);
-  const util::Status refused = mover.prepare_migration(cli);
-  injector.disarm();
-  if (refused.ok()) {
-    return fail("group prepare succeeded despite the refused peer");
-  }
-
-  // Full-group rollback oracle: every member returns to ESTABLISHED
-  // (never a mix), and the senders blocked across the rollback wake and
-  // finish cleanly.
-  for (const nsock::SessionPtr& client : clients) {
-    if (auto st = await_established(*client, 8s); !st.ok()) {
-      return fail("rollback: " + st.to_string());
-    }
-  }
-  for (auto& t : load) t.join();
-  for (const util::Status& st : load_status) {
-    if (!st.ok()) return fail("sender under rollback: " + st.to_string());
-  }
-  const std::uint64_t rollbacks = mover.group_rollbacks();
-  if (rollbacks == 0) return fail("refusal did not count a group rollback");
-  note = "group: rollbacks=" + std::to_string(rollbacks);
-
-  // Retry the sweep fault-free with senders RACING the freeze: the
-  // consistent-cut oracle proves no send slipped past another member's
-  // pinned mark. Sends that time out never entered the stream (the freeze
-  // parks them before the write), so only OK sends are recorded.
-  std::atomic<bool> stop{false};
-  std::vector<util::Status> racer_status(members, util::OkStatus());
-  std::vector<std::jthread> racers;
-  for (std::size_t i = 0; i < members; ++i) {
-    racers.emplace_back([&, i] {
-      int j = 0;
-      while (!stop.load()) {
-        const std::string body =
-            "g" + std::to_string(i) + "." + std::to_string(j);
-        const util::Status st = send(*clients[i], fwd(i), body, 300ms);
-        if (st.ok()) {
-          ++j;
-        } else if (st.code() != util::StatusCode::kTimeout) {
-          racer_status[i] = st;
-          return;
-        }
-        std::this_thread::sleep_for(2ms);
-      }
-    });
-  }
-  std::this_thread::sleep_for(10ms);
-  realm.locations().begin_migration(cli);
-  // Every failure from here on leaves the agent findable at its source.
-  const auto abandon = [&](const std::string& why) {
-    realm.locations().end_migration(cli);
-    return fail(why);
-  };
-  const util::Status prepared = mover.prepare_migration(cli);
-  stop.store(true);
-  for (auto& t : racers) t.join();
-  if (!prepared.ok()) {
-    return abandon("fault-free retry: " + prepared.to_string());
-  }
-  for (const util::Status& st : racer_status) {
-    if (!st.ok()) return abandon("racing sender: " + st.to_string());
-  }
-
-  std::vector<DeliveryLedger::CutPoint> cut;
-  for (std::size_t i = 0; i < members; ++i) {
-    if (clients[i]->state() != nsock::ConnState::kSuspended) {
-      return abandon("conn " + std::to_string(conns[i]) +
-                     " not SUSPENDED after the group prepare: " +
-                     std::string(nsock::to_string(clients[i]->state())));
-    }
-    cut.push_back({fwd(i), clients[i]->sent_seq()});
-  }
-  if (auto st = ledger.check_consistent_cut(cut); !st.ok()) {
-    return abandon(st.to_string());
-  }
-
-  // Ship the suspended group to its destination.
-  const util::Bytes blob = mover.export_sessions(cli);
-  if (auto st = ctrl(2).import_sessions(
-          cli, util::ByteSpan(blob.data(), blob.size()));
-      !st.ok()) {
-    return abandon("import: " + st.to_string());
-  }
-  realm.locations().register_agent(cli, node_info(2));
-  if (auto st = ctrl(2).complete_migration(cli); !st.ok()) {
-    return fail("complete: " + st.to_string());
-  }
   return true;
 }
 

@@ -4,8 +4,8 @@
 // failing fault subset. Used by tools/chaos_runner and tests/fault.
 //
 // One harness runs every scenario: a shared setup (SimNet, three nodes,
-// k connected chaos-cli/chaos-srv pairs), the pre-fault traffic, one
-// Phase-B choreography per scenario family (migrate, crash, group)
+// a connected chaos-cli/chaos-srv pair), the pre-fault traffic, one
+// Phase-B choreography per scenario family (migrate, crash)
 // and a shared judgement (liveness, exactly-once ledger, FSM legality).
 //
 // Determinism contract: generate_case(seed) derives everything — scenario,
@@ -36,31 +36,15 @@ enum class Scenario : std::uint8_t {
   kCrashSuspend = 3,  ///< controller dies mid-suspend (SUS_ACK killed)
   kCrashResume = 4,   ///< controller dies while the mover's RESUME retries
   kCrashDouble = 5,   ///< crash-resume, then a second migration on top
-
-  // Group-suspend scenarios: one agent with several live connections is
-  // swept through the atomic group barrier (ControllerConfig::
-  // group_suspend). Opt-in like the crash scenarios.
-  kGroupCrashCommit = 6,   ///< mover's host dies between the group
-                           ///< prepare and commit journal records;
-                           ///< recovery must be all-or-nothing
-  kGroupPeerRefusal = 7,   ///< one peer refuses mid-prepare under send
-                           ///< load; the ENTIRE group must roll back
 };
 
-inline constexpr int kScenarioCount = 8;
+inline constexpr int kScenarioCount = 6;
 /// Scenarios generate_case(seed) draws from (the crash scenarios are
 /// opt-in and carry their own staged fault plans).
 inline constexpr int kGeneratedScenarioCount = 3;
-/// First group-suspend scenario (the tail of the enum).
-inline constexpr int kGroupScenarioStart = 6;
 
 [[nodiscard]] constexpr bool is_crash_scenario(Scenario s) noexcept {
-  return static_cast<int>(s) >= kGeneratedScenarioCount &&
-         static_cast<int>(s) < kGroupScenarioStart;
-}
-
-[[nodiscard]] constexpr bool is_group_scenario(Scenario s) noexcept {
-  return static_cast<int>(s) >= kGroupScenarioStart;
+  return static_cast<int>(s) >= kGeneratedScenarioCount;
 }
 
 [[nodiscard]] std::string_view to_string(Scenario scenario) noexcept;
@@ -108,10 +92,9 @@ struct ChaosResult {
 
 /// Build the case for an explicitly chosen scenario. Generated scenarios
 /// (0–2) are generate_case(seed, light) with the scenario overridden; the
-/// opt-in ones carry their staged fault plan: killed SUS_ACKs or handoff
-/// workers (crash), a kill between the group prepare and commit records or
-/// a peer refusing mid-prepare (group). `recovery` applies to crash scenarios
-/// only.
+/// crash scenarios carry their staged fault plan: killed SUS_ACKs or
+/// handoff workers, and `recovery` chooses whether the restarted controller
+/// replays its journal.
 [[nodiscard]] ChaosCase make_case(std::uint64_t seed, Scenario scenario,
                                   bool light, bool recovery);
 

@@ -21,9 +21,7 @@ std::uint64_t digest(util::ByteSpan body) {
 
 void DeliveryLedger::record_sent(std::uint64_t stream, util::ByteSpan body) {
   util::MutexLock lock(mu_);
-  StreamLedger& ledger = streams_[stream];
-  ledger.sent_digests.push_back(digest(body));
-  ledger.sent_stamps.push_back(next_stamp_++);
+  streams_[stream].sent_digests.push_back(digest(body));
 }
 
 void DeliveryLedger::record_delivered(std::uint64_t stream, std::uint64_t seq,
@@ -65,43 +63,6 @@ util::Status DeliveryLedger::check(bool require_complete) const {
       return fail(ledger.delivered.size(),
                   "delivery incomplete (message lost)");
     }
-  }
-  return util::OkStatus();
-}
-
-util::Status DeliveryLedger::check_consistent_cut(
-    std::span<const CutPoint> cut) const {
-  util::MutexLock lock(mu_);
-  // Frame seqs are 1-based and assigned in send order, so a stream's
-  // included sends are exactly its first min(mark, sent) entries. Stamps
-  // increase within each stream, so the last included entry carries the
-  // stream's maximum included stamp and the first excluded entry its
-  // minimum excluded stamp.
-  std::uint64_t max_included = 0, max_included_stream = 0;
-  std::uint64_t min_excluded = 0, min_excluded_stream = 0;
-  for (const CutPoint& point : cut) {
-    const auto it = streams_.find(point.stream);
-    if (it == streams_.end()) continue;
-    const std::vector<std::uint64_t>& stamps = it->second.sent_stamps;
-    const std::size_t included = std::min<std::size_t>(
-        stamps.size(), static_cast<std::size_t>(point.seq_mark));
-    if (included > 0 && stamps[included - 1] > max_included) {
-      max_included = stamps[included - 1];
-      max_included_stream = point.stream;
-    }
-    if (included < stamps.size() &&
-        (min_excluded == 0 || stamps[included] < min_excluded)) {
-      min_excluded = stamps[included];
-      min_excluded_stream = point.stream;
-    }
-  }
-  if (min_excluded != 0 && max_included > min_excluded) {
-    std::ostringstream out;
-    out << "cut: inconsistent group cut: stream " << max_included_stream
-        << " includes a message produced at stamp " << max_included
-        << ", after stream " << min_excluded_stream
-        << " excluded one produced at stamp " << min_excluded;
-    return util::Aborted(out.str());
   }
   return util::OkStatus();
 }

@@ -43,23 +43,6 @@ class DeliveryLedger {
   void record_delivered(std::uint64_t stream, std::uint64_t seq,
                         util::ByteSpan body);
 
-  /// One stream's cut point in a group suspend: the sender-declared
-  /// frame-seq high-water mark (frames 1..seq_mark are inside the cut).
-  struct CutPoint {
-    std::uint64_t stream = 0;
-    std::uint64_t seq_mark = 0;
-  };
-
-  /// Cross-connection causal consistency of a group-suspend cut. Every
-  /// record_sent is stamped with a single global production counter;
-  /// the cut over the given streams is consistent iff no excluded send
-  /// (frame > its stream's mark) was produced BEFORE an included send on
-  /// any other stream — i.e. max(included stamps) < min(excluded
-  /// stamps). A violation means one member's buffer holds data the
-  /// application produced after another member's cut point.
-  [[nodiscard]] util::Status check_consistent_cut(
-      std::span<const CutPoint> cut) const;
-
   /// Validate every stream. With `require_complete`, each stream must have
   /// delivered exactly what was sent; otherwise a prefix suffices (a run
   /// that legitimately abandoned tail messages).
@@ -75,16 +58,11 @@ class DeliveryLedger {
   };
   struct StreamLedger {
     std::vector<std::uint64_t> sent_digests;
-    /// Global production stamp of each sent message (parallel to
-    /// sent_digests): the cross-stream happened-before order the cut
-    /// oracle judges against.
-    std::vector<std::uint64_t> sent_stamps;
     std::vector<Delivered> delivered;
   };
 
   mutable util::Mutex mu_{util::LockRank::kUnranked, "fault.ledger"};
   std::map<std::uint64_t, StreamLedger> streams_ NAPLET_GUARDED_BY(mu_);
-  std::uint64_t next_stamp_ NAPLET_GUARDED_BY(mu_) = 1;
 };
 
 /// Re-validate a recorded transition trace against the golden table:

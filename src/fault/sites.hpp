@@ -31,12 +31,6 @@ inline constexpr std::string_view kFaultSites[] = {
     // between recording the peer's suspension and the SUSPENDED transition
     // that wakes the parked resume.
     "ctrl.sus.resume_wait",
-    // Whole-agent group suspend (controller_group.cpp; group.barrier is a
-    // member reaching its cut). NOT part of the generic ctrl.<type>.<stage>
-    // cross-product: these mark the two-phase sweep, not message hops.
-    "ctrl.group.prepare",
-    "ctrl.group.commit",
-    "group.barrier",
     // Crash durability (journal.cpp): between a record batch's write and
     // its fsync, the window where one commit point covers a whole agent.
     "recovery.journal.sync",

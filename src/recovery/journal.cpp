@@ -52,9 +52,6 @@ std::string_view to_string(CommitPoint point) noexcept {
     case CommitPoint::kImported: return "imported";
     case CommitPoint::kDeparted: return "departed";
     case CommitPoint::kClosed: return "closed";
-    case CommitPoint::kGroupPrepare: return "group-prepare";
-    case CommitPoint::kGroupCommit: return "group-commit";
-    case CommitPoint::kGroupAbort: return "group-abort";
   }
   return "?";
 }
@@ -167,7 +164,7 @@ util::StatusOr<ReplayResult> Journal::replay(const std::string& path) {
     const auto point = br.u8();
     const auto conn_id = br.u64();
     if (!point.ok() || !conn_id.ok() || *point < 1 ||
-        *point > static_cast<std::uint8_t>(CommitPoint::kGroupAbort)) {
+        *point > static_cast<std::uint8_t>(CommitPoint::kClosed)) {
       result.truncated = true;
       result.note = "bad record body at offset " + std::to_string(record_start);
       break;
@@ -224,52 +221,11 @@ util::Status DurableStore::open() {
       if (!degraded_note_.empty()) degraded_note_ += "; ";
       degraded_note_ += "journal: " + replayed->note;
     }
-    // Group two-phase replay: a prepare parks its manifest; the matching
-    // commit folds the members into the live map, the matching abort
-    // discards them. A prepare still parked when the journal ends is a
-    // crash between prepare and commit — the prepare is only written
-    // after the group barrier resolved (every peer sealed), so the
-    // deterministic resolution is FORWARD: fold the manifest exactly as
-    // the commit would have. Either way recovery is all-or-nothing: no
-    // member's suspended state lands unless every member's does.
-    std::uint64_t parked_group = 0;
-    GroupManifest parked_manifest;
     for (auto& record : replayed->records) {
-      if (record.point == CommitPoint::kGroupPrepare) {
-        auto manifest = GroupManifest::decode(
-            util::ByteSpan(record.payload.data(), record.payload.size()));
-        if (manifest.ok()) {
-          parked_group = record.conn_id;
-          parked_manifest = std::move(*manifest);
-        } else {
-          degraded_ = true;
-          if (!degraded_note_.empty()) degraded_note_ += "; ";
-          degraded_note_ += "group prepare: " + manifest.status().message();
-        }
-        continue;
-      }
-      if (record.point == CommitPoint::kGroupCommit ||
-          record.point == CommitPoint::kGroupAbort) {
-        if (record.point == CommitPoint::kGroupCommit &&
-            parked_group != 0 && parked_group == record.conn_id) {
-          for (auto& member : parked_manifest.members) {
-            live_[member.conn_id] = std::move(member.blob);
-          }
-        }
-        parked_group = 0;
-        parked_manifest.members.clear();
-        continue;
-      }
       if (is_removal(record.point)) {
         live_.erase(record.conn_id);
       } else {
         live_[record.conn_id] = std::move(record.payload);
-      }
-    }
-    if (parked_group != 0) {
-      // Dangling prepare: roll the group forward (see above).
-      for (auto& member : parked_manifest.members) {
-        live_[member.conn_id] = std::move(member.blob);
       }
     }
   } else if (replayed.status().code() == util::StatusCode::kProtocolError) {
@@ -297,65 +253,17 @@ util::Status DurableStore::record(std::span<const JournalRecord> records) {
   NAPLET_RETURN_IF_ERROR(journal_->append(records));
   records_written_ += records.size();
   ++syncs_;
-  for (const JournalRecord& record : records) {
-    NAPLET_RETURN_IF_ERROR(apply_locked(record));
-  }
-  // Compaction is deferred while a group prepare is pending: folding the
-  // live map into a snapshot and resetting the journal would erase the
-  // prepare record the crash path depends on.
-  if (due && pending_group_ == 0) return compact_locked();
+  for (const JournalRecord& record : records) apply_locked(record);
+  if (due) return compact_locked();
   return util::OkStatus();
 }
 
-util::Status DurableStore::apply_locked(const JournalRecord& record) {
-  const CommitPoint point = record.point;
-  if (point == CommitPoint::kGroupPrepare) {
-    auto manifest = GroupManifest::decode(
-        util::ByteSpan(record.payload.data(), record.payload.size()));
-    if (!manifest.ok()) return manifest.status();
-    pending_group_ = record.conn_id;
-    pending_manifest_ = std::move(*manifest);
-  } else if (point == CommitPoint::kGroupCommit ||
-             point == CommitPoint::kGroupAbort) {
-    if (point == CommitPoint::kGroupCommit && pending_group_ != 0 &&
-        pending_group_ == record.conn_id) {
-      for (auto& member : pending_manifest_.members) {
-        live_[member.conn_id] = std::move(member.blob);
-      }
-    }
-    pending_group_ = 0;
-    pending_manifest_.members.clear();
-  } else if (is_removal(point)) {
+void DurableStore::apply_locked(const JournalRecord& record) {
+  if (is_removal(record.point)) {
     live_.erase(record.conn_id);
   } else {
     live_[record.conn_id] = record.payload;
   }
-  return util::OkStatus();
-}
-
-void DurableStore::abort_group(std::uint64_t group_id) {
-  util::MutexLock lock(mu_);
-  if (pending_group_ != group_id) return;
-  pending_group_ = 0;
-  pending_manifest_.members.clear();
-  if (journal_ == nullptr) return;
-  // The prepare reached disk, so the abort must too: replay treats a
-  // dangling prepare as a crash in the commit window and rolls the group
-  // FORWARD — only this record tells it the rollback was deliberate.
-  JournalRecord record;
-  record.point = CommitPoint::kGroupAbort;
-  record.conn_id = group_id;
-  if (auto st = journal_->append(record); st.ok()) {
-    ++records_written_;
-    ++syncs_;
-  }
-  // On append failure the next compaction still folds the clean live map
-  // (the pending manifest is already dropped), closing the window.
-}
-
-std::uint64_t DurableStore::pending_group() const {
-  util::MutexLock lock(mu_);
-  return pending_group_;
 }
 
 util::Status DurableStore::compact() {

@@ -45,19 +45,9 @@ namespace naplet::recovery {
 /// (ISSUE: connect established, suspend committed, drain complete,
 /// resume committed, close; plus migration import/export).
 ///
-/// The group points journal an atomic whole-agent suspend as a two-phase
-/// pair: kGroupPrepare carries the *group id* in the record's conn_id
-/// field and a GroupManifest (every member's suspended blob) in the
-/// payload; kGroupCommit (same group id, empty payload) retires it into
-/// the live map, kGroupAbort (same shape) discards it. The prepare is
-/// written only AFTER the group barrier resolved — every peer has acked
-/// and sealed its stream by then — so it is the decision record: on
-/// replay a dangling prepare (crash in the prepare→commit window) rolls
-/// the whole group FORWARD, folding the manifest exactly as the commit
-/// would have. Rolling back instead would strand the sealed peers against
-/// stale member state and break exactly-once. A live rollback therefore
-/// journals an explicit kGroupAbort; either way no member's suspended
-/// state survives unless every member's does.
+/// Values 8-10 once named a deleted two-phase group-suspend pair. They
+/// must not be reused: a journal written by that code still holds them,
+/// and replay stops (degraded) at such a record rather than misread it.
 enum class CommitPoint : std::uint8_t {
   kConnectEstablished = 1,
   kSuspendCommitted = 2,
@@ -66,9 +56,6 @@ enum class CommitPoint : std::uint8_t {
   kImported = 5,
   kDeparted = 6,  // session exported away from this controller
   kClosed = 7,
-  kGroupPrepare = 8,  // conn_id = group id; payload = GroupManifest
-  kGroupCommit = 9,   // conn_id = group id; payload empty
-  kGroupAbort = 10,   // conn_id = group id; payload empty
 };
 
 [[nodiscard]] std::string_view to_string(CommitPoint point) noexcept;
@@ -78,37 +65,6 @@ enum class CommitPoint : std::uint8_t {
 [[nodiscard]] constexpr bool is_removal(CommitPoint point) noexcept {
   return point == CommitPoint::kDeparted || point == CommitPoint::kClosed;
 }
-
-/// Whether the record's conn_id field names a suspend group, not a
-/// connection (the group two-phase pair).
-[[nodiscard]] constexpr bool is_group(CommitPoint point) noexcept {
-  return point == CommitPoint::kGroupPrepare ||
-         point == CommitPoint::kGroupCommit ||
-         point == CommitPoint::kGroupAbort;
-}
-
-/// The payload of a kGroupPrepare record: every member connection's
-/// suspended session blob, captured at the group's consistent cut.
-struct GroupManifest {
-  struct Member {
-    std::uint64_t conn_id = 0;
-    util::Bytes blob;  // Session::export_state at the barrier
-
-    void persist(util::Archive& ar) {
-      ar.field(conn_id);
-      ar.field(blob);
-    }
-  };
-  std::vector<Member> members;
-
-  void persist(util::Archive& ar) { ar.field(members); }
-  [[nodiscard]] util::Bytes encode() const {
-    return util::Archive::encode(*this);
-  }
-  static util::StatusOr<GroupManifest> decode(util::ByteSpan data) {
-    return util::Archive::decode<GroupManifest>(data);
-  }
-};
 
 struct JournalRecord {
   CommitPoint point = CommitPoint::kConnectEstablished;
@@ -183,13 +139,6 @@ class DurableStore {
   /// Durably record a batch: one journal write and one fsync for all of
   /// `records`, then apply them to the live map in order. Each record is
   /// `payload` (or a removal) for `conn_id` at `point`.
-  ///
-  /// Group points get two-phase semantics: kGroupPrepare (conn_id = group
-  /// id, payload = GroupManifest::encode()) journals the manifest and parks
-  /// it pending without touching the live map; kGroupCommit (same group
-  /// id) applies every member blob to the live map atomically; kGroupAbort
-  /// discards the pending manifest. While a group is pending, compaction
-  /// is deferred so the snapshot can never capture half a group.
   util::Status record(std::span<const JournalRecord> records);
   util::Status record(CommitPoint point, std::uint64_t conn_id,
                       util::ByteSpan blob) {
@@ -197,17 +146,6 @@ class DurableStore {
                             util::Bytes(blob.begin(), blob.end())};
     return record(std::span(&one, 1));
   }
-
-  /// Drop an in-flight group prepare (the coordinator rolled the group
-  /// back live). Journals a kGroupAbort record when the prepare reached
-  /// disk — without it, replay would treat the dangling prepare as a
-  /// crash in the commit window and roll the group FORWARD. A no-op when
-  /// no matching prepare is pending (the barrier failed before anything
-  /// was journaled).
-  void abort_group(std::uint64_t group_id);
-
-  /// Group id of the in-flight prepare, or 0 when none is pending.
-  [[nodiscard]] std::uint64_t pending_group() const;
 
   /// Fold the live map into a fresh snapshot and reset the journal.
   util::Status compact();
@@ -240,8 +178,8 @@ class DurableStore {
 
  private:
   util::Status compact_locked() NAPLET_REQUIRES(mu_);
-  /// Fold one journaled record into the live map / pending group.
-  util::Status apply_locked(const JournalRecord& record) NAPLET_REQUIRES(mu_);
+  /// Fold one journaled record into the live map.
+  void apply_locked(const JournalRecord& record) NAPLET_REQUIRES(mu_);
 
   DurableStoreOptions options_ NAPLET_NOT_GUARDED("set at construction, "
                                                   "immutable");
@@ -253,10 +191,6 @@ class DurableStore {
   std::map<std::uint64_t, util::Bytes> live_ NAPLET_GUARDED_BY(mu_);
   // Size of the last snapshot written (the compaction trigger).
   std::uint64_t snapshot_bytes_ NAPLET_GUARDED_BY(mu_) = 0;
-  // Two-phase group suspend: the prepared-but-uncommitted manifest. 0 =
-  // no group in flight. While non-zero, compact_locked() is deferred.
-  std::uint64_t pending_group_ NAPLET_GUARDED_BY(mu_) = 0;
-  GroupManifest pending_manifest_ NAPLET_GUARDED_BY(mu_);
   // Monitoring counters: written under mu_, read lock-free by accessors.
   std::atomic<std::uint64_t> records_written_{0};
   std::atomic<std::uint64_t> syncs_{0};

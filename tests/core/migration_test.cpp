@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
 
 #include "core/test_realm.hpp"
 
@@ -144,6 +145,42 @@ TEST(Migration, MultipleConnectionsAllMigrate) {
   EXPECT_EQ(text(m2->recv(2s)->body), "c->b");
   EXPECT_EQ(c1.client->peer_node().server_name, "node2");
   EXPECT_EQ((*c2_client)->peer_node().server_name, "node2");
+}
+
+TEST(Migration, HostSweepsEveryAgentBeforeTheirHops) {
+  // A host prepares its agents one after another before any of them hops;
+  // each hop's own prepare then finds its connections already suspended.
+  SimRealm realm(3, /*security=*/false);
+  const agent::AgentId ant = realm.pseudo_agent("sweep-ant", 0);
+  const agent::AgentId bee = realm.pseudo_agent("sweep-bee", 0);
+  const agent::AgentId srv = realm.pseudo_agent("sweep-srv", 1);
+
+  ASSERT_TRUE(realm.ctrl(1).listen(srv).ok());
+  std::vector<SessionPtr> clients;
+  for (const auto& id : {ant, bee}) {
+    for (int i = 0; i < 2; ++i) {
+      auto client = realm.ctrl(0).connect(id, srv);
+      ASSERT_TRUE(client.ok()) << client.status().to_string();
+      ASSERT_TRUE(realm.ctrl(1).accept(srv, 2s).ok());
+      clients.push_back(*client);
+    }
+  }
+
+  for (const auto& id : {ant, bee}) {
+    ASSERT_TRUE(realm.ctrl(0).prepare_migration(id).ok()) << id.name();
+  }
+  for (const SessionPtr& client : clients) {
+    EXPECT_EQ(client->state(), ConnState::kSuspended);
+  }
+
+  ASSERT_TRUE(realm.migrate_pseudo_agent(ant, 0, 2).ok());
+  ASSERT_TRUE(realm.migrate_pseudo_agent(bee, 0, 2).ok());
+  for (const SessionPtr& client : clients) {
+    SessionPtr moved = realm.ctrl(2).session_by_id(client->conn_id());
+    ASSERT_NE(moved, nullptr);
+    EXPECT_TRUE(moved->wait_state(
+        [](ConnState s) { return s == ConnState::kEstablished; }, 8s));
+  }
 }
 
 TEST(Migration, SuspendedStateBlocksTrafficDuringHop) {

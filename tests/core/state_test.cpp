@@ -180,16 +180,15 @@ TEST(StateMachine, EstablishedRequiresHandshake) {
       auto next = transition(s, e);
       if (!next || *next != S::kEstablished) continue;
       // Only these arcs may enter ESTABLISHED: the two connect handshakes,
-      // the two resume completions, and the suspend rollbacks (an
-      // unanswered SUS over a still-healthy stream — or an orphaned group
-      // pre-freeze — returns the connection to service).
+      // the two resume completions, and the suspend rollback (an
+      // unanswered SUS over a still-healthy stream returns the connection
+      // to service).
       const bool legal =
           (s == S::kConnectSent && e == E::kRecvConnectAck) ||
           (s == S::kConnectAcked && e == E::kRecvAttach) ||
           (s == S::kResSent && e == E::kRecvResumeOk) ||
           (s == S::kResAcked && e == E::kExecResumed) ||
-          (s == S::kSusSent && e == E::kSuspendAbort) ||
-          (s == S::kSusAcked && e == E::kSuspendAbort);
+          (s == S::kSusSent && e == E::kSuspendAbort);
       EXPECT_TRUE(legal) << to_string(s) << " --" << to_string(e) << "-->";
     }
   }

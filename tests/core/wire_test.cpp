@@ -24,7 +24,6 @@ TEST(CtrlMsg, RoundTripAllFields) {
   msg.verifier = 42;
   msg.trace_id = 0x1122334455667788ULL;
   msg.sent_seq = 777;
-  msg.group_id = 0xDEADBEEF01ULL;
   msg.client_agent = "client-a";
   msg.server_agent = "server-b";
   msg.node = sample_node();
@@ -42,7 +41,6 @@ TEST(CtrlMsg, RoundTripAllFields) {
   EXPECT_EQ(decoded->verifier, msg.verifier);
   EXPECT_EQ(decoded->trace_id, msg.trace_id);
   EXPECT_EQ(decoded->sent_seq, msg.sent_seq);
-  EXPECT_EQ(decoded->group_id, msg.group_id);
   EXPECT_EQ(decoded->client_agent, msg.client_agent);
   EXPECT_EQ(decoded->server_agent, msg.server_agent);
   EXPECT_EQ(decoded->node, msg.node);
@@ -98,18 +96,6 @@ TEST(CtrlMsg, DecodeRejectsTrailingBytes) {
   encoded.push_back(0);
   EXPECT_FALSE(
       CtrlMsg::decode(util::ByteSpan(encoded.data(), encoded.size())).ok());
-}
-
-TEST(CtrlMsg, GroupIdIsMacCovered) {
-  // A forged group id must invalidate the tag: the group barrier trusts
-  // the id to decide which sessions to pre-freeze.
-  CtrlMsg msg;
-  msg.type = CtrlType::kSus;
-  msg.conn_id = 9;
-  msg.group_id = 0;
-  const util::Bytes before = msg.mac_payload();
-  msg.group_id = 0x7777;
-  EXPECT_NE(msg.mac_payload(), before);
 }
 
 TEST(CtrlMsg, MacPayloadExcludesMac) {
@@ -196,7 +182,6 @@ TEST_P(DecoderFuzz, BitFlipsNeverRoundTripSilently) {
                          decoded->epoch != msg.epoch ||
                          decoded->trace_id != msg.trace_id ||
                          decoded->sent_seq != msg.sent_seq ||
-                         decoded->group_id != msg.group_id ||
                          decoded->client_agent != msg.client_agent ||
                          decoded->mac != msg.mac ||
                          decoded->verifier != msg.verifier ||

@@ -92,56 +92,6 @@ TransitionRecord legal(nsock::ConnState from, nsock::ConnEvent event) {
                           static_cast<std::uint8_t>(to.value_or(from))};
 }
 
-// Cross-connection causal-cut oracle (ISSUE 9): global send stamps order
-// every record_sent across streams; a cut is consistent iff no stream's
-// included send was produced after another stream's excluded one.
-
-TEST(ConsistentCutTest, AllIncludedOrAllExcludedPasses) {
-  DeliveryLedger ledger;
-  // Interleaved production across two streams.
-  ledger.record_sent(0, span_of("a0"));  // stamp 1
-  ledger.record_sent(1, span_of("b0"));  // stamp 2
-  ledger.record_sent(0, span_of("a1"));  // stamp 3
-  ledger.record_sent(1, span_of("b1"));  // stamp 4
-  const DeliveryLedger::CutPoint everything[] = {{0, 2}, {1, 2}};
-  EXPECT_TRUE(ledger.check_consistent_cut(everything).ok());
-  const DeliveryLedger::CutPoint nothing[] = {{0, 0}, {1, 0}};
-  EXPECT_TRUE(ledger.check_consistent_cut(nothing).ok());
-}
-
-TEST(ConsistentCutTest, PrefixCutAlongProductionOrderPasses) {
-  DeliveryLedger ledger;
-  ledger.record_sent(0, span_of("a0"));  // stamp 1
-  ledger.record_sent(0, span_of("a1"));  // stamp 2
-  ledger.record_sent(1, span_of("b0"));  // stamp 3
-  ledger.record_sent(1, span_of("b1"));  // stamp 4
-  // Cut after stamp 2: stream 0 fully in, stream 1 fully out.
-  const DeliveryLedger::CutPoint cut[] = {{0, 2}, {1, 0}};
-  EXPECT_TRUE(ledger.check_consistent_cut(cut).ok());
-}
-
-TEST(ConsistentCutTest, CatchesSendSlippingPastAnotherStreamsCut) {
-  DeliveryLedger ledger;
-  ledger.record_sent(0, span_of("a0"));  // stamp 1
-  ledger.record_sent(1, span_of("b0"));  // stamp 2
-  ledger.record_sent(0, span_of("a1"));  // stamp 3, after b0
-  // Stream 1 excludes b0 (stamp 2) but stream 0 includes a1 (stamp 3):
-  // a message produced AFTER the excluded one is inside the cut.
-  const DeliveryLedger::CutPoint cut[] = {{0, 2}, {1, 0}};
-  const util::Status st = ledger.check_consistent_cut(cut);
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.to_string().find("inconsistent group cut"),
-            std::string::npos);
-}
-
-TEST(ConsistentCutTest, MarkBeyondSentAndUnknownStreamsAreBenign) {
-  DeliveryLedger ledger;
-  ledger.record_sent(0, span_of("a0"));
-  // seq_mark past the recorded sends clamps; an unseen stream is skipped.
-  const DeliveryLedger::CutPoint cut[] = {{0, 99}, {42, 7}};
-  EXPECT_TRUE(ledger.check_consistent_cut(cut).ok());
-}
-
 TEST(FsmTraceTest, GoldenTableTransitionsPass) {
   const TransitionRecord trace[] = {
       legal(nsock::ConnState::kEstablished, nsock::ConnEvent::kAppSuspend),

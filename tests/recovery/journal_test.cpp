@@ -432,118 +432,50 @@ TEST_F(JournalTest, StoreCompactionTriggerScalesWithSnapshot) {
   EXPECT_EQ(store.compactions(), opened + 2);
 }
 
-// ---------------------------------------------------------------------------
-// Two-phase group suspend records (ISSUE 9): prepare parks a manifest,
-// commit folds it atomically, abort discards it, and a DANGLING prepare
-// rolls the whole group FORWARD on replay — the prepare is only written
-// after the barrier, when every peer has sealed, so it is the decision
-// record.
-
-GroupManifest two_member_manifest() {
-  GroupManifest manifest;
-  manifest.members.push_back({21, bytes("m21")});
-  manifest.members.push_back({22, bytes("m22")});
-  return manifest;
-}
-
-util::Status record_prepare(DurableStore& store, std::uint64_t group_id,
-                            const GroupManifest& manifest) {
-  const util::Bytes blob = manifest.encode();
-  return store.record(CommitPoint::kGroupPrepare, group_id,
-                      util::ByteSpan(blob.data(), blob.size()));
-}
-
-TEST_F(JournalTest, GroupManifestRoundTrip) {
-  const util::Bytes blob = two_member_manifest().encode();
-  auto decoded = GroupManifest::decode(util::ByteSpan(blob.data(),
-                                                      blob.size()));
-  ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
-  ASSERT_EQ(decoded->members.size(), 2u);
-  EXPECT_EQ(decoded->members[0].conn_id, 21u);
-  EXPECT_EQ(text(decoded->members[0].blob), "m21");
-  EXPECT_EQ(decoded->members[1].conn_id, 22u);
-  EXPECT_EQ(text(decoded->members[1].blob), "m22");
-}
-
-TEST_F(JournalTest, GroupPrepareCommitFoldsAllMembers) {
+// Commit points 8-10 named a deleted two-phase group-suspend pair. A
+// journal written by that code may still hold one: replay must stop there
+// (degraded, with a note) and keep every record before it, never misread
+// the group id in its conn_id field as a connection.
+TEST_F(JournalTest, RetiredGroupPointTruncatesReplayAtThatRecord) {
+  const std::string jp = path("journal.nplj");
   {
-    DurableStore store({dir_, 64});
-    ASSERT_TRUE(store.open().ok());
-    ASSERT_TRUE(record_prepare(store, 501, two_member_manifest()).ok());
-    EXPECT_EQ(store.pending_group(), 501u);
-    // Parked, not live: the members must not leak out before the commit.
-    EXPECT_EQ(store.recovered().count(21), 0u);
-    ASSERT_TRUE(store.record(CommitPoint::kGroupCommit, 501, {}).ok());
-    EXPECT_EQ(store.pending_group(), 0u);
+    auto journal = Journal::open(jp, /*epoch=*/4);
+    ASSERT_TRUE(journal.ok()) << journal.status().to_string();
+    ASSERT_TRUE((*journal)
+                    ->append({CommitPoint::kConnectEstablished, 1,
+                              bytes("c1")})
+                    .ok());
+    ASSERT_TRUE(
+        (*journal)->append({CommitPoint::kSuspendCommitted, 2, bytes("c2")})
+            .ok());
+    // The old group-prepare record: conn_id held the group id.
+    ASSERT_TRUE((*journal)
+                    ->append({static_cast<CommitPoint>(8), 501,
+                              bytes("manifest")})
+                    .ok());
+    ASSERT_TRUE(
+        (*journal)->append({CommitPoint::kSuspendCommitted, 3, bytes("c3")})
+            .ok());
   }
-  DurableStore reopened({dir_, 64});
-  ASSERT_TRUE(reopened.open().ok());
-  auto live = reopened.recovered();
-  EXPECT_EQ(text(live[21]), "m21");
-  EXPECT_EQ(text(live[22]), "m22");
-}
 
-TEST_F(JournalTest, DanglingGroupPrepareRollsForward) {
-  {
-    DurableStore store({dir_, 64});
-    ASSERT_TRUE(store.open().ok());
-    ASSERT_TRUE(record_prepare(store, 502, two_member_manifest()).ok());
-    // Crash here: no commit, no abort.
-  }
-  DurableStore reopened({dir_, 64});
-  ASSERT_TRUE(reopened.open().ok());
-  auto live = reopened.recovered();
-  EXPECT_EQ(text(live[21]), "m21");
-  EXPECT_EQ(text(live[22]), "m22");
-  EXPECT_EQ(reopened.pending_group(), 0u);
-}
+  auto replay = Journal::replay(jp);
+  ASSERT_TRUE(replay.ok()) << replay.status().to_string();
+  EXPECT_TRUE(replay->truncated);
+  EXPECT_NE(replay->note.find("bad record body"), std::string::npos)
+      << replay->note;
+  ASSERT_EQ(replay->records.size(), 2u);
 
-TEST_F(JournalTest, GroupAbortDiscardsManifestAcrossReopen) {
-  {
-    DurableStore store({dir_, 64});
-    ASSERT_TRUE(store.open().ok());
-    ASSERT_TRUE(record_prepare(store, 503, two_member_manifest()).ok());
-    store.abort_group(503);
-    EXPECT_EQ(store.pending_group(), 0u);
-  }
-  DurableStore reopened({dir_, 64});
-  ASSERT_TRUE(reopened.open().ok());
-  // The abort record outweighs the prepare: nothing rolls forward.
-  EXPECT_TRUE(reopened.recovered().empty());
-}
-
-TEST_F(JournalTest, AbortGroupIgnoresUnrelatedGroup) {
   DurableStore store({dir_, 64});
   ASSERT_TRUE(store.open().ok());
-  ASSERT_TRUE(record_prepare(store, 504, two_member_manifest()).ok());
-  store.abort_group(999);  // not the pending group
-  EXPECT_EQ(store.pending_group(), 504u);
-}
-
-TEST_F(JournalTest, CompactionDeferredWhileGroupPending) {
-  DurableStore store({dir_, /*compact_every=*/2});
-  ASSERT_TRUE(store.open().ok());
-  const std::uint64_t baseline = store.compactions();  // open() compacts once
-  ASSERT_TRUE(record_prepare(store, 505, two_member_manifest()).ok());
-  // Enough appends to trip compact_every twice over; the pending group
-  // must hold compaction back so the snapshot can never split the pair.
-  for (std::uint64_t conn = 30; conn < 34; ++conn) {
-    ASSERT_TRUE(store
-                    .record(CommitPoint::kConnectEstablished, conn,
-                            util::ByteSpan(bytes("x").data(), 1))
-                    .ok());
-  }
-  EXPECT_EQ(store.compactions(), baseline);
-  ASSERT_TRUE(store.record(CommitPoint::kGroupCommit, 505, {}).ok());
-  ASSERT_TRUE(store
-                  .record(CommitPoint::kConnectEstablished, 40,
-                          util::ByteSpan(bytes("y").data(), 1))
-                  .ok());
-  EXPECT_GT(store.compactions(), baseline);
-  // The compacted snapshot carries the folded group members.
-  DurableStore reopened({dir_, 2});
-  ASSERT_TRUE(reopened.open().ok());
-  EXPECT_EQ(text(reopened.recovered()[21]), "m21");
+  EXPECT_TRUE(store.degraded());
+  EXPECT_NE(store.degraded_note().find("bad record body"), std::string::npos)
+      << store.degraded_note();
+  auto live = store.recovered();
+  ASSERT_EQ(live.size(), 2u);
+  EXPECT_EQ(text(live[1]), "c1");
+  EXPECT_EQ(text(live[2]), "c2");
+  EXPECT_EQ(live.count(501), 0u);
+  EXPECT_EQ(store.epoch(), 5u);
 }
 
 }  // namespace

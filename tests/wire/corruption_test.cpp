@@ -73,8 +73,6 @@ TEST(WireCorruption, HandoffMessages) {
 }
 
 TEST(WireCorruption, RecoveryBlobs) {
-  sweep("manifest", unhex(kManifestHex),
-        archive_decoder<recovery::GroupManifest>());
   // The snapshot's codec owns everything before the CRC trailer.
   util::Bytes snapshot = unhex(kSnapshotHex);
   snapshot.resize(snapshot.size() - 4);

@@ -77,17 +77,6 @@ TEST(Golden, HandoffMsgEveryType) {
   }
 }
 
-TEST(Golden, GroupManifest) {
-  expect_golden("manifest", sample_manifest().encode(), kManifestHex);
-  auto manifest =
-      recovery::GroupManifest::decode(span_of(unhex(kManifestHex)));
-  ASSERT_TRUE(manifest.ok()) << manifest.status().to_string();
-  ASSERT_EQ(manifest->members.size(), 2u);
-  EXPECT_EQ(manifest->members[0].conn_id, 11u);
-  EXPECT_EQ(manifest->members[0].blob, (util::Bytes{1, 2, 3}));
-  EXPECT_TRUE(manifest->members[1].blob.empty());
-}
-
 TEST(Golden, SnapshotFile) {
   const std::string path = ::testing::TempDir() + "golden_snapshot_" +
                            std::to_string(::getpid()) + ".bin";

@@ -20,12 +20,6 @@
 //   chaos_runner --scenario 4 --no-recovery  the control: same crash, all
 //                                            recovery off — must fail
 //                                            cleanly, not hang
-//   chaos_runner --scenario 6 --seed 5       group-suspend scenario (6 =
-//                                            kill between group prepare
-//                                            and commit, recover all-or-
-//                                            nothing; 7 = one peer refuses
-//                                            mid-prepare, full-group
-//                                            rollback under send load)
 //   chaos_runner --list-sites                print every injection site
 //
 // Every failure line carries the seed that reproduces it. Exit code is the
@@ -44,7 +38,7 @@ namespace {
 void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--seed N] [--runs N] [--light] [--plan RULES]\n"
-               "          [--scenario 0..7] [--no-recovery] [--plant-dup]\n"
+               "          [--scenario 0..5] [--no-recovery] [--plant-dup]\n"
                "          [--minimize] [--list-sites] [--verbose]\n",
                argv0);
 }
