@@ -80,29 +80,20 @@ class BenchRealm {
   }
 
   /// Full pseudo-migration of an agent's sessions between nodes; returns
-  /// elapsed milliseconds. `agent_cost` models the shipping of the agent's
+  /// elapsed milliseconds. `agent_cost` stands in for shipping the agent's
   /// code and state (the paper's Ta-migrate, ~220 ms on its testbed),
   /// which the pseudo-agent harness otherwise skips.
   double migrate(const agent::AgentId& id, int from, int to,
                  util::Duration agent_cost = {}) {
     util::Stopwatch sw(util::RealClock::instance());
-    locations().begin_migration(id);
-    auto st = ctrl(from).prepare_migration(id);
-    if (!st.ok()) {
-      // Abort the hop: a failed prepare has already resumed the agent's
-      // connections, so only the location goes back to the source.
-      std::fprintf(stderr, "bench migrate (prepare) failed: %s\n",
-                   st.to_string().c_str());
-      locations().register_agent(id, node(from).server().node_info());
-      return sw.elapsed_ms();
-    }
-    const util::Bytes sessions = ctrl(from).export_sessions(id);
-    if (agent_cost.count() > 0) {
-      util::RealClock::instance().sleep_for(agent_cost);
-    }
-    st = ctrl(to).import_sessions(
-        id, util::ByteSpan(sessions.data(), sessions.size()));
-    locations().register_agent(id, node(to).server().node_info());
+    auto st = agent::depart(
+        locations(), ctrl(from), id, [&](util::ByteSpan sessions) {
+          // Ta-migrate is not shipped: it is a sleep, taken while the
+          // agent's connections are suspended.
+          util::RealClock::instance().sleep_for(agent_cost);
+          return agent::land(locations(), ctrl(to), id, sessions,
+                             node(to).server().node_info());
+        });
     if (st.ok()) st = ctrl(to).complete_migration(id);
     if (!st.ok()) {
       std::fprintf(stderr, "bench migrate failed: %s\n",

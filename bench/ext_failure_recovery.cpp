@@ -145,21 +145,11 @@ RestartResult run_restart() {
   (void)(*server)->recv(1s);
 
   // Stage the client's migration to node2, then crash the server host.
-  realm.locations().begin_migration(cli);
-  if (!realm.node("node0").controller().prepare_migration(cli).ok()) {
+  if (!realm.hop(cli, "node0", "node2").ok()) {
     realm.stop();
     fs::remove_all(dir);
     return result;
   }
-  const util::Bytes blob = realm.node("node0").controller().export_sessions(cli);
-  if (!realm.node("node2")
-           .controller()
-           .import_sessions(cli, util::ByteSpan(blob.data(), blob.size()))
-           .ok()) {
-    std::abort();
-  }
-  realm.locations().register_agent(cli,
-                                   realm.node("node2").server().node_info());
   realm.remove_node("node1");
 
   util::Stopwatch sw(util::RealClock::instance());

@@ -18,7 +18,7 @@ namespace naplet::bench {
 namespace {
 
 constexpr std::size_t kMsgSize = 2048;  // paper: constant 2 KB messages
-// Scaled analog of the paper's Ta-migrate (code/state shipping).
+// Scaled analog of the paper's Ta-migrate; BenchRealm::migrate sleeps for it.
 constexpr util::Duration kAgentCost = std::chrono::milliseconds(20);
 
 struct Throughput {

@@ -19,7 +19,7 @@ namespace {
 
 constexpr std::size_t kMsgSize = 2048;
 // Scaled analog of the paper's Ta-migrate (~220 ms against 20 s dwells):
-// the pseudo-agent harness ships no code/state, so model it explicitly.
+// no code/state is shipped, so BenchRealm::migrate sleeps for it.
 constexpr util::Duration kAgentCost = std::chrono::milliseconds(20);
 
 double run(int hops, bool concurrent, double dwell_ms) {

@@ -6,6 +6,9 @@
 #      + fixed-seed chaos_runner smoke (25 replayable fault schedules)
 #      + pinned-seed crash-restart smoke (recovery on and off)
 #      + loss-sweep bench smoke        (fast-mode JSON, parsed + shape-checked)
+#      + Figure 10 bench smokes        (fig10a/fig10b in fast mode, exit 0:
+#                                       the benches that hop an agent
+#                                       in-process again and again)
 #      + explicit `ctest -L shards`    (the sharded session table, wakeup
 #                                       regressions)
 #      + repository benchmark smoke    (perfbench/run.py builds and runs
@@ -113,6 +116,11 @@ EOF
 else
   skip "python3 not installed (loss-sweep JSON parse)"
 fi
+
+note "Figure 10 bench smokes (fast mode, repeated in-process hops)"
+for fig in fig10a_service_time fig10b_hops; do
+  (cd build-debug/bench && NAPLET_BENCH_FAST=1 "./$fig" >/dev/null)
+done
 
 note "repository benchmark smoke (perfbench: build + 2 s per workload)"
 # perfbench/ compiles against the library's public surface; without this

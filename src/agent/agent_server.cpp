@@ -7,7 +7,6 @@ namespace naplet::agent {
 
 namespace {
 constexpr util::Duration kMigrationConnectTimeout = std::chrono::seconds(5);
-constexpr util::Duration kLocationLookupTimeout = std::chrono::seconds(5);
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -199,15 +198,6 @@ void AgentServer::admit(std::unique_ptr<Agent> agent, AgentId id,
   post_->open_mailbox(id);
   if (!mailbox.empty()) post_->restore_mailbox(id, std::move(mailbox));
 
-  if (!sessions.empty()) {
-    auto status = migrator_->import_sessions(id, sessions);
-    if (!status.ok()) {
-      NAPLET_LOG(kError, "server")
-          << "session import failed for " << id.name() << ": "
-          << status.to_string();
-    }
-  }
-
   auto context = std::make_shared<ContextImpl>(this, id, hop);
   {
     util::MutexLock lock(mu_);
@@ -224,7 +214,13 @@ void AgentServer::admit(std::unique_ptr<Agent> agent, AgentId id,
     resident.context = context;
     residents_[id] = std::move(resident);
   }
-  locations_.register_agent(id, node_info());
+  if (auto st = land(locations_, *migrator_, id, sessions, node_info());
+      !st.ok()) {
+    // The agent is admitted already: it runs here without its connections.
+    NAPLET_LOG(kError, "server") << "session import failed for " << id.name()
+                                 << ": " << st.to_string();
+    locations_.register_agent(id, node_info());
+  }
 
   std::thread thread([this, id] { agent_thread_main(id); });
   {
@@ -280,6 +276,8 @@ void AgentServer::agent_thread_main(AgentId id) {
     const std::string dest = *context->pending_destination();
     auto status = transfer_agent(id, dest);
     if (status.ok()) return;  // the agent now lives elsewhere
+    // The failed hop left the agent here with every connection in service
+    // (migrator.hpp); ending the agent anyway is this server's policy.
     NAPLET_LOG(kError, "server")
         << "migration of " << id.name() << " to " << dest
         << " failed: " << status.to_string() << "; terminating agent";
@@ -346,66 +344,38 @@ util::Status AgentServer::transfer_agent(const AgentId& id,
     context = it->second.context;
   }
 
-  locations_.begin_migration(id);
+  // The hop (migrator.hpp); its transfer step is one TransferFrame exchange.
+  NAPLET_RETURN_IF_ERROR(depart(
+      locations_, *migrator_, id, [&](util::ByteSpan sessions) {
+        TransferFrame transfer;
+        transfer.agent = id.name();
+        transfer.type_name = agent->type_name();
+        transfer.hop = context->hop_count() + 1;
+        transfer.state = util::Archive::encode(*agent);
+        transfer.sessions.assign(sessions.begin(), sessions.end());
+        transfer.mailbox = post_->drain_mailbox(id);
+        transfer.token = access_.issue_token(id);
+        const util::Bytes frame = util::Archive::encode(transfer);
 
-  // 1. Suspend every NapletSocket connection (paper §2.1: suspend before
-  //    migration). This may block behind a concurrent peer migration.
-  auto prepared = migrator_->prepare_migration(id);
-  if (!prepared.ok()) {
-    locations_.register_agent(id, node_info());  // roll back transit mark
-    return prepared;
-  }
+        auto stream =
+            network_->connect(dest->migration, kMigrationConnectTimeout);
+        util::Status sent = stream.status();
+        if (sent.ok()) sent = net::write_frame(**stream, frame);
+        if (sent.ok()) {
+          auto reply = net::read_frame(**stream);
+          if (!reply.ok()) {
+            sent = reply.status();
+          } else if (reply->size() != 1 || (*reply)[0] != 1) {
+            sent = util::Aborted("destination rejected migration");
+          }
+        }
+        if (!sent.ok()) post_->restore_mailbox(id, std::move(transfer.mailbox));
+        return sent;
+      }));
 
-  // 2. Assemble the transfer payload.
-  TransferFrame transfer;
-  transfer.agent = id.name();
-  transfer.type_name = agent->type_name();
-  transfer.hop = context->hop_count() + 1;
-  transfer.state = util::Archive::encode(*agent);
-  transfer.sessions = migrator_->export_sessions(id);
-  transfer.mailbox = post_->drain_mailbox(id);
-  transfer.token = access_.issue_token(id);
-  const util::Bytes frame = util::Archive::encode(transfer);
-
-  if (config_.extra_migration_cost.count() > 0) {
-    util::RealClock::instance().sleep_for(config_.extra_migration_cost);
-  }
-
-  // 3. Ship it.
-  auto rollback = [&](const util::Status& why) {
-    post_->restore_mailbox(id, std::move(transfer.mailbox));
-    // export_sessions removed (and invalidated) the originals; rebuild
-    // them from the serialized state so the agent can keep running here.
-    if (auto st = migrator_->import_sessions(
-            id, util::ByteSpan(transfer.sessions.data(),
-                               transfer.sessions.size()));
-        !st.ok()) {
-      NAPLET_LOG(kError, "server")
-          << "session rollback failed for " << id.name() << ": "
-          << st.to_string();
-    }
-    locations_.register_agent(id, node_info());
-    (void)migrator_->complete_migration(id);  // resume the restored sessions
-    return why;
-  };
-
-  auto stream = network_->connect(dest->migration, kMigrationConnectTimeout);
-  if (!stream.ok()) return rollback(stream.status());
-  auto sent = net::write_frame(**stream,
-                               util::ByteSpan(frame.data(), frame.size()));
-  if (sent.ok()) {
-    auto reply = net::read_frame(**stream);
-    if (!reply.ok()) {
-      sent = reply.status();
-    } else if (reply->size() != 1 || (*reply)[0] != 1) {
-      sent = util::Aborted("destination rejected migration");
-    }
-  }
-  if (!sent.ok()) return rollback(sent);
-
-  // 4. The agent now lives at the destination; clean up locally — unless
-  //    it already bounced back here and admit() replaced our entry, in
-  //    which case the new hop owns the mailbox and the resident slot.
+  // The agent now lives at the destination; clean up locally — unless it
+  // already bounced back here and admit() replaced our entry, in which
+  // case the new hop owns the mailbox and the resident slot.
   migrations_out_.fetch_add(1);
   bool stale = false;
   {

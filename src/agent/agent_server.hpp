@@ -35,9 +35,6 @@ struct AgentServerConfig {
   util::Bytes realm_key;             // shared across the deployment
   PostOfficeConfig post_config{};
   net::RudpConfig rudp_config{};
-  /// Simulated agent transfer cost added to each hop (models code/state
-  /// shipping beyond the session bytes; the paper's Ta-migrate is ~220 ms).
-  util::Duration extra_migration_cost{0};
 };
 
 /// The one frame on a migration stream: everything an agent carries to its
@@ -98,7 +95,6 @@ class AgentServer {
   [[nodiscard]] PostOffice& post() { return *post_; }
   [[nodiscard]] net::Network& network() { return *network_; }
   [[nodiscard]] LocationService& locations() { return locations_; }
-  [[nodiscard]] ConnectionMigrator& migrator() { return *migrator_; }
   /// The node's one metrics registry: the control channel, the
   /// NapletSocket controller and its redirector all record into it.
   [[nodiscard]] obs::Registry& metrics() { return metrics_; }
@@ -121,8 +117,8 @@ class AgentServer {
 
   void migration_accept_loop();
   void handle_incoming_migration(net::StreamPtr stream);
-  /// Run one hop of `id` on the calling thread; afterwards transfer or
-  /// terminate the agent.
+  /// Run one hop of `id` on the calling thread; afterwards transfer the
+  /// agent, or terminate it (also when the transfer failed).
   void agent_thread_main(AgentId id);
   util::Status transfer_agent(const AgentId& id, const std::string& dest_name);
   void terminate_agent(const AgentId& id);

@@ -75,6 +75,17 @@ void Realm::stop() {
   for (auto& node : nodes_) node->stop();
 }
 
+util::Status Realm::hop(const agent::AgentId& id, const std::string& from,
+                        const std::string& to) {
+  NapletRuntime& dest = node(to);
+  return agent::depart(locations_, node(from).controller(), id,
+                       [&](util::ByteSpan sessions) {
+                         return agent::land(locations_, dest.controller(), id,
+                                            sessions,
+                                            dest.server().node_info());
+                       });
+}
+
 NapletRuntime& Realm::node(const std::string& name) {
   for (auto& node : nodes_) {
     if (node->name() == name) return *node;

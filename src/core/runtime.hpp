@@ -67,6 +67,12 @@ class Realm {
   util::Status start();
   void stop();
 
+  /// Hop `id` between two nodes of this process: the transfer step lands
+  /// the sessions at `to` directly (agent/migrator.hpp). The caller runs
+  /// complete_migration at `to`.
+  util::Status hop(const agent::AgentId& id, const std::string& from,
+                   const std::string& to);
+
   [[nodiscard]] NapletRuntime& node(const std::string& name);
   /// Names of all live nodes, in creation order (e.g. for collecting
   /// per-node diagnostics such as flight-recorder dumps).

@@ -28,25 +28,8 @@ std::string node_name(int i) { return "chaos" + std::to_string(i); }
 
 util::Status migrate_agent(nsock::Realm& realm, const agent::AgentId& id,
                            int from, int to) {
-  auto& src = realm.node(node_name(from));
-  auto& dst = realm.node(node_name(to));
-  realm.locations().begin_migration(id);
-  // Failures before the destination registration roll the location back
-  // (end_migration) so the agent stays findable at the source instead of
-  // stranding every lookup on a permanent in-transit entry.
-  if (auto st = src.controller().prepare_migration(id); !st.ok()) {
-    realm.locations().end_migration(id);
-    return st;
-  }
-  const util::Bytes sessions = src.controller().export_sessions(id);
-  if (auto st = dst.controller().import_sessions(
-          id, util::ByteSpan(sessions.data(), sessions.size()));
-      !st.ok()) {
-    realm.locations().end_migration(id);
-    return st;
-  }
-  realm.locations().register_agent(id, dst.server().node_info());
-  return dst.controller().complete_migration(id);
+  NAPLET_RETURN_IF_ERROR(realm.hop(id, node_name(from), node_name(to)));
+  return realm.node(node_name(to)).controller().complete_migration(id);
 }
 
 // The survivable fault envelope the generator draws from. Drops live below
@@ -516,9 +499,6 @@ bool Harness::crash() {
       return fail("crash-suspend: first migration succeeded despite the "
                   "killed SUS_ACKs");
     }
-    // The failed attempt left the location pending (begin_migration):
-    // cancel by re-registering at the source.
-    realm.locations().register_agent(cli, node_info(0));
     if (auto st = crash_restart(1, srv); !st.ok()) {
       return fail("restart: " + st.to_string());
     }
@@ -527,18 +507,10 @@ bool Harness::crash() {
     // Stage the client's migration cleanly up to the resume, then let the
     // mover's RESUME hit a redirector whose handoff workers die — and
     // kill the controller while the RESUME hangs unanswered.
-    realm.locations().begin_migration(cli);
-    if (auto st = ctrl(0).prepare_migration(cli); !st.ok()) {
-      return fail("prepare: " + st.to_string());
+    if (auto st = realm.hop(cli, node_name(0), node_name(2)); !st.ok()) {
+      return fail("hop: " + st.to_string());
     }
-    const util::Bytes blob = ctrl(0).export_sessions(cli);
     nsock::SocketController& dst = ctrl(2);
-    if (auto st = dst.import_sessions(
-            cli, util::ByteSpan(blob.data(), blob.size()));
-        !st.ok()) {
-      return fail("import: " + st.to_string());
-    }
-    realm.locations().register_agent(cli, node_info(2));
     injector.arm(chaos_case.plan);
     std::thread mover([&] { staged = dst.complete_migration(cli); });
     std::this_thread::sleep_for(150ms);

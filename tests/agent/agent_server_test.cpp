@@ -256,23 +256,5 @@ TEST_F(AgentServerTest, MigrationAuthRejectedAcrossRealms) {
   outsider.stop();
 }
 
-TEST_F(AgentServerTest, ExtraMigrationCostDelaysTransfer) {
-  AgentServerConfig config;
-  config.name = "slowpoke";
-  config.realm_key = realm_key_;
-  config.extra_migration_cost = 150ms;
-  AgentServer slow(net_.add_node("slowpoke"), locations_, std::move(config));
-  ASSERT_TRUE(slow.start().ok());
-
-  auto agent = std::make_unique<TouristAgent>();
-  agent->itinerary = {"alpha"};
-  const auto t0 = util::RealClock::instance().now_us();
-  ASSERT_TRUE(slow.launch(std::move(agent), AgentId("slowmover")).ok());
-  ASSERT_TRUE(wait_agent_gone(locations_, AgentId("slowmover"), 5s));
-  const auto elapsed_ms = (util::RealClock::instance().now_us() - t0) / 1000;
-  EXPECT_GE(elapsed_ms, 140);
-  slow.stop();
-}
-
 }  // namespace
 }  // namespace naplet::agent

@@ -3,16 +3,18 @@
 // (here: every SUS after the first is lost) has already suspended some of
 // them; prepare_migration resumes those before it returns the error. The
 // caller therefore gets every connection suspended or every connection
-// usable, never a mix. Covered on the controller with a sender on every
-// connection (tolerance on and off), and through the docking system's hop
-// with a real agent; plus the single-connection rollback arc under send
-// pressure.
+// usable, never a mix, and a failed hop leaves the agent where it was.
+// Covered on an in-process hop with a sender on every connection
+// (tolerance on and off), and through the docking system's hop with a real
+// agent, both for a failed prepare and for a transfer the destination
+// rejects; plus the single-connection rollback arc under send pressure.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -90,9 +92,13 @@ void partial_sweep_failure_resumes_every_connection(bool tolerance) {
   std::this_thread::sleep_for(5ms);
 
   arm(kDropLaterSus);
-  const util::Status st = realm.ctrl(0).prepare_migration(cli);
+  const util::Status st = realm.migrate_pseudo_agent(cli, 0, 1);
   fault::Injector::instance().disarm();
   EXPECT_FALSE(st.ok());
+  // The hop never happened: the agent is findable where it was.
+  const std::optional<agent::NodeInfo> home =
+      realm.locations().try_lookup(cli);
+  EXPECT_TRUE(home && home->server_name == "node0");
 
   // All or nothing: every connection is back in service on both sides.
   for (const ConnPair& conn : conns) {
@@ -152,13 +158,15 @@ class SweepHopAgent : public agent::Agent {
 };
 NAPLET_REGISTER_AGENT(SweepHopAgent);
 
-/// The node's migrator as the docking system sees it, with a hook that
-/// runs right where the server receives a failed prepare: before it acts
-/// on the failure (a failed hop ends the agent and closes its sockets).
+/// The node's migrator as the docking system sees it, with hooks that run
+/// right where the hop receives a failed prepare, and where it resumes
+/// connections: before the server acts on the failure (a failed hop ends
+/// the agent and closes its sockets).
 class HookedMigrator final : public agent::ConnectionMigrator {
  public:
   SocketController* inner = nullptr;
   std::function<void()> on_failed_prepare;
+  std::function<void()> on_complete;
 
   util::Status prepare_migration(const agent::AgentId& id) override {
     util::Status st = inner->prepare_migration(id);
@@ -173,6 +181,7 @@ class HookedMigrator final : public agent::ConnectionMigrator {
     return inner->import_sessions(id, data);
   }
   util::Status complete_migration(const agent::AgentId& id) override {
+    if (on_complete) on_complete();
     return inner->complete_migration(id);
   }
   void close_all(const agent::AgentId& id) override { inner->close_all(id); }
@@ -243,6 +252,57 @@ TEST_F(SweepRollbackTest, FailedHopLeavesAgentSocketsUsable) {
     EXPECT_EQ(usable.load(), 3) << why;
   }
   // The hop never happened: nothing left the source or reached node2.
+  EXPECT_EQ(realm.server(0).migrations_out(), 0u);
+  EXPECT_EQ(realm.server(2).migrations_in(), 0u);
+  EXPECT_EQ(realm.ctrl(2).session_count(), 0u);
+}
+
+TEST_F(SweepRollbackTest, RejectedTransferRollsBackAtTheSource) {
+  // node2 holds another realm key, so it rejects the agent's transfer
+  // frame after the sweep and the export have succeeded. The hop rebuilds
+  // the sessions at the source, settles the location there and resumes
+  // them; the server then ends the agent, closing every connection.
+  HookedMigrator migrator;
+  std::atomic<bool> rolled_back{false};
+  std::string rollback_location;
+  int nodes = 0;
+  SimRealm realm(3, /*security=*/false, /*link_latency=*/{},
+                 [&nodes](NodeConfig& c) {
+                   sweep_config(c, /*tolerance=*/true);
+                   if (nodes++ == 2) c.server.realm_key = util::Bytes(32, 0xEE);
+                 });
+  const agent::AgentId srv = realm.pseudo_agent("hop-srv", 1);
+  ASSERT_TRUE(realm.ctrl(1).listen(srv).ok());
+  const agent::AgentId hopper("rejected-hopper");
+
+  migrator.inner = &realm.ctrl(0);
+  migrator.on_complete = [&] {
+    const std::optional<agent::NodeInfo> where =
+        realm.locations().try_lookup(hopper);
+    rollback_location = where ? where->server_name : "in transit";
+    rolled_back.store(true);
+  };
+  realm.server(0).set_migrator(&migrator);
+
+  hop_armed().store(true);
+  ASSERT_TRUE(
+      realm.server(0).launch(std::make_unique<SweepHopAgent>(), hopper).ok());
+  std::vector<SessionPtr> peers;
+  for (int i = 0; i < 3; ++i) {
+    auto peer = realm.ctrl(1).accept(srv, 5s);
+    ASSERT_TRUE(peer.ok()) << peer.status().to_string();
+    peers.push_back(*peer);
+  }
+
+  for (const SessionPtr& peer : peers) {
+    EXPECT_TRUE(peer->wait_state(
+        [](ConnState s) { return s == ConnState::kClosed; }, 10s))
+        << "conn " << peer->conn_id() << " left in "
+        << to_string(peer->state());
+  }
+  EXPECT_TRUE(agent::wait_agent_gone(realm.locations(), hopper, 10s));
+  ASSERT_TRUE(rolled_back.load()) << "the hop never rolled back";
+  EXPECT_EQ(rollback_location, "node0");
   EXPECT_EQ(realm.server(0).migrations_out(), 0u);
   EXPECT_EQ(realm.server(2).migrations_in(), 0u);
   EXPECT_EQ(realm.ctrl(2).session_count(), 0u);

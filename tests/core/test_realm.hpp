@@ -64,16 +64,12 @@ class SimRealm {
     return id;
   }
 
-  /// Move a pseudo-agent's suspended sessions from one node to another,
-  /// exactly as the docking system would around a hop.
+  /// Hop a pseudo-agent's connections from one node to another, exactly
+  /// as the docking system would (Realm::hop, then complete_migration).
   util::Status migrate_pseudo_agent(const agent::AgentId& id, int from,
                                     int to) {
-    locations().begin_migration(id);
-    NAPLET_RETURN_IF_ERROR(ctrl(from).prepare_migration(id));
-    const util::Bytes sessions = ctrl(from).export_sessions(id);
-    NAPLET_RETURN_IF_ERROR(ctrl(to).import_sessions(
-        id, util::ByteSpan(sessions.data(), sessions.size())));
-    locations().register_agent(id, server(to).node_info());
+    NAPLET_RETURN_IF_ERROR(realm_->hop(id, "node" + std::to_string(from),
+                                       "node" + std::to_string(to)));
     return ctrl(to).complete_migration(id);
   }
 

@@ -50,17 +50,9 @@ TEST(PartitionHealTest, SuspendSurvivesPartitionHealingMidHandshake) {
     realm.net().set_partition("node0", "node1", false);
   });
 
-  realm.locations().begin_migration(cli);
-  const auto prepared = realm.ctrl(0).prepare_migration(cli);
+  const auto hopped = realm.realm().hop(cli, "node0", "node2");
   healer.join();
-  ASSERT_TRUE(prepared.ok()) << prepared.to_string();
-
-  const util::Bytes sessions = realm.ctrl(0).export_sessions(cli);
-  ASSERT_TRUE(realm.ctrl(2)
-                  .import_sessions(cli, util::ByteSpan(sessions.data(),
-                                                       sessions.size()))
-                  .ok());
-  realm.locations().register_agent(cli, realm.server(2).node_info());
+  ASSERT_TRUE(hopped.ok()) << hopped.to_string();
   ASSERT_TRUE(realm.ctrl(2).complete_migration(cli).ok());
 
   SessionPtr client2 = realm.ctrl(2).session_by_id(conn_id);

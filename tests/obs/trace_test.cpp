@@ -128,14 +128,7 @@ TEST_F(TraceTest, SingleMigrationExportsCompleteTrace) {
   // Suspend phase at virtual t=10: prepare blocks until the drain and
   // SUS/SUS_ACK exchange finish, so every suspend-side span lands at 10.
   sim.run_until(10.0);
-  realm.locations().begin_migration(alice);
-  ASSERT_TRUE(realm.ctrl(0).prepare_migration(alice).ok());
-  const util::Bytes blob = realm.ctrl(0).export_sessions(alice);
-  ASSERT_TRUE(realm.ctrl(2)
-                  .import_sessions(alice,
-                                   util::ByteSpan(blob.data(), blob.size()))
-                  .ok());
-  realm.locations().register_agent(alice, realm.server(2).node_info());
+  ASSERT_TRUE(realm.realm().hop(alice, "node0", "node2").ok());
 
   // The passive side's drain runs on node1's dispatch thread, concurrent
   // with the export above; wait for its drain-complete span to land before

@@ -106,16 +106,6 @@ struct RestartRealm {
     return util::OkStatus();
   }
 
-  util::Status migrate(const agent::AgentId& id, int from, int to) {
-    realm_.locations().begin_migration(id);
-    NAPLET_RETURN_IF_ERROR(ctrl(from).prepare_migration(id));
-    const util::Bytes sessions = ctrl(from).export_sessions(id);
-    NAPLET_RETURN_IF_ERROR(ctrl(to).import_sessions(
-        id, util::ByteSpan(sessions.data(), sessions.size())));
-    realm_.locations().register_agent(id, server(to).node_info());
-    return ctrl(to).complete_migration(id);
-  }
-
   std::string durable_name() const {
     return "node" + std::to_string(durable_);
   }
@@ -152,14 +142,7 @@ TEST(Recovery, RestartedControllerServesResumeFromJournal) {
   // Clean suspension (journaled at node1), then kill node1 BEFORE the
   // client's migration resumes — the restarted controller must serve the
   // RESUME purely from its journal.
-  realm.realm_.locations().begin_migration(cli);
-  ASSERT_TRUE(realm.ctrl(0).prepare_migration(cli).ok());
-  const util::Bytes blob = realm.ctrl(0).export_sessions(cli);
-  ASSERT_TRUE(realm.ctrl(2)
-                  .import_sessions(cli,
-                                   util::ByteSpan(blob.data(), blob.size()))
-                  .ok());
-  realm.realm_.locations().register_agent(cli, realm.server(2).node_info());
+  ASSERT_TRUE(realm.realm_.hop(cli, "node0", "node2").ok());
 
   // The small byte floor makes the doomed incarnation compact past the
   // compaction open() always does once its drain commit lands (posted
@@ -218,14 +201,7 @@ TEST(Recovery, DisabledRecoveryFailsCleanlyAndAborts) {
   ASSERT_TRUE(server.ok());
   const std::uint64_t conn = (*client)->conn_id();
 
-  realm.realm_.locations().begin_migration(cli);
-  ASSERT_TRUE(realm.ctrl(0).prepare_migration(cli).ok());
-  const util::Bytes blob = realm.ctrl(0).export_sessions(cli);
-  ASSERT_TRUE(realm.ctrl(2)
-                  .import_sessions(cli,
-                                   util::ByteSpan(blob.data(), blob.size()))
-                  .ok());
-  realm.realm_.locations().register_agent(cli, realm.server(2).node_info());
+  ASSERT_TRUE(realm.realm_.hop(cli, "node0", "node2").ok());
 
   // Restart WITHOUT journal replay: the new incarnation knows nothing.
   realm.crash();
@@ -502,13 +478,7 @@ TEST(Recovery, HopIsOneJournalSyncPerMoverCommitPoint) {
   const std::uint64_t dst_syncs = dst.durable_store()->syncs();
   const std::uint64_t src_records = src.durable_store()->records_written();
   const std::uint64_t dst_records = dst.durable_store()->records_written();
-  realm.locations().begin_migration(mob);
-  ASSERT_TRUE(src.prepare_migration(mob).ok());
-  const util::Bytes blob = src.export_sessions(mob);
-  ASSERT_TRUE(
-      dst.import_sessions(mob, util::ByteSpan(blob.data(), blob.size())).ok());
-  realm.locations().register_agent(
-      mob, realm.node("node1").server().node_info());
+  ASSERT_TRUE(realm.hop(mob, "node0", "node1").ok());
   ASSERT_TRUE(dst.complete_migration(mob).ok());
 
   EXPECT_EQ(dst.session_count(), static_cast<std::size_t>(kConns));
@@ -595,7 +565,8 @@ TEST(Recovery, MoverCrashBetweenSweepWriteAndSyncDeliversExactlyOnce) {
     EXPECT_EQ(session->buffered_frames(), 3u);  // the drained reverse frames
   }
 
-  ASSERT_TRUE(realm.migrate(cli, 0, 2).ok());
+  ASSERT_TRUE(realm.realm_.hop(cli, "node0", "node2").ok());
+  ASSERT_TRUE(realm.ctrl(2).complete_migration(cli).ok());
   for (std::uint64_t i = 0; i < kConns; ++i) {
     SessionPtr client = realm.ctrl(2).session_by_id(conns[i]);
     SessionPtr server = realm.ctrl(1).session_by_id(conns[i]);
