@@ -136,5 +136,5 @@ int main() {
   std::printf("  long dwell approaches baseline   : %s (%.0f%% of baseline)\n",
               approaches ? "PASS" : "FAIL",
               100.0 * series.back() / baseline);
-  return 0;
+  return monotone_ish && approaches ? 0 : 1;
 }

@@ -153,5 +153,5 @@ int main() {
               "on average: %s (mean ratio %.3f)\n",
               concurrent_sum < single_sum ? "PASS" : "FAIL",
               concurrent_sum / single_sum);
-  return 0;
+  return concurrent_sum < single_sum ? 0 : 1;
 }

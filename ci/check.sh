@@ -27,7 +27,10 @@
 #                                       pooled handoff workers, and
 #                                       tsan_sweep_rollback: a failed
 #                                       migration sweep resuming what it
-#                                       suspended)
+#                                       suspended, and tsan_bus: bus
+#                                       handlers on the rudp receiver
+#                                       thread, mail forwarded by the
+#                                       PostOffice retrier)
 #      + `ctest -L faults`            (fault-injection suite under TSan)
 #      + `ctest -L recovery`          (crash-restart recovery under TSan)
 #      + `ctest -L obs`              (observability suite under TSan)

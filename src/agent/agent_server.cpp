@@ -76,8 +76,8 @@ util::Status AgentServer::start() {
 
   auto dgram = network_->bind_datagram(config_.control_port);
   if (!dgram.ok()) return dgram.status();
-  bus_ = std::make_unique<ServerBus>(std::make_unique<net::ReliableChannel>(
-      std::move(*dgram), metrics_, config_.rudp_config));
+  bus_ = std::make_unique<ServerBus>(std::move(*dgram), metrics_,
+                                     config_.rudp_config);
 
   post_ = std::make_unique<PostOffice>(*bus_, locations_, config_.name,
                                        config_.post_config);

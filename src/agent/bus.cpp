@@ -5,25 +5,23 @@
 
 namespace naplet::agent {
 
-ServerBus::ServerBus(std::unique_ptr<net::ReliableChannel> channel)
-    : channel_(std::move(channel)), dispatcher_([this] { dispatch_loop(); }) {}
+ServerBus::ServerBus(net::DatagramPtr socket, obs::Registry& registry,
+                     net::RudpConfig config)
+    : channel_(std::make_unique<net::ReliableChannel>(
+          std::move(socket), registry,
+          [this](net::ReliableChannel::Message msg) {
+            dispatch(std::move(msg));
+          },
+          config)) {}
 
-ServerBus::~ServerBus() {
-  stop();
-  if (dispatcher_.joinable()) dispatcher_.join();
-}
+ServerBus::~ServerBus() { stop(); }
 
 void ServerBus::stop() {
-  if (stopped_.exchange(true)) return;
-  channel_->close();
   // Handlers point into the controller and agent server, and callers tear
-  // those down right after stop() returns — so an in-flight dispatch (e.g.
-  // a passive drain blocked inside handle_sus) must finish first. Skip the
-  // join when a handler itself initiated the stop.
-  if (dispatcher_.joinable() &&
-      dispatcher_.get_id() != std::this_thread::get_id()) {
-    dispatcher_.join();
-  }
+  // those down right after stop() returns: the channel's close() waits for
+  // a running handler (e.g. a passive drain inside handle_sus), unless the
+  // handler itself initiated the stop.
+  channel_->close();
 }
 
 void ServerBus::subscribe(BusKind kind, Handler handler) {
@@ -51,34 +49,29 @@ util::Status ServerBus::send(const net::Endpoint& dest, BusKind kind,
 }
 
 util::Status ServerBus::post(const net::Endpoint& dest, BusKind kind,
-                             util::ByteSpan payload) {
+                             util::ByteSpan payload,
+                             net::ReliableChannel::OnFailure on_failure) {
   const util::Bytes wire = tagged(kind, payload);
-  return channel_->post(dest, util::ByteSpan(wire.data(), wire.size()));
+  return channel_->post(dest, util::ByteSpan(wire.data(), wire.size()),
+                        std::move(on_failure));
 }
 
-void ServerBus::dispatch_loop() {
-  while (!stopped_.load()) {
-    auto msg = channel_->recv(std::chrono::milliseconds(200));
-    if (!msg) {
-      if (stopped_.load()) break;
-      continue;
-    }
-    if (msg->payload.empty()) continue;
-    const auto kind = static_cast<BusKind>(msg->payload[0]);
-    Handler handler;
-    {
-      util::MutexLock lock(mu_);
-      auto it = handlers_.find(kind);
-      if (it != handlers_.end()) handler = it->second;
-    }
-    if (!handler) {
-      NAPLET_LOG(kDebug, "bus") << "no handler for kind "
-                                << static_cast<int>(kind);
-      continue;
-    }
-    handler(msg->from, util::ByteSpan(msg->payload.data() + 1,
-                                      msg->payload.size() - 1));
+void ServerBus::dispatch(net::ReliableChannel::Message msg) {
+  if (msg.payload.empty()) return;
+  const auto kind = static_cast<BusKind>(msg.payload[0]);
+  Handler handler;
+  {
+    util::MutexLock lock(mu_);
+    auto it = handlers_.find(kind);
+    if (it != handlers_.end()) handler = it->second;
   }
+  if (!handler) {
+    NAPLET_LOG(kDebug, "bus") << "no handler for kind "
+                              << static_cast<int>(kind);
+    return;
+  }
+  handler(msg.from, util::ByteSpan(msg.payload.data() + 1,
+                                   msg.payload.size() - 1));
 }
 
 }  // namespace naplet::agent

@@ -77,16 +77,24 @@ void PostOffice::restore_mailbox(const AgentId& id, std::vector<Mail> mail) {
   for (auto& m : mail) box->push(std::move(m));
 }
 
-bool PostOffice::try_route(Envelope& envelope) {
-  // Local delivery?
+bool PostOffice::deliver_local(const Envelope& envelope) {
+  util::MutexLock lock(mu_);
+  auto it = mailboxes_.find(envelope.to);
+  if (it == mailboxes_.end()) return false;
+  it->second->push(envelope.mail);
+  return true;
+}
+
+void PostOffice::park(Envelope envelope) {
   {
     util::MutexLock lock(mu_);
-    auto it = mailboxes_.find(envelope.to);
-    if (it != mailboxes_.end()) {
-      it->second->push(envelope.mail);
-      return true;
-    }
+    parked_.push_back(std::move(envelope));
   }
+  retry_cv_.notify_all();
+}
+
+bool PostOffice::try_route(Envelope& envelope) {
+  if (deliver_local(envelope)) return true;
 
   // Remote: route to the receiver's current server.
   auto node = locations_.try_lookup(envelope.to);
@@ -121,12 +129,7 @@ util::Status PostOffice::send(const AgentId& from, const AgentId& to,
   envelope.mail = Mail{from, util::Bytes(body.begin(), body.end())};
   envelope.deadline_us = util::RealClock::instance().now_us() +
                          config_.delivery_ttl.count();
-  if (try_route(envelope)) return util::OkStatus();
-  {
-    util::MutexLock lock(mu_);
-    parked_.push_back(std::move(envelope));
-  }
-  retry_cv_.notify_all();
+  if (!try_route(envelope)) park(std::move(envelope));
   return util::OkStatus();  // accepted for (persistent) delivery
 }
 
@@ -152,10 +155,10 @@ void PostOffice::on_bus_mail(const net::Endpoint& /*from*/,
   }
   envelope->deadline_us = util::RealClock::instance().now_us() +
                           config_.delivery_ttl.count();
-  if (!try_route(*envelope)) {
-    util::MutexLock lock(mu_);
-    parked_.push_back(std::move(*envelope));
-  }
+  // This runs on the bus receiver thread, which must not wait on an ACK:
+  // mail for a resident agent is delivered here, and the retrier forwards
+  // the rest with its blocking send.
+  if (!deliver_local(*envelope)) park(std::move(*envelope));
 }
 
 void PostOffice::retry_loop() {

@@ -5,8 +5,10 @@
 // remote agent is routed via the location service and the server bus; mail
 // for an agent that has moved on is forwarded (bounded hop count). Mail
 // that cannot be routed yet (receiver in transit) is parked and retried by
-// a background thread — the "persistent" half of the semantics. A mailbox
-// migrates with its agent.
+// a background thread — the "persistent" half of the semantics. That thread
+// also forwards mail that arrives over the bus for an agent living elsewhere,
+// since a bus handler must not wait on a send. A mailbox migrates with its
+// agent.
 #pragma once
 
 #include <atomic>
@@ -76,8 +78,12 @@ class PostOffice {
 
  private:
   void on_bus_mail(const net::Endpoint& from, util::ByteSpan payload);
+  /// Push into a resident agent's mailbox; false if it has none here.
+  bool deliver_local(const Envelope& envelope);
   /// Attempt delivery (local or remote); false if it must be retried.
   bool try_route(Envelope& envelope);
+  /// Hand to the retrier and wake it.
+  void park(Envelope envelope);
   void retry_loop();
 
   ServerBus& bus_;

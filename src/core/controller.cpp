@@ -154,7 +154,9 @@ util::Status SocketController::send_ctrl(const net::Endpoint& dest,
                                          CtrlMsg& msg,
                                          util::ByteSpan session_key,
                                          util::Duration max_wait,
-                                         Delivery delivery) {
+                                         Delivery delivery,
+                                         net::ReliableChannel::OnFailure
+                                             on_failure) {
   bool duplicate = false;
   if (fault::armed()) {
     const fault::Decision d = fault::hit(ctrl_site(msg.type, "pre_send"));
@@ -184,7 +186,8 @@ util::Status SocketController::send_ctrl(const net::Endpoint& dest,
   const util::ByteSpan wire(encoded.data(), encoded.size());
   const auto transmit = [&] {
     return delivery == Delivery::kPost
-               ? server_.bus().post(dest, agent::BusKind::kControl, wire)
+               ? server_.bus().post(dest, agent::BusKind::kControl, wire,
+                                    on_failure)
                : server_.bus().send(dest, agent::BusKind::kControl, wire,
                                     max_wait);
   };
@@ -536,7 +539,10 @@ util::StatusOr<SessionPtr> SocketController::connect(
   req.server_agent = peer.name();
   if (dh) req.dh_public = dh->public_value();
   req.token = token_bytes;
-  if (auto st = send_ctrl(peer_node->control, req, {}); !st.ok()) {
+  // Posted: the CONNECT_ACK (or its absence within connect_timeout) is
+  // what tells whether the request landed.
+  if (auto st = send_ctrl(peer_node->control, req, {}, {}, Delivery::kPost);
+      !st.ok()) {
     cleanup_pending();
     return st;
   }
@@ -628,7 +634,7 @@ void SocketController::handle_connect(const net::Endpoint& from,
     access_denials_.add(1);
     reply.type = CtrlType::kConnectReject;
     reply.reason = why.to_string();
-    (void)send_ctrl(reply_to, reply, {});
+    post_reply(reply_to, reply);
   };
 
   // Target agent must be listening here.
@@ -708,10 +714,18 @@ void SocketController::handle_connect(const net::Endpoint& from,
   reply.type = CtrlType::kConnectAck;
   reply.conn_id = conn_id;
   reply.dh_public = server_dh_public;
-  if (auto st = send_ctrl(reply_to, reply, {}); !st.ok()) {
+  // A CONNECT_ACK that never lands must not leave the half-open session
+  // behind. It is posted (this is a bus handler), so a failure after the
+  // first transmission arrives later, on the rudp timer thread.
+  const auto drop_half_open = [this, session](const util::Status& why) {
     NAPLET_LOG(kWarn, "controller")
-        << "CONNECT_ACK send failed: " << st.to_string();
-    remove_session(session);
+        << "CONNECT_ACK send failed: " << why.to_string();
+    if (session->state() == ConnState::kConnectAcked) remove_session(session);
+  };
+  if (auto st = send_ctrl(reply_to, reply, {}, {}, Delivery::kPost,
+                          drop_half_open);
+      !st.ok()) {
+    drop_half_open(st);
   }
 }
 

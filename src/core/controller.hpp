@@ -258,16 +258,20 @@ class SocketController final : public agent::ConnectionMigrator {
 
   // Internals. kAwaitAck blocks until the peer's channel ACKs the message;
   // kPost returns once it is on the wire (rudp keeps retransmitting it).
-  // Bus handlers post their replies; initiators and CONNECT_ACK, whose
-  // failure path drops the half-open session, wait.
+  // Bus handlers run on the rudp receiver thread and must post: every
+  // reply, CONNECT_ACK included, is posted. So are the initiator requests
+  // whose reply proves delivery (CONNECT, CLS, the first SUS of an
+  // exchange); SUS resends, SUS_RES and heartbeats wait.
   enum class Delivery : std::uint8_t { kAwaitAck, kPost };
   // `max_wait` (0 = unbounded) caps the reliability layer's retransmission
   // loop for kAwaitAck — used by liveness probes so a dead peer costs at
-  // most probe_timeout per round.
+  // most probe_timeout per round. `on_failure` (kPost only) hears of a
+  // posted message whose retransmits ran out.
   util::Status send_ctrl(const net::Endpoint& dest, CtrlMsg& msg,
                          util::ByteSpan session_key,
                          util::Duration max_wait = {},
-                         Delivery delivery = Delivery::kAwaitAck);
+                         Delivery delivery = Delivery::kAwaitAck,
+                         net::ReliableChannel::OnFailure on_failure = {});
   /// Stamp the sender agent + MAC from `session` and send to `dest`.
   util::Status send_session_ctrl(const net::Endpoint& dest, CtrlMsg& msg,
                                  const Session& session,
@@ -324,7 +328,7 @@ class SocketController final : public agent::ConnectionMigrator {
   util::Status do_resume_once(const SessionPtr& session,
                               CommitBatch* resumed);
 
-  /// One SUS exchange for active_suspend: send `sus`, then wait for
+  /// One SUS exchange for active_suspend: post `sus`, then wait for
   /// SUS_ACK, ACK_WAIT or REJECT while pumping the receive side, resending
   /// with a peer-location refresh every max(250 ms,
   /// ctrl_response_timeout / 4). Returns nullopt at `deadline_us` or when

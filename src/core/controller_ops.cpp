@@ -64,11 +64,12 @@ std::optional<Session::CtrlResponse> SocketController::wait_response(
 
 std::optional<Session::CtrlResponse> SocketController::exchange_sus(
     Session& session, CtrlMsg& sus, std::int64_t& deadline_us) {
-  // Best-effort: if the peer controller restarted since we last heard from
-  // it, its control endpoint is stale and this send times out — the resend
-  // below refreshes the location and tries again, so a send failure here
-  // must not end the exchange.
-  if (auto st = send_session_ctrl(session.peer_node().control, sus, session);
+  // Posted: the peer's reply proves delivery, and the resends below cover
+  // a SUS that never lands (a peer controller that restarted at a new
+  // control endpoint: each resend refreshes the location first). So a
+  // send failure here must not end the exchange.
+  if (auto st = send_session_ctrl(session.peer_node().control, sus, session,
+                                  {}, Delivery::kPost);
       !st.ok()) {
     NAPLET_LOG(kDebug, "controller")
         << "conn " << session.conn_id() << ": SUS send failed ("
@@ -76,8 +77,6 @@ std::optional<Session::CtrlResponse> SocketController::exchange_sus(
   }
   span(session.trace_id(), obs::SpanKind::kSuspendSent, session, "SUS",
        sus.sent_seq);
-  // The clock starts after the first send, which a dead endpoint can hold
-  // for the transport's whole retransmission budget.
   if (deadline_us == 0) {
     deadline_us = now_us() + config_.ctrl_response_timeout.count();
   }
@@ -245,7 +244,7 @@ std::optional<util::Status> SocketController::active_suspend(
 }
 
 // ===========================================================================
-// Suspension — passive side (bus thread)
+// Suspension — passive side (bus handlers: the rudp receiver thread)
 
 void SocketController::handle_sus(CtrlMsg msg) {
   SessionPtr session = find_session_from(msg.conn_id, msg.client_agent);
@@ -276,9 +275,10 @@ void SocketController::handle_sus(CtrlMsg msg) {
   // A SUS may land while a resume is one step from completion (RES_ACKED
   // or RES_SENT about to see its RESUME_OK); wait briefly for that to
   // settle rather than rejecting a legitimate request. The wait is capped
-  // tightly: this runs on the controller's single dispatch thread, and a
-  // long block would head-of-line-delay every other connection's control
-  // traffic. If it does not settle, the sender's retry loop covers it.
+  // tightly: this runs on the bus channel's receiver thread, and a long
+  // block would head-of-line-delay every other connection's control
+  // traffic and this node's ACK processing. If it does not settle, the
+  // sender's retry loop covers it.
   if (session->state() == ConnState::kResAcked ||
       session->state() == ConnState::kResSent) {
     session->wait_state(
@@ -866,7 +866,9 @@ util::Status SocketController::close(const SessionPtr& session) {
   // Like suspend, close declares the sender's data high-water mark so the
   // peer can flush everything in transmission before tearing down.
   cls.sent_seq = session->freeze_writes_and_mark();
-  (void)send_session_ctrl(session->peer_node().control, cls, *session);
+  // Posted: CLOSE_ACK proves delivery, and the wait below bounds its loss.
+  (void)send_session_ctrl(session->peer_node().control, cls, *session, {},
+                          Delivery::kPost);
 
   // Same draining discipline as suspension while waiting for the ACK (the
   // peer's freeze may be stuck behind a backpressured writer).

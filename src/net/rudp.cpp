@@ -32,6 +32,9 @@ constexpr double kMinRtoUs = 2000;
 // of a (theoretical) lost wakeup without busy-waiting.
 constexpr auto kPollSlice = std::chrono::milliseconds(200);
 
+// The channel whose receiver thread this is (null on every other thread).
+thread_local const ReliableChannel* tls_receiving = nullptr;
+
 RudpConfig sanitize(RudpConfig config) {
   config.max_attempts = std::max(config.max_attempts, 1);
   config.window_packets = std::max(config.window_packets, 1);
@@ -42,9 +45,10 @@ RudpConfig sanitize(RudpConfig config) {
 }  // namespace
 
 ReliableChannel::ReliableChannel(DatagramPtr socket, obs::Registry& registry,
-                                 RudpConfig config)
+                                 Deliver deliver, RudpConfig config)
     : socket_(std::move(socket)),
       config_(sanitize(config)),
+      deliver_(std::move(deliver)),
       flow_id_(static_cast<std::uint64_t>(
                    steady_clock::now().time_since_epoch().count()) ^
                (reinterpret_cast<std::uintptr_t>(this) * 0x9E3779B97F4A7C15ULL)),
@@ -73,7 +77,6 @@ ReliableChannel::~ReliableChannel() {
 
 void ReliableChannel::close() {
   if (closed_.exchange(true)) return;
-  inbox_.close();
   socket_->close();
   {
     // Settle every packet still in flight: a blocked send() wakes with
@@ -88,6 +91,13 @@ void ReliableChannel::close() {
   }
   window_cv_.notify_all();
   timer_cv_.notify_all();
+  // Callbacks point into the channel's owner, which may be torn down right
+  // after close() returns: wait out one that is running, unless it is the
+  // caller. The destructor joins whatever is skipped here.
+  if (!on_receiver_thread() && receiver_.joinable()) receiver_.join();
+  if (timer_.get_id() != std::this_thread::get_id() && timer_.joinable()) {
+    timer_.join();
+  }
 }
 
 Endpoint ReliableChannel::local_endpoint() const {
@@ -107,8 +117,12 @@ ReliableChannel::TxPeer& ReliableChannel::peer_for(const Endpoint& dest) {
 }
 
 ReliableChannel::TxMap::iterator ReliableChannel::settle(
-    TxPeer& peer, TxMap::iterator it, util::Status status) {
+    TxPeer& peer, TxMap::iterator it, util::Status status,
+    Failures* failed) {
   TxPacket& packet = it->second;
+  if (failed != nullptr && packet.on_failure) {
+    failed->emplace_back(std::move(packet.on_failure), status);
+  }
   peer.unacked_packets--;
   peer.unacked_bytes -= packet.payload_size;
   window_inflight_.add(-1);
@@ -226,7 +240,7 @@ bool ReliableChannel::send_with_fault(const char* site, const Endpoint& dest,
 
 util::StatusOr<std::uint64_t> ReliableChannel::transmit(
     const Endpoint& dest, util::ByteSpan payload, SendWaiter* waiter,
-    std::optional<TimePoint> admit_deadline) {
+    std::optional<TimePoint> admit_deadline, OnFailure on_failure) {
   if (closed_.load()) return util::Cancelled("channel closed");
   const auto t_start = steady_clock::now();
   bool wake_timer = false;
@@ -266,6 +280,7 @@ util::StatusOr<std::uint64_t> ReliableChannel::transmit(
     packet.first_send = steady_clock::now();
     packet.sends = 1;
     packet.waiter = waiter;
+    packet.on_failure = std::move(on_failure);
     auto it = peer.inflight.emplace(seq, std::move(packet)).first;
     peer.unacked_packets++;
     peer.unacked_bytes += payload.size();
@@ -296,13 +311,20 @@ util::StatusOr<std::uint64_t> ReliableChannel::transmit(
 }
 
 util::Status ReliableChannel::post(const Endpoint& dest,
-                                   util::ByteSpan payload) {
-  return transmit(dest, payload, nullptr, std::nullopt).status();
+                                   util::ByteSpan payload,
+                                   OnFailure on_failure) {
+  return transmit(dest, payload, nullptr, std::nullopt, std::move(on_failure))
+      .status();
 }
 
 util::Status ReliableChannel::send(const Endpoint& dest,
                                    util::ByteSpan payload,
                                    util::Duration max_wait) {
+  if (on_receiver_thread()) {
+    // The ACK this would wait for can only be processed by this thread.
+    return util::FailedPrecondition(
+        "blocking rudp send on the channel's receiver thread");
+  }
   const bool bounded = max_wait.count() > 0;
   const auto hard_deadline = steady_clock::now() + max_wait;
   SendWaiter waiter;
@@ -407,6 +429,7 @@ std::optional<ReliableChannel::TimePoint> ReliableChannel::retx_pass() {
     util::Duration interval{};  // this retransmit's wait before the next
   };
   std::vector<Pending> out;
+  Failures failed;  // told once mu_ is released
   std::optional<TimePoint> next;
   const auto fold = [&next](TimePoint t) {
     if (!next || t < *next) next = t;
@@ -429,7 +452,8 @@ std::optional<ReliableChannel::TimePoint> ReliableChannel::retx_pass() {
                       util::Timeout("no ACK from " + dest.to_string() +
                                     " after " +
                                     std::to_string(config_.max_attempts) +
-                                    " attempts"));
+                                    " attempts"),
+                      &failed);
           continue;
         }
         packet.sends++;
@@ -461,8 +485,10 @@ std::optional<ReliableChannel::TimePoint> ReliableChannel::retx_pass() {
       continue;
     }
     // Scripted kError: the send fails outright.
-    settle(peer_it->second, it, util::Unavailable("fault: rudp send errored"));
+    settle(peer_it->second, it, util::Unavailable("fault: rudp send errored"),
+           &failed);
   }
+  for (auto& [on_failure, status] : failed) on_failure(status);
   return next;
 }
 
@@ -485,12 +511,12 @@ void ReliableChannel::timer_loop() {
 // ===========================================================================
 // Receiver
 
-std::optional<ReliableChannel::Message> ReliableChannel::recv(
-    util::Duration timeout) {
-  return inbox_.pop_for(timeout);
+bool ReliableChannel::on_receiver_thread() const {
+  return tls_receiving == this;
 }
 
 void ReliableChannel::receive_loop() {
+  tls_receiving = this;
   while (!closed_.load()) {
     auto packet = socket_->recv_for(std::chrono::milliseconds(200));
     if (!packet.ok()) {
@@ -530,11 +556,12 @@ ReliableChannel::RxPeer& ReliableChannel::rx_peer_for(
   return peer;
 }
 
-void ReliableChannel::drain_in_order(RxPeer& peer, const Endpoint& from) {
+void ReliableChannel::drain_in_order(RxPeer& peer,
+                                     std::vector<util::Bytes>& ready) {
   for (;;) {
     auto it = peer.ooo.find(peer.cum + 1);
     if (it == peer.ooo.end()) break;
-    inbox_.push(Message{from, std::move(it->second)});
+    ready.push_back(std::move(it->second));
     peer.ooo.erase(it);
     peer.cum++;
   }
@@ -567,22 +594,31 @@ void ReliableChannel::send_ack(const Endpoint& to, RxPeer& peer) {
 }
 
 void ReliableChannel::handle_data(const Endpoint& from, wire::Packet packet) {
-  util::MutexLock lock(rx_mu_);
-  RxPeer& peer = rx_peer_for(from, packet);
-  const std::uint64_t seq = packet.seq;
-  if (wire::seq_le(seq, peer.cum) || peer.ooo.contains(seq)) {
-    // Retransmit of something already integrated: count the drop, but
-    // still ACK below — the original ACK may have been lost.
-    duplicates_dropped_.add(1);
-  } else if (seq - (peer.cum + 1) > kMaxReorderSpan) {
-    return;  // absurd gap: garbage, allocate nothing
-  } else if (peer.ooo.size() >= kReorderCap) {
-    return;  // reorder buffer full: drop; the sender retransmits
-  } else {
-    peer.ooo.emplace(seq, std::move(packet.payload));
-    drain_in_order(peer, from);
+  std::vector<util::Bytes> ready;  // payloads now in order, to deliver
+  {
+    util::MutexLock lock(rx_mu_);
+    RxPeer& peer = rx_peer_for(from, packet);
+    const std::uint64_t seq = packet.seq;
+    if (wire::seq_le(seq, peer.cum) || peer.ooo.contains(seq)) {
+      // Retransmit of something already integrated: count the drop, but
+      // still ACK below — the original ACK may have been lost.
+      duplicates_dropped_.add(1);
+    } else if (seq - (peer.cum + 1) > kMaxReorderSpan) {
+      return;  // absurd gap: garbage, allocate nothing
+    } else if (peer.ooo.size() >= kReorderCap) {
+      return;  // reorder buffer full: drop; the sender retransmits
+    } else {
+      peer.ooo.emplace(seq, std::move(packet.payload));
+      drain_in_order(peer, ready);
+    }
+    send_ack(from, peer);
   }
-  send_ack(from, peer);
+  // Delivered with the ACK already out and rx_mu_ released: the callback
+  // may run a whole bus handler on this thread.
+  for (util::Bytes& payload : ready) {
+    if (closed_.load() || !deliver_) return;
+    deliver_(Message{from, std::move(payload)});
+  }
 }
 
 }  // namespace naplet::net

@@ -4,7 +4,7 @@
 //  - a windowed sender (window_packets, plus a 1 MiB byte cap) so concurrent
 //    send() calls pipeline instead of serialising on one ACK round-trip;
 //  - a cumulative-ACK + SACK-range receiver with an in-order reorder
-//    buffer feeding recv();
+//    buffer feeding the delivery callback;
 //  - RTT estimation (SRTT/RTTVAR, Karn's rule) driving the retransmit
 //    timer, with the capped exponential backoff as the slow path after
 //    repeated loss of the same packet;
@@ -17,18 +17,20 @@
 // the suspend+resume p95 by under 1.5x even at 20% loss; EXPERIMENTS.md
 // E14.)
 //
-// The blocking send()/recv() surface, the non-blocking max_wait contract,
-// duplicate suppression, and the close/abort wake guarantees are unchanged
-// from the stop-and-wait version, so controller/bus/probe callers are
-// untouched.
+// Inbound messages go to one delivery callback, called on the receiver
+// thread once the message's ACK is out: the callback is the whole receive
+// path, with no queue or second thread behind it.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "net/rudp_wire.hpp"
 #include "net/transport.hpp"
@@ -84,15 +86,33 @@ struct RudpConfig {
 /// cumulatively or selectively ACKed, attempts are exhausted (kTimeout),
 /// or the channel closes (kCancelled); post() enters the window the same
 /// way but returns once the first transmission is out. A background
-/// receiver thread ACKs, de-duplicates, reorders, and queues inbound
-/// messages for recv(); a background timer thread owns retransmissions.
+/// receiver thread ACKs, de-duplicates and reorders inbound messages and
+/// hands each to the delivery callback; a background timer thread owns
+/// retransmissions.
 ///
 /// Every counter, gauge and histogram lives in `registry` (the node's
 /// registry, which must outlive the channel) under the `rudp_` prefix.
 class ReliableChannel {
  public:
+  struct Message {
+    Endpoint from;
+    util::Bytes payload;
+  };
+  /// Called on the receiver thread for every inbound message, once, in
+  /// send order per peer, one at a time, after the message's ACK is out.
+  /// While it runs the channel processes no other datagram, ACKs for this
+  /// channel's own sends included, so it must never wait on an ACK: a
+  /// blocking send() from it fails at once. An empty callback discards
+  /// inbound messages (a send-only channel).
+  using Deliver = std::function<void(Message)>;
+  /// Told why a posted packet failed: its retransmits ran out (kTimeout)
+  /// or a scripted fault errored a retransmit (kUnavailable). Runs on the
+  /// timer thread with no channel lock held; never runs for a packet the
+  /// channel's close() cancels.
+  using OnFailure = std::function<void(const util::Status&)>;
+
   ReliableChannel(DatagramPtr socket, obs::Registry& registry,
-                  RudpConfig config = {});
+                  Deliver deliver, RudpConfig config = {});
   ~ReliableChannel();
 
   ReliableChannel(const ReliableChannel&) = delete;
@@ -103,7 +123,9 @@ class ReliableChannel {
   /// `max_wait` additionally caps the total blocking time — including time
   /// spent waiting for a window slot — and attempts still in the schedule
   /// when it expires are abandoned (kTimeout). Liveness probes use this so
-  /// one dead peer cannot stall a probe round.
+  /// one dead peer cannot stall a probe round. Called on the receiver
+  /// thread (from the delivery callback) it returns kFailedPrecondition at
+  /// once: the ACK it would wait for is processed by that thread.
   util::Status send(const Endpoint& dest, util::ByteSpan payload,
                     util::Duration max_wait = {});
 
@@ -112,20 +134,17 @@ class ReliableChannel {
   /// or kUnavailable when a scripted fault errors the send. Blocks only
   /// while the destination's window is full. The packet then retransmits
   /// like any other, and its ACK or its final retransmit failure erases
-  /// it, recording the same per-send metrics a send() would.
-  util::Status post(const Endpoint& dest, util::ByteSpan payload);
-
-  struct Message {
-    Endpoint from;
-    util::Bytes payload;
-  };
-  /// Pop the next inbound message; nullopt on timeout or close. Messages
-  /// from one peer are delivered in send order (the reorder buffer holds
-  /// out-of-order arrivals until the gap fills).
-  std::optional<Message> recv(util::Duration timeout);
+  /// it, recording the same per-send metrics a send() would; a failure
+  /// after the first transmission is reported to `on_failure`, if given.
+  util::Status post(const Endpoint& dest, util::ByteSpan payload,
+                    OnFailure on_failure = {});
 
   [[nodiscard]] Endpoint local_endpoint() const;
 
+  /// Stop the channel: settle every packet in flight with kCancelled, then
+  /// wait for a delivery callback or failure callback that is running.
+  /// Called from one of those callbacks, it skips waiting on its own
+  /// thread. Idempotent.
   void close();
 
   // Observability for tests/benches: reads of the registry counters.
@@ -176,6 +195,7 @@ class ReliableChannel {
     bool fast_retx_done = false;
     bool retransmitted = false;  // Karn: no RTT sample once true
     SendWaiter* waiter = nullptr;  // the blocked send(); null for post()
+    OnFailure on_failure;          // post() only
   };
   using TxMap = std::map<std::uint64_t, TxPacket>;
 
@@ -207,11 +227,16 @@ class ReliableChannel {
   /// path under send() and post(). Returns the seq now in flight.
   util::StatusOr<std::uint64_t> transmit(
       const Endpoint& dest, util::ByteSpan payload, SendWaiter* waiter,
-      std::optional<TimePoint> admit_deadline);
+      std::optional<TimePoint> admit_deadline, OnFailure on_failure = {});
+  /// Posted packets' failure callbacks, each with its status, to run
+  /// once mu_ is released.
+  using Failures = std::vector<std::pair<OnFailure, util::Status>>;
   /// Take a packet out of the window: free its slot, record the per-send
   /// metrics when `status` is Ok, hand `status` to its waiter, erase it.
+  /// With `failed`, a posted packet's failure callback moves there.
   TxMap::iterator settle(TxPeer& peer, TxMap::iterator it,
-                         util::Status status) NAPLET_REQUIRES(mu_);
+                         util::Status status, Failures* failed = nullptr)
+      NAPLET_REQUIRES(mu_);
   void rtt_sample(TxPeer& peer, double sample_us) NAPLET_REQUIRES(mu_);
 
   void send_frame(const Endpoint& dest, const util::Bytes& wire);
@@ -220,6 +245,7 @@ class ReliableChannel {
   bool send_with_fault(const char* site, const Endpoint& dest,
                        const util::Bytes& wire);
 
+  [[nodiscard]] bool on_receiver_thread() const;
   void receive_loop();
   void timer_loop();
   /// One retransmit scan (the timer_loop body): collects due
@@ -232,8 +258,8 @@ class ReliableChannel {
 
   RxPeer& rx_peer_for(const Endpoint& from, const wire::Packet& packet)
       NAPLET_REQUIRES(rx_mu_);
-  /// Move every payload now in order from the reorder buffer to the inbox.
-  void drain_in_order(RxPeer& peer, const Endpoint& from)
+  /// Move every payload now in order from the reorder buffer to `ready`.
+  void drain_in_order(RxPeer& peer, std::vector<util::Bytes>& ready)
       NAPLET_REQUIRES(rx_mu_);
   /// Build the current cumulative+SACK ACK frame for `peer`.
   [[nodiscard]] util::Bytes build_ack(RxPeer& peer, std::size_t* n_sacks)
@@ -244,6 +270,8 @@ class ReliableChannel {
                                          "datagram socket is internally "
                                          "synchronized");
   RudpConfig config_ NAPLET_NOT_GUARDED("set at construction, immutable");
+  Deliver deliver_ NAPLET_NOT_GUARDED("set at construction, immutable; "
+                                      "called on the receiver thread only");
   // Distinguishes channel incarnations per endpoint.
   const std::uint64_t flow_id_;
 
@@ -261,8 +289,6 @@ class ReliableChannel {
 
   util::Mutex rx_mu_{util::LockRank::kRudpRx, "rudp.rx"};
   std::map<Endpoint, RxPeer> rx_ NAPLET_GUARDED_BY(rx_mu_);
-
-  util::BlockingQueue<Message> inbox_;
 
   std::atomic<bool> closed_{false};
 

@@ -13,24 +13,25 @@ namespace {
 
 using namespace std::chrono_literals;
 
+// Handlers run on the bus's receiver thread until the bus is destroyed, so
+// each test declares what its handlers touch before its buses.
 std::unique_ptr<ServerBus> make_bus(net::Network& node,
                                     net::RudpConfig config = {}) {
   auto dgram = node.bind_datagram(0);
   EXPECT_TRUE(dgram.ok());
-  return std::make_unique<ServerBus>(
-      std::make_unique<net::ReliableChannel>(
-          std::move(*dgram), obs::Registry::global(), config));
+  return std::make_unique<ServerBus>(std::move(*dgram),
+                                     obs::Registry::global(), config);
 }
 
 TEST(ServerBus, RoutesByKind) {
   net::SimNet net;
   auto node_a = net.add_node("a");
   auto node_b = net.add_node("b");
+  util::BlockingQueue<std::string> ctrl_inbox;
+  util::BlockingQueue<std::string> mail_inbox;
   auto bus_a = make_bus(*node_a);
   auto bus_b = make_bus(*node_b);
 
-  util::BlockingQueue<std::string> ctrl_inbox;
-  util::BlockingQueue<std::string> mail_inbox;
   bus_b->subscribe(BusKind::kControl,
                    [&](const net::Endpoint&, util::ByteSpan payload) {
                      ctrl_inbox.push(std::string(payload.begin(),
@@ -78,10 +79,10 @@ TEST(ServerBus, UnhandledKindDropped) {
 
 TEST(ServerBus, HandlerReplacement) {
   net::SimNet net;
+  std::atomic<int> first{0}, second{0};
   auto bus_a = make_bus(*net.add_node("a"));
   auto bus_b = make_bus(*net.add_node("b"));
 
-  std::atomic<int> first{0}, second{0};
   bus_b->subscribe(BusKind::kProbe,
                    [&](const net::Endpoint&, util::ByteSpan) { ++first; });
   const util::Bytes payload = {1};
@@ -110,10 +111,10 @@ TEST(ServerBus, HandlerReplacement) {
 
 TEST(ServerBus, HandlerSeesSenderEndpoint) {
   net::SimNet net;
+  util::BlockingQueue<net::Endpoint> froms;
   auto bus_a = make_bus(*net.add_node("a"));
   auto bus_b = make_bus(*net.add_node("b"));
 
-  util::BlockingQueue<net::Endpoint> froms;
   bus_b->subscribe(BusKind::kControl,
                    [&](const net::Endpoint& from, util::ByteSpan) {
                      froms.push(from);
@@ -128,15 +129,13 @@ TEST(ServerBus, HandlerSeesSenderEndpoint) {
 }
 
 TEST(ServerBus, BidirectionalReplyFromHandler) {
-  // A handler may send on the bus (reliable send blocks on the channel's
-  // rudp ACK, which is processed by the channel's own receiver thread, so
-  // no deadlock).
+  // A handler replies with post(): it returns once the reply is on the
+  // wire, and the channel retransmits it until the peer ACKs.
   net::SimNet net;
+  util::BlockingQueue<std::string> replies;
   auto bus_a = make_bus(*net.add_node("a"));
   auto bus_b = make_bus(*net.add_node("b"));
 
-  util::BlockingQueue<std::string> replies;
-  std::atomic<bool> reply_sent{false};
   bus_a->subscribe(BusKind::kControl,
                    [&](const net::Endpoint&, util::ByteSpan payload) {
                      replies.push(std::string(payload.begin(),
@@ -145,14 +144,13 @@ TEST(ServerBus, BidirectionalReplyFromHandler) {
   bus_b->subscribe(BusKind::kControl,
                    [&](const net::Endpoint& from, util::ByteSpan) {
                      const std::string pong = "pong";
-                     EXPECT_TRUE(bus_b->send(
+                     EXPECT_TRUE(bus_b->post(
                                         from, BusKind::kControl,
                                         util::ByteSpan(
                                             reinterpret_cast<const std::uint8_t*>(
                                                 pong.data()),
                                             pong.size()))
                                      .ok());
-                     reply_sent.store(true);
                    });
   const util::Bytes ping = {'p'};
   ASSERT_TRUE(bus_a->send(bus_b->local_endpoint(), BusKind::kControl,
@@ -161,12 +159,67 @@ TEST(ServerBus, BidirectionalReplyFromHandler) {
   auto reply = replies.pop_for(2s);
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(*reply, "pong");
-  // The pong payload reaches us before bus_b's blocking send has seen its
-  // own transport ACK; don't tear the buses down under the handler.
-  for (int i = 0; i < 2000 && !reply_sent.load(); ++i) {
-    std::this_thread::sleep_for(1ms);
-  }
-  EXPECT_TRUE(reply_sent.load());
+}
+
+TEST(ServerBus, BlockingSendFromHandlerFailsFast) {
+  // Handlers run on the channel's receiver thread, which is the thread that
+  // would process the ACK a blocking send waits for: the send must fail at
+  // once instead of hanging until its retransmits run out.
+  net::SimNet net;
+  util::BlockingQueue<util::Status> outcomes;
+  util::BlockingQueue<util::Duration> took;
+  auto bus_a = make_bus(*net.add_node("a"));
+  auto bus_b = make_bus(*net.add_node("b"));
+
+  bus_b->subscribe(BusKind::kControl,
+                   [&](const net::Endpoint& from, util::ByteSpan) {
+                     const util::Bytes pong = {'q'};
+                     const auto t0 = std::chrono::steady_clock::now();
+                     outcomes.push(bus_b->send(
+                         from, BusKind::kControl,
+                         util::ByteSpan(pong.data(), pong.size())));
+                     took.push(std::chrono::duration_cast<util::Duration>(
+                         std::chrono::steady_clock::now() - t0));
+                   });
+  const util::Bytes ping = {'p'};
+  ASSERT_TRUE(bus_a->send(bus_b->local_endpoint(), BusKind::kControl,
+                          util::ByteSpan(ping.data(), ping.size()))
+                  .ok());
+  auto outcome = outcomes.pop_for(2s);
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->code(), util::StatusCode::kFailedPrecondition)
+      << outcome->to_string();
+  auto elapsed = took.pop_for(1s);
+  ASSERT_TRUE(elapsed.has_value());
+  EXPECT_LT(*elapsed, 100ms);
+  // The same send from any other thread still goes through.
+  EXPECT_TRUE(bus_b->send(bus_a->local_endpoint(), BusKind::kProbe,
+                          util::ByteSpan(ping.data(), ping.size()))
+                  .ok());
+}
+
+TEST(ServerBus, StopWaitsForRunningHandler) {
+  // stop() returns only once a handler that is running has finished:
+  // callers tear down what handlers point into right after it.
+  net::SimNet net;
+  util::Event entered;
+  std::atomic<bool> finished{false};
+  auto bus_a = make_bus(*net.add_node("a"));
+  auto bus_b = make_bus(*net.add_node("b"));
+
+  bus_b->subscribe(BusKind::kControl,
+                   [&](const net::Endpoint&, util::ByteSpan) {
+                     entered.set();
+                     std::this_thread::sleep_for(100ms);
+                     finished.store(true);
+                   });
+  const util::Bytes ping = {'p'};
+  ASSERT_TRUE(bus_a->post(bus_b->local_endpoint(), BusKind::kControl,
+                          util::ByteSpan(ping.data(), ping.size()))
+                  .ok());
+  ASSERT_TRUE(entered.wait_for(2s));
+  bus_b->stop();
+  EXPECT_TRUE(finished.load());
 }
 
 TEST(ServerBus, StopIsIdempotentAndSendFailsAfter) {
@@ -191,10 +244,10 @@ TEST(ServerBus, SurvivesLossyLink) {
   net::RudpConfig rudp;
   rudp.retransmit_interval = 15ms;
   rudp.max_attempts = 60;
+  std::atomic<int> received{0};
   auto bus_a = make_bus(*node_a, rudp);
   auto bus_b = make_bus(*node_b, rudp);
 
-  std::atomic<int> received{0};
   bus_b->subscribe(BusKind::kControl,
                    [&](const net::Endpoint&, util::ByteSpan) { ++received; });
   const util::Bytes payload = {9};

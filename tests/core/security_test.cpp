@@ -62,8 +62,7 @@ TEST(Security, ForgedSuspendIgnored) {
   auto dgram = attacker_node->bind_datagram(0);
   ASSERT_TRUE(dgram.ok());
   obs::Registry attacker_metrics;
-  agent::ServerBus attacker_bus(std::make_unique<net::ReliableChannel>(
-      std::move(*dgram), attacker_metrics));
+  agent::ServerBus attacker_bus(std::move(*dgram), attacker_metrics);
 
   CtrlMsg forged;
   forged.type = CtrlType::kSus;
@@ -100,8 +99,7 @@ TEST(Security, ForgedCloseIgnored) {
   auto dgram = attacker_node->bind_datagram(0);
   ASSERT_TRUE(dgram.ok());
   obs::Registry attacker_metrics;
-  agent::ServerBus attacker_bus(std::make_unique<net::ReliableChannel>(
-      std::move(*dgram), attacker_metrics));
+  agent::ServerBus attacker_bus(std::move(*dgram), attacker_metrics);
 
   CtrlMsg forged;
   forged.type = CtrlType::kCls;

@@ -3,9 +3,11 @@
 // suspend/resume, and close — on stationary agents.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
 #include "core/test_realm.hpp"
+#include "fault/fault.hpp"
 #include "net/tcp.hpp"
 
 namespace naplet::nsock {
@@ -63,6 +65,51 @@ TEST(Socket, ConnectToUnknownAgentTimesOutInLookup) {
   auto session = realm.ctrl(0).connect(alice, agent::AgentId("nobody"));
   EXPECT_FALSE(session.ok());
   EXPECT_EQ(session.status().code(), util::StatusCode::kNotFound);
+}
+
+TEST(Socket, LostConnectAckDropsHalfOpenSession) {
+  // CONNECT_ACK is posted from a bus handler. When every transmission of it
+  // is lost, its failure callback must still drop the server's half-open
+  // session, and the client's connect must fail.
+  SimRealm realm(2, /*security=*/false, {}, [](NodeConfig& config) {
+    config.server.rudp_config.retransmit_interval = 20ms;
+    config.server.rudp_config.max_attempts = 6;
+    config.controller.connect_timeout = 1s;
+  });
+  auto alice = realm.pseudo_agent("alice", 0);
+  auto bob = realm.pseudo_agent("bob", 1);
+  ASSERT_TRUE(realm.ctrl(1).listen(bob).ok());
+
+  // Hold the CONNECT at node1's receive site; cut the node1 -> node0 link
+  // meanwhile, then watch the half-open session appear.
+  auto plan = fault::Plan::parse("ctrl.connect.on_recv@#1:delay:200");
+  ASSERT_TRUE(plan.ok());
+  fault::Injector& injector = fault::Injector::instance();
+  injector.arm(*plan);
+  std::atomic<bool> saw_half_open{false};
+  std::thread cutter([&] {
+    const auto give_up = std::chrono::steady_clock::now() + 3s;
+    while (injector.hit_count("ctrl.connect.on_recv") == 0 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(1ms);
+    }
+    realm.net().set_link("node1", "node0",
+                         net::LinkConfig{.datagram_loss = 1.0});
+    while (!saw_half_open.load() &&
+           std::chrono::steady_clock::now() < give_up) {
+      if (realm.ctrl(1).session_count() == 1) saw_half_open.store(true);
+      std::this_thread::sleep_for(1ms);
+    }
+  });
+  auto session = realm.ctrl(0).connect(alice, bob);
+  cutter.join();
+  injector.disarm();
+  EXPECT_FALSE(session.ok());
+  EXPECT_TRUE(saw_half_open.load());
+  for (int i = 0; i < 300 && realm.ctrl(1).session_count() != 0; ++i) {
+    std::this_thread::sleep_for(10ms);
+  }
+  EXPECT_EQ(realm.ctrl(1).session_count(), 0u);
 }
 
 TEST(Socket, DataTransferBothDirections) {

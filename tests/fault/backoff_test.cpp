@@ -10,6 +10,7 @@
 
 #include "fault/fault.hpp"
 #include "net/rudp.hpp"
+#include "net/rudp_inbox.hpp"
 #include "net/sim.hpp"
 
 namespace naplet::net {
@@ -67,7 +68,7 @@ TEST_F(BackoffFaultClockTest, RetransmitGapsFollowBackoffSchedule) {
   config.retransmit_jitter = 0.0;  // exact schedule for this test
   config.jitter_seed = 1;
   obs::Registry metrics;
-  ReliableChannel channel(std::move(*sock), metrics, config);
+  ReliableChannel channel(std::move(*sock), metrics, {}, config);
 
   fault::Injector::instance().arm(fault::Plan{});  // observation mode
   const std::uint8_t byte = 0x5A;
@@ -112,7 +113,7 @@ TEST_F(BackoffFaultClockTest, JitterStaysInsideConfiguredBand) {
   config.retransmit_jitter = 0.4;  // waits in [12, 28) ms
   config.jitter_seed = 99;         // reproducible draw sequence
   obs::Registry metrics;
-  ReliableChannel channel(std::move(*sock), metrics, config);
+  ReliableChannel channel(std::move(*sock), metrics, {}, config);
 
   fault::Injector::instance().arm(fault::Plan{});
   const std::uint8_t byte = 0x5A;
@@ -150,8 +151,10 @@ TEST_F(BackoffFaultClockTest, DroppedFirstSendRecoversViaRetransmit) {
   config.jitter_seed = 5;
   obs::Registry metrics_a;
   obs::Registry metrics_b;
-  ReliableChannel chan_a(std::move(*sock_a), metrics_a, config);
-  ReliableChannel chan_b(std::move(*sock_b), metrics_b, config);
+  RudpInbox inbox_b;
+  ReliableChannel chan_a(std::move(*sock_a), metrics_a, {}, config);
+  ReliableChannel chan_b(std::move(*sock_b), metrics_b, inbox_b.sink(),
+                         config);
 
   auto plan = fault::Plan::parse("rudp.send@#1:drop");
   ASSERT_TRUE(plan.ok());
@@ -163,7 +166,7 @@ TEST_F(BackoffFaultClockTest, DroppedFirstSendRecoversViaRetransmit) {
 
   ASSERT_TRUE(status.ok()) << status.to_string();
   EXPECT_GE(chan_a.retransmissions(), 1u);
-  auto got = chan_b.recv(1s);
+  auto got = inbox_b.recv(1s);
   ASSERT_TRUE(got.has_value());
   ASSERT_EQ(got->payload.size(), 1u);
   EXPECT_EQ(got->payload[0], 0x42);
@@ -175,7 +178,7 @@ TEST_F(BackoffFaultClockTest, ErrorRuleFailsTheSend) {
   auto sock = a->bind_datagram(0);
   ASSERT_TRUE(sock.ok());
   obs::Registry metrics;
-  ReliableChannel channel(std::move(*sock), metrics);
+  ReliableChannel channel(std::move(*sock), metrics, {});
 
   auto plan = fault::Plan::parse("rudp.send@#1:error");
   ASSERT_TRUE(plan.ok());

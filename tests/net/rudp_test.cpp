@@ -6,6 +6,7 @@
 
 #include "fault/fault.hpp"
 #include "net/sim.hpp"
+#include "net/rudp_inbox.hpp"
 #include "net/tcp.hpp"
 
 namespace naplet::net {
@@ -14,15 +15,20 @@ namespace {
 using namespace std::chrono_literals;
 
 // Each channel records into a registry of its own, so every counter a test
-// reads is that channel's alone. The registry base is built first and
-// destroyed last.
-struct OwnRegistry {
+// reads is that channel's alone, and delivers into its own inbox. This base
+// is built first and destroyed last.
+struct OwnState {
   obs::Registry metrics;
+  RudpInbox inbox;
 };
-class TestChannel : private OwnRegistry, public ReliableChannel {
+class TestChannel : private OwnState, public ReliableChannel {
  public:
   TestChannel(DatagramPtr socket, const RudpConfig& config)
-      : ReliableChannel(std::move(socket), metrics, config) {}
+      : ReliableChannel(std::move(socket), metrics, inbox.sink(), config) {}
+
+  std::optional<Message> recv(util::Duration timeout) {
+    return inbox.recv(timeout);
+  }
 
   [[nodiscard]] std::int64_t inflight() {
     return metrics.gauge("rudp_window_inflight").value();

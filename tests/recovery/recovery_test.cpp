@@ -396,7 +396,7 @@ TEST(Rudp, SendMaxWaitBoundsBlockingTime) {
   auto dgram = a->bind_datagram(7);
   ASSERT_TRUE(dgram.ok());
   obs::Registry metrics;
-  net::ReliableChannel channel(std::move(*dgram), metrics, config);
+  net::ReliableChannel channel(std::move(*dgram), metrics, {}, config);
 
   const auto t0 = util::RealClock::instance().now_us();
   auto st = channel.send(net::Endpoint{"void", 9}, span("hello"),

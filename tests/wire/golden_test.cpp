@@ -133,8 +133,7 @@ TEST(Golden, MailEnvelope) {
   auto make_bus = [&](const std::string& name) {
     auto dgram = net.add_node(name)->bind_datagram(0);
     EXPECT_TRUE(dgram.ok());
-    return std::make_unique<agent::ServerBus>(
-        std::make_unique<net::ReliableChannel>(std::move(*dgram), metrics));
+    return std::make_unique<agent::ServerBus>(std::move(*dgram), metrics);
   };
   auto bus_a = make_bus("a");
   auto bus_b = make_bus("b");
