@@ -79,8 +79,7 @@ util::Status AgentServer::start() {
   bus_ = std::make_unique<ServerBus>(std::move(*dgram), metrics_,
                                      config_.rudp_config);
 
-  post_ = std::make_unique<PostOffice>(*bus_, locations_, config_.name,
-                                       config_.post_config);
+  post_ = std::make_unique<PostOffice>(*bus_, locations_, config_.name);
 
   auto listener = network_->listen(config_.migration_port);
   if (!listener.ok()) return listener.status();

@@ -33,7 +33,6 @@ struct AgentServerConfig {
   std::uint16_t control_port = 0;    // 0 = auto
   std::uint16_t migration_port = 0;  // 0 = auto
   util::Bytes realm_key;             // shared across the deployment
-  PostOfficeConfig post_config{};
   net::RudpConfig rudp_config{};
 };
 

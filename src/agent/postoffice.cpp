@@ -103,7 +103,7 @@ bool PostOffice::try_route(Envelope& envelope) {
     // Registered here but no mailbox yet (admission race): retry shortly.
     return false;
   }
-  if (envelope.hops >= config_.max_forward_hops) {
+  if (envelope.hops >= kMaxForwardHops) {
     dead_letters_.fetch_add(1);
     NAPLET_LOG(kWarn, "postoffice")
         << "dropping mail to " << envelope.to.name() << ": hop limit";

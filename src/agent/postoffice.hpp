@@ -28,11 +28,13 @@ namespace naplet::agent {
 struct PostOfficeConfig {
   util::Duration retry_interval{std::chrono::milliseconds(50)};
   util::Duration delivery_ttl{std::chrono::seconds(10)};
-  std::uint8_t max_forward_hops = 16;
 };
 
 class PostOffice {
  public:
+  /// Mail forwarded this many times is dropped as a dead letter.
+  static constexpr std::uint8_t kMaxForwardHops = 16;
+
   PostOffice(ServerBus& bus, LocationService& locations,
              std::string server_name, PostOfficeConfig config = {});
   ~PostOffice();

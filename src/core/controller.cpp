@@ -103,10 +103,7 @@ util::Status SocketController::start() {
       server_.network(), config_.redirector_port,
       [this](std::shared_ptr<net::Stream> stream, HandoffMsg msg) {
         on_handoff(std::move(stream), std::move(msg));
-      },
-      registry_,
-      config_.tolerance.enabled ? config_.tolerance.lease_ttl
-                                : util::Duration{});
+      });
   redirector_->set_host_label(server_.node_info().server_name);
   NAPLET_RETURN_IF_ERROR(redirector_->start());
 
@@ -246,19 +243,12 @@ SessionPtr SocketController::find_session_from(
 void SocketController::insert_session(const SessionPtr& session) {
   if (config_.tolerance.enabled) {
     session->enable_history(config_.tolerance.history_bytes);
-    redirector_->register_lease(session->conn_id());
   }
   sessions_.insert(session);
 }
 
 void SocketController::remove_session(const SessionPtr& session) {
-  // Same-node pairs share a conn_id (and therefore a shard): only drop
-  // the lease once the LAST endpoint is gone.
-  const bool gone = sessions_.erase(session->conn_id(),
-                                    session->local_agent().name());
-  if (gone && config_.tolerance.enabled) {
-    redirector_->release_lease(session->conn_id());
-  }
+  sessions_.erase(session->conn_id(), session->local_agent().name());
 }
 
 util::Status SocketController::journal_batch(
@@ -369,9 +359,6 @@ ControllerStats SocketController::stats() const {
       .set(static_cast<std::int64_t>(out.listening_agents));
   registry_.gauge("migrating_agents")
       .set(static_cast<std::int64_t>(out.migrating_agents));
-  registry_.gauge("redirector_leases")
-      .set(static_cast<std::int64_t>(
-          redirector_ ? redirector_->lease_count() : 0));
   out.metrics = registry_.snapshot();
   return out;
 }

@@ -42,12 +42,11 @@ namespace naplet::nsock {
 /// Fault tolerance (the paper's §7 future work). Off is the paper's
 /// protocol, which assumes coordinated suspensions only. On runs, as one
 /// unit: the repair loop (broken-link repair and heartbeat death
-/// detection), history replay on resume, redirector leases, suspend
-/// rollback and resume retries (50 ms doubling to 400 ms, 25 attempts).
+/// detection), history replay on resume, suspend rollback and resume
+/// retries (50 ms doubling to 400 ms, 25 attempts).
 struct ToleranceConfig {
   bool enabled = false;
-  /// Repair-loop cadence: scan for broken data sockets, probe idle peers,
-  /// refresh this node's redirector leases.
+  /// Repair-loop cadence: scan for broken data sockets, probe idle peers.
   util::Duration probe_interval{std::chrono::milliseconds(200)};
   /// Liveness probes get their own short reliability deadline instead of
   /// inheriting ctrl_response_timeout: one dead peer must not stall the
@@ -59,9 +58,6 @@ struct ToleranceConfig {
   /// Per-session bound on the sent-frame retransmission history that makes
   /// uncoordinated stream loss recoverable without data loss.
   std::size_t history_bytes = 1 << 20;
-  /// Redirector lease lifetime: a RESUME naming a connection whose lease
-  /// expired (its controller crashed and never came back) is refused.
-  util::Duration lease_ttl{std::chrono::seconds(3)};
 };
 
 /// Crash-recovery extension: fsync'd write-ahead journal of session state
@@ -90,10 +86,6 @@ struct ControllerConfig {
   util::Duration connect_timeout{std::chrono::seconds(5)};
   util::Duration resume_timeout{std::chrono::seconds(10)};
   util::Duration drain_timeout{std::chrono::seconds(5)};
-  /// How long a parked suspend waits for the peer's migration to finish.
-  util::Duration park_timeout{std::chrono::seconds(30)};
-  /// Default application send/recv blocking bound.
-  util::Duration io_timeout{std::chrono::seconds(30)};
 };
 
 /// Client-observed phase breakdown of one connection setup (Figure 8).
@@ -155,8 +147,8 @@ class SocketController final : public agent::ConnectionMigrator {
 
   /// Crash-recovery extension: replay the durable journal after a restart.
   /// Every recorded session is reconstructed in SUSPENDED with its sealed
-  /// input buffer and re-registered (sessions table + redirector lease) so
-  /// peer RESUME retries find it. Requires durability.enabled; call after
+  /// input buffer and re-inserted in the session table so peer RESUME
+  /// retries find it. Requires durability.enabled; call after
   /// start().
   util::Status recover();
 

@@ -15,6 +15,8 @@ namespace {
 
 constexpr util::Duration kRetrySleep = std::chrono::milliseconds(20);
 constexpr util::Duration kExchangeSlice = std::chrono::milliseconds(20);
+/// How long a parked suspend waits for the peer's migration to finish.
+constexpr util::Duration kParkTimeout = std::chrono::seconds(30);
 constexpr util::Duration kStatePollSlice = std::chrono::milliseconds(50);
 
 std::int64_t now_us() { return util::RealClock::instance().now_us(); }
@@ -228,7 +230,7 @@ std::optional<util::Status> SocketController::active_suspend(
   session->update_flags([](Session::Flags& f) {
     f.local_suspend_parked = true;
   });
-  const bool released = session->park_event().wait_for(config_.park_timeout);
+  const bool released = session->park_event().wait_for(kParkTimeout);
   session->park_event().reset();
   session->update_flags([](Session::Flags& f) {
     f.local_suspend_parked = false;
@@ -917,7 +919,18 @@ void SocketController::handle_cls(CtrlMsg msg) {
   }
   if (!admit_epoch(*session, msg)) return;
 
-  const ConnState st = session->state();
+  ConnState st = session->state();
+  if (st == ConnState::kResAcked) {
+    // The peer's RESUME was answered but our handler has not advanced to
+    // ESTABLISHED yet (it replies first), and the peer, already
+    // ESTABLISHED, closed at once. Let the resume settle; closing under it
+    // would leave it to advance a session this CLS already removed.
+    if (auto settled = session->wait_state(
+            [](ConnState s) { return s != ConnState::kResAcked; },
+            std::chrono::milliseconds(250))) {
+      st = *settled;
+    }
+  }
   if (st == ConnState::kEstablished || st == ConnState::kSuspended) {
     (void)session->advance(ConnEvent::kRecvCls);  // -> CLOSE_ACKED
   }
@@ -969,7 +982,7 @@ util::Status SocketController::prepare_migration(const agent::AgentId& id) {
 util::Status SocketController::suspend_for_migration(
     const SessionPtr& session, const agent::AgentId& id,
     CommitBatch* swept) {
-  const std::int64_t deadline = now_us() + config_.park_timeout.count();
+  const std::int64_t deadline = now_us() + kParkTimeout.count();
   for (;;) {
     const ConnState st = session->state();
     switch (st) {
@@ -1011,7 +1024,7 @@ util::Status SocketController::suspend_for_migration(
           f2.local_suspend_parked = true;
         });
         const bool released =
-            session->park_event().wait_for(config_.park_timeout);
+            session->park_event().wait_for(kParkTimeout);
         session->park_event().reset();
         session->update_flags([](Session::Flags& f2) {
           f2.local_suspend_parked = false;
@@ -1077,9 +1090,6 @@ util::Bytes SocketController::export_sessions(const agent::AgentId& id) {
     // The live state now travels in the blob; kill the original so stale
     // handles cannot double-deliver its buffered frames.
     session->mark_moved();
-    if (config_.tolerance.enabled) {
-      redirector_->release_lease(session->conn_id());
-    }
   }
   // Departed, in one batch: this controller is no longer responsible for
   // the agent's connections. (If the migration later fails the

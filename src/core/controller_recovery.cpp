@@ -29,12 +29,7 @@ void SocketController::repair_loop() {
     if (stop_event_.wait_for(config_.tolerance.probe_interval)) break;
     if (stopped_.load()) break;
 
-    // Leases first: a repair below can block for a whole resume.
-    const std::vector<SessionPtr> sessions = sessions_.snapshot_all();
-    for (const SessionPtr& session : sessions) {
-      redirector_->refresh_lease(session->conn_id());
-    }
-    for (const SessionPtr& session : sessions) {
+    for (const SessionPtr& session : sessions_.snapshot_all()) {
       if (stopped_.load()) break;
       if (session->state() == ConnState::kEstablished &&
           session->is_broken() &&
@@ -122,7 +117,7 @@ void SocketController::abort_session(const SessionPtr& session) {
   journal_commit(recovery::CommitPoint::kClosed, session);
   // abort_local forces CLOSED from ANY state (the old advance(kAppClose)
   // path only worked from ESTABLISHED/SUSPENDED, leaving resume waiters in
-  // RES_SENT/RESUME_WAIT to hang until io_timeout) and wakes every parked
+  // RES_SENT/RESUME_WAIT to hang until their deadlines) and wakes every parked
   // sender, receiver, and resume waiter with kAborted.
   session->abort_local();
   session->park_event().set();
@@ -159,7 +154,7 @@ util::Status SocketController::recover() {
       continue;
     }
     // The session lands SUSPENDED with its sealed input buffer; the peer's
-    // resume retry finds it through the (re-registered) redirector lease.
+    // resume retry finds it in the session table.
     insert_session(*session);
     sessions_recovered_.add(1);
     ++restored;

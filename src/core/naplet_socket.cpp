@@ -40,7 +40,7 @@ util::StatusOr<std::unique_ptr<NapletSocket>> NapletSocket::reattach(
 }
 
 util::Status NapletSocket::send(util::ByteSpan data) {
-  return session_->send(data, controller_->config().io_timeout);
+  return session_->send(data, kIoTimeout);
 }
 
 util::Status NapletSocket::send(std::string_view text) {

@@ -46,8 +46,11 @@ class NapletSocket {
   static util::StatusOr<std::unique_ptr<NapletSocket>> reattach(
       agent::AgentContext& ctx, std::uint64_t conn_id);
 
-  /// Send one message. Blocks through suspensions (up to the controller's
-  /// io_timeout) — from the application's view the connection never breaks.
+  /// How long send() blocks through a suspension before giving up.
+  static constexpr util::Duration kIoTimeout = std::chrono::seconds(30);
+
+  /// Send one message. Blocks through suspensions (up to kIoTimeout) —
+  /// from the application's view the connection never breaks.
   util::Status send(util::ByteSpan data);
   util::Status send(std::string_view text);
 

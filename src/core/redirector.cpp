@@ -22,14 +22,8 @@ constexpr std::int64_t kReadSliceUs = 20000;
 }  // namespace
 
 Redirector::Redirector(net::Network& network, std::uint16_t port,
-                       HandoffHandler handler, obs::Registry& registry,
-                       util::Duration lease_ttl)
-    : network_(network),
-      port_(port),
-      handler_(std::move(handler)),
-      lease_ttl_(lease_ttl),
-      leases_expired_(registry.counter("redirector_leases_expired")),
-      handoffs_fenced_(registry.counter("redirector_handoffs_fenced")) {}
+                       HandoffHandler handler)
+    : network_(network), port_(port), handler_(std::move(handler)) {}
 
 Redirector::~Redirector() { stop(); }
 
@@ -62,7 +56,6 @@ net::Endpoint Redirector::endpoint() const {
 void Redirector::accept_loop() {
   while (!stopped_.load()) {
     auto accepted = listener_->accept(std::chrono::milliseconds(200));
-    evict_expired_leases();  // the lease sweep rides the accept tick
     if (!accepted.ok()) {
       if (accepted.status().code() == util::StatusCode::kTimeout) continue;
       break;  // listener closed
@@ -171,20 +164,7 @@ void Redirector::serve(const std::shared_ptr<net::Stream>& stream,
       return;
     }
   }
-  // Lease gate: a RESUME naming a connection whose lease expired (or was
-  // never registered here) must not reach the handler — the owning
-  // controller is gone. The mover's retry loop refreshes the peer's
-  // location and tries the live node instead.
-  if (fenced(*msg)) {
-    HandoffMsg err;
-    err.type = HandoffType::kError;
-    err.conn_id = msg->conn_id;
-    err.reason = "no live lease for conn " + std::to_string(msg->conn_id);
-    (void)net::write_frame(*stream, err.encode());
-    stream->close();
-    return;
-  }
-  // Past every gate: this handoff WILL reach the controller. (The sink
+  // Past the fault gate: this handoff WILL reach the controller. (The sink
   // drops untraced messages — ATTACH carries no trace id.)
   {
     obs::SpanEvent ev;
@@ -196,60 +176,6 @@ void Redirector::serve(const std::shared_ptr<net::Stream>& stream,
     obs::TraceSink::instance().record(std::move(ev));
   }
   handler_(stream, std::move(*msg));
-}
-
-bool Redirector::fenced(const HandoffMsg& msg) {
-  if (lease_ttl_.count() == 0 || msg.type != HandoffType::kResume ||
-      lease_live(msg.conn_id)) {
-    return false;
-  }
-  handoffs_fenced_.add(1);
-  return true;
-}
-
-void Redirector::register_lease(std::uint64_t conn_id) {
-  util::MutexLock lock(leases_mu_);
-  leases_[conn_id] = now_us() + lease_ttl_.count();
-}
-
-void Redirector::refresh_lease(std::uint64_t conn_id) {
-  util::MutexLock lock(leases_mu_);
-  auto it = leases_.find(conn_id);
-  if (it != leases_.end()) it->second = now_us() + lease_ttl_.count();
-}
-
-void Redirector::release_lease(std::uint64_t conn_id) {
-  util::MutexLock lock(leases_mu_);
-  leases_.erase(conn_id);
-}
-
-bool Redirector::lease_live(std::uint64_t conn_id) const {
-  util::MutexLock lock(leases_mu_);
-  auto it = leases_.find(conn_id);
-  return it != leases_.end() && it->second > now_us();
-}
-
-std::size_t Redirector::evict_expired_leases() {
-  std::size_t evicted = 0;
-  const std::int64_t now = now_us();
-  util::MutexLock lock(leases_mu_);
-  for (auto it = leases_.begin(); it != leases_.end();) {
-    if (it->second <= now) {
-      NAPLET_LOG(kInfo, "redirector")
-          << "lease expired for conn " << it->first;
-      it = leases_.erase(it);
-      ++evicted;
-    } else {
-      ++it;
-    }
-  }
-  leases_expired_.add(evicted);
-  return evicted;
-}
-
-std::size_t Redirector::lease_count() const {
-  util::MutexLock lock(leases_mu_);
-  return leases_.size();
 }
 
 }  // namespace naplet::nsock

@@ -5,7 +5,9 @@
 // handoff frame naming the connection. The redirector routes the accepted
 // socket to the controller, which hands it to the right NapletServerSocket
 // or suspended session — saving the name/port query round trip and the
-// per-agent port table the paper describes.
+// per-agent port table the paper describes. The redirector keeps no
+// table of its own: whether a RESUME names a live connection is decided by
+// the controller's session table, which answers an unknown one with kError.
 //
 // One acceptor thread queues accepted streams for a fixed pool of
 // kHandoffWorkers workers. A stream must deliver its first frame within
@@ -16,7 +18,6 @@
 
 #include <atomic>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -24,7 +25,6 @@
 
 #include "core/wire.hpp"
 #include "net/transport.hpp"
-#include "obs/metrics.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -43,19 +43,8 @@ class Redirector {
   using HandoffHandler =
       std::function<void(std::shared_ptr<net::Stream>, HandoffMsg)>;
 
-  /// The lease counters (`redirector_leases_expired`,
-  /// `redirector_handoffs_fenced`) are registered in `registry`, which must
-  /// outlive the redirector.
-  ///
-  /// A nonzero `lease_ttl` turns on the lease fence (fault tolerance): the
-  /// owning controller registers a lease per connection and refreshes it
-  /// from its repair loop; entries whose lease expires (host crashed and
-  /// never came back) are evicted by the accept-loop sweep, and a RESUME
-  /// naming an expired or unknown lease is answered with kError instead of
-  /// being routed into a dead controller. Zero routes every handoff.
   Redirector(net::Network& network, std::uint16_t port,
-             HandoffHandler handler, obs::Registry& registry,
-             util::Duration lease_ttl = {});
+             HandoffHandler handler);
   ~Redirector();
 
   Redirector(const Redirector&) = delete;
@@ -74,28 +63,6 @@ class Redirector {
   /// within kFirstFrameDeadline (observability).
   [[nodiscard]] std::uint64_t bad_handoffs() const {
     return bad_handoffs_.load();
-  }
-
-  // ---- lease table ----
-
-  /// Register (or re-arm) the lease for `conn_id`.
-  void register_lease(std::uint64_t conn_id);
-  /// Extend the lease for `conn_id`; no-op if absent.
-  void refresh_lease(std::uint64_t conn_id);
-  /// Drop the lease (connection closed or exported away).
-  void release_lease(std::uint64_t conn_id);
-  /// True when the lease exists and has not expired.
-  [[nodiscard]] bool lease_live(std::uint64_t conn_id) const;
-  /// Drop every expired entry; returns how many were evicted. Called from
-  /// the accept-loop tick, public for tests.
-  std::size_t evict_expired_leases();
-
-  [[nodiscard]] std::size_t lease_count() const;
-  [[nodiscard]] std::uint64_t leases_expired() const {
-    return leases_expired_.value();
-  }
-  [[nodiscard]] std::uint64_t handoffs_fenced() const {
-    return handoffs_fenced_.value();
   }
 
  private:
@@ -118,16 +85,10 @@ class Redirector {
              const util::Bytes& frame);
   void reject_bad(net::Stream& stream);
 
-  /// The lease fence: true (and counted) for a RESUME naming a connection
-  /// with no live lease while the fence is on.
-  bool fenced(const HandoffMsg& msg);
-
   net::Network& network_;
   std::uint16_t port_ NAPLET_NOT_GUARDED("set at construction, immutable");
   HandoffHandler handler_ NAPLET_NOT_GUARDED(
       "set at construction, immutable while the acceptor runs");
-  util::Duration lease_ttl_ NAPLET_NOT_GUARDED(
-      "set at construction, immutable");
   std::string host_label_ NAPLET_NOT_GUARDED(
       "written before start(), read-only by workers");
 
@@ -139,15 +100,6 @@ class Redirector {
   std::vector<std::thread> workers_;  // started in start(), joined in stop()
   std::atomic<bool> stopped_{false};
   std::atomic<std::uint64_t> bad_handoffs_{0};
-
-  // Leaf lock: held only for map operations, never across handler_ or
-  // any stream I/O.
-  mutable util::Mutex leases_mu_{util::LockRank::kRedirectorLeases,
-                                 "redirector.leases"};
-  std::map<std::uint64_t, std::int64_t> leases_  // conn_id -> expiry (us)
-      NAPLET_GUARDED_BY(leases_mu_);
-  obs::Counter& leases_expired_;
-  obs::Counter& handoffs_fenced_;
 };
 
 }  // namespace naplet::nsock

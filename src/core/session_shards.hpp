@@ -9,7 +9,7 @@
 // Invariants:
 //  * the shard of a connection is a pure function of its conn_id, so the
 //    two endpoints of a same-node pair (which share a conn_id) always
-//    land in the SAME shard — the "last endpoint gone" check on erase is
+//    land in the SAME shard — find_from's sole-match check is
 //    shard-local;
 //  * at most one shard lock is held at a time (equal-rank shard-under-
 //    shard is a static lock-order inversion by design — see §7.2);
@@ -98,14 +98,11 @@ class SessionShardMap {
     s.sessions[{session->conn_id(), session->local_agent().name()}] = session;
   }
 
-  /// Erase one endpoint. Returns true when no endpoint with this conn_id
-  /// remains (the caller releases the redirector lease exactly once).
-  bool erase(std::uint64_t conn_id, const std::string& local_agent) {
+  /// Erase one endpoint.
+  void erase(std::uint64_t conn_id, const std::string& local_agent) {
     Shard& s = shard_of(conn_id);
     util::MutexLock lock(s.mu);
     s.sessions.erase({conn_id, local_agent});
-    auto it = s.sessions.lower_bound({conn_id, std::string()});
-    return it == s.sessions.end() || it->first.first != conn_id;
   }
 
   [[nodiscard]] std::vector<SessionPtr> snapshot_all() const {

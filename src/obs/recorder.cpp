@@ -62,7 +62,6 @@ FlightRecorder::~FlightRecorder() {
 
 void FlightRecorder::record(Kind kind, std::uint8_t a, std::uint8_t b,
                             std::uint8_t c) {
-  if (!enabled_.load(std::memory_order_relaxed)) return;
   const std::uint64_t seq = next_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[seq % capacity_];
   slot.t_us.store(

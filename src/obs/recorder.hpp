@@ -4,7 +4,7 @@
 // send/recv events. The record path is lock-free — one relaxed fetch_add
 // plus three relaxed stores into a fixed slot — because the FSM hook fires
 // inside Session::advance while the state-cell lock (rank kStateCell) is
-// held; a disabled recorder costs a single relaxed load. The ring is read
+// held. Every recorder is always on. The ring is read
 // only on failure: abort_session dumps it, the chaos harness attaches it
 // to failing cases next to the minimized fault plan, and a lock-rank
 // violation dumps every live recorder to stderr before aborting (see
@@ -60,13 +60,6 @@ class FlightRecorder {
     record(Kind::kFsm, from, event, to);
   }
 
-  void set_enabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool enabled() const noexcept {
-    return enabled_.load(std::memory_order_relaxed);
-  }
-
   /// Oldest-first snapshot of the ring (skips empty slots).
   [[nodiscard]] std::vector<Entry> entries() const;
   /// Human-readable dump; decodes codes via the installed namers.
@@ -90,7 +83,6 @@ class FlightRecorder {
   std::size_t capacity_;
   std::unique_ptr<Slot[]> slots_;
   std::atomic<std::uint64_t> next_{0};
-  std::atomic<bool> enabled_{true};
   // Links in the directory of live recorders, a list in creation order
   // guarded by the directory's mutex, so the destructor unlinks in O(1).
   FlightRecorder* live_prev_ = nullptr;

@@ -73,10 +73,6 @@ enum class LockRank : int {
   kObsRegistry = 92,  ///< obs::Registry::mu_ (registration/snapshot only)
   kObsTrace = 94,     ///< obs::TraceSink::mu_
 
-  // Pure leaf locks: held for container operations only, never while
-  // acquiring anything except (possibly) the logger.
-  kRedirectorLeases = 96,  ///< Redirector::leases_mu_ (lease map ops)
-
   kLogger = 100,  ///< the log sink lock: innermost, everyone may log
 };
 

@@ -1,7 +1,6 @@
 // The redirector's fixed handoff pool: silent clients cannot hold it, the
 // thread count does not grow with the handoff count, a malformed first
 // frame is a bad handoff, and stop() does not wait out queued streams.
-// Also the lease fence on the per-connection RESUME path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -46,7 +45,7 @@ std::size_t settled_thread_count() {
 /// while the handoff is being served.
 class RedirectorPool : public ::testing::Test {
  protected:
-  explicit RedirectorPool(util::Duration lease_ttl = {})
+  RedirectorPool()
       : server_node_(world_.add_node("server")),
         client_node_(world_.add_node("client")) {
     redirector_ = std::make_unique<Redirector>(
@@ -63,8 +62,7 @@ class RedirectorPool : public ::testing::Test {
           ok.conn_id = msg.conn_id;
           (void)net::write_frame(*stream, ok.encode());
           stream->close();
-        },
-        metrics_, lease_ttl);
+        });
     EXPECT_TRUE(redirector_->start().ok());
   }
 
@@ -91,7 +89,6 @@ class RedirectorPool : public ::testing::Test {
   std::shared_ptr<net::SimNode> client_node_;
   std::atomic<std::size_t> serving_peak_{0};
   std::atomic<int> handled_{0};  // handoffs that reached the handler
-  obs::Registry metrics_;  // outlives redirector_
   std::unique_ptr<Redirector> redirector_;
 };
 
@@ -187,39 +184,6 @@ TEST_F(RedirectorPool, FrameStartingWithB7IsABadHandoff) {
   auto reply = exchange(attach);
   ASSERT_TRUE(reply.ok()) << reply.status().to_string();
   EXPECT_EQ(reply->type, HandoffType::kAttachOk);
-}
-
-/// The same redirector with the lease fence on (fault tolerance).
-class RedirectorLeaseFence : public RedirectorPool {
- protected:
-  RedirectorLeaseFence() : RedirectorPool(3s) {}
-
-  static HandoffMsg resume(std::uint64_t conn_id) {
-    HandoffMsg msg;
-    msg.type = HandoffType::kResume;
-    msg.conn_id = conn_id;
-    msg.agent = "mover";
-    return msg;
-  }
-};
-
-TEST_F(RedirectorLeaseFence, ResumeForUnregisteredConnIsFenced) {
-  redirector_->register_lease(1);  // conn 1 is owned by a live controller
-
-  auto fenced = exchange(resume(2));  // conn 2 has no lease here
-  ASSERT_TRUE(fenced.ok()) << fenced.status().to_string();
-  EXPECT_EQ(fenced->type, HandoffType::kError);
-  EXPECT_EQ(fenced->conn_id, 2u);
-  EXPECT_NE(fenced->reason.find("lease"), std::string::npos);
-  EXPECT_EQ(redirector_->handoffs_fenced(), 1u);
-  EXPECT_EQ(handled_.load(), 0);
-
-  auto routed = exchange(resume(1));
-  ASSERT_TRUE(routed.ok()) << routed.status().to_string();
-  EXPECT_EQ(routed->type, HandoffType::kAttachOk);
-  EXPECT_EQ(handled_.load(), 1);
-  EXPECT_EQ(redirector_->handoffs_fenced(), 1u);
-  EXPECT_EQ(redirector_->bad_handoffs(), 0u);
 }
 
 TEST_F(RedirectorPool, StopWithQueuedStreamsIsPrompt) {

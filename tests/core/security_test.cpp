@@ -159,33 +159,55 @@ TEST(Security, HijackedResumeRejectedAtRedirector) {
   EXPECT_EQ(text(conn.server->recv(2s)->body), "mine");
 }
 
-TEST(Security, AttachRequiresMacUnderSecurity) {
-  SimRealm realm(2);
+TEST(Security, ForgedHandoffsAreRefused) {
+  // Tolerance on: the session table is the one authority on which RESUME
+  // names a live connection, whatever the fault-tolerance mode.
+  SimRealm realm(2, /*security=*/true, {}, [](NodeConfig& config) {
+    config.controller.tolerance.enabled = true;
+  });
   auto alice = realm.pseudo_agent("alice", 0);
   auto bob = realm.pseudo_agent("bob", 1);
-  ASSERT_TRUE(realm.ctrl(1).listen(bob).ok());
+  ConnPair conn = make_connection(realm, alice, 0, bob, 1);
+  ASSERT_TRUE(conn.client && conn.server);
 
-  // Race a forged ATTACH against a real connect: start a real connect to
-  // create a pending CONNECT_ACKED session, but we cannot see its conn_id
-  // from outside; instead verify that an ATTACH with a random conn_id is
-  // rejected cleanly.
+  // Send one forged handoff frame to node1's redirector, read the reply.
   auto attacker_node = realm.net().add_node("sneaker");
-  auto stream = attacker_node->connect(
-      realm.server(1).node_info().redirector, 1s);
-  ASSERT_TRUE(stream.ok());
-  HandoffMsg forged;
-  forged.type = HandoffType::kAttach;
-  forged.conn_id = 0xDEAD;
-  const util::Bytes encoded = forged.encode();
-  ASSERT_TRUE(net::write_frame(**stream,
-                               util::ByteSpan(encoded.data(), encoded.size()))
-                  .ok());
-  auto reply_frame = net::read_frame(**stream);
-  ASSERT_TRUE(reply_frame.ok());
-  auto reply = HandoffMsg::decode(
-      util::ByteSpan(reply_frame->data(), reply_frame->size()));
-  ASSERT_TRUE(reply.ok());
+  auto forge = [&](const HandoffMsg& forged) -> util::StatusOr<HandoffMsg> {
+    auto stream = attacker_node->connect(
+        realm.server(1).node_info().redirector, 1s);
+    if (!stream.ok()) return stream.status();
+    const util::Bytes encoded = forged.encode();
+    NAPLET_RETURN_IF_ERROR(net::write_frame(
+        **stream, util::ByteSpan(encoded.data(), encoded.size())));
+    auto reply_frame = net::read_frame(**stream);
+    if (!reply_frame.ok()) return reply_frame.status();
+    return HandoffMsg::decode(
+        util::ByteSpan(reply_frame->data(), reply_frame->size()));
+  };
+
+  // An ATTACH with a conn_id no pending connect owns is rejected cleanly.
+  HandoffMsg attach;
+  attach.type = HandoffType::kAttach;
+  attach.conn_id = 0xDEAD;
+  auto reply = forge(attach);
+  ASSERT_TRUE(reply.ok()) << reply.status().to_string();
   EXPECT_EQ(reply->type, HandoffType::kError);
+
+  // A RESUME naming a connection node1 does not hold gets kError from the
+  // session table and reaches no session: the live one is untouched.
+  HandoffMsg resume;
+  resume.type = HandoffType::kResume;
+  resume.conn_id = conn.server->conn_id() + 1;
+  resume.agent = "alice";
+  reply = forge(resume);
+  ASSERT_TRUE(reply.ok()) << reply.status().to_string();
+  EXPECT_EQ(reply->type, HandoffType::kError);
+  EXPECT_EQ(reply->conn_id, resume.conn_id);
+  EXPECT_EQ(reply->reason, "unknown connection");
+  EXPECT_EQ(realm.ctrl(1).mac_rejections(), 0u);
+  EXPECT_EQ(conn.server->state(), ConnState::kEstablished);
+  ASSERT_TRUE(conn.client->send(span("still live"), 1s).ok());
+  EXPECT_EQ(text(conn.server->recv(2s)->body), "still live");
 }
 
 TEST(Security, SuspendResumeWorkWithoutSecurityMode) {

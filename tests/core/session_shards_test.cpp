@@ -33,7 +33,7 @@ TEST(SessionShard, BothEndpointsOfAConnShareAShard) {
   nsock::SessionShardMap map(16);
   // Same conn_id, two local endpoints (loopback connection): the shard is
   // keyed on conn_id alone, so the pair must land together — that is what
-  // keeps the erase-time "last endpoint gone" check shard-local.
+  // keeps find_from's sole-match check shard-local.
   map.insert(make_session(42, "alice", "bob", true));
   map.insert(make_session(42, "bob", "alice", false));
   const std::vector<std::size_t> sizes = map.shard_sizes();
@@ -46,8 +46,10 @@ TEST(SessionShard, BothEndpointsOfAConnShareAShard) {
   }
   EXPECT_EQ(occupied, 1u);
 
-  EXPECT_FALSE(map.erase(42, "alice"));  // bob's endpoint remains
-  EXPECT_TRUE(map.erase(42, "bob"));     // conn fully gone now
+  EXPECT_EQ(map.find_from(42, ""), nullptr);  // ambiguous: two endpoints
+  map.erase(42, "alice");
+  EXPECT_NE(map.find_from(42, ""), nullptr);  // bob's endpoint remains
+  map.erase(42, "bob");
   EXPECT_EQ(map.size(), 0u);
 }
 

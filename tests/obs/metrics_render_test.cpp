@@ -93,10 +93,8 @@ TEST(MetricsRender, OneRegistryPerNodeBacksEveryCounter) {
     EXPECT_EQ(snap.counter("rudp_duplicates_dropped")->value,
               channel.duplicates_dropped());
 
-    // The epoch and the redirector's lease counters live there too.
+    // The epoch lives there too.
     EXPECT_EQ(snap.gauge("epoch")->value, 1);
-    EXPECT_NE(snap.counter("redirector_leases_expired"), nullptr);
-    EXPECT_NE(snap.counter("redirector_handoffs_fenced"), nullptr);
   }
 }
 

@@ -1,17 +1,15 @@
 // Hot-path cost guard for the observability subsystem: recording into an
-// unexported registry (Counter::add, Histogram::record) and a DISABLED
-// flight recorder must stay within 2x of a raw relaxed atomic op — a few
-// nanoseconds. Ratio-based (both sides measured in-process, min of several
-// reps) so the guard is stable across machines and sanitizer builds; a >2x
-// regression means someone put a lock, an allocation, or a syscall on the
-// record path.
+// unexported registry (Counter::add, Histogram::record) must stay within 2x
+// of a raw relaxed atomic op — a few nanoseconds. Ratio-based (both sides
+// measured in-process, min of several reps) so the guard is stable across
+// machines and sanitizer builds; a >2x regression means someone put a lock,
+// an allocation, or a syscall on the record path.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 
 #include "obs/metrics.hpp"
-#include "obs/recorder.hpp"
 #include "util/clock.hpp"
 
 namespace naplet::obs {
@@ -55,21 +53,6 @@ TEST(ObsOverhead, UnexportedRegistryRecordWithin2xOfRawAtomic) {
       << "Counter::add " << counter_ns << " ns vs raw " << base_ns << " ns";
   EXPECT_LE(hist_ns, base_ns * 3.0 * 2.0)
       << "Histogram::record " << hist_ns << " ns vs raw " << base_ns << " ns";
-}
-
-TEST(ObsOverhead, DisabledRecorderWithin2xOfRawAtomic) {
-  std::atomic<std::uint64_t> raw{0};
-  FlightRecorder rec("guard", 128);
-  rec.set_enabled(false);
-
-  const double base_ns =
-      best_ns_per_op([&](int) { raw.fetch_add(1, std::memory_order_relaxed); });
-  const double rec_ns = best_ns_per_op(
-      [&](int) { rec.record(FlightRecorder::Kind::kNote, 1, 2, 3); });
-
-  EXPECT_EQ(rec.recorded(), 0u);  // the guard measured the disabled path
-  EXPECT_LE(rec_ns, base_ns * 2.0)
-      << "disabled record " << rec_ns << " ns vs raw " << base_ns << " ns";
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Flight-recorder tests: ring wrap, disabled recorders, dump decoding,
+// Flight-recorder tests: ring wrap, dump decoding,
 // the live-recorder directory, and the abort-path guarantee — dumping a
 // full ring on abort_session happens outside the session mutex, so blocked
 // waiters still wake within the existing <2s bound (no death test needed:
@@ -35,19 +35,6 @@ TEST(FlightRecorder, RingWrapKeepsNewestOldestFirst) {
     EXPECT_EQ(entries[i].a, 12 + i);
     EXPECT_EQ(entries[i].kind, FlightRecorder::Kind::kNote);
   }
-}
-
-TEST(FlightRecorder, DisabledRecorderRecordsNothing) {
-  FlightRecorder rec("off", 8);
-  rec.set_enabled(false);
-  EXPECT_FALSE(rec.enabled());
-  rec.record(FlightRecorder::Kind::kNote, 1, 2, 3);
-  rec.record_fsm(1, 2, 3);
-  EXPECT_EQ(rec.recorded(), 0u);
-  EXPECT_TRUE(rec.entries().empty());
-  rec.set_enabled(true);
-  rec.record(FlightRecorder::Kind::kNote, 9, 0, 0);
-  EXPECT_EQ(rec.recorded(), 1u);
 }
 
 TEST(FlightRecorder, DumpDecodesKindsAndLabels) {

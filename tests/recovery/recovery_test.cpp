@@ -2,8 +2,9 @@
 // (Realm::remove_node — no protocol goodbye) and stood up again under the
 // same name; with durability on, recover() replays the journal and the
 // peer's migration completes across the restart. Also covers the satellite
-// guarantees: lease eviction, abort_session waking blocked waiters,
-// epoch admission, the probe timeout, and deadline-bounded rudp sends.
+// guarantees: resume after a stalled repair loop, abort_session waking
+// blocked waiters, epoch admission, the probe timeout, and deadline-bounded
+// rudp sends.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -297,31 +298,48 @@ TEST(Epoch, AdmissionIsMonotonicHighWater) {
   EXPECT_EQ(session.peer_epoch(), 7u);
 }
 
-TEST(Leases, ExpiredMappingEvictedWhileRefreshedOneSurvives) {
+TEST(StalledRepairLoop, HealthyConnectionStillResumes) {
+  // Nothing a node's repair loop does (or fails to do) decides whether a
+  // RESUME names a live connection: the session table does. So a loop held
+  // up for seconds — a heartbeat round to a dead peer, a long repair —
+  // must not cost a healthy connection its next resume.
   SimRealm realm(2, /*security=*/false, {}, [](NodeConfig& config) {
     config.controller.tolerance.enabled = true;
-    config.controller.tolerance.lease_ttl = 400ms;
+    config.controller.resume_timeout = 1s;
   });
   auto alice = realm.pseudo_agent("alice", 0);
   auto bob = realm.pseudo_agent("bob", 1);
   ConnPair conn = make_connection(realm, alice, 0, bob, 1);
   ASSERT_TRUE(conn.client && conn.server);
 
-  Redirector* redirector = realm.ctrl(1).redirector();
-  ASSERT_NE(redirector, nullptr);
-  EXPECT_TRUE(redirector->lease_live(conn.server->conn_id()));
+  // Each node probes its one session per round, so the first two
+  // heartbeats are one per node: each sleeps 3.6 s at its send site,
+  // stalling that node's repair loop. Two more heartbeats mean both loops
+  // have come back.
+  auto plan = fault::Plan::parse("ctrl.heartbeat.pre_send@#1x2:delay:3600");
+  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+  fault::Injector& injector = fault::Injector::instance();
+  injector.arm(*plan);
+  const auto give_up = std::chrono::steady_clock::now() + 15s;
+  while (injector.hit_count("ctrl.heartbeat.pre_send") < 4 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(20ms);
+  }
+  const std::uint64_t heartbeats =
+      injector.hit_count("ctrl.heartbeat.pre_send");
+  injector.disarm();
+  ASSERT_GE(heartbeats, 4u);
 
-  // A mapping whose owner died and never refreshes (the pre-crash
-  // leftover a lease exists to kill).
-  redirector->register_lease(/*conn_id=*/9999);
-  EXPECT_TRUE(redirector->lease_live(9999));
-
-  // Past the TTL: the dead mapping is swept; the live session's lease
-  // keeps being refreshed by the repair loop.
-  std::this_thread::sleep_for(1200ms);
-  EXPECT_FALSE(redirector->lease_live(9999));
-  EXPECT_GE(redirector->leases_expired(), 1u);
-  EXPECT_TRUE(redirector->lease_live(conn.server->conn_id()));
+  ASSERT_TRUE(realm.ctrl(0).suspend(conn.client).ok());
+  const auto t0 = std::chrono::steady_clock::now();
+  const util::Status resumed = realm.ctrl(0).resume(conn.client);
+  const auto resume_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  ASSERT_TRUE(resumed.ok()) << resumed.to_string() << " after " << resume_ms
+                            << " ms";
+  ASSERT_TRUE(conn.client->send(span("after the stall"), 2s).ok());
+  EXPECT_EQ(text(conn.server->recv(2s)->body), "after the stall");
 }
 
 TEST(Abort, BlockedSendRecvAndResumeWaitersWakeAborted) {
