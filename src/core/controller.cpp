@@ -39,6 +39,14 @@ std::string ctrl_site(CtrlType type, std::string_view stage) {
   return site;
 }
 
+bool verify_session_mac(const Session& session, const CtrlMsg& msg) {
+  const util::Bytes payload = msg.mac_payload();
+  return verify_mac(util::ByteSpan(session.session_key().data(),
+                                   session.session_key().size()),
+                    util::ByteSpan(payload.data(), payload.size()),
+                    util::ByteSpan(msg.mac.data(), msg.mac.size()));
+}
+
 }  // namespace
 
 // ===========================================================================
@@ -130,12 +138,9 @@ void SocketController::stop() {
     for (auto& [id, queue] : accept_queues_) queue->close();
     accept_queues_.clear();
   }
-  for (const SessionPtr& session : sessions) {
-    session->close_stream();
-    session->park_event().set();
-    session->resume_event().set();
-    session->responses().close();
-  }
+  // Ending the sessions releases every waiter on them at once: blocked
+  // senders and readers, parked suspends, initiators awaiting a reply.
+  for (const SessionPtr& session : sessions) session->abort_local();
   if (redirector_) redirector_->stop();
   if (repair_thread_.joinable()) repair_thread_.join();
 }
@@ -242,7 +247,7 @@ SessionPtr SocketController::find_session_from(
 
 void SocketController::insert_session(const SessionPtr& session) {
   if (config_.tolerance.enabled) {
-    session->enable_history(config_.tolerance.history_bytes);
+    session->enable_history(kHistoryBytes);
   }
   sessions_.insert(session);
 }
@@ -335,6 +340,12 @@ bool SocketController::agent_is_migrating(const agent::AgentId& id) const {
   return migrating_agents_.contains(id);
 }
 
+void SocketController::refresh_peer_node(Session& session) {
+  if (auto fresh = server_.locations().try_lookup(session.peer_agent())) {
+    session.set_peer_node(*fresh);
+  }
+}
+
 std::size_t SocketController::session_count() const {
   return sessions_.size();
 }
@@ -385,12 +396,14 @@ void SocketController::on_ctrl(const net::Endpoint& from,
       return;
     }
   }
-  if (msg->conn_id != 0) {
-    if (SessionPtr session =
-            find_session_from(msg->conn_id, msg->client_agent)) {
-      session->recorder().record(obs::FlightRecorder::Kind::kCtrlRecv,
-                                 static_cast<std::uint8_t>(msg->type), 0, 0);
-    }
+  // The one lookup: every message about a connection this node holds is
+  // recorded against its session.
+  const SessionPtr session =
+      msg->conn_id != 0 ? find_session_from(msg->conn_id, msg->client_agent)
+                        : nullptr;
+  if (session != nullptr) {
+    session->recorder().record(obs::FlightRecorder::Kind::kCtrlRecv,
+                               static_cast<std::uint8_t>(msg->type), 0, 0);
   }
   switch (msg->type) {
     case CtrlType::kConnect:
@@ -400,40 +413,75 @@ void SocketController::on_ctrl(const net::Endpoint& from,
     case CtrlType::kConnectReject:
       handle_connect_reply(std::move(*msg));
       return;
-    case CtrlType::kSus:
-      handle_sus(std::move(*msg));
+    case CtrlType::kHeartbeat:
+      // Liveness probe: the reliability layer already ACKed it; nothing
+      // else to do (fault-tolerance extension).
       return;
-    case CtrlType::kSusAck:
-    case CtrlType::kAckWait:
-      handle_sus_response(std::move(*msg));
-      return;
-    case CtrlType::kSusRes:
-      handle_sus_res(std::move(*msg));
-      return;
-    case CtrlType::kCls:
-      handle_cls(std::move(*msg));
-      return;
-    case CtrlType::kClsAck:
-    case CtrlType::kSusResAck:
-      handle_simple_ack(std::move(*msg));
-      return;
-    case CtrlType::kReject: {
+    case CtrlType::kReject:
       NAPLET_LOG(kDebug, "controller")
           << "peer rejected conn " << msg->conn_id << ": " << msg->reason;
       // Route to the waiting operation: "unknown connection" usually means
       // the peer agent is mid-transit (its session exported but not yet
       // imported), and the initiator should refresh its location and retry
-      // rather than waiting out the full response timeout.
-      if (SessionPtr session =
-              find_session_from(msg->conn_id, msg->client_agent)) {
-        session->responses().push(Session::CtrlResponse{
-            static_cast<std::uint8_t>(CtrlType::kReject), 0});
+      // rather than waiting out the full response timeout. A node that
+      // does not hold the connection has no key to MAC its REJECT with, so
+      // no MAC or epoch check applies; the reply slot takes it only for
+      // the SUS round whose trace id it echoes.
+      if (session != nullptr) {
+        session->put_reply(CtrlType::kReject, 0, msg->trace_id);
       }
       return;
+    default:
+      break;
+  }
+
+  // Session-bound messages. A reply goes back to the sender's control
+  // endpoint without a session MAC, in the sender's migration trace.
+  const auto answer = [&](CtrlType type, std::string reason) {
+    CtrlMsg reply;
+    reply.type = type;
+    reply.conn_id = msg->conn_id;
+    reply.trace_id = msg->trace_id;
+    reply.reason = std::move(reason);
+    post_reply(msg->node.control, reply);
+  };
+  if (session == nullptr) {
+    if (msg->type == CtrlType::kSus) {
+      answer(CtrlType::kReject, "unknown connection");
+    } else if (msg->type == CtrlType::kCls) {
+      // Already closed (duplicate CLS): re-ACK so the peer can finish.
+      answer(CtrlType::kClsAck, {});
     }
-    case CtrlType::kHeartbeat:
-      // Liveness probe: the reliability layer already ACKed it; nothing
-      // else to do (fault-tolerance extension).
+    return;
+  }
+  if (!verify_session_mac(*session, *msg)) {
+    mac_rejections_.add(1);
+    if (msg->type == CtrlType::kSus || msg->type == CtrlType::kCls) {
+      answer(CtrlType::kReject, "MAC verification failed");
+    }
+    return;
+  }
+  if (!admit_epoch(*session, *msg)) return;
+
+  switch (msg->type) {
+    case CtrlType::kSus:
+      handle_sus(session, *msg);
+      return;
+    case CtrlType::kSusRes:
+      handle_sus_res(*session, *msg);
+      return;
+    case CtrlType::kCls:
+      handle_cls(session, *msg);
+      return;
+    case CtrlType::kSusAck:
+    case CtrlType::kAckWait:
+      session->set_peer_node(msg->node);
+      [[fallthrough]];
+    case CtrlType::kClsAck:
+    case CtrlType::kSusResAck:
+      session->put_reply(msg->type, msg->sent_seq, msg->trace_id);
+      return;
+    default:
       return;
   }
 }

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <atomic>
-#include <initializer_list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -39,6 +38,10 @@
 
 namespace naplet::nsock {
 
+/// Per-session bound on the sent-frame retransmission history that makes
+/// uncoordinated stream loss recoverable without data loss (tolerance on).
+inline constexpr std::size_t kHistoryBytes = 1 << 20;
+
 /// Fault tolerance (the paper's §7 future work). Off is the paper's
 /// protocol, which assumes coordinated suspensions only. On runs, as one
 /// unit: the repair loop (broken-link repair and heartbeat death
@@ -55,9 +58,6 @@ struct ToleranceConfig {
   /// Consecutive unacknowledged heartbeats before a peer is declared dead
   /// and its sessions aborted.
   int miss_threshold = 3;
-  /// Per-session bound on the sent-frame retransmission history that makes
-  /// uncoordinated stream loss recoverable without data loss.
-  std::size_t history_bytes = 1 << 20;
 };
 
 /// Crash-recovery extension: fsync'd write-ahead journal of session state
@@ -234,14 +234,13 @@ class SocketController final : public agent::ConnectionMigrator {
   void on_ctrl(const net::Endpoint& from, util::ByteSpan payload);
   void on_handoff(std::shared_ptr<net::Stream> stream, HandoffMsg msg);
 
-  // Control-message handlers.
+  // Control-message handlers. on_ctrl has already found the session,
+  // checked the MAC and admitted the epoch for the session-bound ones.
   void handle_connect(const net::Endpoint& from, CtrlMsg msg);
   void handle_connect_reply(CtrlMsg msg);
-  void handle_sus(CtrlMsg msg);
-  void handle_sus_response(CtrlMsg msg);  // SUS_ACK / ACK_WAIT
-  void handle_sus_res(CtrlMsg msg);
-  void handle_cls(CtrlMsg msg);
-  void handle_simple_ack(CtrlMsg msg);    // CLS_ACK / SUS_RES_ACK
+  void handle_sus(const SessionPtr& session, const CtrlMsg& msg);
+  void handle_sus_res(Session& session, const CtrlMsg& msg);
+  void handle_cls(const SessionPtr& session, const CtrlMsg& msg);
 
   // Handoff handlers.
   void handle_attach(std::shared_ptr<net::Stream> stream, HandoffMsg msg);
@@ -293,6 +292,9 @@ class SocketController final : public agent::ConnectionMigrator {
   [[nodiscard]] std::vector<SessionPtr> sessions_of(
       const agent::AgentId& id) const;
   [[nodiscard]] bool agent_is_migrating(const agent::AgentId& id) const;
+  /// Re-read the peer's node from the location service (the peer may have
+  /// moved); keeps the last known node when the peer is in transit.
+  void refresh_peer_node(Session& session);
   /// Sessions whose commit point one caller journals together: the mover's
   /// sweep and completion collect their sessions here and journal them in
   /// one batch after the loop.
@@ -320,22 +322,16 @@ class SocketController final : public agent::ConnectionMigrator {
   util::Status do_resume_once(const SessionPtr& session,
                               CommitBatch* resumed);
 
-  /// One SUS exchange for active_suspend: post `sus`, then wait for
-  /// SUS_ACK, ACK_WAIT or REJECT while pumping the receive side, resending
-  /// with a peer-location refresh every max(250 ms,
+  /// One SUS exchange for active_suspend: empty the reply slot for this
+  /// round (the session's trace id), post `sus`, then wait for this
+  /// round's SUS_ACK, ACK_WAIT or REJECT while pumping the receive side,
+  /// resending with a peer-location refresh every max(250 ms,
   /// ctrl_response_timeout / 4). Returns nullopt at `deadline_us` or when
   /// the session leaves the live states. A zero `deadline_us` is set to
   /// one ctrl_response_timeout after the first send; a caller that repeats
   /// the exchange passes it back to keep one deadline.
-  std::optional<Session::CtrlResponse> exchange_sus(Session& session,
-                                                    CtrlMsg& sus,
-                                                    std::int64_t& deadline_us);
-  /// Wait on session.responses() for one of `want`, discarding stale
-  /// response types. Shared by the suspend/close/resume waiters in
-  /// controller_ops.cpp.
-  static std::optional<Session::CtrlResponse> wait_response(
-      Session& session, std::initializer_list<CtrlType> want,
-      util::Duration timeout);
+  std::optional<Session::Reply> exchange_sus(Session& session, CtrlMsg& sus,
+                                             std::int64_t& deadline_us);
 
   // Crash-recovery extension internals.
   /// Journal `sessions` at one protocol commit point as one batch: one

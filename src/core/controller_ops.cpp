@@ -21,12 +21,17 @@ constexpr util::Duration kStatePollSlice = std::chrono::milliseconds(50);
 
 std::int64_t now_us() { return util::RealClock::instance().now_us(); }
 
-bool verify_session_mac(Session& session, const CtrlMsg& msg) {
-  const util::Bytes payload = msg.mac_payload();
-  return verify_mac(util::ByteSpan(session.session_key().data(),
-                                   session.session_key().size()),
-                    util::ByteSpan(payload.data(), payload.size()),
-                    util::ByteSpan(msg.mac.data(), msg.mac.size()));
+/// Wait out a parked suspend. SUSPEND_WAIT is left only by the peer's
+/// SUS_RES or RESUME (-> SUSPENDED, with the flags that go with it; one
+/// that landed before the park was applied by Session::park) or by the
+/// session ending (forced CLOSED: a peer CLS, abort, export, stop).
+util::Status await_park_release(Session& session) {
+  const auto released = [](ConnState s) {
+    return s != ConnState::kSuspendWait;
+  };
+  if (session.wait_state(released, kParkTimeout)) return util::OkStatus();
+  return util::Timeout("parked suspend not released for conn " +
+                       std::to_string(session.conn_id()));
 }
 
 /// Resume glare: while the peer's own RESUME is being accepted on this
@@ -43,29 +48,17 @@ ConnState settle_peer_resume(Session& session, util::Duration timeout) {
 
 }  // namespace
 
-std::optional<Session::CtrlResponse> SocketController::wait_response(
-    Session& session, std::initializer_list<CtrlType> want,
-    util::Duration timeout) {
-  const std::int64_t deadline = now_us() + timeout.count();
-  for (;;) {
-    const std::int64_t remaining = deadline - now_us();
-    if (remaining <= 0) return std::nullopt;
-    auto resp = session.responses().pop_for(util::us(remaining));
-    if (!resp) return std::nullopt;
-    for (CtrlType t : want) {
-      if (resp->type == static_cast<std::uint8_t>(t)) return resp;
-    }
-    NAPLET_LOG(kDebug, "controller")
-        << "conn " << session.conn_id() << ": discarding stale response type "
-        << static_cast<int>(resp->type);
-  }
-}
-
 // ===========================================================================
 // Suspension — active side
 
-std::optional<Session::CtrlResponse> SocketController::exchange_sus(
+std::optional<Session::Reply> SocketController::exchange_sus(
     Session& session, CtrlMsg& sus, std::int64_t& deadline_us) {
+  // Only this round's reply counts: the peer echoes the SUS's trace id,
+  // and a reply to an earlier round (a duplicated SUS answered twice) is
+  // dropped at the slot.
+  session.expect_reply({CtrlType::kSusAck, CtrlType::kAckWait,
+                        CtrlType::kReject},
+                       session.trace_id());
   // Posted: the peer's reply proves delivery, and the resends below cover
   // a SUS that never lands (a peer controller that restarted at a new
   // control endpoint: each resend refreshes the location first). So a
@@ -96,17 +89,12 @@ std::optional<Session::CtrlResponse> SocketController::exchange_sus(
   std::int64_t next_resend = now_us() + resend_every;
   while (now_us() < deadline_us) {
     if (!is_live(session.state())) return std::nullopt;
-    if (auto resp = wait_response(
-            session,
-            {CtrlType::kSusAck, CtrlType::kAckWait, CtrlType::kReject},
-            kExchangeSlice)) {
-      return resp;
+    if (auto reply = session.wait_reply(kExchangeSlice)) {
+      return reply;
     }
     if (now_us() >= next_resend) {
       next_resend = now_us() + resend_every;
-      if (auto fresh = server_.locations().try_lookup(session.peer_agent())) {
-        session.set_peer_node(*fresh);
-      }
+      refresh_peer_node(session);
       // Bounded so a still-dead endpoint cannot eat the whole deadline.
       (void)send_session_ctrl(session.peer_node().control, sus, session,
                               util::us(resend_every));
@@ -140,21 +128,25 @@ util::Status SocketController::suspend(const SessionPtr& session) {
 
 std::optional<util::Status> SocketController::active_suspend(
     const SessionPtr& session, CommitBatch* swept) {
-  if (!session->advance(ConnEvent::kAppSuspend, ConnState::kEstablished)
+  // This is OUR suspension round: bookkeeping from any previous round is
+  // obsolete, and goes in the same step. (That also closes a scheduling
+  // window where the resume handler's own clear lands after this suspend
+  // has begun.)
+  if (!session
+           ->advance(ConnEvent::kAppSuspend, ConnState::kEstablished,
+                     [](Session::Flags& f) {
+                       f.remote_suspended = false;
+                       f.peer_waiting_resume = false;
+                       f.early_release.reset();
+                     })
            .ok()) {
     return std::nullopt;
   }
   // Mint this migration's trace id (| 1 so it can never be the "untraced"
-  // zero); every span and protocol message of this round carries it.
+  // zero); every span and protocol message of this round carries it, and
+  // the peer's replies echo it.
   session->set_trace_id(crypto::random_u64() | 1);
   util::Stopwatch suspend_sw(util::RealClock::instance());
-  // This is OUR suspension round: bookkeeping from any previous round is
-  // obsolete. (Clearing here also closes a scheduling window where the
-  // resume handler's own clear lands after this suspend has begun.)
-  session->update_flags([](Session::Flags& f) {
-    f.remote_suspended = false;
-    f.peer_waiting_resume = false;
-  });
   const std::uint64_t mark = session->freeze_writes_and_mark();
 
   CtrlMsg sus;
@@ -165,12 +157,10 @@ std::optional<util::Status> SocketController::active_suspend(
   // imported at its destination): pause, refresh the peer's location and
   // run the exchange again within the same deadline.
   std::int64_t deadline = 0;  // set by the first exchange
-  std::optional<Session::CtrlResponse> resp;
+  std::optional<Session::Reply> resp;
   for (;;) {
     resp = exchange_sus(*session, sus, deadline);
-    if (!resp || resp->type != static_cast<std::uint8_t>(CtrlType::kReject)) {
-      break;
-    }
+    if (!resp || resp->type != CtrlType::kReject) break;
     resp.reset();
     // Interruptible pause: stop() sets the event and this suspension
     // unwinds immediately instead of finishing its retry budget.
@@ -178,9 +168,7 @@ std::optional<util::Status> SocketController::active_suspend(
       return util::Cancelled("controller stopping");
     }
     if (now_us() >= deadline) break;
-    if (auto fresh = server_.locations().try_lookup(session->peer_agent())) {
-      session->set_peer_node(*fresh);
-    }
+    refresh_peer_node(*session);
   }
   if (!resp) {
     if (config_.tolerance.enabled && session->has_stream() &&
@@ -204,7 +192,7 @@ std::optional<util::Status> SocketController::active_suspend(
   // Both replies carry the peer's declared high-water mark: pull every
   // in-flight frame into the input buffer before closing the socket.
   util::Stopwatch drain_sw(util::RealClock::instance());
-  auto drained = session->drain_to_mark(resp->sent_seq, config_.drain_timeout);
+  auto drained = session->drain_to_mark(resp->mark, config_.drain_timeout);
   session->close_stream();
   hist_drain_us_.record(obs::ms_to_us(drain_sw.elapsed_ms()));
   if (drained.ok()) {
@@ -214,7 +202,7 @@ std::optional<util::Status> SocketController::active_suspend(
          "active", buffered);
   }
 
-  if (resp->type == static_cast<std::uint8_t>(CtrlType::kSusAck)) {
+  if (resp->type == CtrlType::kSusAck) {
     NAPLET_RETURN_IF_ERROR(session->advance(ConnEvent::kRecvSusAck));
     if (drained.ok()) {
       commit_or_defer(recovery::CommitPoint::kSuspendCommitted, session,
@@ -226,20 +214,10 @@ std::optional<util::Status> SocketController::active_suspend(
 
   // ACK_WAIT: overlapped concurrent migration and the peer outranks us
   // (paper Fig. 4(a), low-priority side). Park until its SUS_RES.
-  NAPLET_RETURN_IF_ERROR(session->advance(ConnEvent::kRecvAckWait));
-  session->update_flags([](Session::Flags& f) {
-    f.local_suspend_parked = true;
-  });
-  const bool released = session->park_event().wait_for(kParkTimeout);
-  session->park_event().reset();
-  session->update_flags([](Session::Flags& f) {
-    f.local_suspend_parked = false;
-  });
+  NAPLET_RETURN_IF_ERROR(session->park(ConnEvent::kRecvAckWait));
+  const util::Status released = await_park_release(*session);
   if (!drained.ok()) return drained;
-  if (!released) {
-    return util::Timeout("parked suspend not released for conn " +
-                         std::to_string(session->conn_id()));
-  }
+  NAPLET_RETURN_IF_ERROR(released);
   commit_or_defer(recovery::CommitPoint::kSuspendCommitted, session, swept);
   hist_suspend_us_.record(obs::ms_to_us(suspend_sw.elapsed_ms()));
   return util::OkStatus();
@@ -248,31 +226,15 @@ std::optional<util::Status> SocketController::active_suspend(
 // ===========================================================================
 // Suspension — passive side (bus handlers: the rudp receiver thread)
 
-void SocketController::handle_sus(CtrlMsg msg) {
-  SessionPtr session = find_session_from(msg.conn_id, msg.client_agent);
+void SocketController::handle_sus(const SessionPtr& session,
+                                  const CtrlMsg& msg) {
   CtrlMsg reply;
   reply.conn_id = msg.conn_id;
-  // Replies belong to the PEER's migration trace, not our own.
+  // Replies belong to the PEER's migration trace, not our own; the echo
+  // also tells the initiator which round a reply answers.
   reply.trace_id = msg.trace_id;
-
-  if (session == nullptr) {
-    reply.type = CtrlType::kReject;
-    reply.reason = "unknown connection";
-    post_reply(msg.node.control, reply);
-    return;
-  }
-  if (!verify_session_mac(*session, msg)) {
-    mac_rejections_.add(1);
-    reply.type = CtrlType::kReject;
-    reply.reason = "MAC verification failed";
-    post_reply(msg.node.control, reply);
-    return;
-  }
-  if (!admit_epoch(*session, msg)) return;
   if (msg.trace_id != 0) session->set_peer_trace_id(msg.trace_id);
   session->set_peer_node(msg.node);
-  const util::ByteSpan key(session->session_key().data(),
-                           session->session_key().size());
 
   // A SUS may land while a resume is one step from completion (RES_ACKED
   // or RES_SENT about to see its RESUME_OK); wait briefly for that to
@@ -294,12 +256,13 @@ void SocketController::handle_sus(CtrlMsg msg) {
   switch (st) {
     case ConnState::kEstablished: {
       // Normal passive suspension (paper §2.2).
-      (void)session->advance(ConnEvent::kRecvSus);  // -> SUS_ACKED
+      (void)session->advance(ConnEvent::kRecvSus, std::nullopt,
+                             [&](Session::Flags& f) {
+                               f.remote_suspended = true;
+                               f.peer_declared_seq = msg.sent_seq;
+                               f.early_release.reset();
+                             });  // -> SUS_ACKED
       const std::uint64_t mark = session->freeze_writes_and_mark();
-      session->update_flags([&](Session::Flags& f) {
-        f.remote_suspended = true;
-        f.peer_declared_seq = msg.sent_seq;
-      });
       reply.type = CtrlType::kSusAck;
       reply.sent_seq = mark;
       post_reply(msg.node.control, reply, *session);
@@ -351,19 +314,17 @@ void SocketController::handle_sus(CtrlMsg msg) {
       // is suspending again instead (another migration round began). Its
       // suspension supersedes the parked resume: accept it — we are
       // already quiesced (no data socket) — and wake the parked waiter,
-      // whose resume completes as a passive suspension. The flags go first:
-      // the SUSPENDED transition wakes that waiter, and it reads
-      // remote_suspended to tell a superseded resume from a failed one.
-      session->update_flags([&](Session::Flags& f) {
-        f.remote_suspended = true;
-        f.peer_declared_seq = msg.sent_seq;
-      });
+      // whose resume completes as a passive suspension.
       (void)fault::hit("ctrl.sus.resume_wait");
-      (void)session->advance(ConnEvent::kRecvSus);  // -> SUSPENDED
+      (void)session->advance(ConnEvent::kRecvSus, std::nullopt,
+                             [&](Session::Flags& f) {
+                               f.remote_suspended = true;
+                               f.peer_declared_seq = msg.sent_seq;
+                               f.early_release.reset();
+                             });  // -> SUSPENDED
       reply.type = CtrlType::kSusAck;
       reply.sent_seq = session->sent_seq();
       post_reply(msg.node.control, reply, *session);
-      session->resume_event().set();
       return;
     }
 
@@ -397,52 +358,19 @@ void SocketController::finish_passive_suspend(const SessionPtr& session,
   }
 }
 
-void SocketController::handle_sus_response(CtrlMsg msg) {
-  SessionPtr session = find_session_from(msg.conn_id, msg.client_agent);
-  if (session == nullptr) return;
-  if (!verify_session_mac(*session, msg)) {
-    mac_rejections_.add(1);
-    return;
-  }
-  if (!admit_epoch(*session, msg)) return;
-  session->set_peer_node(msg.node);
-  session->responses().push(Session::CtrlResponse{
-      static_cast<std::uint8_t>(msg.type), msg.sent_seq});
-}
-
-void SocketController::handle_sus_res(CtrlMsg msg) {
-  SessionPtr session = find_session_from(msg.conn_id, msg.client_agent);
-  if (session == nullptr) return;
-  if (!verify_session_mac(*session, msg)) {
-    mac_rejections_.add(1);
-    return;
-  }
-  if (!admit_epoch(*session, msg)) return;
+void SocketController::handle_sus_res(Session& session, const CtrlMsg& msg) {
   // The peer has landed; record its new endpoints and release our parked
-  // suspend (paper Fig. 4(a): SUS_RES -> SUS_RES_ACK).
-  session->set_peer_node(msg.node);
-  if (session->state() == ConnState::kSuspendWait) {
-    (void)session->advance(ConnEvent::kRecvSusRes);  // -> SUSPENDED
-  }
-  session->update_flags([](Session::Flags& f) { f.remote_suspended = false; });
+  // suspend (paper Fig. 4(a): SUS_RES -> SUS_RES_ACK). The flag clears in
+  // the release step itself: the woken suspend exports it.
+  session.set_peer_node(msg.node);
+  session.release_park(ConnEvent::kRecvSusRes, [](Session::Flags& f) {
+    f.remote_suspended = false;
+  });
 
   CtrlMsg ack;
   ack.type = CtrlType::kSusResAck;
   ack.conn_id = msg.conn_id;
-  post_reply(msg.node.control, ack, *session);
-  session->park_event().set();
-}
-
-void SocketController::handle_simple_ack(CtrlMsg msg) {
-  SessionPtr session = find_session_from(msg.conn_id, msg.client_agent);
-  if (session == nullptr) return;
-  if (!verify_session_mac(*session, msg)) {
-    mac_rejections_.add(1);
-    return;
-  }
-  if (!admit_epoch(*session, msg)) return;
-  session->responses().push(Session::CtrlResponse{
-      static_cast<std::uint8_t>(msg.type), msg.sent_seq});
+  post_reply(msg.node.control, ack, session);
 }
 
 // ===========================================================================
@@ -561,8 +489,7 @@ util::Status SocketController::do_resume_once(const SessionPtr& session,
     if (!stream.ok()) {
       // Stale address (the peer may itself be migrating): refresh via the
       // location service and retry.
-      auto fresh = server_.locations().try_lookup(session->peer_agent());
-      if (fresh) session->set_peer_node(*fresh);
+      refresh_peer_node(*session);
       if (pause_and_escalate()) return util::Cancelled("controller stopping");
       continue;
     }
@@ -630,19 +557,18 @@ util::Status SocketController::do_resume_once(const SessionPtr& session,
         }
         span(session->trace_id(), obs::SpanKind::kReplayDone, *session,
              "mover");
-        if (auto adv = session->advance(ConnEvent::kRecvResumeOk);
+        if (auto adv = session->advance(
+                ConnEvent::kRecvResumeOk, std::nullopt,
+                [](Session::Flags& f) { f.remote_suspended = false; });
             !adv.ok()) {
           // Glare tail: the peer's own attempt already established us (or
           // is doing so); its OK to our attempt means both sides now hold
-          // THIS stream.
+          // THIS stream (and its resume handler cleared the flags).
           if (settle_peer_resume(*session, config_.resume_timeout) !=
               ConnState::kEstablished) {
             return adv;
           }
         }
-        session->update_flags([](Session::Flags& f) {
-          f.remote_suspended = false;
-        });
         commit_or_defer(recovery::CommitPoint::kResumeCommitted, session,
                         resumed);
         span(session->trace_id(), obs::SpanKind::kResumeCommitted, *session,
@@ -683,8 +609,7 @@ util::Status SocketController::do_resume_once(const SessionPtr& session,
       default: {
         // Peer in transit or glare rejection: refresh location and retry.
         data_socket->close();
-        auto fresh = server_.locations().try_lookup(session->peer_agent());
-        if (fresh) session->set_peer_node(*fresh);
+        refresh_peer_node(*session);
         if (pause_and_escalate()) {
           return util::Cancelled("controller stopping");
         }
@@ -738,21 +663,19 @@ void SocketController::handle_resume_request(
 
   // If this agent is itself migrating (or has a parked suspend), delay the
   // peer's resume and let our suspension finish (paper Fig. 4(b), Fig. 5).
-  const bool parked = session->flags().local_suspend_parked;
-  if (parked || agent_is_migrating(session->local_agent())) {
+  // A parked suspend is released by the step out of SUSPEND_WAIT, which
+  // carries the flags the woken suspend exports.
+  if (session->state() == ConnState::kSuspendWait ||
+      agent_is_migrating(session->local_agent())) {
     HandoffMsg wait;
     wait.type = HandoffType::kResumeWait;
     wait.conn_id = msg.conn_id;
     (void)reply_handoff(*stream, wait, key);
     stream->close();
-    session->update_flags([](Session::Flags& f) {
+    session->release_park(ConnEvent::kRecvResume, [](Session::Flags& f) {
       f.peer_waiting_resume = true;
       f.remote_suspended = false;  // the peer has finished its migration
     });
-    if (session->state() == ConnState::kSuspendWait) {
-      (void)session->advance(ConnEvent::kRecvResume);  // -> SUSPENDED
-    }
-    session->park_event().set();
     return;
   }
 
@@ -835,18 +758,16 @@ void SocketController::handle_resume_request(
     }
   }
   span(msg.trace_id, obs::SpanKind::kReplayDone, *session, "receiver");
-  if (session->state() == ConnState::kResAcked) {
-    (void)session->advance(ConnEvent::kExecResumed);  // -> ESTABLISHED
-  }
   // The connection is live again: any prior suspension bookkeeping is
   // obsolete (otherwise a later migration of this side would wrongly
   // conclude the peer still owes a reconnect).
-  session->update_flags([](Session::Flags& f) {
-    f.remote_suspended = false;
-  });
+  const auto live = [](Session::Flags& f) { f.remote_suspended = false; };
+  if (!session->advance(ConnEvent::kExecResumed, ConnState::kResAcked, live)
+           .ok()) {  // -> ESTABLISHED
+    session->update_flags(live);
+  }
   journal_commit(recovery::CommitPoint::kResumeCommitted, session);
   span(msg.trace_id, obs::SpanKind::kResumeCommitted, *session, "receiver");
-  session->resume_event().set();
 }
 
 // ===========================================================================
@@ -868,57 +789,35 @@ util::Status SocketController::close(const SessionPtr& session) {
   // Like suspend, close declares the sender's data high-water mark so the
   // peer can flush everything in transmission before tearing down.
   cls.sent_seq = session->freeze_writes_and_mark();
+  session->expect_reply({CtrlType::kClsAck});
   // Posted: CLOSE_ACK proves delivery, and the wait below bounds its loss.
   (void)send_session_ctrl(session->peer_node().control, cls, *session, {},
                           Delivery::kPost);
 
   // Same draining discipline as suspension while waiting for the ACK (the
   // peer's freeze may be stuck behind a backpressured writer).
-  std::optional<Session::CtrlResponse> resp;
-  {
-    const std::int64_t deadline =
-        util::RealClock::instance().now_us() +
-        config_.ctrl_response_timeout.count();
-    while (util::RealClock::instance().now_us() < deadline) {
-      resp = wait_response(*session, {CtrlType::kClsAck},
-                           std::chrono::milliseconds(20));
-      if (resp) break;
-      session->pump_available(std::chrono::milliseconds(20));
-    }
+  std::optional<Session::Reply> resp;
+  const std::int64_t deadline =
+      now_us() + config_.ctrl_response_timeout.count();
+  while (now_us() < deadline && session->state() != ConnState::kClosed) {
+    resp = session->wait_reply(kExchangeSlice);
+    if (resp) break;
+    session->pump_available(kExchangeSlice);
   }
   if (resp) {
     // Pull the peer's final frames into the buffer; they remain readable
     // by the application even after the state reaches CLOSED.
-    (void)session->drain_to_mark(resp->sent_seq, config_.drain_timeout);
+    (void)session->drain_to_mark(resp->mark, config_.drain_timeout);
   }
   session->close_stream();
   (void)session->advance(resp ? ConnEvent::kRecvClsAck : ConnEvent::kTimeout);
   remove_session(session);
   journal_commit(recovery::CommitPoint::kClosed, session);
-  session->park_event().set();
-  session->resume_event().set();
   return util::OkStatus();
 }
 
-void SocketController::handle_cls(CtrlMsg msg) {
-  SessionPtr session = find_session_from(msg.conn_id, msg.client_agent);
-  CtrlMsg ack;
-  ack.conn_id = msg.conn_id;
-  if (session == nullptr) {
-    // Already closed (duplicate CLS): re-ACK so the peer can finish.
-    ack.type = CtrlType::kClsAck;
-    post_reply(msg.node.control, ack);
-    return;
-  }
-  if (!verify_session_mac(*session, msg)) {
-    mac_rejections_.add(1);
-    ack.type = CtrlType::kReject;
-    ack.reason = "MAC verification failed";
-    post_reply(msg.node.control, ack, *session);
-    return;
-  }
-  if (!admit_epoch(*session, msg)) return;
-
+void SocketController::handle_cls(const SessionPtr& session,
+                                  const CtrlMsg& msg) {
   ConnState st = session->state();
   if (st == ConnState::kResAcked) {
     // The peer's RESUME was answered but our handler has not advanced to
@@ -934,6 +833,8 @@ void SocketController::handle_cls(CtrlMsg msg) {
   if (st == ConnState::kEstablished || st == ConnState::kSuspended) {
     (void)session->advance(ConnEvent::kRecvCls);  // -> CLOSE_ACKED
   }
+  CtrlMsg ack;
+  ack.conn_id = msg.conn_id;
   ack.type = CtrlType::kClsAck;
   ack.sent_seq = session->freeze_writes_and_mark();
   post_reply(msg.node.control, ack, *session);
@@ -943,11 +844,14 @@ void SocketController::handle_cls(CtrlMsg msg) {
   session->close_stream();
   if (session->state() == ConnState::kCloseAcked) {
     (void)session->advance(ConnEvent::kExecClosed);  // -> CLOSED
+  } else if (is_live(session->state())) {
+    // A live state the CLS could not step (a parked suspend, a suspend or
+    // a resume in flight): the connection is gone all the same. Ending the
+    // session releases whatever waits on it.
+    session->abort_local();
   }
   remove_session(session);
   journal_commit(recovery::CommitPoint::kClosed, session);
-  session->park_event().set();
-  session->resume_event().set();
 }
 
 // ===========================================================================
@@ -1016,24 +920,13 @@ util::Status SocketController::suspend_for_migration(
           if (holds_local) return util::OkStatus();
         }
 
-        // Park (SUSPEND_WAIT) until the peer finishes migrating.
-        if (st == ConnState::kSuspended) {
-          (void)session->advance(ConnEvent::kAppSuspend);  // -> SUSPEND_WAIT
+        // Park (SUSPEND_WAIT) until the peer finishes migrating. A state
+        // that moved on since the read above is dispatched again.
+        if (st == ConnState::kSuspended &&
+            !session->park(ConnEvent::kAppSuspend, st).ok()) {
+          continue;
         }
-        session->update_flags([](Session::Flags& f2) {
-          f2.local_suspend_parked = true;
-        });
-        const bool released =
-            session->park_event().wait_for(kParkTimeout);
-        session->park_event().reset();
-        session->update_flags([](Session::Flags& f2) {
-          f2.local_suspend_parked = false;
-        });
-        if (!released) {
-          return util::Timeout("parked suspend not released for conn " +
-                               std::to_string(session->conn_id()));
-        }
-        return util::OkStatus();
+        return await_park_release(*session);
       }
 
       case ConnState::kSusAcked:
@@ -1143,11 +1036,10 @@ util::Status SocketController::complete_migration(const agent::AgentId& id) {
       CtrlMsg sus_res;
       sus_res.type = CtrlType::kSusRes;
       sus_res.conn_id = session->conn_id();
+      session->expect_reply({CtrlType::kSusResAck});
       (void)send_session_ctrl(session->peer_node().control, sus_res,
                               *session);
-      auto resp = wait_response(*session, {CtrlType::kSusResAck},
-                                config_.ctrl_response_timeout);
-      if (!resp) {
+      if (!session->wait_reply(config_.ctrl_response_timeout)) {
         NAPLET_LOG(kWarn, "controller")
             << "conn " << session->conn_id() << ": no SUS_RES_ACK";
       }

@@ -108,8 +108,8 @@ void SocketController::probe_peers() {
 }
 
 void SocketController::abort_session(const SessionPtr& session) {
-  // An in-flight SUS exchange on this connection sees it leave the live
-  // states within one exchange slice and gives up.
+  // An in-flight SUS exchange on this connection wakes on the CLOSED state
+  // and gives up.
   //
   // Deregister first so that by the time waiters observe CLOSED the
   // controller's books are already consistent.
@@ -117,11 +117,10 @@ void SocketController::abort_session(const SessionPtr& session) {
   journal_commit(recovery::CommitPoint::kClosed, session);
   // abort_local forces CLOSED from ANY state (the old advance(kAppClose)
   // path only worked from ESTABLISHED/SUSPENDED, leaving resume waiters in
-  // RES_SENT/RESUME_WAIT to hang until their deadlines) and wakes every parked
-  // sender, receiver, and resume waiter with kAborted.
+  // RES_SENT/RESUME_WAIT to hang until their deadlines) and wakes every
+  // waiter on the session: senders, receivers, resume waiters, parked
+  // suspends and reply waiters.
   session->abort_local();
-  session->park_event().set();
-  session->resume_event().set();
   // Ship the session's recent history with the abort. This runs with NO
   // controller or session locks held (dump() iterates lock-free slots), so
   // a slow stderr cannot delay the waiters woken above.

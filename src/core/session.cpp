@@ -40,6 +40,12 @@ std::string recorder_label(std::uint64_t conn_id, bool is_client,
   return "conn " + std::to_string(conn_id) +
          (is_client ? " client " : " server ") + local_agent.name();
 }
+
+/// A reply slot's bit for `type` (CtrlType values are below 32).
+std::uint32_t type_bit(CtrlType type) {
+  return std::uint32_t{1} << static_cast<unsigned>(type);
+}
+
 }  // namespace
 
 Session::Session(std::uint64_t conn_id, std::uint64_t verifier, bool is_client,
@@ -63,43 +69,80 @@ void Session::set_peer_node(const agent::NodeInfo& node) {
   peer_node_ = node;
 }
 
-util::Status Session::advance(ConnEvent event, std::optional<ConnState> from) {
-  // Validate-and-swap under the cell's own lock via update().
+util::Status Session::step(ConnState& s, ConnEvent event,
+                           std::optional<ConnState> from) const {
+  if (from && s != *from) {
+    return util::FailedPrecondition(
+        "state moved to " + std::string(to_string(s)) + " before " +
+        std::string(to_string(event)) + " (conn " + std::to_string(conn_id_) +
+        ")");
+  }
+  auto next = transition(s, event);
+  if (!next) {
+    return util::ProtocolError(
+        "illegal transition: " + std::string(to_string(s)) + " on " +
+        std::string(to_string(event)) + " (conn " + std::to_string(conn_id_) +
+        ")");
+  }
+  NAPLET_LOG(kTrace, "fsm") << "conn " << conn_id_ << " ["
+                            << (is_client_ ? "client" : "server") << "] "
+                            << to_string(s) << " --" << to_string(event)
+                            << "--> " << to_string(*next);
+  // Audit hook for the fault oracles: every performed transition is
+  // re-validated against the golden table after a chaos run.
+  fault::observe_transition(conn_id_, is_client_, static_cast<std::uint8_t>(s),
+                            static_cast<std::uint8_t>(event),
+                            static_cast<std::uint8_t>(*next));
+  // Flight-recorder hook: runs under the state-cell lock, so it must be
+  // (and is) lock-free.
+  recorder_.record_fsm(static_cast<std::uint8_t>(s),
+                       static_cast<std::uint8_t>(event),
+                       static_cast<std::uint8_t>(*next));
+  s = *next;
+  return util::OkStatus();
+}
+
+util::Status Session::park(ConnEvent event, std::optional<ConnState> from) {
+  (void)fault::hit("session.suspend.park");
   util::Status result = util::OkStatus();
-  state_.update([&](ConnState& s) {
-    if (from && s != *from) {
-      result = util::FailedPrecondition(
-          "state moved to " + std::string(to_string(s)) + " before " +
-          std::string(to_string(event)) + " (conn " +
-          std::to_string(conn_id_) + ")");
-      return;
-    }
-    auto next = transition(s, event);
-    if (!next) {
-      result = util::ProtocolError(
-          "illegal transition: " + std::string(to_string(s)) + " on " +
-          std::string(to_string(event)) + " (conn " +
-          std::to_string(conn_id_) + ")");
-      return;
-    }
-    NAPLET_LOG(kTrace, "fsm") << "conn " << conn_id_ << " ["
-                              << (is_client_ ? "client" : "server") << "] "
-                              << to_string(s) << " --" << to_string(event)
-                              << "--> " << to_string(*next);
-    // Audit hook for the fault oracles: every performed transition is
-    // re-validated against the golden table after a chaos run.
-    fault::observe_transition(conn_id_, is_client_,
-                              static_cast<std::uint8_t>(s),
-                              static_cast<std::uint8_t>(event),
-                              static_cast<std::uint8_t>(*next));
-    // Flight-recorder hook: runs under the state-cell lock, so it must be
-    // (and is) lock-free.
-    recorder_.record_fsm(static_cast<std::uint8_t>(s),
-                         static_cast<std::uint8_t>(event),
-                         static_cast<std::uint8_t>(*next));
-    s = *next;
+  cell_.update([&](Cell& c) {
+    result = step(c.state, event, from);
+    if (!result.ok() || !c.flags.early_release) return;
+    (void)step(c.state, *c.flags.early_release, std::nullopt);
+    c.flags.early_release.reset();
   });
   return result;
+}
+
+void Session::expect_reply(std::initializer_list<CtrlType> types,
+                           std::uint64_t trace_id) {
+  std::uint32_t wanted = 0;
+  for (CtrlType type : types) wanted |= type_bit(type);
+  cell_.update([&](Cell& c) {
+    c.reply = Reply{};
+    c.reply_types = wanted;
+    c.reply_trace_id = trace_id;
+  });
+}
+
+void Session::put_reply(CtrlType type, std::uint64_t mark,
+                        std::uint64_t trace_id) {
+  cell_.update([&](Cell& c) {
+    if ((c.reply_types & type_bit(type)) == 0) return;
+    if (c.reply_trace_id != 0 && c.reply_trace_id != trace_id) return;
+    c.reply = Reply{type, mark};
+  });
+}
+
+std::optional<Session::Reply> Session::wait_reply(
+    util::Duration timeout) const {
+  auto cell = cell_.wait_for(
+      [](const Cell& c) {
+        return c.reply.type.has_value() || c.state == ConnState::kClosed;
+      },
+      timeout);
+  if (!cell || !cell->reply.type) return std::nullopt;
+  return cell->reply;
 }
 
 void Session::attach_stream(std::shared_ptr<net::Stream> stream) {
@@ -171,11 +214,6 @@ std::uint64_t Session::buffered_bytes() const {
   return total;
 }
 
-Session::Flags Session::flags() const {
-  util::MutexLock lock(flags_mu_);
-  return flags_;
-}
-
 std::uint64_t Session::freeze_writes_and_mark() {
   // Callers set the FSM state to a non-transfer state *first*; taking the
   // write lock afterwards serializes against sequence assignment, so the
@@ -199,7 +237,7 @@ util::Status Session::send(util::ByteSpan body, util::Duration timeout)
   for (;;) {
     {
       util::UniqueMutexLock wl(write_mu_);
-      const ConnState st = state_.get();
+      const ConnState st = state();
       if (is_dead(st)) {
         return util::Aborted("connection " + std::to_string(conn_id_) +
                              " is closed");
@@ -248,7 +286,7 @@ util::Status Session::send(util::ByteSpan body, util::Duration timeout)
           // against freeze_writes_and_mark) before reporting an error. An
           // error while still ESTABLISHED is an uncoordinated link failure.
           wl.lock();
-          if (can_transfer(state_.get())) {
+          if (can_transfer(state())) {
             broken_.store(true);
             // A failed send must consume nothing: if no later sender
             // claimed a sequence number, roll ours back (and drop the
@@ -270,8 +308,8 @@ util::Status Session::send(util::ByteSpan body, util::Duration timeout)
             // Waiting on the state cell instead of sleeping lets a racing
             // close/abort interrupt the pacing immediately.
             wl.unlock();
-            state_.wait_for([](ConnState s) { return is_dead(s); },
-                            std::chrono::milliseconds(1));
+            wait_state([](ConnState s) { return is_dead(s); },
+                       std::chrono::milliseconds(1));
           }
           // Racing suspension killed the write (or rollback was not
           // possible): the seq is already assigned (and covered by any
@@ -283,10 +321,10 @@ util::Status Session::send(util::ByteSpan body, util::Duration timeout)
     }
     if (now_us() >= deadline) {
       return util::Timeout("send blocked (state " +
-                           std::string(to_string(state_.get())) + ")");
+                           std::string(to_string(state())) + ")");
     }
-    state_.wait_for([](ConnState s) { return can_transfer(s) || is_dead(s); },
-                    kStateWaitSlice);
+    wait_state([](ConnState s) { return can_transfer(s) || is_dead(s); },
+               kStateWaitSlice);
   }
 }
 
@@ -380,7 +418,7 @@ util::StatusOr<RecvResult> Session::recv(util::Duration timeout) {
       }
     }
 
-    const ConnState st = state_.get();
+    const ConnState st = state();
     if (is_dead(st)) {
       // A graceful close drains the closer's in-flight frames into the
       // buffer before tearing the stream down (handle_cls), but the state
@@ -399,9 +437,8 @@ util::StatusOr<RecvResult> Session::recv(util::Duration timeout) {
     if (now_us() >= deadline) return util::Timeout("recv timed out");
 
     if (!can_transfer(st)) {
-      state_.wait_for(
-          [](ConnState s) { return can_transfer(s) || is_dead(s); },
-          kStateWaitSlice);
+      wait_state([](ConnState s) { return can_transfer(s) || is_dead(s); },
+                 kStateWaitSlice);
       continue;
     }
 
@@ -414,7 +451,7 @@ util::StatusOr<RecvResult> Session::recv(util::Duration timeout) {
       // shortly) or an uncoordinated link failure (flagged for the
       // fault-tolerance extension's repair loop; without it we keep
       // waiting until the deadline, as in the paper).
-      if (!socket_ok && can_transfer(state_.get())) broken_.store(true);
+      if (!socket_ok && can_transfer(state())) broken_.store(true);
     }
     if (!socket_ok) {
       // Event-driven wait (read_mu_ released so repairs can drain): wake
@@ -574,10 +611,7 @@ void Session::abort_local() {
     util::MutexLock lock(buf_mu_);
     bump_rx_epoch_locked();
   }
-  state_.set(ConnState::kClosed);
-  park_event_.set();
-  resume_event_.set();
-  responses_.close();
+  cell_.update([](Cell& c) { c.state = ConnState::kClosed; });
   rx_cv_.notify_all();
 }
 
@@ -597,10 +631,7 @@ void Session::mark_moved() {
   }
   // Internal teardown, not a protocol transition: stale holders see the
   // connection as closed and their blocked operations abort.
-  state_.set(ConnState::kClosed);
-  park_event_.set();
-  resume_event_.set();
-  responses_.close();
+  cell_.update([](Cell& c) { c.state = ConnState::kClosed; });
   rx_cv_.notify_all();
 }
 
@@ -657,8 +688,18 @@ void Session::persist_state(util::Archive& ar) {
     ar.field(rx_raw_);
   }
   {
-    util::MutexLock lock(flags_mu_);
-    ar.field(flags_);
+    // The blob keeps a "suspend parked" byte after remote_suspended; it
+    // is the state SUSPEND_WAIT. A reading archive discards it: an import
+    // lands SUSPENDED.
+    const Cell cell = cell_.get();
+    Flags f = cell.flags;
+    bool parked = cell.state == ConnState::kSuspendWait;
+    ar.field(f.remote_suspended);
+    ar.field(parked);
+    ar.field(f.peer_parked);
+    ar.field(f.peer_waiting_resume);
+    ar.field(f.peer_declared_seq);
+    if (ar.is_reading()) update_flags([&f](Flags& g) { g = f; });
   }
   {
     // Retransmission history rides along: after a crash-restart the
@@ -715,7 +756,7 @@ util::StatusOr<SessionPtr> Session::import_state(util::ByteSpan data)
   NAPLET_RETURN_IF_ERROR(ar.finish());
 
   // A migrated session lands suspended; the buffered frames are replays.
-  session->state_.set(ConnState::kSuspended);
+  session->cell_.update([](Cell& c) { c.state = ConnState::kSuspended; });
   if (!session->buffer_.empty()) {
     session->replay_low_ =
         std::max(session->replay_low_, session->buffer_.back().seq);

@@ -1,6 +1,6 @@
 // Per-connection session state: the data socket, the NapletInputStream
 // replay buffer, sequence bookkeeping for exactly-once delivery, the FSM
-// state cell, and the concurrent-migration flags.
+// state cell with the concurrent-migration flags and the reply slot.
 //
 // Exactly-once design (paper §3.1):
 //  * every data message is framed with a monotonically increasing u64 seq;
@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <deque>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -23,6 +24,7 @@
 #include "agent/agent_id.hpp"
 #include "agent/location.hpp"
 #include "core/state.hpp"
+#include "core/wire.hpp"
 #include "net/transport.hpp"
 #include "obs/recorder.hpp"
 #include "util/sync.hpp"
@@ -90,20 +92,43 @@ class Session {
   void set_session_key(util::Bytes key) { session_key_ = std::move(key); }
 
   // ---- FSM ----
+  //
+  // One cell holds the session's coordination state: the FSM state, the
+  // concurrent-migration flags and the reply slot. Every wait (a blocked
+  // writer or reader, a parked suspend, an initiator awaiting its reply)
+  // waits on it, and every change to it wakes them.
 
-  [[nodiscard]] ConnState state() const { return state_.get(); }
+  [[nodiscard]] ConnState state() const { return cell_.get().state; }
 
   /// Validate `event` against the transition table and apply it.
   /// kProtocolError on an illegal transition (state unchanged). With
   /// `from`, the event applies only while the state is still `from`:
   /// kFailedPrecondition (state unchanged) once another thread moved it.
   util::Status advance(ConnEvent event,
-                       std::optional<ConnState> from = std::nullopt);
+                       std::optional<ConnState> from = std::nullopt) {
+    return advance(event, from, [](Flags&) {});
+  }
+  /// The same, with `on_flags` applied to the flags in the same update as
+  /// the state step (and only when the step is taken): a waiter woken by
+  /// the new state also sees the flags that go with it.
+  template <typename Fn>
+  util::Status advance(ConnEvent event, std::optional<ConnState> from,
+                       Fn&& on_flags) {
+    util::Status result = util::OkStatus();
+    cell_.update([&](Cell& c) {
+      result = step(c.state, event, from);
+      if (result.ok()) on_flags(c.flags);
+    });
+    return result;
+  }
 
   /// Wait until the state satisfies `pred`; nullopt on timeout.
   template <typename Pred>
   std::optional<ConnState> wait_state(Pred&& pred, util::Duration timeout) {
-    return state_.wait_for(std::forward<Pred>(pred), timeout);
+    auto cell = cell_.wait_for(
+        [&pred](const Cell& c) { return pred(c.state); }, timeout);
+    if (!cell) return std::nullopt;
+    return cell->state;
   }
 
   // ---- data path ----
@@ -179,45 +204,71 @@ class Session {
   }
 
   // ---- concurrent-migration flags (paper §3.1, §3.2) ----
+  //
+  // A parked local suspend is the state SUSPEND_WAIT itself, not a flag.
 
   struct Flags {
     bool remote_suspended = false;   // peer initiated the suspension
-    bool local_suspend_parked = false;  // our suspend op is blocked
     bool peer_parked = false;        // we ACK_WAIT'ed the peer: owe SUS_RES
     bool peer_waiting_resume = false;  // peer RESUMEd into our parked
                                        // suspend: we owe the reconnect
     std::uint64_t peer_declared_seq = 0;
-
-    void persist(util::Archive& ar) {
-      ar.field(remote_suspended);
-      ar.field(local_suspend_parked);
-      ar.field(peer_parked);
-      ar.field(peer_waiting_resume);
-      ar.field(peer_declared_seq);
-    }
+    /// The peer's release (SUS_RES, or a RESUME answered with RESUME_WAIT)
+    /// that landed before our suspend parked; the park applies it. A new
+    /// suspension round drops it.
+    std::optional<ConnEvent> early_release;
   };
 
-  /// Read or mutate flags under the flag lock.
-  [[nodiscard]] Flags flags() const;
+  [[nodiscard]] Flags flags() const { return cell_.get().flags; }
   template <typename Fn>
   void update_flags(Fn&& fn) {
-    util::MutexLock lock(flags_mu_);
-    fn(flags_);
+    cell_.update([&](Cell& c) { fn(c.flags); });
   }
 
-  /// Parked local suspend operations wait on this event (released by
-  /// SUS_RES or a peer RESUME that we answer with RESUME_WAIT).
-  util::Event& park_event() { return park_event_; }
-  /// Parked local resume operations wait on this one.
-  util::Event& resume_event() { return resume_event_; }
+  /// Park a local suspend: step `event` into SUSPEND_WAIT. When the peer's
+  /// release already landed, the same update applies it too and the
+  /// suspend goes on to SUSPENDED. Errors as advance().
+  util::Status park(ConnEvent event,
+                    std::optional<ConnState> from = std::nullopt);
+  /// The peer releases a parked suspend (`event`: kRecvSusRes or
+  /// kRecvResume): `on_flags` and, from SUSPEND_WAIT, the step to
+  /// SUSPENDED, in one update. In any other state the release is kept in
+  /// `early_release` for the park that has not happened yet.
+  template <typename Fn>
+  void release_park(ConnEvent event, Fn&& on_flags) {
+    cell_.update([&](Cell& c) {
+      on_flags(c.flags);
+      if (c.state == ConnState::kSuspendWait) {
+        (void)step(c.state, event, std::nullopt);
+      } else {
+        c.flags.early_release = event;
+      }
+    });
+  }
 
-  /// Control responses (SUS_ACK / ACK_WAIT / SUS_RES_ACK / CLS_ACK) routed
-  /// from the bus handler to the blocked initiating operation.
-  struct CtrlResponse {
-    std::uint8_t type = 0;      // CtrlType value
-    std::uint64_t sent_seq = 0; // responder's declared high-water mark
+  // ---- the reply slot ----
+  //
+  // The one control reply (SUS_ACK, ACK_WAIT, REJECT, CLS_ACK, SUS_RES_ACK)
+  // the session's initiating operation waits for. The initiator empties
+  // the slot for its round before it sends its request; a reply the round
+  // takes then replaces whatever the slot holds.
+
+  struct Reply {
+    std::optional<CtrlType> type;  // empty: no reply yet
+    std::uint64_t mark = 0;        // responder's declared high-water mark
   };
-  util::BlockingQueue<CtrlResponse>& responses() { return responses_; }
+
+  /// Empty the slot for a round that takes only replies of `types` and,
+  /// with a nonzero `trace_id`, only those that echo it (a SUS round's
+  /// trace id, which the peer echoes on SUS_ACK, ACK_WAIT and REJECT).
+  void expect_reply(std::initializer_list<CtrlType> types,
+                    std::uint64_t trace_id = 0);
+  /// Land a reply from the peer's controller (bus thread). Dropped unless
+  /// the slot's round takes it.
+  void put_reply(CtrlType type, std::uint64_t mark, std::uint64_t trace_id);
+  /// Wait for the round's reply; nullopt on timeout or once the session
+  /// has ended (CLOSED).
+  std::optional<Reply> wait_reply(util::Duration timeout) const;
 
   // ---- fault-tolerance extension (paper §7 future work) ----
   //
@@ -259,11 +310,12 @@ class Session {
     return peer_epoch_.load(std::memory_order_relaxed);
   }
 
-  /// Force-kill the session locally when the peer is declared dead: tear
-  /// down the stream and drive the state to CLOSED regardless of where the
-  /// FSM was, so every blocked send()/recv()/resume waiter wakes with
-  /// kAborted instead of hanging out its full timeout. Unlike mark_moved()
-  /// the buffer survives — already-received frames stay readable.
+  /// Force-kill the session locally (peer declared dead, a peer close the
+  /// FSM cannot step, controller stop): tear down the stream and drive the
+  /// state to CLOSED regardless of where the FSM was, so every blocked
+  /// send()/recv()/resume waiter, parked suspend and reply waiter wakes
+  /// instead of waiting out its timeout. Unlike mark_moved() the buffer
+  /// survives — already-received frames stay readable.
   void abort_local();
 
   // ---- migration serialization ----
@@ -335,7 +387,19 @@ class Session {
   mutable util::Mutex node_mu_{util::LockRank::kSessionNode, "session.node"};
   agent::NodeInfo peer_node_ NAPLET_GUARDED_BY(node_mu_);
 
-  util::WaitableCell<ConnState> state_{ConnState::kClosed};
+  struct Cell {
+    ConnState state = ConnState::kClosed;
+    Flags flags;
+    Reply reply;
+    std::uint32_t reply_types = 0;     // bit 1 << type per type it takes
+    std::uint64_t reply_trace_id = 0;  // 0: any trace id
+  };
+  /// The transition-table check and step behind advance(); runs under the
+  /// cell lock.
+  util::Status step(ConnState& state, ConnEvent event,
+                    std::optional<ConnState> from) const;
+
+  util::WaitableCell<Cell> cell_{Cell{}};
 
   // data path
   mutable util::Mutex stream_mu_{util::LockRank::kSessionStream,
@@ -405,13 +469,6 @@ class Session {
     std::atomic<std::uint64_t> frames_coalesced{0};
   };
   mutable Counters counters_;
-
-  mutable util::Mutex flags_mu_{util::LockRank::kSessionFlags,
-                                "session.flags"};
-  Flags flags_ NAPLET_GUARDED_BY(flags_mu_);
-  util::Event park_event_;
-  util::Event resume_event_;
-  util::BlockingQueue<CtrlResponse> responses_;
 };
 
 }  // namespace naplet::nsock

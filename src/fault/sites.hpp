@@ -31,6 +31,9 @@ inline constexpr std::string_view kFaultSites[] = {
     // between recording the peer's suspension and the SUSPENDED transition
     // that wakes the parked resume.
     "ctrl.sus.resume_wait",
+    // A local suspend about to park in SUSPEND_WAIT (session.cpp
+    // Session::park): the peer's release may land before the park.
+    "session.suspend.park",
     // Crash durability (journal.cpp): between a record batch's write and
     // its fsync, the window where one commit point covers a whole agent.
     "recovery.journal.sync",

@@ -47,7 +47,6 @@ enum class LockRank : int {
   kSessionRead = 24,     ///< Session::read_mu_
   kSessionStream = 26,   ///< Session::stream_mu_
   kSessionBuffer = 28,   ///< Session::buf_mu_
-  kSessionFlags = 30,    ///< Session::flags_mu_
   kSessionNode = 32,     ///< Session::node_mu_
 
   // Shared leaf-ish primitives: held only across their own tiny critical

@@ -212,11 +212,11 @@ TEST(History, SinceSemantics) {
 TEST(History, EvictionMakesOldSpansUnrecoverable) {
   SimRealm realm(2, /*security=*/false, {}, [](NodeConfig& config) {
     config.controller.tolerance.enabled = true;
-    config.controller.tolerance.history_bytes = 8;  // ~2 messages
   });
   auto alice = realm.pseudo_agent("alice", 0);
   auto bob = realm.pseudo_agent("bob", 1);
   ConnPair conn = make_connection(realm, alice, 0, bob, 1);
+  conn.client->enable_history(8);  // ~2 messages
 
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(conn.client->send(span("xxxx"), 1s).ok());
